@@ -3,7 +3,10 @@
 Call systems, cyclic derivations, annotated representations, and finished
 proofs each have a tagged, versioned document.  Proof tables are flat: a row
 per distinct subproof, children by row id, so shared subproofs are written
-once and documents never nest deeply.
+once and documents never nest deeply.  Formulas and context entries are
+written once too, in a formula table and a variable table, and each sequent
+is a list of indices into them; the reloaded proof shares one object per
+table row.
 """
 
 import json
@@ -26,6 +29,7 @@ doc = formats.proof_to_doc(proof, system)
 text = formats.dumps(doc)
 print(f"proof document: {len(text)} bytes, {len(doc['nodes'])} rows,"
       f" root row {doc['root']}")
+print(f"tables: {len(doc['formulas'])} formulas, {len(doc['variables'])} variables")
 
 row = doc["nodes"][0]
 print("first row:", json.dumps(row)[:100], "...")

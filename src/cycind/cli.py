@@ -23,7 +23,7 @@ from pathlib import Path
 from . import formats
 from .core import induced_call_graph, induced_proof_system
 from .dot import call_system_to_dot, derivation_to_dot, rep_to_dot
-from .logic import LogicError, check_proof, count_rule, distinct_nodes, proof_size
+from .logic import LogicError, check_proof, distinct_nodes, proof_size
 from .minilang import MiniLangError, parse_call_system
 from .sct import decide_termination
 from .translate import translate
@@ -163,9 +163,10 @@ def cmd_unravel(args) -> int:
     doc = formats.dumps(formats.proof_to_doc(proof, sys_))
     if args.out:
         Path(args.out).write_text(doc)
+        rules = [d.rule for d in distinct_nodes(proof)]
         print(
-            f"wrote proof: {proof_size(proof)} nodes,"
-            f" {count_rule(proof, 'gt_ind')} induction applications -> {args.out}"
+            f"wrote proof: {len(rules)} nodes,"
+            f" {rules.count('gt_ind')} induction applications -> {args.out}"
         )
     else:
         sys.stdout.write(doc)

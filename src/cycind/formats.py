@@ -3,9 +3,18 @@
 Every document carries a ``format`` tag (``cycind/<kind>@1``); loaders check
 it and raise :class:`FormatError` on anything unexpected.  Node tables are
 flat — children refer to other rows by id — so documents stay linear in the
-size of the shared structure and never nest deeply.  Formulas are nested
-arrays with ``["b", k]`` for bound references and ``["v", name]`` for free
-variables.
+size of the shared structure and never nest deeply.  Formulas are arrays with
+``["b", k]`` for bound references and ``["v", name]`` for free variables.
+
+Proof documents also store formulas and context entries once, in tables:
+``formulas`` has one row per distinct formula (the subformulas of ``imp`` and
+``all`` rows are indices of earlier rows), ``variables`` one ``[name, sort]``
+row per distinct context entry, and sequents are lists of indices into them.
+The reader also accepts an inline formula array or ``[name, sort]`` pair
+wherever it expects an index, so documents written before the tables existed
+still load under the same format tag.  It refuses formulas nested deeper than
+:data:`MAX_FORMULA_DEPTH`, so the kernel's recursive walks stay within the
+interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -32,6 +41,11 @@ CALLSYSTEM = "cycind/callsystem@1"
 DERIVATION = "cycind/derivation@1"
 RESETREP = "cycind/resetrep@1"
 PROOF = "cycind/proof@1"
+
+# Formula nesting accepted by the proof reader.  The kernel compares and walks
+# formulas recursively, and a formula table describes any depth in a few bytes
+# per level; the worked systems' proofs stay below 32.
+MAX_FORMULA_DEPTH = 128
 
 
 class FormatError(ValueError):
@@ -276,61 +290,214 @@ def _term_to_doc(t) -> list:
     raise FormatError(f"unknown term {t!r}")
 
 
-def _formula_to_doc(phi) -> list:
+def _leaf_to_doc(phi) -> list:
     if isinstance(phi, logic.Atom):
         return ["atom", phi.judg, [_term_to_doc(a) for a in phi.args]]
     if isinstance(phi, logic.Geq):
         return [">=", phi.sort, _term_to_doc(phi.left), _term_to_doc(phi.right)]
     if isinstance(phi, logic.Gt):
         return [">", phi.sort, _term_to_doc(phi.left), _term_to_doc(phi.right)]
-    if isinstance(phi, logic.Imp):
-        return ["imp", _formula_to_doc(phi.lhs), _formula_to_doc(phi.rhs)]
-    if isinstance(phi, logic.Forall):
-        return ["all", phi.sort, phi.hint, _formula_to_doc(phi.body)]
     raise FormatError(f"unknown formula {phi!r}")
 
 
+def _short(x) -> str:
+    r = repr(x)
+    return r if len(r) <= 40 else r[:37] + "..."
+
+
+def _json_type(x) -> str:
+    """The JSON type of a decoded value, for error messages."""
+    if x is None:
+        return "null"
+    if isinstance(x, bool):
+        return "a boolean"
+    if isinstance(x, (int, float)):
+        return "a number"
+    if isinstance(x, str):
+        return "a string"
+    return "an array" if isinstance(x, list) else "an object"
+
+
+def _array(x, what: str) -> list:
+    if not isinstance(x, list):
+        raise FormatError(f"{what} must be an array, found {_json_type(x)}")
+    return x
+
+
 def _term_from_doc(x):
-    if x[0] == "v":
-        return logic.FreeV(x[1])
-    if x[0] == "b":
-        return logic.BoundV(int(x[1]))
-    raise FormatError(f"unknown term tag {x[0]!r}")
+    if isinstance(x, list) and len(x) == 2:
+        if x[0] == "v" and isinstance(x[1], str):
+            return logic.FreeV(x[1])
+        if x[0] == "b" and type(x[1]) is int and x[1] >= 0:
+            return logic.BoundV(x[1])
+        if x[0] not in ("v", "b"):
+            raise FormatError(f"unknown term tag {_short(x[0])}")
+    raise FormatError(f"malformed term {_short(x)}")
 
 
-def _formula_from_doc(x):
-    tag = x[0]
-    if tag == "atom":
+def _leaf_from_doc(x: list):
+    tag = x[0] if x else None
+    if tag == "atom" and len(x) == 3 and isinstance(x[1], str) and isinstance(x[2], list):
         return logic.Atom(x[1], tuple(_term_from_doc(a) for a in x[2]))
-    if tag == ">=":
-        return logic.Geq(x[1], _term_from_doc(x[2]), _term_from_doc(x[3]))
-    if tag == ">":
-        return logic.Gt(x[1], _term_from_doc(x[2]), _term_from_doc(x[3]))
-    if tag == "imp":
-        return logic.Imp(_formula_from_doc(x[1]), _formula_from_doc(x[2]))
-    if tag == "all":
-        return logic.Forall(x[1], _formula_from_doc(x[3]), hint=x[2])
-    raise FormatError(f"unknown formula tag {tag!r}")
+    if tag in (">=", ">") and len(x) == 4 and isinstance(x[1], str):
+        order = logic.Geq if tag == ">=" else logic.Gt
+        return order(x[1], _term_from_doc(x[2]), _term_from_doc(x[3]))
+    if tag in ("atom", ">=", ">", "imp", "all"):
+        raise FormatError(f"malformed {tag!r} formula")
+    raise FormatError(f"unknown formula tag {_short(tag)}")
 
 
-def _seq_to_doc(seq: logic.Sequent) -> dict:
-    return {
-        "ctx": [[v, s] for v, s in seq.ctx],
-        "hyps": [_formula_to_doc(h) for h in seq.hyps],
-        "concl": _formula_to_doc(seq.concl),
-    }
+def _is_pair(x) -> bool:
+    return isinstance(x, list) and len(x) == 2 and all(isinstance(s, str) for s in x)
 
 
-def _seq_from_doc(d: dict) -> logic.Sequent:
-    return logic.Sequent(
-        ctx=tuple((v, s) for v, s in d["ctx"]),
-        hyps=tuple(_formula_from_doc(h) for h in d["hyps"]),
-        concl=_formula_from_doc(d["concl"]),
-    )
+def _all_indices(refs: list, n: int) -> bool:
+    """Whether every entry of ``refs`` is an int in ``range(n)``."""
+    return set(map(type, refs)) <= {int} and (not refs or (min(refs) >= 0 and max(refs) < n))
+
+
+class _ProofReader:
+    """Resolves the table references of one proof document.
+
+    Each row of ``formulas`` and ``variables`` is built once, so every sequent
+    that names a row shares its object, and equal contexts share one tuple.
+    Wherever an index is expected, the value may instead be written inline: a
+    formula array (whose ``imp``/``all`` subformulas are again indices or
+    arrays) or a ``[name, sort]`` pair.
+    """
+
+    def __init__(self, doc: dict) -> None:
+        self.variables: list[tuple[str, str]] = []
+        for i, v in enumerate(_array(doc.get("variables", []), "variables")):
+            if not _is_pair(v):
+                raise FormatError(f"variable row {i} is not a [name, sort] pair")
+            self.variables.append((v[0], v[1]))
+        rows = _array(doc.get("formulas", []), "formulas")
+        self.size = len(rows)
+        self.formulas: list[logic.Formula] = []
+        self.depths: list[int] = []
+        for i, x in enumerate(rows):
+            if not isinstance(x, list):
+                raise FormatError(f"formula row {i} must be an array, found {_json_type(x)}")
+            try:
+                phi, depth = self._inline(x, i, 0)
+            except FormatError as e:
+                raise FormatError(f"formula row {i}: {e}") from None
+            self.formulas.append(phi)
+            self.depths.append(depth)
+        self.contexts: dict[tuple, tuple[tuple[str, str], ...]] = {}
+
+    def formula(self, ref, limit: int, above: int = 0) -> tuple[logic.Formula, int]:
+        """The formula ``ref`` names, and its depth.  Indices must be below
+        ``limit``; ``above`` counts the inline levels that enclose ``ref``."""
+        if type(ref) is int:
+            if not 0 <= ref < limit:
+                if limit <= ref < self.size:
+                    raise FormatError(f"formula index {ref} is not an earlier row")
+                raise FormatError(f"formula index {ref} out of range: the table has {self.size} rows")
+            phi, depth = self.formulas[ref], self.depths[ref]
+        elif isinstance(ref, list):
+            phi, depth = self._inline(ref, limit, above)
+        else:
+            raise FormatError(f"expected a formula index or array, found {_json_type(ref)}")
+        if above + depth > MAX_FORMULA_DEPTH:
+            raise FormatError(f"formula nests deeper than {MAX_FORMULA_DEPTH} levels")
+        return phi, depth
+
+    def _inline(self, x: list, limit: int, above: int) -> tuple[logic.Formula, int]:
+        if above >= MAX_FORMULA_DEPTH:
+            raise FormatError(f"formula nests deeper than {MAX_FORMULA_DEPTH} levels")
+        tag = x[0] if x else None
+        if tag == "imp" and len(x) == 3:
+            lhs, dl = self.formula(x[1], limit, above + 1)
+            rhs, dr = self.formula(x[2], limit, above + 1)
+            return logic.Imp(lhs, rhs), 1 + max(dl, dr)
+        if tag == "all" and len(x) == 4 and isinstance(x[1], str) and isinstance(x[2], str):
+            body, db = self.formula(x[3], limit, above + 1)
+            return logic.Forall(x[1], body, hint=x[2]), 1 + db
+        return _leaf_from_doc(x), 1
+
+    def variable(self, ref) -> tuple[str, str]:
+        if type(ref) is int:
+            if not 0 <= ref < len(self.variables):
+                raise FormatError(
+                    f"variable index {ref} out of range: the table has {len(self.variables)} rows"
+                )
+            return self.variables[ref]
+        if _is_pair(ref):
+            return (ref[0], ref[1])
+        raise FormatError(f"expected a variable index or [name, sort] pair, found {_short(ref)}")
+
+    def context(self, refs) -> tuple[tuple[str, str], ...]:
+        refs = _array(refs, "ctx")
+        if not _all_indices(refs, len(self.variables)):
+            return tuple(self.variable(r) for r in refs)
+        key = tuple(refs)
+        ctx = self.contexts.get(key)
+        if ctx is None:
+            ctx = self.contexts[key] = tuple(map(self.variables.__getitem__, refs))
+        return ctx
+
+    def sequent(self, d) -> logic.Sequent:
+        if not isinstance(d, dict):
+            raise FormatError(f"sequent must be an object, found {_json_type(d)}")
+        refs = _array(d.get("hyps"), "hyps")
+        if _all_indices(refs, self.size):
+            hyps = tuple(map(self.formulas.__getitem__, refs))
+        else:
+            hyps = tuple(self.formula(h, self.size)[0] for h in refs)
+        return logic.Sequent(
+            ctx=self.context(d.get("ctx")),
+            hyps=hyps,
+            concl=self.formula(d.get("concl"), self.size)[0],
+        )
 
 
 def proof_to_doc(proof: logic.Deriv, sys: CyclicSystem) -> dict:
-    """Flatten a proof DAG into a table; shared subderivations are emitted once."""
+    """Flatten a proof DAG into tables, writing every shared object once.
+
+    - ``nodes``: one row per distinct ``Deriv`` object, children by row id, so
+      the row count is :func:`cycind.logic.proof_size`;
+    - ``formulas``: one row per distinct formula; atoms and orders are written
+      inline, and the subformulas of an ``imp`` or ``all`` row are indices of
+      earlier rows;
+    - ``variables``: one ``[name, sort]`` row per distinct context entry;
+    - a sequent is ``{"ctx": [variable index…], "hyps": [formula index…],
+      "concl": formula index}``.
+    """
+    formulas: list[list] = []
+    row_of_key: dict = {}
+    # by id(): the proof keeps every formula alive while it is written, and a
+    # formula object is keyed once, over the rows of its children
+    row_of_obj: dict[int, int] = {}
+    variables: list[list] = []
+    row_of_var: dict[tuple[str, str], int] = {}
+
+    def formula(phi) -> int:
+        row = row_of_obj.get(id(phi))
+        if row is not None:
+            return row
+        if isinstance(phi, logic.Imp):
+            key = ("imp", formula(phi.lhs), formula(phi.rhs))
+        elif isinstance(phi, logic.Forall):
+            # the hint takes no part in equality, but the document keeps it
+            key = ("all", phi.sort, phi.hint, formula(phi.body))
+        else:
+            key = phi  # an atom or an order: a leaf, hashed by its few terms
+        row = row_of_key.get(key)
+        if row is None:
+            row = row_of_key[key] = len(formulas)
+            formulas.append(list(key) if isinstance(key, tuple) else _leaf_to_doc(phi))
+        row_of_obj[id(phi)] = row
+        return row
+
+    def variable(entry: tuple[str, str]) -> int:
+        row = row_of_var.get(entry)
+        if row is None:
+            row = row_of_var[entry] = len(variables)
+            variables.append(list(entry))
+        return row
+
     rows: list[dict] = []
     memo: dict[int, int] = {}
     stack: list[tuple[logic.Deriv, bool]] = [(proof, False)]
@@ -345,11 +512,16 @@ def proof_to_doc(proof: logic.Deriv, sys: CyclicSystem) -> dict:
                     stack.append((c, False))
             continue
         memo[id(d)] = len(rows)
+        seq = d.seq
         rows.append(
             {
                 "id": len(rows),
                 "rule": d.rule,
-                "seq": _seq_to_doc(d.seq),
+                "seq": {
+                    "ctx": [variable(e) for e in seq.ctx],
+                    "hyps": [formula(h) for h in seq.hyps],
+                    "concl": formula(seq.concl),
+                },
                 "children": [memo[id(c)] for c in d.children],
                 "data": list(d.data),
             }
@@ -357,30 +529,42 @@ def proof_to_doc(proof: logic.Deriv, sys: CyclicSystem) -> dict:
     return {
         "format": PROOF,
         "system": system_to_doc(sys),
+        "variables": variables,
+        "formulas": formulas,
         "nodes": rows,
         "root": memo[id(proof)],
     }
 
 
 def proof_from_doc(doc: dict) -> tuple[CyclicSystem, logic.Deriv]:
+    """Load a proof document; any malformed part raises :class:`FormatError`."""
     _tag(doc, PROOF)
     sys = system_from_doc(doc["system"])
+    reader = _ProofReader(doc)
     built: dict[int, logic.Deriv] = {}
-    for row in doc["nodes"]:
-        kids = []
-        for c in row["children"]:
-            if c not in built:
-                raise FormatError(f"node {row['id']} refers to a later node {c}")
-            kids.append(built[c])
-        built[row["id"]] = logic.Deriv(
-            rule=row["rule"],
-            seq=_seq_from_doc(row["seq"]),
-            children=tuple(kids),
-            data=tuple(row["data"]),
-        )
-    if doc["root"] not in built:
+    for row in _array(doc.get("nodes"), "nodes"):
+        if not isinstance(row, dict) or type(row.get("id")) is not int:
+            raise FormatError("node rows must be objects with an integer id")
+        try:
+            kids = []
+            for c in _array(row.get("children"), "children"):
+                if type(c) is not int or c not in built:
+                    raise FormatError(f"refers to a later node {_short(c)}")
+                kids.append(built[c])
+            if not isinstance(row.get("rule"), str):
+                raise FormatError(f"rule must be a string, found {_json_type(row.get('rule'))}")
+            built[row["id"]] = logic.Deriv(
+                rule=row["rule"],
+                seq=reader.sequent(row.get("seq")),
+                children=tuple(kids),
+                data=tuple(_array(row.get("data"), "data")),
+            )
+        except FormatError as e:
+            raise FormatError(f"node {row['id']}: {e}") from None
+    root = doc.get("root")
+    if type(root) is not int or root not in built:
         raise FormatError("root not present in the node table")
-    return sys, built[doc["root"]]
+    return sys, built[root]
 
 
 # ---------------------------------------------------------------------------
@@ -401,6 +585,8 @@ def loads(text: str) -> tuple[str, Any]:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise FormatError(f"not valid JSON: {e}") from None
+    except RecursionError:
+        raise FormatError("not valid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise FormatError("document is not a JSON object")
     kind = _KIND_OF_TAG.get(doc.get("format"))

@@ -258,15 +258,16 @@ class LogicError(Exception):
 # Formula objects are shared structurally between the sequents of a
 # derivation, so their context-independent wellformedness (arities, sort
 # agreement, bound indices in scope) plus the sorts they demand of their free
-# variables are computed once per object and cached by identity.
-_SUMMARY_CACHE: dict[tuple[int, int], tuple[Formula, "dict[str, str] | str"]] = {}
+# variables are computed once per object.  The cache lives for one
+# ``check_proof`` call and is keyed by ``id``: the proof keeps every formula
+# alive for that long.
+_Summary = dict[str, str] | str
 
 
-def _formula_summary(system: CyclicSystem, phi: Formula) -> dict[str, str] | str:
-    key = (id(system), id(phi))
-    hit = _SUMMARY_CACHE.get(key)
-    if hit is not None and hit[0] is phi:
-        return hit[1]
+def _formula_summary(system: CyclicSystem, phi: Formula, cache: dict[int, _Summary]) -> _Summary:
+    hit = cache.get(id(phi))
+    if hit is not None:
+        return hit
     req: dict[str, str] = {}
 
     def walk(f: Formula, binders: list[str]) -> str | None:
@@ -311,18 +312,18 @@ def _formula_summary(system: CyclicSystem, phi: Formula) -> dict[str, str] | str
             return None
         return f"not a term: {t!r}"
 
-    res: dict[str, str] | str = walk(phi, []) or req
-    _SUMMARY_CACHE[key] = (phi, res)
+    res: _Summary = walk(phi, []) or req
+    cache[id(phi)] = res
     return res
 
 
-def _check_sequent(system: CyclicSystem, seq: Sequent) -> str | None:
+def _check_sequent(system: CyclicSystem, seq: Sequent, cache: dict[int, _Summary]) -> str | None:
     names = [v for v, _s in seq.ctx]
     if len(set(names)) != len(names):
         return "repeated context variable"
     ctx = dict(seq.ctx)
     for spot, phi in (*((f"hypothesis {i}", h) for i, h in enumerate(seq.hyps)), ("conclusion", seq.concl)):
-        summary = _formula_summary(system, phi)
+        summary = _formula_summary(system, phi, cache)
         if isinstance(summary, str):
             return f"{spot}: {summary}"
         for name, want in summary.items():
@@ -540,10 +541,11 @@ def _check_node(system: CyclicSystem, d: Deriv) -> str | None:
 
 def check_proof(system: CyclicSystem, root: Deriv) -> None:
     """Verify a derivation; raises :class:`LogicError` locating the first defect."""
+    cache: dict[int, _Summary] = {}
     stack: list[tuple[Deriv, tuple[int, ...]]] = [(root, ())]
     while stack:
         node, path = stack.pop()
-        err = _check_sequent(system, node.seq)
+        err = _check_sequent(system, node.seq, cache)
         if err is None:
             err = _check_node(system, node)
         if err is not None:

@@ -231,3 +231,26 @@ def test_bad_json_document(capsys, tmp_path):
     code, out, err = run(capsys, "verify", path)
     assert code == 2
     assert err.startswith(f"error: {path}: not valid JSON")
+
+
+def test_verify_refuses_a_deeply_nested_formula(capsys, tmp_path, pipelines):
+    p = pipelines["plus"]
+    doc = formats.proof_to_doc(p.proof, p.system)
+    doc["nodes"][doc["root"]]["seq"]["concl"] = "DEEP"
+    deep = '["imp", ' * 3000 + "0" + ", 0]" * 3000
+    path = tmp_path / "deep.json"
+    path.write_text(formats.dumps(doc).replace('"DEEP"', deep))
+    code, out, err = run(capsys, "verify", path)
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: not valid JSON: nested too deeply\n"
+
+
+def test_verify_refuses_null_hypotheses(capsys, tmp_path, pipelines):
+    p = pipelines["plus"]
+    doc = formats.proof_to_doc(p.proof, p.system)
+    doc["nodes"][0]["seq"]["hyps"] = None
+    path = tmp_path / "null.json"
+    path.write_text(formats.dumps(doc))
+    code, out, err = run(capsys, "verify", path)
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: node 0: hyps must be an array, found null\n"

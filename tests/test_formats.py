@@ -1,12 +1,15 @@
 """JSON documents: every artifact kind round-trips, loaders reject junk."""
 
 import copy
+import json
+import re
 
 import pytest
 
 from cycind import FormatError, check_proof, proof_size
 from cycind.formats import (
     CALLSYSTEM,
+    MAX_FORMULA_DEPTH,
     PROOF,
     call_system_from_doc,
     call_system_to_doc,
@@ -19,6 +22,7 @@ from cycind.formats import (
     rep_from_doc,
     rep_to_doc,
 )
+from cycind.logic import distinct_nodes
 
 import systems
 
@@ -130,3 +134,170 @@ def test_proof_doc_with_forward_reference(pipelines):
     doc["nodes"][0]["children"] = [last]
     with pytest.raises(FormatError, match=f"refers to a later node {last}"):
         proof_from_doc(doc)
+
+
+# ---------------------------------------------------------------------------
+# formula and variable tables
+# ---------------------------------------------------------------------------
+
+def _inline_layout(doc):
+    """The same proof in the layout without tables: every formula written out
+    in full, every context entry as a [name, sort] pair."""
+    formulas = []
+    for row in doc["formulas"]:
+        if row[0] == "imp":
+            row = ["imp", formulas[row[1]], formulas[row[2]]]
+        elif row[0] == "all":
+            row = ["all", row[1], row[2], formulas[row[3]]]
+        formulas.append(row)
+    nodes = []
+    for row in doc["nodes"]:
+        seq = row["seq"]
+        nodes.append({
+            **row,
+            "seq": {
+                "ctx": [doc["variables"][v] for v in seq["ctx"]],
+                "hyps": [formulas[h] for h in seq["hyps"]],
+                "concl": formulas[seq["concl"]],
+            },
+        })
+    return {"format": PROOF, "system": doc["system"], "nodes": nodes, "root": doc["root"]}
+
+
+def test_inline_layout_still_loads(pipelines):
+    p = pipelines["plus"]
+    old = copy.deepcopy(_inline_layout(proof_to_doc(p.proof, p.system)))
+    assert "formulas" not in old and isinstance(old["nodes"][0]["seq"]["concl"], list)
+    kind, (sys2, proof2) = loads(dumps(old))
+    assert kind == "proof" and sys2 == p.system
+    assert proof2 == p.proof
+    check_proof(sys2, proof2)
+
+
+def test_formulas_are_shared_after_loading(pipelines):
+    p = pipelines["ack"]
+    doc = proof_to_doc(p.proof, p.system)
+    _sys, proof2 = proof_from_doc(doc)
+    objects = {
+        id(phi)
+        for d in distinct_nodes(proof2)
+        for phi in (*d.seq.hyps, d.seq.concl)
+    }
+    assert len(objects) <= len(doc["formulas"])
+
+
+def test_tables_have_no_duplicate_rows(pipelines):
+    for name in ("ack", "fg"):
+        p = pipelines[name]
+        doc = proof_to_doc(p.proof, p.system)
+        for table in ("formulas", "variables"):
+            rows = [json.dumps(r) for r in doc[table]]
+            assert len(set(rows)) == len(rows), (name, table)
+
+
+def test_dist_document_stays_small(pipelines):
+    # 174 MB when every formula occurrence was written out in full
+    p = pipelines["dist"]
+    assert len(dumps(proof_to_doc(p.proof, p.system))) < 20_000_000
+
+
+def _plus_doc(pipelines):
+    p = pipelines["plus"]
+    return copy.deepcopy(proof_to_doc(p.proof, p.system))
+
+
+@pytest.mark.parametrize(
+    "ref, message",
+    [
+        ("0", "expected a formula index or array, found a string"),
+        (1.0, "expected a formula index or array, found a number"),
+        (True, "expected a formula index or array, found a boolean"),
+        (None, "expected a formula index or array, found null"),
+        (-1, "formula index -1 out of range"),
+        (10**6, "formula index 1000000 out of range"),
+    ],
+)
+def test_bad_formula_index_in_a_sequent(pipelines, ref, message):
+    doc = _plus_doc(pipelines)
+    doc["nodes"][0]["seq"]["concl"] = ref
+    with pytest.raises(FormatError, match=f"^node 0: {re.escape(message)}"):
+        proof_from_doc(doc)
+
+
+@pytest.mark.parametrize("ref", ["0", -1, 10**6, 2.5])
+def test_bad_hypothesis_index(pipelines, ref):
+    doc = _plus_doc(pipelines)
+    row = next(r for r in doc["nodes"] if r["seq"]["hyps"])
+    row["seq"]["hyps"][-1] = ref
+    with pytest.raises(FormatError, match=f"^node {row['id']}: "):
+        proof_from_doc(doc)
+
+
+@pytest.mark.parametrize("ref", ["0", -1, 10**6, ["x"], None])
+def test_bad_variable_index(pipelines, ref):
+    doc = _plus_doc(pipelines)
+    row = next(r for r in doc["nodes"] if r["seq"]["ctx"])
+    row["seq"]["ctx"][0] = ref
+    with pytest.raises(FormatError, match=f"^node {row['id']}: .*variable"):
+        proof_from_doc(doc)
+
+
+@pytest.mark.parametrize("field", ["hyps", "ctx"])
+@pytest.mark.parametrize("value", [None, "0", {"0": 0}, 3])
+def test_sequent_lists_must_be_arrays(pipelines, field, value):
+    doc = _plus_doc(pipelines)
+    doc["nodes"][0]["seq"][field] = value
+    with pytest.raises(FormatError, match=f"^node 0: {field} must be an array"):
+        proof_from_doc(doc)
+
+
+def test_null_sequent(pipelines):
+    doc = _plus_doc(pipelines)
+    doc["nodes"][0]["seq"] = None
+    with pytest.raises(FormatError, match="^node 0: sequent must be an object, found null"):
+        proof_from_doc(doc)
+
+
+def test_formula_table_must_point_backwards(pipelines):
+    doc = _plus_doc(pipelines)
+    i = next(i for i, r in enumerate(doc["formulas"]) if r[0] == "imp")
+    doc["formulas"][i][1] = i
+    with pytest.raises(FormatError, match=f"^formula row {i}: formula index {i} is not an earlier row"):
+        proof_from_doc(doc)
+    doc["formulas"][i][1] = len(doc["formulas"])
+    with pytest.raises(FormatError, match=f"^formula row {i}: formula index .* out of range"):
+        proof_from_doc(doc)
+    doc["formulas"][i][1] = "0"
+    with pytest.raises(FormatError, match=f"^formula row {i}: expected a formula index"):
+        proof_from_doc(doc)
+
+
+def test_variable_table_rows_are_pairs(pipelines):
+    doc = _plus_doc(pipelines)
+    doc["variables"][0] = ["x"]
+    with pytest.raises(FormatError, match="variable row 0 is not a \\[name, sort\\] pair"):
+        proof_from_doc(doc)
+
+
+def test_deep_formulas_are_refused(pipelines):
+    # through the table: a few bytes a level, no nesting in the JSON
+    doc = _plus_doc(pipelines)
+    n = len(doc["formulas"])
+    doc["formulas"] += [["imp", n + k - 1, n + k - 1] for k in range(MAX_FORMULA_DEPTH)]
+    doc["nodes"][0]["seq"]["concl"] = len(doc["formulas"]) - 1
+    with pytest.raises(FormatError, match=f"nests deeper than {MAX_FORMULA_DEPTH} levels"):
+        proof_from_doc(doc)
+    # inline, deep enough to exhaust the recursion limit if it were followed
+    doc = _plus_doc(pipelines)
+    deep = 0
+    for _ in range(5000):
+        deep = ["imp", deep, 0]
+    doc["nodes"][0]["seq"]["concl"] = deep
+    with pytest.raises(FormatError, match=f"^node 0: formula nests deeper than {MAX_FORMULA_DEPTH}"):
+        proof_from_doc(doc)
+
+
+def test_loads_refuses_json_nested_past_the_recursion_limit():
+    text = '{"format": "cycind/proof@1", "x": ' + "[" * 100_000 + "]" * 100_000 + "}"
+    with pytest.raises(FormatError, match="not valid JSON: nested too deeply"):
+        loads(text)
