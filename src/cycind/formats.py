@@ -124,34 +124,74 @@ def system_to_doc(sys: CyclicSystem) -> dict:
     }
 
 
-def system_from_doc(doc: dict) -> CyclicSystem:
-    judgments = {
-        j["id"]: Judgment(j["id"], int(j["ob"]), tuple(j["sorts"])) for j in doc["judgments"]
-    }
+def _field(d: Any, key: str, kind: type, where: str):
+    """``d[key]``, checked to be present and of JSON type ``kind``."""
+    if not isinstance(d, dict):
+        raise FormatError(f"{where} must be an object, found {_json_type(d)}")
+    if key not in d:
+        raise FormatError(f"{where}: missing {key!r}")
+    x = d[key]
+    if not isinstance(x, kind) or (kind is int and isinstance(x, bool)):
+        want = {dict: "an object", list: "an array", str: "a string", int: "an integer"}[kind]
+        raise FormatError(f"{where}: {key} must be {want}, found {_json_type(x)}")
+    return x
+
+
+def _strings(d: Any, key: str, where: str) -> tuple[str, ...]:
+    xs = _field(d, key, list, where)
+    if not all(isinstance(x, str) for x in xs):
+        raise FormatError(f"{where}: {key} must be an array of strings")
+    return tuple(xs)
+
+
+def _edges(ges: Any, where: str) -> frozenset[tuple[int, int, str]]:
+    if not isinstance(ges, list):
+        raise FormatError(f"{where} must be an array of edges, found {_json_type(ges)}")
+    out = set()
+    for e in ges:
+        if not (isinstance(e, list) and len(e) == 3
+                and all(type(k) is int for k in e[:2]) and isinstance(e[2], str)):
+            raise FormatError(f"{where}: malformed edge {_short(e)}")
+        out.add((e[0], e[1], e[2]))
+    return frozenset(out)
+
+
+def system_from_doc(doc: Any) -> CyclicSystem:
+    """Read an embedded ``system`` section; any malformed part raises
+    :class:`FormatError` naming it."""
+    judgments = {}
+    for i, j in enumerate(_field(doc, "judgments", list, "system")):
+        where = f"system judgment {i}"
+        jid, ob, sorts = _field(j, "id", str, where), _field(j, "ob", int, where), _strings(j, "sorts", where)
+        try:
+            judgments[jid] = Judgment(jid, ob, sorts)
+        except ValueError as e:
+            raise FormatError(f"system {e}") from None
     rules = {}
-    for r in doc["rules"]:
-        if r["conclusion"] not in judgments:
-            raise FormatError(f"rule {r['id']!r} concludes an unknown judgment")
-        src = judgments[r["conclusion"]].ob
+    for i, r in enumerate(_field(doc, "rules", list, "system")):
+        where = f"system rule {i}"
+        rid = _field(r, "id", str, where)
+        where = f"system rule {rid!r}"
+        conclusion = _field(r, "conclusion", str, where)
+        premises = _strings(r, "premises", where)
+        ggs = _field(r, "graphs", list, where)
+        if conclusion not in judgments:
+            raise FormatError(f"{where} concludes an unknown judgment")
+        if len(ggs) != len(premises):
+            raise FormatError(f"{where}: {len(ggs)} graphs for {len(premises)} premises")
+        src = judgments[conclusion].ob
         graphs = []
-        for prem, ges in zip(r["premises"], r["graphs"]):
+        for k, (prem, ges) in enumerate(zip(premises, ggs)):
             if prem not in judgments:
-                raise FormatError(f"rule {r['id']!r} has an unknown premise {prem!r}")
-            graphs.append(
-                SizeChangeGraph(
-                    src,
-                    judgments[prem].ob,
-                    frozenset((int(s), int(d), lab) for s, d, lab in ges),
-                )
-            )
-        rules[r["id"]] = RuleScheme(
-            id=r["id"],
-            conclusion=r["conclusion"],
-            premises=tuple(r["premises"]),
-            graphs=tuple(graphs),
-        )
+                raise FormatError(f"{where} has an unknown premise {prem!r}")
+            edges = _edges(ges, f"{where} graph {k}")
+            try:
+                graphs.append(SizeChangeGraph(src, judgments[prem].ob, edges))
+            except ValueError as e:
+                raise FormatError(f"{where} graph {k}: {e}") from None
+        rules[rid] = RuleScheme(id=rid, conclusion=conclusion, premises=premises, graphs=tuple(graphs))
     return CyclicSystem(
-        judgments=judgments, rules=rules, ind_sorts=frozenset(doc["ind_sorts"])
+        judgments=judgments, rules=rules, ind_sorts=frozenset(_strings(doc, "ind_sorts", "system"))
     )
 
 
@@ -173,7 +213,7 @@ def derivation_to_doc(deriv: RegularDerivation, sys: CyclicSystem) -> dict:
 
 def derivation_from_doc(doc: dict) -> tuple[CyclicSystem, RegularDerivation]:
     _tag(doc, DERIVATION)
-    sys = system_from_doc(doc["system"])
+    sys = system_from_doc(_field(doc, "system", dict, "document"))
     nodes = {
         n["id"]: DerivNode(rule=n["rule"], children=tuple(n["children"]))
         for n in doc["nodes"]
@@ -256,7 +296,7 @@ def rep_to_doc(rep: ResetRep) -> dict:
 
 def rep_from_doc(doc: dict) -> ResetRep:
     _tag(doc, RESETREP)
-    sys = system_from_doc(doc["system"])
+    sys = system_from_doc(_field(doc, "system", dict, "document"))
     dnodes = {
         n["id"]: DerivNode(rule=n["rule"], children=tuple(n["children"]))
         for n in doc["deriv"]["nodes"]
@@ -539,7 +579,7 @@ def proof_to_doc(proof: logic.Deriv, sys: CyclicSystem) -> dict:
 def proof_from_doc(doc: dict) -> tuple[CyclicSystem, logic.Deriv]:
     """Load a proof document; any malformed part raises :class:`FormatError`."""
     _tag(doc, PROOF)
-    sys = system_from_doc(doc["system"])
+    sys = system_from_doc(_field(doc, "system", dict, "document"))
     reader = _ProofReader(doc)
     built: dict[int, logic.Deriv] = {}
     for row in _array(doc.get("nodes"), "nodes"):

@@ -10,10 +10,11 @@ discipline is part of the proof structure.
 Rules: identity, exchange (adjacent swap), weakening and contraction at the
 end of the hypothesis list, implication intro/elim, universal intro/elim,
 reflexivity / transitivity / subsumption / mixed-transitivity for the orders,
-well-founded induction on ``>``, and one case-analysis rule per rule scheme of
-the ambient cyclic system.  ``check_proof`` verifies a derivation bottom-up
-and is the only authority on validity; all builder helpers merely construct
-candidate derivations.
+well-founded induction on ``>``, instantiation (``subst``: rename the premise's
+context variables to variables of the same sorts in the conclusion's context),
+and one case-analysis rule per rule scheme of the ambient cyclic system.
+``check_proof`` verifies a derivation bottom-up and is the only authority on
+validity; all builder helpers merely construct candidate derivations.
 
 The derived strong induction principle (inducting on an entire sequent rather
 than a single formula) is provided as a macro: :func:`expand_ind_prime`
@@ -339,6 +340,9 @@ def _same(a: Sequent, b: Sequent, ctx: bool = True, hyps: bool = True) -> bool:
     return (not ctx or a.ctx == b.ctx) and (not hyps or a.hyps == b.hyps)
 
 
+_RULES_WITH_DATA = frozenset({"exchange", "forall_elim", "c_rule", "subst"})
+
+
 def _check_node(system: CyclicSystem, d: Deriv) -> str | None:
     seq = d.seq
     kids = d.children
@@ -347,6 +351,8 @@ def _check_node(system: CyclicSystem, d: Deriv) -> str | None:
     def arity(n: int) -> str | None:
         return None if len(kids) == n else f"{r} expects {n} premises, got {len(kids)}"
 
+    if d.data and r not in _RULES_WITH_DATA:
+        return f"{r} takes no rule data, got {list(d.data)!r}"
     if r == "identity":
         if err := arity(0):
             return err
@@ -440,6 +446,25 @@ def _check_node(system: CyclicSystem, d: Deriv) -> str | None:
             return f"forall_elim target has sort {s!r}, expected {p.concl.sort!r}"
         if seq.concl != open_bound(p.concl.body, y):
             return "forall_elim conclusion is not the instantiated body"
+        return None
+    if r == "subst":
+        if err := arity(1):
+            return err
+        p = kids[0].seq
+        if len(d.data) != len(p.ctx) or not all(isinstance(y, str) for y in d.data):
+            return f"subst needs one target variable per premise context entry ({len(p.ctx)})"
+        for (v, s), y in zip(p.ctx, d.data):
+            try:
+                ys = seq.sort_of(y)
+            except KeyError:
+                return f"subst target {y!r} for {v!r} not in context"
+            if ys != s:
+                return f"subst target {y!r} has sort {ys!r}, expected {s!r}"
+        sub = {v: y for (v, _s), y in zip(p.ctx, d.data)}
+        if seq.hyps != tuple(subst_free(h, sub) for h in p.hyps):
+            return "subst hypotheses are not the renamed premise hypotheses"
+        if seq.concl != subst_free(p.concl, sub):
+            return "subst conclusion is not the renamed premise conclusion"
         return None
     if r == "geq_refl":
         if err := arity(0):
@@ -666,6 +691,14 @@ def gt_ind(d: Deriv) -> Deriv:
     return Deriv("gt_ind", Sequent(s.ctx[:-1], s.hyps[:-1], Forall(sort, body, hint=x)), (d,))
 
 
+def rename(d: Deriv, sub: Mapping[str, str], ctx: tuple[tuple[str, str], ...]) -> Deriv:
+    """Move ``d`` under ``ctx`` by renaming each of its context variables with
+    ``sub``: one ``subst`` node, ``d`` itself is kept as the premise."""
+    s = d.seq
+    seq = Sequent(ctx, tuple(subst_free(h, sub) for h in s.hyps), subst_free(s.concl, sub))
+    return Deriv("subst", seq, (d,), tuple(sub[v] for v, _s in s.ctx))
+
+
 def c_apply(system: CyclicSystem, rid: str, ctx, hyps, args: tuple[str, ...], children: tuple[Deriv, ...]) -> Deriv:
     scheme = system.rules[rid]
     concl = Atom(scheme.conclusion, tuple(FreeV(a) for a in args))
@@ -700,79 +733,6 @@ def forall_elims(d: Deriv, ys: Iterable[str]) -> Deriv:
     for y in ys:
         d = forall_elim(d, y)
     return d
-
-
-# ---------------------------------------------------------------------------
-# Retargeting: move a derivation under a renamed, widened context
-# ---------------------------------------------------------------------------
-
-def retarget(d: Deriv, sub: Mapping[str, str], new_ctx: tuple[tuple[str, str], ...]) -> Deriv:
-    """Rebuild ``d`` with its root context replaced by ``new_ctx`` and free
-    variables renamed by ``sub``.
-
-    The derivation's own context extensions (eigenvariables of quantifier and
-    case rules) are kept, renamed where they would collide with a name already
-    in scope.  ``sub`` must map the variables of the old root context to
-    variables of ``new_ctx``.
-    """
-    old_root_len = len(d.seq.ctx)
-    # hypothesis tuples share formula objects all the way down a derivation,
-    # so substitute each distinct (formula, frame) pair once
-    memo: dict[tuple[int, int], Formula] = {}
-    frames: list[dict[str, str]] = []  # keep frames alive so ids stay unique
-
-    def subst(phi: Formula, cm: dict[str, str]) -> Formula:
-        key = (id(phi), id(cm))
-        out = memo.get(key)
-        if out is None:
-            out = memo[key] = subst_free(phi, cm)
-        return out
-
-    def transform(node: Deriv, m: dict[str, str], scope: set[str]) -> Deriv:
-        stack: list[tuple[Deriv, dict[str, str], set[str], list[Deriv], int]] = [
-            (node, m, scope, [], 0)
-        ]
-        done: Deriv | None = None
-        while stack:
-            cur, cm, cscope, acc, idx = stack.pop()
-            if idx < len(cur.children):
-                child = cur.children[idx]
-                stack.append((cur, cm, cscope, acc, idx + 1))
-                # context extension introduced for this child
-                ext = child.seq.ctx[len(cur.seq.ctx):]
-                km = cm
-                kscope = cscope
-                if ext:
-                    km = dict(cm)
-                    frames.append(km)
-                    kscope = set(cscope)
-                    for v, _s in ext:
-                        nv = fresh_name(v, kscope)
-                        km[v] = nv
-                        kscope.add(nv)
-                stack.append((child, km, kscope, [], 0))
-            else:
-                s = cur.seq
-                ext = s.ctx[old_root_len:]
-                nctx = new_ctx + tuple((cm.get(v, v), srt) for v, srt in ext)
-                nseq = Sequent(
-                    nctx,
-                    tuple(subst(h, cm) for h in s.hyps),
-                    subst(s.concl, cm),
-                )
-                data = cur.data
-                if cur.rule == "forall_elim":
-                    data = (cm.get(data[0], data[0]),)
-                rebuilt = Deriv(cur.rule, nseq, tuple(acc), data)
-                if stack:
-                    stack[-1][3].append(rebuilt)
-                else:
-                    done = rebuilt
-        assert done is not None
-        return done
-
-    scope0 = {v for v, _s in new_ctx} | set(sub.values())
-    return transform(d, dict(sub), scope0)
 
 
 # ---------------------------------------------------------------------------
@@ -828,7 +788,8 @@ def expand_ind_prime(target: Sequent, x: str) -> IndPrime:
     The returned completion wraps a derivation of ``premise`` using one
     ``gt_ind`` plus implication/quantifier bookkeeping: the sequent formula is
     universally closed, proved by well-founded induction on a fresh copy of
-    ``x`` (the premise derivation is retargeted under the copies), and then
+    ``x`` (one ``subst`` node instantiates the premise derivation at the
+    copies; the derivation itself is shared, never rebuilt), and then
     instantiated back at the original variables.
     """
     sort = target.sort_of(x)
@@ -883,9 +844,9 @@ def expand_ind_prime(target: Sequent, x: str) -> IndPrime:
         h_at_u = subst_free(hyp, {x: u})
         assert a.seq.concl == h_at_u, "induction hypothesis reconstruction mismatch"
 
-        # the retargeted premise derivation, applied to the copied hypotheses
-        dr = retarget(dp, sub, wide)
-        chain = imp_intro_all(dr)
+        # the premise derivation renamed onto the copies, applied to the
+        # copied hypotheses
+        chain = imp_intro_all(rename(dp, sub, wide))
         d = weaken_all(chain, core_hyps)
         for i in range(len(gamma)):
             d = imp_elim(d, assumption(wide, core_hyps, len(gamma) + 1 + i))

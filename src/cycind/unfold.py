@@ -207,11 +207,6 @@ def bud_weakly_older(rep: ResetRep, b1: str, b2: str) -> bool:
     return True
 
 
-def bud_strictly_older(rep: ResetRep, b1: str, b2: str) -> bool:
-    n1, n2 = rep.nodes[b1], rep.nodes[b2]
-    return bud_weakly_older(rep, b1, b2) and bud_prefix(n1) != bud_prefix(n2)
-
-
 # ---------------------------------------------------------------------------
 # Induction order
 # ---------------------------------------------------------------------------

@@ -76,13 +76,13 @@ def test_unravel_writes_a_checkable_proof(capsys, tmp_path):
     out_path = tmp_path / "proof.json"
     code, out, err = run(capsys, "unravel", DATA / "plus.fun", "--out", out_path)
     assert code == 0
-    assert out == f"wrote proof: 214 nodes, 1 induction applications -> {out_path}\n"
+    assert out == f"wrote proof: 215 nodes, 1 induction applications -> {out_path}\n"
     kind, _ = formats.loads(out_path.read_text())
     assert kind == "proof"
     code, out, err = run(capsys, "verify", out_path)
     assert code == 0
     assert out == (
-        "ok: 214 nodes, conclusion [x0_0:Nat, x0_1:Nat]  |- plus(x0_0, x0_1)\n"
+        "ok: 215 nodes, conclusion [x0_0:Nat, x0_1:Nat]  |- plus(x0_0, x0_1)\n"
     )
 
 
@@ -181,7 +181,7 @@ def test_show_proof_histogram(capsys, tmp_path, pipelines):
     code, out, err = run(capsys, "show", path)
     assert code == 0
     assert out == (
-        "proof: 214 nodes\n"
+        "proof: 215 nodes\n"
         "  conclusion: [x0_0:Nat, x0_1:Nat]  |- plus(x0_0, x0_1)\n"
         "  c_rule: 2\n"
         "  exchange: 44\n"
@@ -195,6 +195,7 @@ def test_show_proof_histogram(capsys, tmp_path, pipelines):
         "  identity: 20\n"
         "  imp_elim: 19\n"
         "  imp_intro: 16\n"
+        "  subst: 1\n"
         "  weakening: 91\n"
     )
 
@@ -254,3 +255,32 @@ def test_verify_refuses_null_hypotheses(capsys, tmp_path, pipelines):
     code, out, err = run(capsys, "verify", path)
     assert (code, out) == (2, "")
     assert err == f"error: {path}: node 0: hyps must be an array, found null\n"
+
+
+def test_verify_refuses_a_document_without_a_system(capsys, tmp_path):
+    path = tmp_path / "nosystem.json"
+    path.write_text('{"format": "cycind/proof@1"}')
+    code, out, err = run(capsys, "verify", path)
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: document: missing 'system'\n"
+
+
+@pytest.mark.parametrize("damage, message", [
+    (lambda s: s.pop("rules"), "system: missing 'rules'"),
+    (lambda s: s.update(judgments=None), "system: judgments must be an array, found null"),
+    (lambda s: s["judgments"][0].update(ob="2"), "system judgment 0: ob must be an integer, found a string"),
+    (lambda s: s["judgments"][0].update(ob=3), "system judgment plus: 2 sorts for 3 objects"),
+    (lambda s: s["rules"][0]["graphs"].append([]), "system rule 'plus': 2 graphs for 1 premises"),
+    (lambda s: s["rules"][0]["graphs"][0].append([0, 7, ">"]), "system rule 'plus' graph 0: edge (0,7) out of range"),
+    (lambda s: s["rules"][0]["graphs"][0].append(None), "system rule 'plus' graph 0: malformed edge None"),
+    (lambda s: s.update(ind_sorts=[1]), "system: ind_sorts must be an array of strings"),
+])
+def test_verify_refuses_a_malformed_system(capsys, tmp_path, pipelines, damage, message):
+    p = pipelines["plus"]
+    doc = formats.proof_to_doc(p.proof, p.system)
+    damage(doc["system"])
+    path = tmp_path / "badsystem.json"
+    path.write_text(formats.dumps(doc))
+    code, out, err = run(capsys, "verify", path)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: {message}")

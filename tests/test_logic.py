@@ -27,7 +27,9 @@ from cycind.logic import (
     c_apply,
     close_free,
     contract,
+    distinct_nodes,
     exchange,
+    expand_ind_prime,
     forall_elim,
     forall_intro,
     fold_imp,
@@ -39,6 +41,7 @@ from cycind.logic import (
     imp_intro,
     ind_hypothesis,
     open_bound,
+    rename,
     render_formula,
     subst_free,
     weaken,
@@ -205,3 +208,77 @@ def test_proof_size_and_count_shared_nodes(plus_system):
     assert proof_size(t) == 2
     assert count_rule(t, "geq_refl") == 1
     assert count_rule(t, "geq_trans") == 1
+
+
+def test_stray_rule_data_is_rejected(plus_system):
+    import dataclasses
+    ctx = (("x", NAT),)
+    phi = Atom("plus", (x("x"), x("x")))
+    bad = dataclasses.replace(weaken(identity(ctx, phi), phi), data=("x",))
+    with pytest.raises(LogicError, match="weakening takes no rule data") as exc:
+        check_proof(plus_system, bad)
+    assert exc.value.path == ()
+    bad = weaken(dataclasses.replace(identity(ctx, phi), data=(0,)), phi)
+    with pytest.raises(LogicError, match="identity takes no rule data") as exc:
+        check_proof(plus_system, bad)
+    assert exc.value.path == (0,)
+
+
+# a premise [x:Nat, y:Nat] plus(x, y), x > y |- plus(x, y) for the subst rule
+SUBST_PREMISE_CTX = (("x", NAT), ("y", NAT))
+
+
+def _subst_premise():
+    gt, phi = Gt(NAT, x("x"), x("y")), Atom("plus", (x("x"), x("y")))
+    return weaken(identity(SUBST_PREMISE_CTX, phi), gt)
+
+
+@pytest.mark.parametrize("sub", [{"x": "b", "y": "a"}, {"x": "a", "y": "a"}, {"x": "y", "y": "x"}])
+def test_subst_renames_context_variables(plus_system, sub):
+    dp = _subst_premise()
+    check_proof(plus_system, dp)
+    d = rename(dp, sub, (("a", NAT), ("b", NAT), ("x", NAT), ("y", NAT)))
+    check_proof(plus_system, d)
+    assert d.rule == "subst" and d.children[0] is dp
+    assert d.seq.concl == Atom("plus", (x(sub["x"]), x(sub["y"])))
+
+
+def _bad_subst(**change):
+    import dataclasses
+    dp = _subst_premise()
+    # x and y stay in context, so a formula left unrenamed is still well formed
+    d = rename(dp, {"x": "b", "y": "a"}, (("a", NAT), ("b", NAT), ("c", "Other")) + SUBST_PREMISE_CTX)
+    if "seq" in change:
+        change["seq"] = dataclasses.replace(d.seq, **change["seq"])
+    return dataclasses.replace(d, **change)
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"data": ("b", "z")}, "subst target 'z' for 'y' not in context"),
+    ({"data": ("b", "c")}, "subst target 'c' has sort 'Other', expected 'Nat'"),
+    ({"data": ("b",)}, "subst needs one target variable per premise context entry"),
+    ({"data": ("b", "a", "a")}, "subst needs one target variable per premise context entry"),
+    ({"data": ("b", 1)}, "subst needs one target variable per premise context entry"),
+    ({"seq": {"hyps": (Atom("plus", (x("b"), x("a"))), Gt(NAT, x("x"), x("y")))}},
+     "subst hypotheses are not the renamed premise hypotheses"),
+    ({"seq": {"concl": Atom("plus", (x("a"), x("b")))}},
+     "subst conclusion is not the renamed premise conclusion"),
+])
+def test_subst_rejects_a_bad_renaming(plus_system, change, message):
+    bad = _bad_subst(**change)
+    with pytest.raises(LogicError, match=message) as exc:
+        check_proof(plus_system, bad)
+    assert exc.value.path == ()
+
+
+def test_induction_completion_keeps_the_premise_derivation(plus_system):
+    ctx = (("x", NAT), ("y", NAT))
+    target = Sequent(ctx, (Atom("plus", (x("x"), x("y"))),), Atom("plus", (x("x"), x("y"))))
+    ip = expand_ind_prime(target, "x")
+    dp = assumption(ip.premise.ctx, ip.premise.hyps, 0)
+    d = ip.complete(dp)
+    assert d.seq == target
+    check_proof(plus_system, d)
+    # the premise derivation is shared as it is, never copied
+    assert any(n is dp for n in distinct_nodes(d))
+    assert count_rule(d, "subst") == 1 and count_rule(d, "gt_ind") == 1
