@@ -21,6 +21,7 @@ from collections import Counter
 from pathlib import Path
 
 from . import formats
+from .annotate import render_annotation
 from .core import induced_call_graph, induced_proof_system
 from .dot import call_system_to_dot, derivation_to_dot, rep_to_dot
 from .logic import LogicError, check_proof, distinct_nodes, proof_size
@@ -73,13 +74,8 @@ def render_trace(rep: ResetRep) -> str:
     while stack:
         nid = stack.pop()
         n = rep.nodes[nid]
-        ann = n.ann
-        parts = []
-        for j in range(ann.ob):
-            bits = list(ann.stacks[j]) + [f"~{a}~" for a in ann.struck(j)]
-            parts.append(" ".join(bits) if bits else "-")
-        line = f"{'  ' * ann.depth}{nid} {n.rule}: ({' | '.join(parts)})"
-        for r in ann.resets:
+        line = f"{'  ' * n.depth}{nid} {n.rule}: {render_annotation(n.ann)}"
+        for r in n.ann.resets:
             line += f" [reset {r.name} covered by {r.cover}]"
         if n.is_bud:
             line += f" => {n.sprout} on {n.prog}"

@@ -11,8 +11,10 @@ Proof documents also store formulas and context entries once, in tables:
 ``all`` rows are indices of earlier rows), ``variables`` one ``[name, sort]``
 row per distinct context entry, and sequents are lists of indices into them.
 The reader also accepts an inline formula array or ``[name, sort]`` pair
-wherever it expects an index, so documents written before the tables existed
-still load under the same format tag.  It refuses formulas nested deeper than
+wherever it expects an index, for hand-written and mutated documents.
+Documents written before the tables existed also used ``identity`` and
+``exchange`` rows, which the kernel no longer has: they load under the same
+format tag but no longer check.  The reader refuses formulas nested deeper than
 :data:`MAX_FORMULA_DEPTH`, so the kernel's recursive walks stay within the
 interpreter's recursion limit.
 """
@@ -83,21 +85,25 @@ def call_system_to_doc(cs: CallSystem) -> dict:
 
 def call_system_from_doc(doc: dict) -> CallSystem:
     _tag(doc, CALLSYSTEM)
-    functions = {f: tuple(s) for f, s in doc["functions"].items()}
+    fdoc = _field(doc, "functions", dict, "document")
+    functions = {f: _strings(fdoc, f, "functions") for f in fdoc}
     calls = []
-    for c in doc["calls"]:
-        if c["dom"] not in functions or c["codom"] not in functions:
-            raise FormatError(f"call {c['id']!r} refers to an undeclared function")
-        graph = SizeChangeGraph(
-            len(functions[c["dom"]]),
-            len(functions[c["codom"]]),
-            frozenset((int(s), int(d), lab) for s, d, lab in c["edges"]),
-        )
-        calls.append(Call(id=c["id"], dom=c["dom"], codom=c["codom"], graph=graph))
+    for i, c in enumerate(_field(doc, "calls", list, "document")):
+        cid = _field(c, "id", str, f"call {i}")
+        where = f"call {cid!r}"
+        dom, codom = _field(c, "dom", str, where), _field(c, "codom", str, where)
+        if dom not in functions or codom not in functions:
+            raise FormatError(f"{where} refers to an undeclared function")
+        edges = _edges(_field(c, "edges", list, where), where)
+        try:
+            graph = SizeChangeGraph(len(functions[dom]), len(functions[codom]), edges)
+        except ValueError as e:
+            raise FormatError(f"{where}: {e}") from None
+        calls.append(Call(id=cid, dom=dom, codom=codom, graph=graph))
     return CallSystem(
         functions=functions,
         calls=tuple(calls),
-        ind_sorts=frozenset(doc["ind_sorts"]),
+        ind_sorts=frozenset(_strings(doc, "ind_sorts", "document")),
     )
 
 
@@ -211,14 +217,22 @@ def derivation_to_doc(deriv: RegularDerivation, sys: CyclicSystem) -> dict:
     }
 
 
+def _regular_derivation(d: Any, where: str) -> RegularDerivation:
+    """The node table and root of a derivation, in a document or its ``deriv``
+    section."""
+    nodes = {}
+    for i, n in enumerate(_field(d, "nodes", list, where)):
+        at = f"{where} node {i}"
+        nodes[_field(n, "id", str, at)] = DerivNode(
+            rule=_field(n, "rule", str, at), children=_strings(n, "children", at)
+        )
+    return RegularDerivation(nodes=nodes, root=_field(d, "root", str, where))
+
+
 def derivation_from_doc(doc: dict) -> tuple[CyclicSystem, RegularDerivation]:
     _tag(doc, DERIVATION)
     sys = system_from_doc(_field(doc, "system", dict, "document"))
-    nodes = {
-        n["id"]: DerivNode(rule=n["rule"], children=tuple(n["children"]))
-        for n in doc["nodes"]
-    }
-    return sys, RegularDerivation(nodes=nodes, root=doc["root"])
+    return sys, _regular_derivation(doc, "derivation")
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +243,10 @@ def _var_to_doc(v: VarRef) -> list:
     return [v.depth, v.pos]
 
 
-def _var_from_doc(x) -> VarRef:
-    return VarRef(int(x[0]), int(x[1]))
+def _var_from_doc(x: Any, where: str) -> VarRef:
+    if not (isinstance(x, list) and len(x) == 2 and all(type(k) is int for k in x)):
+        raise FormatError(f"{where}: malformed variable {_short(x)}")
+    return VarRef(x[0], x[1])
 
 
 def _ann_to_doc(a: Annotation) -> dict:
@@ -248,20 +264,46 @@ def _ann_to_doc(a: Annotation) -> dict:
     }
 
 
-def _ann_from_doc(d: dict) -> Annotation:
+def _nullable(d: Any, key: str, kind: type, where: str):
+    """:func:`_field`, but the value may also be ``null``."""
+    if isinstance(d, dict) and d.get(key, 0) is None:
+        return None
+    return _field(d, key, kind, where)
+
+
+def _stacks(d: Any, key: str, where: str) -> tuple[tuple[str, ...], ...]:
+    xs = _field(d, key, list, where)
+    if not all(isinstance(st, list) and all(isinstance(n, str) for n in st) for st in xs):
+        raise FormatError(f"{where}: {key} must be an array of string arrays")
+    return tuple(tuple(st) for st in xs)
+
+
+def _ann_from_doc(d: Any, where: str) -> Annotation:
+    where = f"{where} ann"
+    origins = []
+    for i, o in enumerate(_field(d, "origins", list, where)):
+        at = f"{where} origin {i}"
+        origins.append(Origin(
+            kind=_field(o, "kind", str, at),
+            src=_nullable(o, "src", int, at),
+            fresh=_nullable(o, "fresh", str, at),
+        ))
+    resets = []
+    for i, r in enumerate(_field(d, "resets", list, where)):
+        at = f"{where} reset {i}"
+        resets.append(Reset(
+            name=_field(r, "name", str, at),
+            cover=_field(r, "cover", str, at),
+            cover_var=_var_from_doc(_field(r, "cover_var", list, at), at),
+        ))
     return Annotation(
-        names=tuple(d["names"]),
-        binding=tuple(_var_from_doc(v) for v in d["binding"]),
-        stacks=tuple(tuple(s) for s in d["stacks"]),
-        pre_stacks=tuple(tuple(s) for s in d["pre_stacks"]),
-        origins=tuple(
-            Origin(kind=o["kind"], src=o["src"], fresh=o["fresh"]) for o in d["origins"]
-        ),
-        resets=tuple(
-            Reset(name=r["name"], cover=r["cover"], cover_var=_var_from_doc(r["cover_var"]))
-            for r in d["resets"]
-        ),
-        depth=int(d["depth"]),
+        names=_strings(d, "names", where),
+        binding=tuple(_var_from_doc(v, where) for v in _field(d, "binding", list, where)),
+        stacks=_stacks(d, "stacks", where),
+        pre_stacks=_stacks(d, "pre_stacks", where),
+        origins=tuple(origins),
+        resets=tuple(resets),
+        depth=_field(d, "depth", int, where),
     )
 
 
@@ -297,25 +339,23 @@ def rep_to_doc(rep: ResetRep) -> dict:
 def rep_from_doc(doc: dict) -> ResetRep:
     _tag(doc, RESETREP)
     sys = system_from_doc(_field(doc, "system", dict, "document"))
-    dnodes = {
-        n["id"]: DerivNode(rule=n["rule"], children=tuple(n["children"]))
-        for n in doc["deriv"]["nodes"]
-    }
-    deriv = RegularDerivation(nodes=dnodes, root=doc["deriv"]["root"])
+    deriv = _regular_derivation(_field(doc, "deriv", dict, "document"), "deriv")
     nodes = {}
-    for n in doc["nodes"]:
-        nodes[n["id"]] = RepNode(
-            id=n["id"],
-            deriv_node=n["deriv_node"],
-            rule=n["rule"],
-            parent=n["parent"],
-            index=n["index"],
-            children=tuple(n["children"]),
-            ann=_ann_from_doc(n["ann"]),
-            sprout=n["sprout"],
-            prog=n["prog"],
+    for i, n in enumerate(_field(doc, "nodes", list, "document")):
+        nid = _field(n, "id", str, f"node {i}")
+        where = f"node {nid!r}"
+        nodes[nid] = RepNode(
+            id=nid,
+            deriv_node=_field(n, "deriv_node", str, where),
+            rule=_field(n, "rule", str, where),
+            parent=_nullable(n, "parent", str, where),
+            index=_nullable(n, "index", int, where),
+            children=_strings(n, "children", where),
+            ann=_ann_from_doc(_field(n, "ann", dict, where), where),
+            sprout=_nullable(n, "sprout", str, where),
+            prog=_nullable(n, "prog", str, where),
         )
-    return ResetRep(system=sys, deriv=deriv, nodes=nodes, root=doc["root"])
+    return ResetRep(system=sys, deriv=deriv, nodes=nodes, root=_field(doc, "root", str, "document"))
 
 
 # ---------------------------------------------------------------------------

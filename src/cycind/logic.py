@@ -7,8 +7,8 @@ sequent is ``ctx; hyps |- concl`` where ``ctx`` is an *ordered* list of sorted
 variables: quantifier rules bind the last context entry, so the context
 discipline is part of the proof structure.
 
-Rules: identity, exchange (adjacent swap), weakening and contraction at the
-end of the hypothesis list, implication intro/elim, universal intro/elim,
+Rules: assumption (conclude any hypothesis), weakening at the end of the
+hypothesis list, implication intro/elim, universal intro/elim,
 reflexivity / transitivity / subsumption / mixed-transitivity for the orders,
 well-founded induction on ``>``, instantiation (``subst``: rename the premise's
 context variables to variables of the same sorts in the conclusion's context),
@@ -340,7 +340,7 @@ def _same(a: Sequent, b: Sequent, ctx: bool = True, hyps: bool = True) -> bool:
     return (not ctx or a.ctx == b.ctx) and (not hyps or a.hyps == b.hyps)
 
 
-_RULES_WITH_DATA = frozenset({"exchange", "forall_elim", "c_rule", "subst"})
+_RULES_WITH_DATA = frozenset({"assumption", "forall_elim", "c_rule", "subst"})
 
 
 def _check_node(system: CyclicSystem, d: Deriv) -> str | None:
@@ -353,27 +353,16 @@ def _check_node(system: CyclicSystem, d: Deriv) -> str | None:
 
     if d.data and r not in _RULES_WITH_DATA:
         return f"{r} takes no rule data, got {list(d.data)!r}"
-    if r == "identity":
+    if r == "assumption":
         if err := arity(0):
             return err
-        if seq.hyps != (seq.concl,):
-            return "identity needs the conclusion as only hypothesis"
-        return None
-    if r == "exchange":
-        if err := arity(1):
-            return err
-        if len(d.data) != 1 or not isinstance(d.data[0], int):
-            return "exchange needs one integer position"
-        (i,) = d.data
-        p = kids[0].seq
-        if not _same(seq, p, hyps=False) or seq.concl != p.concl:
-            return "exchange must preserve context and conclusion"
-        if not (0 <= i < len(p.hyps) - 1):
-            return f"exchange position {i} out of range"
-        swapped = list(p.hyps)
-        swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
-        if tuple(swapped) != seq.hyps:
-            return "exchange conclusion is not an adjacent swap of the premise"
+        if len(d.data) != 1 or type(d.data[0]) is not int:
+            return "assumption needs one integer hypothesis position"
+        (k,) = d.data
+        if not 0 <= k < len(seq.hyps):
+            return f"assumption position {k} out of range for {len(seq.hyps)} hypotheses"
+        if seq.concl != seq.hyps[k]:
+            return f"assumption conclusion is not hypothesis {k}"
         return None
     if r == "weakening":
         if err := arity(1):
@@ -383,15 +372,6 @@ def _check_node(system: CyclicSystem, d: Deriv) -> str | None:
             return "weakening must append one hypothesis"
         if not _same(seq, p, hyps=False) or seq.concl != p.concl:
             return "weakening must preserve context and conclusion"
-        return None
-    if r == "contraction":
-        if err := arity(1):
-            return err
-        p = kids[0].seq
-        if not seq.hyps or p.hyps != seq.hyps + (seq.hyps[-1],):
-            return "contraction premise must duplicate the last hypothesis"
-        if not _same(seq, p, hyps=False) or seq.concl != p.concl:
-            return "contraction must preserve context and conclusion"
         return None
     if r == "imp_intro":
         if err := arity(1):
@@ -610,25 +590,9 @@ def count_rule(root: Deriv, rule: str) -> int:
 # Builders
 # ---------------------------------------------------------------------------
 
-def identity(ctx: tuple[tuple[str, str], ...], phi: Formula) -> Deriv:
-    return Deriv("identity", Sequent(ctx, (phi,), phi))
-
-
 def weaken(d: Deriv, phi: Formula) -> Deriv:
     s = d.seq
     return Deriv("weakening", Sequent(s.ctx, s.hyps + (phi,), s.concl), (d,))
-
-
-def exchange(d: Deriv, i: int) -> Deriv:
-    s = d.seq
-    hyps = list(s.hyps)
-    hyps[i], hyps[i + 1] = hyps[i + 1], hyps[i]
-    return Deriv("exchange", Sequent(s.ctx, tuple(hyps), s.concl), (d,), (i,))
-
-
-def contract(d: Deriv) -> Deriv:
-    s = d.seq
-    return Deriv("contraction", Sequent(s.ctx, s.hyps[:-1], s.concl), (d,))
 
 
 def imp_intro(d: Deriv) -> Deriv:
@@ -706,15 +670,8 @@ def c_apply(system: CyclicSystem, rid: str, ctx, hyps, args: tuple[str, ...], ch
 
 
 def assumption(ctx: tuple[tuple[str, str], ...], hyps: tuple[Formula, ...], k: int) -> Deriv:
-    """Fetch hypothesis ``k``: identity plus weakening and adjacent exchanges."""
-    d = identity(ctx, hyps[k])
-    for phi in hyps[:k]:
-        d = weaken(d, phi)
-    for i in range(k):
-        d = exchange(d, i)
-    for phi in hyps[k + 1:]:
-        d = weaken(d, phi)
-    return d
+    """Conclude hypothesis ``k`` of ``hyps``: one ``assumption`` node."""
+    return Deriv("assumption", Sequent(ctx, hyps, hyps[k]), (), (k,))
 
 
 def imp_intro_all(d: Deriv) -> Deriv:

@@ -71,15 +71,6 @@ class ResetRep:
     def buds(self) -> list[str]:
         return [nid for nid in self.nodes if self.nodes[nid].is_bud]
 
-    def path(self, nid: str) -> list[str]:
-        out = []
-        cur: str | None = nid
-        while cur is not None:
-            out.append(cur)
-            cur = self.nodes[cur].parent
-        out.reverse()
-        return out
-
     def judgment_of(self, nid: str) -> str:
         return self.system.rules[self.nodes[nid].rule].conclusion
 
@@ -175,16 +166,6 @@ def bud_prefix(node: RepNode) -> tuple[str, ...]:
     return names[: names.index(node.prog) + 1]
 
 
-def _common_ancestor_depth(rep: ResetRep, a: str, b: str) -> int:
-    pa, pb = rep.path(a), rep.path(b)
-    d = -1
-    for x, y in zip(pa, pb):
-        if x != y:
-            break
-        d += 1
-    return d
-
-
 def bud_weakly_older(rep: ResetRep, b1: str, b2: str) -> bool:
     """Is bud ``b1`` at least as old as bud ``b2``?
 
@@ -193,18 +174,7 @@ def bud_weakly_older(rep: ResetRep, b1: str, b2: str) -> bool:
     Variables are compared as (depth, position) pairs, which name the same
     ancestor only up to the deepest common ancestor of the two buds.
     """
-    n1, n2 = rep.nodes[b1], rep.nodes[b2]
-    p1, p2 = bud_prefix(n1), bud_prefix(n2)
-    if p2[: len(p1)] != p1:
-        return False
-    if b1 == b2:
-        return True
-    dca = _common_ancestor_depth(rep, b1, b2)
-    for name in p1:
-        v1, v2 = n1.ann.var_of(name), n2.ann.var_of(name)
-        if v1 != v2 or v1.depth > dca:
-            return False
-    return True
+    return _older_checker(rep, b1, _bud_order_data(rep))(b2)
 
 
 # ---------------------------------------------------------------------------
@@ -238,11 +208,10 @@ def _bud_order_data(rep: ResetRep) -> dict[str, tuple[tuple[str, ...], tuple]]:
 
 
 def _older_checker(rep: ResetRep, b1: str, data):
-    """:func:`bud_weakly_older` specialised to a fixed first bud.
+    """:func:`bud_weakly_older` with ``b1`` fixed, as a function of ``b2``.
 
     Precomputes b1's prefix bindings and ancestor chain once, so each call
-    costs one walk from the other bud up to the chain instead of two full
-    root paths."""
+    costs one walk from ``b2`` up to that chain."""
     nodes = rep.nodes
     p1, vars1 = data[b1]
     k1 = len(p1)
@@ -439,10 +408,12 @@ def respect_induction_order(rep: ResetRep) -> ResetRep:
     member: dict[tuple[str, str], str] = {}
     for b, g in group_of.items():
         member.setdefault(g, b)
+    data = _bud_order_data(rep)
     older: dict[tuple[tuple[str, str], tuple[str, str]], bool] = {}
     for g1, b1 in member.items():
+        is_older = _older_checker(rep, b1, data)
         for g2, b2 in member.items():
-            older[(g1, g2)] = bud_weakly_older(rep, b1, b2)
+            older[(g1, g2)] = is_older(b2)
 
     cap = _unfold_cap(rep.deriv, rep.system)
     nodes: dict[str, RepNode] = {}

@@ -26,9 +26,7 @@ from cycind.logic import (
     assumption,
     c_apply,
     close_free,
-    contract,
     distinct_nodes,
-    exchange,
     expand_ind_prime,
     forall_elim,
     forall_intro,
@@ -37,7 +35,6 @@ from cycind.logic import (
     geq_refl,
     geq_trans,
     gt_ind,
-    identity,
     imp_intro,
     ind_hypothesis,
     open_bound,
@@ -86,31 +83,55 @@ def test_fold_imp():
     assert render_formula(phi) == "a > b -> plus(a, b)"
 
 
-def test_identity_weaken_exchange(plus_system):
-    ctx = (("x", NAT), ("y", NAT))
-    phi = Atom("plus", (x("x"), x("y")))
-    d = identity(ctx, phi)
-    assert d.seq.render() == "[x:Nat, y:Nat] plus(x, y) |- plus(x, y)"
-    check_proof(plus_system, d)
-    d = exchange(weaken(d, Geq(NAT, x("x"), x("y"))), 0)
-    assert d.seq.hyps == (Geq(NAT, x("x"), x("y")), phi)
-    check_proof(plus_system, d)
-    d = contract(weaken(d, phi))
-    check_proof(plus_system, d)
+# three distinct hypotheses over [x:Nat, y:Nat] for the assumption rule
+ASSUMPTION_CTX = (("x", NAT), ("y", NAT))
+ASSUMPTION_HYPS = (Atom("plus", (x("x"), x("y"))), Gt(NAT, x("x"), x("y")), Geq(NAT, x("y"), x("x")))
 
 
 def test_assumption(plus_system):
-    ctx = (("x", NAT), ("y", NAT))
-    hyps = (Atom("plus", (x("x"), x("y"))), Gt(NAT, x("x"), x("y")))
-    d = assumption(ctx, hyps, 1)
-    assert d.seq.concl == hyps[1]
-    check_proof(plus_system, d)
+    for k in range(3):
+        d = assumption(ASSUMPTION_CTX, ASSUMPTION_HYPS, k)
+        assert d.rule == "assumption" and d.data == (k,) and d.children == ()
+        assert d.seq.concl == ASSUMPTION_HYPS[k]
+        check_proof(plus_system, d)
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"data": (3,)}, "assumption position 3 out of range for 3 hypotheses"),
+    ({"data": (-1,)}, "assumption position -1 out of range for 3 hypotheses"),
+    ({"data": ()}, "assumption needs one integer hypothesis position"),
+    ({"data": (0, 0)}, "assumption needs one integer hypothesis position"),
+    ({"data": ("0",)}, "assumption needs one integer hypothesis position"),
+    ({"data": (True,)}, "assumption needs one integer hypothesis position"),
+    ({"data": (1,)}, "assumption conclusion is not hypothesis 1"),
+    ({"children": (assumption(ASSUMPTION_CTX, ASSUMPTION_HYPS, 0),)}, "assumption expects 0 premises, got 1"),
+])
+def test_assumption_rejects_a_bad_node(plus_system, change, message):
+    import dataclasses
+    bad = dataclasses.replace(assumption(ASSUMPTION_CTX, ASSUMPTION_HYPS, 0), **change)
+    with pytest.raises(LogicError, match=message) as exc:
+        check_proof(plus_system, bad)
+    assert exc.value.path == ()
+
+
+def test_identity_rows_no_longer_check(pipelines):
+    from cycind import formats
+    p = pipelines["plus"]
+    doc = formats.proof_to_doc(p.proof, p.system)
+    row = next(r for r in doc["nodes"] if r["rule"] == "assumption")
+    # a leaf of the layout before the assumption rule; the sequent stays as it
+    # is, so no rule above the row objects before the kernel reaches it
+    row.update(rule="identity", data=[])
+    system, proof = formats.proof_from_doc(doc)
+    with pytest.raises(LogicError, match="unknown rule 'identity'") as exc:
+        check_proof(system, proof)
+    assert exc.value.path
 
 
 def test_quantifier_round_trip(plus_system):
     ctx = (("x", NAT), ("y", NAT))
     phi = Atom("plus", (x("x"), x("y")))
-    d = forall_intro(imp_intro(identity(ctx, phi)))
+    d = forall_intro(imp_intro(assumption(ctx, (phi,), 0)))
     assert d.seq.render() == "[x:Nat]  |- all y:Nat. plus(x, y) -> plus(x, y)"
     check_proof(plus_system, d)
     d2 = forall_elim(d, "x")
@@ -166,8 +187,7 @@ def test_c_apply_needs_the_edge_facts():
 def test_escaped_variable_is_caught(plus_system):
     ctx = (("x", NAT), ("y", NAT))
     phi = Atom("plus", (x("x"), x("y")))
-    bad = forall_intro(imp_intro(exchange(
-        weaken(identity(ctx, phi), Geq(NAT, x("x"), x("y"))), 0)))
+    bad = forall_intro(imp_intro(assumption(ctx, (Geq(NAT, x("x"), x("y")), phi), 1)))
     with pytest.raises(LogicError, match="variable 'y' not in context") as exc:
         check_proof(plus_system, bad)
     assert exc.value.path == ()
@@ -187,20 +207,6 @@ def test_error_paths_point_into_the_proof(plus_system, pipelines):
     assert str(exc.value).startswith("at 0:")
 
 
-def test_exchange_with_a_shorter_premise_is_located(plus_system):
-    import dataclasses
-    ctx = (("x", NAT),)
-    phi = Atom("plus", (x("x"), x("x")))
-    psi = Geq(NAT, x("x"), x("x"))
-    base = identity(ctx, phi)
-    swap = exchange(weaken(base, psi), 0)
-    # the premise keeps one hypothesis while the conclusion lists two
-    bad = weaken(dataclasses.replace(swap, children=(base,)), psi)
-    with pytest.raises(LogicError, match="exchange position 0 out of range") as exc:
-        check_proof(plus_system, bad)
-    assert exc.value.path == (0,)
-
-
 def test_proof_size_and_count_shared_nodes(plus_system):
     ctx = (("x", NAT),)
     r = geq_refl(ctx, (), NAT, "x")
@@ -214,12 +220,12 @@ def test_stray_rule_data_is_rejected(plus_system):
     import dataclasses
     ctx = (("x", NAT),)
     phi = Atom("plus", (x("x"), x("x")))
-    bad = dataclasses.replace(weaken(identity(ctx, phi), phi), data=("x",))
+    bad = dataclasses.replace(weaken(assumption(ctx, (phi,), 0), phi), data=("x",))
     with pytest.raises(LogicError, match="weakening takes no rule data") as exc:
         check_proof(plus_system, bad)
     assert exc.value.path == ()
-    bad = weaken(dataclasses.replace(identity(ctx, phi), data=(0,)), phi)
-    with pytest.raises(LogicError, match="identity takes no rule data") as exc:
+    bad = weaken(dataclasses.replace(geq_refl(ctx, (), NAT, "x"), data=(0,)), phi)
+    with pytest.raises(LogicError, match="geq_refl takes no rule data") as exc:
         check_proof(plus_system, bad)
     assert exc.value.path == (0,)
 
@@ -230,7 +236,7 @@ SUBST_PREMISE_CTX = (("x", NAT), ("y", NAT))
 
 def _subst_premise():
     gt, phi = Gt(NAT, x("x"), x("y")), Atom("plus", (x("x"), x("y")))
-    return weaken(identity(SUBST_PREMISE_CTX, phi), gt)
+    return weaken(assumption(SUBST_PREMISE_CTX, (phi,), 0), gt)
 
 
 @pytest.mark.parametrize("sub", [{"x": "b", "y": "a"}, {"x": "a", "y": "a"}, {"x": "y", "y": "x"}])
