@@ -36,6 +36,7 @@ from .core import (
     RuleScheme,
     SizeChangeGraph,
     VarRef,
+    validate_derivation,
 )
 from .unfold import RepNode, ResetRep
 
@@ -217,22 +218,25 @@ def derivation_to_doc(deriv: RegularDerivation, sys: CyclicSystem) -> dict:
     }
 
 
-def _regular_derivation(d: Any, where: str) -> RegularDerivation:
+def _regular_derivation(d: Any, where: str, sys: CyclicSystem) -> RegularDerivation:
     """The node table and root of a derivation, in a document or its ``deriv``
-    section."""
+    section, checked to be a derivation of ``sys`` (every id names a node)."""
     nodes = {}
     for i, n in enumerate(_field(d, "nodes", list, where)):
         at = f"{where} node {i}"
         nodes[_field(n, "id", str, at)] = DerivNode(
             rule=_field(n, "rule", str, at), children=_strings(n, "children", at)
         )
-    return RegularDerivation(nodes=nodes, root=_field(d, "root", str, where))
+    deriv = RegularDerivation(nodes=nodes, root=_field(d, "root", str, where))
+    if problems := validate_derivation(deriv, sys):
+        raise FormatError(f"{where}: " + "; ".join(problems))
+    return deriv
 
 
 def derivation_from_doc(doc: dict) -> tuple[CyclicSystem, RegularDerivation]:
     _tag(doc, DERIVATION)
     sys = system_from_doc(_field(doc, "system", dict, "document"))
-    return sys, _regular_derivation(doc, "derivation")
+    return sys, _regular_derivation(doc, "derivation", sys)
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +343,7 @@ def rep_to_doc(rep: ResetRep) -> dict:
 def rep_from_doc(doc: dict) -> ResetRep:
     _tag(doc, RESETREP)
     sys = system_from_doc(_field(doc, "system", dict, "document"))
-    deriv = _regular_derivation(_field(doc, "deriv", dict, "document"), "deriv")
+    deriv = _regular_derivation(_field(doc, "deriv", dict, "document"), "deriv", sys)
     nodes = {}
     for i, n in enumerate(_field(doc, "nodes", list, "document")):
         nid = _field(n, "id", str, f"node {i}")
@@ -355,7 +359,15 @@ def rep_from_doc(doc: dict) -> ResetRep:
             sprout=_nullable(n, "sprout", str, where),
             prog=_nullable(n, "prog", str, where),
         )
-    return ResetRep(system=sys, deriv=deriv, nodes=nodes, root=_field(doc, "root", str, "document"))
+    root = _field(doc, "root", str, "document")
+    refs = [("document", "root", root)]
+    for nid, n in nodes.items():
+        refs += [(f"node {nid!r}", what, ref) for what, ref in (("parent", n.parent), ("sprout", n.sprout))]
+        refs += [(f"node {nid!r}", "child", c) for c in n.children]
+    for where, what, ref in refs:
+        if ref is not None and ref not in nodes:
+            raise FormatError(f"{where}: {what} {ref!r} is not a node")
+    return ResetRep(system=sys, deriv=deriv, nodes=nodes, root=root)
 
 
 # ---------------------------------------------------------------------------

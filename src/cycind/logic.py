@@ -7,8 +7,9 @@ sequent is ``ctx; hyps |- concl`` where ``ctx`` is an *ordered* list of sorted
 variables: quantifier rules bind the last context entry, so the context
 discipline is part of the proof structure.
 
-Rules: assumption (conclude any hypothesis), weakening at the end of the
-hypothesis list, implication intro/elim, universal intro/elim,
+Rules: assumption (conclude any hypothesis), cut (replace the hypotheses of a
+premise by derivations of each of them from other hypotheses), implication
+intro/elim, universal intro/elim,
 reflexivity / transitivity / subsumption / mixed-transitivity for the orders,
 well-founded induction on ``>``, instantiation (``subst``: rename the premise's
 context variables to variables of the same sorts in the conclusion's context),
@@ -340,7 +341,9 @@ def _same(a: Sequent, b: Sequent, ctx: bool = True, hyps: bool = True) -> bool:
     return (not ctx or a.ctx == b.ctx) and (not hyps or a.hyps == b.hyps)
 
 
-_RULES_WITH_DATA = frozenset({"assumption", "forall_elim", "c_rule", "subst"})
+# the other rules read their data, and an unknown rule is unknown whatever its data
+_RULES_WITHOUT_DATA = frozenset({"cut", "imp_intro", "imp_elim", "forall_intro", "geq_refl",
+                                 "geq_trans", "gt_extend0", "gt_extend1", "geq_subsum", "gt_ind"})
 
 
 def _check_node(system: CyclicSystem, d: Deriv) -> str | None:
@@ -351,7 +354,7 @@ def _check_node(system: CyclicSystem, d: Deriv) -> str | None:
     def arity(n: int) -> str | None:
         return None if len(kids) == n else f"{r} expects {n} premises, got {len(kids)}"
 
-    if d.data and r not in _RULES_WITH_DATA:
+    if d.data and r in _RULES_WITHOUT_DATA:
         return f"{r} takes no rule data, got {list(d.data)!r}"
     if r == "assumption":
         if err := arity(0):
@@ -364,14 +367,19 @@ def _check_node(system: CyclicSystem, d: Deriv) -> str | None:
         if seq.concl != seq.hyps[k]:
             return f"assumption conclusion is not hypothesis {k}"
         return None
-    if r == "weakening":
-        if err := arity(1):
-            return err
+    if r == "cut":
+        if not kids:
+            return "cut expects a premise"
         p = kids[0].seq
-        if not seq.hyps or seq.hyps[:-1] != p.hyps:
-            return "weakening must append one hypothesis"
+        if len(kids) != 1 + len(p.hyps):
+            return f"cut expects {len(p.hyps)} minor premises, got {len(kids) - 1}"
         if not _same(seq, p, hyps=False) or seq.concl != p.concl:
-            return "weakening must preserve context and conclusion"
+            return "cut premise must share the context and conclusion"
+        for i, kid in enumerate(kids[1:]):
+            if not _same(seq, kid.seq):
+                return f"cut minor {i} must share the sequent context and hypotheses"
+            if kid.seq.concl != p.hyps[i]:
+                return f"cut minor {i} must conclude premise hypothesis {i}"
         return None
     if r == "imp_intro":
         if err := arity(1):
@@ -590,11 +598,6 @@ def count_rule(root: Deriv, rule: str) -> int:
 # Builders
 # ---------------------------------------------------------------------------
 
-def weaken(d: Deriv, phi: Formula) -> Deriv:
-    s = d.seq
-    return Deriv("weakening", Sequent(s.ctx, s.hyps + (phi,), s.concl), (d,))
-
-
 def imp_intro(d: Deriv) -> Deriv:
     s = d.seq
     return Deriv("imp_intro", Sequent(s.ctx, s.hyps[:-1], Imp(s.hyps[-1], s.concl)), (d,))
@@ -674,16 +677,10 @@ def assumption(ctx: tuple[tuple[str, str], ...], hyps: tuple[Formula, ...], k: i
     return Deriv("assumption", Sequent(ctx, hyps, hyps[k]), (), (k,))
 
 
-def imp_intro_all(d: Deriv) -> Deriv:
-    while d.seq.hyps:
-        d = imp_intro(d)
-    return d
-
-
-def weaken_all(d: Deriv, hyps: Iterable[Formula]) -> Deriv:
-    for phi in hyps:
-        d = weaken(d, phi)
-    return d
+def cut(d: Deriv, hyps: tuple[Formula, ...], minors: Iterable[Deriv]) -> Deriv:
+    """Move ``d`` onto ``hyps``: one node, ``minors`` derive ``d``'s hypotheses from ``hyps``."""
+    s = d.seq
+    return Deriv("cut", Sequent(s.ctx, hyps, s.concl), (d, *minors))
 
 
 def forall_elims(d: Deriv, ys: Iterable[str]) -> Deriv:
@@ -746,8 +743,9 @@ def expand_ind_prime(target: Sequent, x: str) -> IndPrime:
     ``gt_ind`` plus implication/quantifier bookkeeping: the sequent formula is
     universally closed, proved by well-founded induction on a fresh copy of
     ``x`` (one ``subst`` node instantiates the premise derivation at the
-    copies; the derivation itself is shared, never rebuilt), and then
-    instantiated back at the original variables.
+    copies and one ``cut`` discharges its hypotheses; the derivation itself is
+    shared, never rebuilt), and then instantiated back at the original
+    variables.
     """
     sort = target.sort_of(x)
     hyp = ind_hypothesis(target, x)
@@ -801,13 +799,9 @@ def expand_ind_prime(target: Sequent, x: str) -> IndPrime:
         h_at_u = subst_free(hyp, {x: u})
         assert a.seq.concl == h_at_u, "induction hypothesis reconstruction mismatch"
 
-        # the premise derivation renamed onto the copies, applied to the
-        # copied hypotheses
-        chain = imp_intro_all(rename(dp, sub, wide))
-        d = weaken_all(chain, core_hyps)
-        for i in range(len(gamma)):
-            d = imp_elim(d, assumption(wide, core_hyps, len(gamma) + 1 + i))
-        d = imp_elim(d, a)
+        # the premise derivation renamed onto the copies, cut against them and H[u/x]
+        copied = [assumption(wide, core_hyps, len(gamma) + 1 + i) for i in range(len(gamma))]
+        d = cut(rename(dp, sub, wide), core_hyps, copied + [a])
 
         # close over the copies and induct
         for _ in range(len(gamma)):

@@ -7,16 +7,16 @@ of its position; names lower on a stack strictly exceed those above) plus the
 *induction hypotheses* currently in scope, and the conclusion is the node's
 judgment at its own variables.
 
-Internal nodes become one case-rule application; the child sequents are
-reached by deriving each child fact from the parent facts plus the fresh edge
-facts (every fact carries a recipe for this, recorded while the facts are
-computed).  A node that is the target of back-edges additionally introduces
-one induction hypothesis per progressing name of its buds, which the strong
-induction macro of :mod:`cycind.logic` discharges.  A bud node closes by
-instantiating its hypothesis: every quantified variable is mapped to its
-current value at the bud — positions to the bud's variables, the progressing
-name to its cover, other names to their bindings at the bud — and the
-resulting obligations are discharged from the bud's own facts.
+Internal nodes become one case-rule application; each child sequent is
+reached by one ``cut`` that derives every child fact from the parent facts
+plus the fresh edge facts (every fact carries a recipe for this, recorded
+while the facts are computed).  A node that is the target of back-edges
+additionally introduces one induction hypothesis per progressing name of its
+buds, which the strong induction macro of :mod:`cycind.logic` discharges.  A
+bud node closes by instantiating its hypothesis: every quantified variable is
+mapped to its current value at the bud — positions to the bud's variables, the
+progressing name to its cover, other names to their bindings at the bud — and
+the resulting obligations are discharged from the bud's own facts.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .logic import (
     assumption,
     c_apply,
     check_proof,
+    cut,
     expand_ind_prime,
     forall_elims,
     geq_refl,
@@ -45,10 +46,8 @@ from .logic import (
     gt_extend1,
     hyp_monotone,
     imp_elim,
-    imp_intro_all,
     ind_block,
     ind_hypothesis,
-    weaken_all,
 )
 from .unfold import RepNode, ResetRep, reachable_from, unravel_rep
 
@@ -394,7 +393,6 @@ def _internal(
         )
         edge_pos = {(a, b): k for k, (a, b, _lab) in enumerate(g.sorted_edges())}
         P = target_hyps + block
-        dd = weaken_all(imp_intro_all(d), P)
 
         def minor(f: Fact) -> Deriv:
             how = f.how
@@ -413,11 +411,9 @@ def _internal(
             assert how[0] == "ext0"
             return gt_extend0(pf, ed)
 
-        for f in cd.ineq:
-            dd = imp_elim(dd, minor(f))
-        for e in inherited:
-            dd = imp_elim(dd, assumption(cd.ctx, P, nI + entry_pos[(e.sprout, e.prog)]))
-        premises.append(dd)
+        minors = [minor(f) for f in cd.ineq]
+        minors += [assumption(cd.ctx, P, nI + entry_pos[(e.sprout, e.prog)]) for e in inherited]
+        premises.append(cut(d, P, minors))
     return c_apply(system, rule.id, nd.ctx, target_hyps, xs, tuple(premises))
 
 
@@ -472,16 +468,11 @@ def translate(rep: ResetRep) -> Deriv:
         else:
             result[nid] = _internal(rep, node, data[nid], data, result)
 
-    # root assembly: peel the root's own hypotheses, then discharge the
-    # (reflexive) root facts
+    # root assembly: peel the root's own hypotheses, then cut the reflexive root facts
     rdata = data[rep.root]
     d = _peel_new_hyps(result[rep.root], rdata)
-    dd = imp_intro_all(d)
-    for f in rdata.ineq:
-        assert f.how == ("refl",)
-        phi = f.formula
-        dd = imp_elim(dd, geq_refl(rdata.ctx, (), phi.sort, phi.left.name))
-    return dd
+    assert all(f.how == ("refl",) for f in rdata.ineq)
+    return cut(d, (), [geq_refl(rdata.ctx, (), f.formula.sort, f.formula.left.name) for f in rdata.ineq])
 
 
 def prove_by_induction(deriv, system, check: bool = True) -> tuple[ResetRep, Deriv]:

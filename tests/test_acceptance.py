@@ -350,7 +350,7 @@ def test_10_mutation_rejection(pipelines):
 
     rows = base["nodes"]
     survivors, located, applied = [], 0, 0
-    for i in range(0, len(rows), 4):
+    for i in range(len(rows)):
         for kind in range(4):
             doc = copy.deepcopy(base)
             row = doc["nodes"][i]

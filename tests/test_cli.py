@@ -76,13 +76,13 @@ def test_unravel_writes_a_checkable_proof(capsys, tmp_path):
     out_path = tmp_path / "proof.json"
     code, out, err = run(capsys, "unravel", DATA / "plus.fun", "--out", out_path)
     assert code == 0
-    assert out == f"wrote proof: 95 nodes, 1 induction applications -> {out_path}\n"
+    assert out == f"wrote proof: 58 nodes, 1 induction applications -> {out_path}\n"
     kind, _ = formats.loads(out_path.read_text())
     assert kind == "proof"
     code, out, err = run(capsys, "verify", out_path)
     assert code == 0
     assert out == (
-        "ok: 95 nodes, conclusion [x0_0:Nat, x0_1:Nat]  |- plus(x0_0, x0_1)\n"
+        "ok: 58 nodes, conclusion [x0_0:Nat, x0_1:Nat]  |- plus(x0_0, x0_1)\n"
     )
 
 
@@ -181,10 +181,11 @@ def test_show_proof_histogram(capsys, tmp_path, pipelines):
     code, out, err = run(capsys, "show", path)
     assert code == 0
     assert out == (
-        "proof: 95 nodes\n"
+        "proof: 58 nodes\n"
         "  conclusion: [x0_0:Nat, x0_1:Nat]  |- plus(x0_0, x0_1)\n"
         "  assumption: 20\n"
         "  c_rule: 2\n"
+        "  cut: 4\n"
         "  forall_elim: 6\n"
         "  forall_intro: 3\n"
         "  geq_refl: 5\n"
@@ -192,10 +193,9 @@ def test_show_proof_histogram(capsys, tmp_path, pipelines):
         "  geq_trans: 4\n"
         "  gt_extend0: 1\n"
         "  gt_ind: 1\n"
-        "  imp_elim: 19\n"
-        "  imp_intro: 16\n"
+        "  imp_elim: 6\n"
+        "  imp_intro: 3\n"
         "  subst: 1\n"
-        "  weakening: 15\n"
     )
 
 
@@ -290,6 +290,16 @@ def _node_without_rule(doc):
     return doc
 
 
+def _changed(doc, *path_and_value):
+    """``doc`` with the value at ``path`` (keys and indices) replaced."""
+    *path, key, value = path_and_value
+    at = doc
+    for k in path:
+        at = at[k]
+    at[key] = value
+    return doc
+
+
 @pytest.mark.parametrize("cmd, make, message", [
     ("sct", lambda p: {"format": formats.CALLSYSTEM}, "document: missing 'functions'"),
     ("sct", lambda p: _node_without_rule(formats.derivation_to_doc(p.deriv, p.system)),
@@ -299,6 +309,28 @@ def _node_without_rule(doc):
      "call 'c': edge (0,5) out of range for 1->1"),
     ("show", lambda p: {k: v for k, v in formats.rep_to_doc(p.rep).items() if k != "deriv"},
      "document: missing 'deriv'"),
+    ("sct", lambda p: _changed(formats.derivation_to_doc(p.deriv, p.system), "nodes", 0, "children", 0, "nosuch"),
+     "derivation: node plus: child 'nosuch' missing"),
+    ("unravel", lambda p: _changed(formats.derivation_to_doc(p.deriv, p.system), "nodes", 0, "children", 0, "nosuch"),
+     "derivation: node plus: child 'nosuch' missing"),
+    ("sct", lambda p: _changed(formats.derivation_to_doc(p.deriv, p.system), "root", "nosuch"),
+     "derivation: root 'nosuch' is not a node"),
+    ("unravel", lambda p: _changed(formats.derivation_to_doc(p.deriv, p.system), "root", "nosuch"),
+     "derivation: root 'nosuch' is not a node"),
+    ("sct", lambda p: _changed(formats.derivation_to_doc(p.deriv, p.system), "nodes", 0, "children", ["plus", "plus"]),
+     "derivation: node plus: 2 children for 1 premises"),
+    ("unravel", lambda p: _changed(formats.derivation_to_doc(p.deriv, p.system), "nodes", 0, "children", ["plus", "plus"]),
+     "derivation: node plus: 2 children for 1 premises"),
+    ("show", lambda p: _changed(formats.rep_to_doc(p.rep), "nodes", 0, "children", 0, "nosuch"),
+     "node 'n0': child 'nosuch' is not a node"),
+    ("show", lambda p: _changed(formats.rep_to_doc(p.rep), "root", "nosuch"),
+     "document: root 'nosuch' is not a node"),
+    ("show", lambda p: _changed(formats.rep_to_doc(p.rep), "nodes", 1, "parent", "nosuch"),
+     "node 'n1': parent 'nosuch' is not a node"),
+    ("show", lambda p: _changed(formats.rep_to_doc(p.rep), "nodes", 2, "sprout", "nosuch"),
+     "node 'n2': sprout 'nosuch' is not a node"),
+    ("show", lambda p: _changed(formats.rep_to_doc(p.rep), "deriv", "nodes", 0, "children", 0, "nosuch"),
+     "deriv: node plus: child 'nosuch' missing"),
 ])
 def test_readers_refuse_malformed_documents(capsys, tmp_path, pipelines, cmd, make, message):
     path = tmp_path / "bad.json"

@@ -1,5 +1,7 @@
 """Direct exercises of the proof kernel: constructors build, check_proof judges."""
 
+from dataclasses import replace
+
 import pytest
 
 from cycind import (
@@ -26,6 +28,7 @@ from cycind.logic import (
     assumption,
     c_apply,
     close_free,
+    cut,
     distinct_nodes,
     expand_ind_prime,
     forall_elim,
@@ -41,7 +44,6 @@ from cycind.logic import (
     rename,
     render_formula,
     subst_free,
-    weaken,
 )
 
 import systems
@@ -117,15 +119,17 @@ def test_assumption_rejects_a_bad_node(plus_system, change, message):
 def test_identity_rows_no_longer_check(pipelines):
     from cycind import formats
     p = pipelines["plus"]
-    doc = formats.proof_to_doc(p.proof, p.system)
-    row = next(r for r in doc["nodes"] if r["rule"] == "assumption")
-    # a leaf of the layout before the assumption rule; the sequent stays as it
-    # is, so no rule above the row objects before the kernel reaches it
-    row.update(rule="identity", data=[])
-    system, proof = formats.proof_from_doc(doc)
-    with pytest.raises(LogicError, match="unknown rule 'identity'") as exc:
-        check_proof(system, proof)
-    assert exc.value.path
+    # rows of the layouts before the assumption and cut rules; the sequent
+    # stays as it is, so no rule above the row objects before the kernel
+    # reaches it, and the rule name is judged before its data
+    for rule, data in (("identity", []), ("exchange", [3]), ("weakening", [])):
+        doc = formats.proof_to_doc(p.proof, p.system)
+        row = next(r for r in doc["nodes"] if r["rule"] == "assumption")
+        row.update(rule=rule, data=data)
+        system, proof = formats.proof_from_doc(doc)
+        with pytest.raises(LogicError, match=f"unknown rule '{rule}'") as exc:
+            check_proof(system, proof)
+        assert exc.value.path
 
 
 def test_quantifier_round_trip(plus_system):
@@ -220,14 +224,73 @@ def test_stray_rule_data_is_rejected(plus_system):
     import dataclasses
     ctx = (("x", NAT),)
     phi = Atom("plus", (x("x"), x("x")))
-    bad = dataclasses.replace(weaken(assumption(ctx, (phi,), 0), phi), data=("x",))
-    with pytest.raises(LogicError, match="weakening takes no rule data") as exc:
+    a = assumption(ctx, (phi,), 0)
+    bad = dataclasses.replace(cut(a, (phi,), [a]), data=("x",))
+    with pytest.raises(LogicError, match="cut takes no rule data") as exc:
         check_proof(plus_system, bad)
     assert exc.value.path == ()
-    bad = weaken(dataclasses.replace(geq_refl(ctx, (), NAT, "x"), data=(0,)), phi)
+    bad = cut(dataclasses.replace(geq_refl(ctx, (), NAT, "x"), data=(0,)), (phi,), [])
     with pytest.raises(LogicError, match="geq_refl takes no rule data") as exc:
         check_proof(plus_system, bad)
     assert exc.value.path == (0,)
+
+
+# a premise [x:Nat, y:Nat] x >= x, y >= y |- x >= x for the cut rule, and
+# minors deriving its two hypotheses from none
+CUT_CTX = (("x", NAT), ("y", NAT))
+CUT_HYPS = (Geq(NAT, x("x"), x("x")), Geq(NAT, x("y"), x("y")))
+
+
+def _cut_parts():
+    return assumption(CUT_CTX, CUT_HYPS, 0), [geq_refl(CUT_CTX, (), NAT, v) for v in ("x", "y")]
+
+
+def test_cut_discharges_every_hypothesis(plus_system):
+    premise, minors = _cut_parts()
+    d = cut(premise, (), minors)
+    assert d.rule == "cut" and d.data == () and d.children == (premise, *minors)
+    assert d.seq == Sequent(CUT_CTX, (), CUT_HYPS[0])
+    check_proof(plus_system, d)
+
+
+def test_cut_with_no_minors_adds_hypotheses(plus_system):
+    hyps = (Atom("plus", (x("x"), x("y"))), CUT_HYPS[1])
+    d = cut(geq_refl(CUT_CTX, (), NAT, "x"), hyps, [])
+    assert d.seq == Sequent(CUT_CTX, hyps, CUT_HYPS[0]) and len(d.children) == 1
+    check_proof(plus_system, d)
+
+
+def test_cut_shares_one_minor_between_hypotheses(plus_system):
+    refl = geq_refl(CUT_CTX, (), NAT, "x")
+    d = cut(assumption(CUT_CTX, (CUT_HYPS[0], CUT_HYPS[0]), 1), (), [refl, refl])
+    check_proof(plus_system, d)
+    assert proof_size(d) == 3
+
+
+def _other_ctx(d):
+    return replace(d, seq=replace(d.seq, ctx=CUT_CTX[::-1]))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda p, m: cut(p, (), m[:1]), "cut expects 2 minor premises, got 1"),
+    (lambda p, m: cut(p, (), m + m[:1]), "cut expects 2 minor premises, got 3"),
+    (lambda p, m: cut(p, (), m[::-1]), "cut minor 0 must conclude premise hypothesis 0"),
+    (lambda p, m: cut(p, (), [m[0], geq_refl(CUT_CTX, CUT_HYPS, NAT, "y")]),
+     "cut minor 1 must share the sequent context and hypotheses"),
+    (lambda p, m: cut(p, (), [_other_ctx(m[0]), m[1]]),
+     "cut minor 0 must share the sequent context and hypotheses"),
+    (lambda p, m: _other_ctx(cut(p, (), m)), "cut premise must share the context and conclusion"),
+    (lambda p, m: replace(cut(p, (), m), seq=Sequent(CUT_CTX, (), CUT_HYPS[1])),
+     "cut premise must share the context and conclusion"),
+    (lambda p, m: replace(cut(p, (), m), data=(0,)), "cut takes no rule data"),
+    (lambda p, m: replace(cut(p, (), m), children=()), "cut expects a premise"),
+], ids=["too_few", "too_many", "wrong_conclusion", "other_hyps", "minor_other_ctx",
+        "premise_other_ctx", "premise_other_conclusion", "stray_data", "no_premise"])
+def test_cut_rejects_a_bad_node(plus_system, build, message):
+    bad = build(*_cut_parts())
+    with pytest.raises(LogicError, match=message) as exc:
+        check_proof(plus_system, bad)
+    assert exc.value.path == ()
 
 
 # a premise [x:Nat, y:Nat] plus(x, y), x > y |- plus(x, y) for the subst rule
@@ -236,7 +299,7 @@ SUBST_PREMISE_CTX = (("x", NAT), ("y", NAT))
 
 def _subst_premise():
     gt, phi = Gt(NAT, x("x"), x("y")), Atom("plus", (x("x"), x("y")))
-    return weaken(assumption(SUBST_PREMISE_CTX, (phi,), 0), gt)
+    return cut(assumption(SUBST_PREMISE_CTX, (phi,), 0), (phi, gt), [assumption(SUBST_PREMISE_CTX, (phi, gt), 0)])
 
 
 @pytest.mark.parametrize("sub", [{"x": "b", "y": "a"}, {"x": "a", "y": "a"}, {"x": "y", "y": "x"}])

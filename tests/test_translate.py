@@ -19,7 +19,7 @@ from cycind.translate import rep_skeleton
 import systems
 
 # node counts and induction counts of the finished proofs, frozen
-PROOF_SIZE = {"plus": 95, "ack": 1229, "dist": 4442, "treedist": 4442, "fg": 118}
+PROOF_SIZE = {"plus": 58, "ack": 754, "dist": 2715, "treedist": 2715, "fg": 75}
 IND_COUNT = {"plus": 1, "ack": 9, "dist": 19, "treedist": 19, "fg": 1}
 
 
