@@ -452,7 +452,8 @@ class _ProofReader:
     """Resolves the table references of one proof document.
 
     Each row of ``formulas`` and ``variables`` is built once, so every sequent
-    that names a row shares its object, and equal contexts share one tuple.
+    that names a row shares its object, and equal contexts and equal
+    hypothesis lists written as indices share one tuple each.
     Wherever an index is expected, the value may instead be written inline: a
     formula array (whose ``imp``/``all`` subformulas are again indices or
     arrays) or a ``[name, sort]`` pair.
@@ -478,6 +479,7 @@ class _ProofReader:
             self.formulas.append(phi)
             self.depths.append(depth)
         self.contexts: dict[tuple, tuple[tuple[str, str], ...]] = {}
+        self.hyps: dict[tuple, tuple[logic.Formula, ...]] = {}
 
     def formula(self, ref, limit: int, above: int = 0) -> tuple[logic.Formula, int]:
         """The formula ``ref`` names, and its depth.  Indices must be below
@@ -520,22 +522,26 @@ class _ProofReader:
             return (ref[0], ref[1])
         raise FormatError(f"expected a variable index or [name, sort] pair, found {_short(ref)}")
 
+    @staticmethod
+    def _shared(memo: dict, refs: list, rows: list) -> tuple:
+        key = tuple(refs)
+        out = memo.get(key)
+        if out is None:
+            out = memo[key] = tuple(map(rows.__getitem__, refs))
+        return out
+
     def context(self, refs) -> tuple[tuple[str, str], ...]:
         refs = _array(refs, "ctx")
         if not _all_indices(refs, len(self.variables)):
             return tuple(self.variable(r) for r in refs)
-        key = tuple(refs)
-        ctx = self.contexts.get(key)
-        if ctx is None:
-            ctx = self.contexts[key] = tuple(map(self.variables.__getitem__, refs))
-        return ctx
+        return self._shared(self.contexts, refs, self.variables)
 
     def sequent(self, d) -> logic.Sequent:
         if not isinstance(d, dict):
             raise FormatError(f"sequent must be an object, found {_json_type(d)}")
         refs = _array(d.get("hyps"), "hyps")
         if _all_indices(refs, self.size):
-            hyps = tuple(map(self.formulas.__getitem__, refs))
+            hyps = self._shared(self.hyps, refs, self.formulas)
         else:
             hyps = tuple(self.formula(h, self.size)[0] for h in refs)
         return logic.Sequent(
@@ -557,31 +563,9 @@ def proof_to_doc(proof: logic.Deriv, sys: CyclicSystem) -> dict:
     - a sequent is ``{"ctx": [variable index…], "hyps": [formula index…],
       "concl": formula index}``.
     """
-    formulas: list[list] = []
-    row_of_key: dict = {}
-    # by id(): the proof keeps every formula alive while it is written, and a
-    # formula object is keyed once, over the rows of its children
-    row_of_obj: dict[int, int] = {}
+    formula = logic.FormulaNumbering()
     variables: list[list] = []
     row_of_var: dict[tuple[str, str], int] = {}
-
-    def formula(phi) -> int:
-        row = row_of_obj.get(id(phi))
-        if row is not None:
-            return row
-        if isinstance(phi, logic.Imp):
-            key = ("imp", formula(phi.lhs), formula(phi.rhs))
-        elif isinstance(phi, logic.Forall):
-            # the hint takes no part in equality, but the document keeps it
-            key = ("all", phi.sort, phi.hint, formula(phi.body))
-        else:
-            key = phi  # an atom or an order: a leaf, hashed by its few terms
-        row = row_of_key.get(key)
-        if row is None:
-            row = row_of_key[key] = len(formulas)
-            formulas.append(list(key) if isinstance(key, tuple) else _leaf_to_doc(phi))
-        row_of_obj[id(phi)] = row
-        return row
 
     def variable(entry: tuple[str, str]) -> int:
         row = row_of_var.get(entry)
@@ -622,7 +606,7 @@ def proof_to_doc(proof: logic.Deriv, sys: CyclicSystem) -> dict:
         "format": PROOF,
         "system": system_to_doc(sys),
         "variables": variables,
-        "formulas": formulas,
+        "formulas": [list(k) if isinstance(k, tuple) else _leaf_to_doc(k) for k in formula.rows],
         "nodes": rows,
         "root": memo[id(proof)],
     }
@@ -694,4 +678,5 @@ def loads(text: str) -> tuple[str, Any]:
 
 
 def dumps(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=False) + "\n"
+    """One line of compact JSON: proof documents are tables, not prose."""
+    return json.dumps(doc, separators=(",", ":")) + "\n"

@@ -319,21 +319,42 @@ def _formula_summary(system: CyclicSystem, phi: Formula, cache: dict[int, _Summa
     return res
 
 
-def _check_sequent(system: CyclicSystem, seq: Sequent, cache: dict[int, _Summary]) -> str | None:
-    names = [v for v, _s in seq.ctx]
-    if len(set(names)) != len(names):
-        return "repeated context variable"
-    ctx = dict(seq.ctx)
-    for spot, phi in (*((f"hypothesis {i}", h) for i, h in enumerate(seq.hyps)), ("conclusion", seq.concl)):
-        summary = _formula_summary(system, phi, cache)
-        if isinstance(summary, str):
-            return f"{spot}: {summary}"
-        for name, want in summary.items():
-            have = ctx.get(name)
-            if have is None:
-                return f"{spot}: variable {name!r} not in context"
-            if have != want:
-                return f"{spot}: variable {name!r} has sort {have!r}, expected {want!r}"
+def _check_formula(
+    system: CyclicSystem, phi: Formula, ctx: dict[str, str], cache: dict[int, _Summary]
+) -> str | None:
+    summary = _formula_summary(system, phi, cache)
+    if isinstance(summary, str):
+        return summary
+    for name, want in summary.items():
+        have = ctx.get(name)
+        if have is None:
+            return f"variable {name!r} not in context"
+        if have != want:
+            return f"variable {name!r} has sort {have!r}, expected {want!r}"
+    return None
+
+
+def _check_sequent(
+    system: CyclicSystem,
+    seq: Sequent,
+    cache: dict[int, _Summary],
+    contexts: dict[tuple[int, int], dict[str, str]],
+) -> str | None:
+    # ``contexts`` maps each (id(ctx), id(hyps)) pair found well formed to its
+    # context as a dict, so a pair shared by many sequents is checked once
+    pair = (id(seq.ctx), id(seq.hyps))
+    ctx = contexts.get(pair)
+    if ctx is None:
+        names = [v for v, _s in seq.ctx]
+        if len(set(names)) != len(names):
+            return "repeated context variable"
+        ctx = dict(seq.ctx)
+        for i, h in enumerate(seq.hyps):
+            if err := _check_formula(system, h, ctx, cache):
+                return f"hypothesis {i}: {err}"
+        contexts[pair] = ctx
+    if err := _check_formula(system, seq.concl, ctx, cache):
+        return f"conclusion: {err}"
     return None
 
 
@@ -553,12 +574,25 @@ def _check_node(system: CyclicSystem, d: Deriv) -> str | None:
 
 
 def check_proof(system: CyclicSystem, root: Deriv) -> None:
-    """Verify a derivation; raises :class:`LogicError` locating the first defect."""
+    """Verify a derivation; raises :class:`LogicError` locating the first defect.
+
+    The cost is per distinct node and per distinct ``(ctx, hyps)`` pair, both
+    by object identity: a subproof shared by several parents is checked once,
+    at the first path that reaches it, and the context and hypotheses of a
+    sequent are checked once per pair of tuple objects, leaving only the
+    conclusion to check at each node.  The proof keeps these immutable
+    objects alive for the whole call, so ``id`` keys are exact.
+    """
     cache: dict[int, _Summary] = {}
+    contexts: dict[tuple[int, int], dict[str, str]] = {}
+    seen: set[int] = set()
     stack: list[tuple[Deriv, tuple[int, ...]]] = [(root, ())]
     while stack:
         node, path = stack.pop()
-        err = _check_sequent(system, node.seq, cache)
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        err = _check_sequent(system, node.seq, cache, contexts)
         if err is None:
             err = _check_node(system, node)
         if err is not None:
@@ -592,6 +626,40 @@ def count_rule(root: Deriv, rule: str) -> int:
     """Number of distinct nodes (by object identity, as in :func:`proof_size`)
     that apply ``rule``."""
     return sum(1 for d in distinct_nodes(root) if d.rule == rule)
+
+
+class FormulaNumbering:
+    """Numbers formulas by value, visiting each formula object once.
+
+    Calling the numbering on a formula returns its row in ``rows``.  A row is
+    the leaf itself (an atom or an order, hashed by its few terms), or
+    ``("imp", lhs, rhs)`` / ``("all", sort, hint, body)`` over the rows of
+    the subformulas; the hint takes no part in formula equality but does in
+    the row.  Objects are remembered by ``id``, so the caller keeps every
+    numbered formula alive while it uses the numbering.
+    """
+
+    def __init__(self) -> None:
+        self.rows: list = []
+        self._row_of_key: dict = {}
+        self._row_of_obj: dict[int, int] = {}
+
+    def __call__(self, phi: Formula) -> int:
+        row = self._row_of_obj.get(id(phi))
+        if row is not None:
+            return row
+        if isinstance(phi, Imp):
+            key: object = ("imp", self(phi.lhs), self(phi.rhs))
+        elif isinstance(phi, Forall):
+            key = ("all", phi.sort, phi.hint, self(phi.body))
+        else:
+            key = phi
+        row = self._row_of_key.get(key)
+        if row is None:
+            row = self._row_of_key[key] = len(self.rows)
+            self.rows.append(key)
+        self._row_of_obj[id(phi)] = row
+        return row
 
 
 # ---------------------------------------------------------------------------

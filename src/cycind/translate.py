@@ -17,6 +17,10 @@ bud node closes by instantiating its hypothesis: every quantified variable is
 mapped to its current value at the bud — positions to the bud's variables, the
 progressing name to its cover, other names to their bindings at the bud — and
 the resulting obligations are discharged from the bud's own facts.
+
+Nodes in the same state (rule, annotation, context, hypotheses by value, and
+the states of their children) share one derivation object, so the proof is a
+DAG with one subproof per distinct annotated state.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from .logic import (
     Atom,
     Deriv,
     Formula,
+    FormulaNumbering,
     FreeV,
     Geq,
     Gt,
@@ -367,6 +372,8 @@ def _internal(
     data: dict,
     result: dict,
 ) -> Deriv:
+    """The case-rule step of an internal node; ``result`` holds each child's
+    derivation with the child's own hypotheses already peeled."""
     system = rep.system
     judg = system.judgment_of_rule(node.rule)
     rule = system.rules[node.rule]
@@ -378,7 +385,6 @@ def _internal(
     for i, cid in enumerate(node.children):
         cd: _NodeData = data[cid]
         d: Deriv = result[cid]
-        d = _peel_new_hyps(d, cd)
         inherited = cd.entries[: len(cd.entries) - cd.appended]
         assert d.seq.hyps == tuple(f.formula for f in cd.ineq) + tuple(
             e.formula for e in inherited
@@ -460,17 +466,35 @@ def translate(rep: ResetRep) -> Deriv:
         for c in reversed(rep.nodes[nid].children):
             todo.append((c, nid))
 
+    # One peeled derivation per state.  The rule, context and hypotheses (by
+    # value, through a formula numbering) fix the end sequent, so a shared
+    # derivation always proves what the node needs; the annotations, the
+    # children's derivations (by identity) and their fact recipes fix the
+    # subtree's shape.  ``data`` keeps the numbered formulas alive, ``memo``
+    # the derivations.
+    number = FormulaNumbering()
+    memo: dict[tuple, Deriv] = {}
     result: dict[str, Deriv] = {}
     for nid in reversed(order):
-        node = rep.nodes[nid]
+        node, nd = rep.nodes[nid], data[nid]
+        ann = node.ann
+        key: tuple = (node.rule, ann.names, ann.binding, ann.stacks, nd.ctx,
+                      tuple(map(number, nd.hyps())))
         if node.is_bud:
-            result[nid] = _close_bud(rep, node, data[nid])
+            sp = rep.nodes[node.sprout]
+            key += (ann.resets, sp.ann.names, sp.ann.binding, sp.ann.stacks, node.prog)
         else:
-            result[nid] = _internal(rep, node, data[nid], data, result)
+            key += (nd.appended, *((id(result[c]), tuple(f.how for f in data[c].ineq))
+                                   for c in node.children))
+        d = memo.get(key)
+        if d is None:
+            d = _close_bud(rep, node, nd) if node.is_bud else _internal(rep, node, nd, data, result)
+            d = memo[key] = _peel_new_hyps(d, nd)
+        result[nid] = d
 
-    # root assembly: peel the root's own hypotheses, then cut the reflexive root facts
+    # root assembly: the root's own hypotheses are peeled; cut the reflexive root facts
     rdata = data[rep.root]
-    d = _peel_new_hyps(result[rep.root], rdata)
+    d = result[rep.root]
     assert all(f.how == ("refl",) for f in rdata.ineq)
     return cut(d, (), [geq_refl(rdata.ctx, (), f.formula.sort, f.formula.left.name) for f in rdata.ineq])
 

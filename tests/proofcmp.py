@@ -1,6 +1,6 @@
-"""Compare proof trees while ignoring sort names.
+"""Compare proof trees while ignoring sort names, and number proof nodes by value.
 
-Proofs can share subtrees and get deep, so the walk is iterative; only the
+Proofs can share subtrees and get deep, so the walks are iterative; only the
 small per-node pieces (sequents, rule data) are rewritten recursively.
 """
 
@@ -36,3 +36,23 @@ def equal_modulo_sorts(a, b) -> bool:
             return False
         stack.extend(zip(x.children, y.children))
     return True
+
+
+def value_numbers(root) -> dict[int, int]:
+    """Number the distinct nodes of a proof bottom-up, keyed by ``id``: two
+    nodes get the same number exactly when they are equal by value (rule,
+    sequent, data, and children with the same numbers)."""
+    number: dict[int, int] = {}
+    table: dict[tuple, int] = {}
+    stack = [(root, False)]
+    while stack:
+        d, done = stack.pop()
+        if id(d) in number:
+            continue
+        if not done:
+            stack.append((d, True))
+            stack.extend((c, False) for c in d.children)
+            continue
+        key = (d.rule, d.seq, d.data, tuple(number[id(c)] for c in d.children))
+        number[id(d)] = table.setdefault(key, len(table))
+    return number

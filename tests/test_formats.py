@@ -198,7 +198,21 @@ def test_tables_have_no_duplicate_rows(pipelines):
 def test_dist_document_stays_small(pipelines):
     # 174 MB when every formula occurrence was written out in full
     p = pipelines["dist"]
-    assert len(dumps(proof_to_doc(p.proof, p.system))) < 20_000_000
+    assert len(dumps(proof_to_doc(p.proof, p.system))) < 1_000_000
+
+
+def test_written_documents_are_one_line(pipelines):
+    p = pipelines["plus"]
+    text = dumps(proof_to_doc(p.proof, p.system))
+    assert text.count("\n") == 1 and text.endswith("\n")
+
+
+def test_equal_hypothesis_lists_share_one_tuple_after_loading(pipelines):
+    p = pipelines["dist"]
+    doc = proof_to_doc(p.proof, p.system)
+    _sys, proof2 = proof_from_doc(doc)
+    lists = {tuple(row["seq"]["hyps"]) for row in doc["nodes"]}
+    assert len({id(d.seq.hyps) for d in distinct_nodes(proof2)}) == len(lists)
 
 
 def _plus_doc(pipelines):

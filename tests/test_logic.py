@@ -267,6 +267,31 @@ def test_cut_shares_one_minor_between_hypotheses(plus_system):
     assert proof_size(d) == 3
 
 
+def _shared_minors(r):
+    # r is used under two parents: m1 and m2 (and m1 under the cut and m2)
+    m1 = geq_trans(r, r)
+    m2 = geq_trans(m1, r)
+    return cut(assumption(CUT_CTX, (CUT_HYPS[0], CUT_HYPS[0]), 1), (), [m1, m2])
+
+
+def test_shared_subproof_is_checked_once(plus_system, monkeypatch):
+    import cycind.logic as logic
+    checked = []
+    real = logic._check_node
+    monkeypatch.setattr(logic, "_check_node", lambda s, d: checked.append(id(d)) or real(s, d))
+    d = _shared_minors(geq_refl(CUT_CTX, (), NAT, "x"))
+    check_proof(plus_system, d)
+    assert sorted(checked) == sorted(id(n) for n in distinct_nodes(d))
+    assert len(checked) == proof_size(d) == 5
+
+
+def test_invalid_shared_node_is_reported_at_its_first_path(plus_system):
+    bad = replace(geq_refl(CUT_CTX, (), NAT, "x"), data=(0,))
+    with pytest.raises(LogicError, match="geq_refl takes no rule data") as exc:
+        check_proof(plus_system, _shared_minors(bad))
+    assert exc.value.path == (1, 0)
+
+
 def _other_ctx(d):
     return replace(d, seq=replace(d.seq, ctx=CUT_CTX[::-1]))
 

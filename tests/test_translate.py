@@ -14,13 +14,15 @@ from cycind import (
     respect_induction_order,
     translate,
 )
+from cycind.logic import distinct_nodes
 from cycind.translate import rep_skeleton
 
+import proofcmp
 import systems
 
 # node counts and induction counts of the finished proofs, frozen
-PROOF_SIZE = {"plus": 58, "ack": 754, "dist": 2715, "treedist": 2715, "fg": 75}
-IND_COUNT = {"plus": 1, "ack": 9, "dist": 19, "treedist": 19, "fg": 1}
+PROOF_SIZE = {"plus": 58, "ack": 276, "dist": 825, "treedist": 825, "fg": 75}
+IND_COUNT = {"plus": 1, "ack": 4, "dist": 7, "treedist": 7, "fg": 1}
 
 
 def test_frozen_proof_sizes(pipelines):
@@ -67,10 +69,19 @@ def test_prove_by_induction_rejects_unsound_input():
 def test_tree_distance_proof_mirrors_the_nat_one(pipelines):
     # same call structure over a different sort must yield the same proof,
     # sort names aside
-    import proofcmp
     assert proofcmp.equal_modulo_sorts(
         pipelines["dist"].proof, pipelines["treedist"].proof
     )
+
+
+def test_equal_states_share_one_case_rule_node(pipelines):
+    # translate builds one derivation per state, so no case-rule node is
+    # built twice by value
+    for name in ("dist", "ack"):
+        proof = pipelines[name].proof
+        numbers = proofcmp.value_numbers(proof)
+        cases = [numbers[id(d)] for d in distinct_nodes(proof) if d.rule == "c_rule"]
+        assert len(set(cases)) == len(cases), name
 
 
 def test_translate_is_deterministic(pipelines):
