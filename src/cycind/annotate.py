@@ -14,9 +14,7 @@ back-edges and to pick induction variables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core import GT, VarRef
+from .core import GT, Record, VarRef, set_field
 
 
 def name_token(i: int) -> str:
@@ -26,8 +24,7 @@ def name_token(i: int) -> str:
     return f"a{i}"
 
 
-@dataclass(frozen=True)
-class Origin:
+class Origin(Record):
     """How the stack at one target position was obtained in a step.
 
     kind is one of:
@@ -37,26 +34,31 @@ class Origin:
       - "fresh":  no incoming edge, a fresh singleton stack.
     """
 
+    __slots__ = ("kind", "src", "fresh")
     kind: str
-    src: int | None = None
-    fresh: str | None = None
+    src: int | None
+    fresh: str | None
+
+    def __init__(self, kind: str, src: int | None = None, fresh: str | None = None) -> None:
+        set_field(self, "kind", kind)
+        set_field(self, "src", src)
+        set_field(self, "fresh", fresh)
 
 
-@dataclass(frozen=True)
-class Reset:
+class Reset(Record):
     """One reset: ``name`` was uniformly covered by ``cover`` and truncated away.
 
     ``cover_var`` is the variable that carried the covering name; the cover
     itself is pruned by the truncation, so its binding is recorded here.
     """
 
+    __slots__ = ("name", "cover", "cover_var")
     name: str
     cover: str
     cover_var: VarRef
 
 
-@dataclass(frozen=True)
-class Annotation:
+class Annotation(Record):
     """Annotation of a single node on a branch.
 
     ``names`` lists the live names in age order (oldest first) and ``binding``
@@ -65,6 +67,7 @@ class Annotation:
     any resets (their extra suffixes are the names struck out at this node).
     """
 
+    __slots__ = ("names", "binding", "stacks", "pre_stacks", "origins", "resets", "depth")
     names: tuple[str, ...]
     binding: tuple[VarRef, ...]
     stacks: tuple[tuple[str, ...], ...]
@@ -72,6 +75,24 @@ class Annotation:
     origins: tuple[Origin, ...]
     resets: tuple[Reset, ...]
     depth: int
+
+    def __init__(
+        self,
+        names: tuple[str, ...],
+        binding: tuple[VarRef, ...],
+        stacks: tuple[tuple[str, ...], ...],
+        pre_stacks: tuple[tuple[str, ...], ...],
+        origins: tuple[Origin, ...],
+        resets: tuple[Reset, ...],
+        depth: int,
+    ) -> None:
+        set_field(self, "names", names)
+        set_field(self, "binding", binding)
+        set_field(self, "stacks", stacks)
+        set_field(self, "pre_stacks", pre_stacks)
+        set_field(self, "origins", origins)
+        set_field(self, "resets", resets)
+        set_field(self, "depth", depth)
 
     def var_of(self, name: str) -> VarRef:
         return self.binding[self.names.index(name)]

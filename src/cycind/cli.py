@@ -37,7 +37,16 @@ class _CliError(Exception):
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as e:
+        raise _CliError(str(e)) from None
+    except UnicodeDecodeError as e:
+        raise _CliError(f"{path}: not UTF-8 text ({e})") from None
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
     except OSError as e:
         raise _CliError(str(e)) from None
 
@@ -155,10 +164,10 @@ def cmd_unravel(args) -> int:
     if args.trace:
         sys.stdout.write(render_trace(rep))
     if args.dot:
-        Path(args.dot).write_text(rep_to_dot(rep))
+        _write(args.dot, rep_to_dot(rep))
     doc = formats.dumps(formats.proof_to_doc(proof, sys_))
     if args.out:
-        Path(args.out).write_text(doc)
+        _write(args.out, doc)
         rules = [d.rule for d in distinct_nodes(proof)]
         print(
             f"wrote proof: {len(rules)} nodes,"

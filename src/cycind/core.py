@@ -10,8 +10,8 @@ here as a finite rooted graph (one node per distinct subtree).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import total_ordering
+from operator import attrgetter
 from typing import Iterable, Mapping, Optional
 
 # Edge labels.  GT ("progressing") subsumes GEQ ("preserving"): whenever both
@@ -22,13 +22,84 @@ GT = ">"
 DEFAULT_SORT = "*"
 
 
+# ---------------------------------------------------------------------------
+# Records
+# ---------------------------------------------------------------------------
+
+# Explicit ``__init__`` methods of records set their fields with this.
+set_field = object.__setattr__
+
+
+class Record:
+    """Immutable value record; its ``__slots__`` name its fields, in order.
+
+    Records of one class are equal when their compared fields are (records of
+    different classes never are), and hash over those fields.  ``_defaults``
+    maps fields to default values and ``_nocompare`` names fields left out of
+    equality and hashing; both still show in the ``repr``.  The generic
+    ``__init__`` takes fields by position or keyword and then runs
+    ``_validate``; records built in bulk define their own ``__init__``.
+    """
+
+    __slots__ = ()
+    _defaults = {}
+    _nocompare = ()
+
+    # Fields are declared in ``__slots__``, not derived from annotations by a
+    # metaclass: ``isinstance`` against a class whose metaclass is not ``type``
+    # takes a slower path, and the formula walks are mostly ``isinstance`` tests.
+    def __init_subclass__(cls) -> None:
+        cls._fields = cls.__slots__
+        cls._key = attrgetter(*(f for f in cls._fields if f not in cls._nocompare))
+
+    def __init__(self, *args, **kw) -> None:
+        cls = type(self)
+        fields = cls._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{cls.__name__} takes {len(fields)} fields, got {len(args)}")
+        values = dict(zip(fields, args))
+        for f in kw:
+            if f in values or f not in fields:
+                raise TypeError(f"{cls.__name__}: unexpected or repeated field {f!r}")
+        values = {**cls._defaults, **values, **kw}
+        for f in fields:
+            if f not in values:
+                raise TypeError(f"{cls.__name__}: missing field {f!r}")
+            set_field(self, f, values[f])
+        self._validate()
+
+    def _validate(self) -> None:
+        pass
+
+    def replace(self, **changes) -> Record:
+        """A copy with ``changes`` applied, built (and validated) by ``__init__``."""
+        return type(self)(**{**{f: getattr(self, f) for f in self._fields}, **changes})
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({inner})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 def best_label(a: str, b: str) -> str:
     return GT if GT in (a, b) else GEQ
 
 
 @total_ordering
-@dataclass(frozen=True)
-class SizeChangeGraph:
+class SizeChangeGraph(Record):
     """Bipartite labelled graph between src_arity and dst_arity positions.
 
     ``edges`` holds (src, dst, label) triples with at most one edge per
@@ -37,22 +108,23 @@ class SizeChangeGraph:
     which agrees with equality because of that normalization.
     """
 
+    __slots__ = ("src_arity", "dst_arity", "edges")
     src_arity: int
     dst_arity: int
     edges: frozenset[tuple[int, int, str]]
 
-    def __post_init__(self) -> None:
+    def __init__(self, src_arity: int, dst_arity: int, edges: frozenset[tuple[int, int, str]]) -> None:
         by_pair: dict[tuple[int, int], str] = {}
-        for i, j, lab in self.edges:
-            if not (0 <= i < self.src_arity and 0 <= j < self.dst_arity):
-                raise ValueError(f"edge ({i},{j}) out of range for {self.src_arity}->{self.dst_arity}")
+        for i, j, lab in edges:
+            if not (0 <= i < src_arity and 0 <= j < dst_arity):
+                raise ValueError(f"edge ({i},{j}) out of range for {src_arity}->{dst_arity}")
             if lab not in (GEQ, GT):
                 raise ValueError(f"bad edge label {lab!r}")
             prev = by_pair.get((i, j))
             by_pair[(i, j)] = lab if prev is None else best_label(prev, lab)
-        object.__setattr__(
-            self, "edges", frozenset((i, j, lab) for (i, j), lab in by_pair.items())
-        )
+        set_field(self, "src_arity", src_arity)
+        set_field(self, "dst_arity", dst_arity)
+        set_field(self, "edges", frozenset((i, j, lab) for (i, j), lab in by_pair.items()))
 
     @classmethod
     def of(cls, src_arity: int, dst_arity: int, edges: Iterable[tuple[int, int, str]]) -> "SizeChangeGraph":
@@ -116,80 +188,92 @@ def path_relation(graphs: Iterable[SizeChangeGraph]) -> SizeChangeGraph:
 # Systems
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Judgment:
+class Judgment(Record):
+    __slots__ = ("id", "ob", "sorts")
     id: str
     ob: int
     sorts: tuple[str, ...]
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         if len(self.sorts) != self.ob:
             raise ValueError(f"judgment {self.id}: {len(self.sorts)} sorts for {self.ob} objects")
 
 
-@dataclass(frozen=True)
-class RuleScheme:
+class RuleScheme(Record):
+    __slots__ = ("id", "conclusion", "premises", "graphs")
     id: str
     conclusion: str
     premises: tuple[str, ...]
     graphs: tuple[SizeChangeGraph, ...]
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         if len(self.graphs) != len(self.premises):
             raise ValueError(f"rule {self.id}: {len(self.graphs)} graphs for {len(self.premises)} premises")
 
 
-@dataclass(frozen=True)
-class CyclicSystem:
+class CyclicSystem(Record):
+    __slots__ = ("judgments", "rules", "ind_sorts")
     judgments: Mapping[str, Judgment]
     rules: Mapping[str, RuleScheme]
-    ind_sorts: frozenset[str] = frozenset({DEFAULT_SORT})
+    ind_sorts: frozenset[str]
+    _defaults = {"ind_sorts": frozenset({DEFAULT_SORT})}
 
     def judgment_of_rule(self, rule_id: str) -> Judgment:
         return self.judgments[self.rules[rule_id].conclusion]
 
 
-@dataclass(frozen=True)
-class Call:
+class Call(Record):
+    __slots__ = ("id", "dom", "codom", "graph")
     id: str
     dom: str
     codom: str
     graph: SizeChangeGraph
 
 
-@dataclass(frozen=True)
-class CallSystem:
+class CallSystem(Record):
     """Functions with per-argument sorts plus recursive calls carrying graphs."""
 
+    __slots__ = ("functions", "calls", "ind_sorts")
     functions: Mapping[str, tuple[str, ...]]  # fun id -> argument sorts
     calls: tuple[Call, ...]
-    ind_sorts: frozenset[str] = frozenset({DEFAULT_SORT})
+    ind_sorts: frozenset[str]
+    _defaults = {"ind_sorts": frozenset({DEFAULT_SORT})}
 
     def arity(self, f: str) -> int:
         return len(self.functions[f])
 
 
-@dataclass(frozen=True)
-class DerivNode:
+class DerivNode(Record):
+    __slots__ = ("rule", "children")
     rule: str
     children: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class RegularDerivation:
+class RegularDerivation(Record):
+    __slots__ = ("nodes", "root")
     nodes: Mapping[str, DerivNode]
     root: str
 
 
-@dataclass(frozen=True, order=True)
-class VarRef:
+@total_ordering
+class VarRef(Record):
     """The variable introduced at branch depth ``depth`` for position ``pos``.
 
-    The derived order (depth, pos) is the age order on variables of a branch.
+    The order (depth, pos) is the age order on variables of a branch.
     """
 
+    __slots__ = ("depth", "pos")
     depth: int
     pos: int
+
+    def __init__(self, depth: int, pos: int) -> None:
+        set_field(self, "depth", depth)
+        set_field(self, "pos", pos)
+
+    def __lt__(self, other: object) -> bool:
+        if other.__class__ is not VarRef:
+            return NotImplemented
+        return (self.depth, self.pos) < (other.depth, other.pos)
 
     def __str__(self) -> str:
         return f"x{self.depth}_{self.pos}"

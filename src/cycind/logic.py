@@ -26,27 +26,32 @@ only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .core import CyclicSystem, GT
+from .core import GT, CyclicSystem, Record, set_field
 
 
 # ---------------------------------------------------------------------------
 # Terms and formulas
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FreeV:
+class FreeV(Record):
+    __slots__ = ("name",)
     name: str
+
+    def __init__(self, name: str) -> None:
+        set_field(self, "name", name)
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
-class BoundV:
+class BoundV(Record):
+    __slots__ = ("k",)
     k: int
+
+    def __init__(self, k: int) -> None:
+        set_field(self, "k", k)
 
     def __str__(self) -> str:
         return f"^{self.k}"
@@ -55,37 +60,63 @@ class BoundV:
 Term = FreeV | BoundV
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(Record):
+    __slots__ = ("judg", "args")
     judg: str
     args: tuple[Term, ...]
 
+    def __init__(self, judg: str, args: tuple[Term, ...]) -> None:
+        set_field(self, "judg", judg)
+        set_field(self, "args", args)
 
-@dataclass(frozen=True)
-class Geq:
+
+class Geq(Record):
+    __slots__ = ("sort", "left", "right")
     sort: str
     left: Term
     right: Term
 
+    def __init__(self, sort: str, left: Term, right: Term) -> None:
+        set_field(self, "sort", sort)
+        set_field(self, "left", left)
+        set_field(self, "right", right)
 
-@dataclass(frozen=True)
-class Gt:
+
+class Gt(Record):
+    __slots__ = ("sort", "left", "right")
     sort: str
     left: Term
     right: Term
 
+    def __init__(self, sort: str, left: Term, right: Term) -> None:
+        set_field(self, "sort", sort)
+        set_field(self, "left", left)
+        set_field(self, "right", right)
 
-@dataclass(frozen=True)
-class Imp:
-    lhs: "Formula"
-    rhs: "Formula"
+
+class Imp(Record):
+    __slots__ = ("lhs", "rhs")
+    lhs: Formula
+    rhs: Formula
+
+    def __init__(self, lhs: Formula, rhs: Formula) -> None:
+        set_field(self, "lhs", lhs)
+        set_field(self, "rhs", rhs)
 
 
-@dataclass(frozen=True)
-class Forall:
+class Forall(Record):
+    """``hint`` names the bound variable for rendering only."""
+
+    __slots__ = ("sort", "body", "hint")
     sort: str
-    body: "Formula"
-    hint: str = field(default="x", compare=False)
+    body: Formula
+    hint: str
+    _nocompare = ("hint",)
+
+    def __init__(self, sort: str, body: Formula, hint: str = "x") -> None:
+        set_field(self, "sort", sort)
+        set_field(self, "body", body)
+        set_field(self, "hint", hint)
 
 
 Formula = Atom | Geq | Gt | Imp | Forall
@@ -215,11 +246,16 @@ def _render_term(t: Term, binders: tuple[str, ...]) -> str:
 # Sequents and derivations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Sequent:
+class Sequent(Record):
+    __slots__ = ("ctx", "hyps", "concl")
     ctx: tuple[tuple[str, str], ...]  # ordered (variable, sort) pairs
     hyps: tuple[Formula, ...]
     concl: Formula
+
+    def __init__(self, ctx: tuple[tuple[str, str], ...], hyps: tuple[Formula, ...], concl: Formula) -> None:
+        set_field(self, "ctx", ctx)
+        set_field(self, "hyps", hyps)
+        set_field(self, "concl", concl)
 
     def sort_of(self, name: str) -> str:
         for v, s in self.ctx:
@@ -236,12 +272,18 @@ class Sequent:
         return f"[{cv}] {hy} |- {render_formula(self.concl)}"
 
 
-@dataclass(frozen=True)
-class Deriv:
+class Deriv(Record):
+    __slots__ = ("rule", "seq", "children", "data")
     rule: str
     seq: Sequent
-    children: tuple["Deriv", ...] = ()
-    data: tuple = ()
+    children: tuple[Deriv, ...]
+    data: tuple
+
+    def __init__(self, rule: str, seq: Sequent, children: tuple[Deriv, ...] = (), data: tuple = ()) -> None:
+        set_field(self, "rule", rule)
+        set_field(self, "seq", seq)
+        set_field(self, "children", children)
+        set_field(self, "data", data)
 
 
 class LogicError(Exception):
@@ -791,12 +833,12 @@ def ind_hypothesis(target: Sequent, x: str) -> Formula:
     return phi
 
 
-@dataclass
-class IndPrime:
+class IndPrime(Record):
     """Strong induction on a sequent: prove the premise (which carries the
     hypothesis as its last assumption), then ``complete`` it into a kernel
     derivation of the target."""
 
+    __slots__ = ("target", "var", "hypothesis", "premise", "complete")
     target: Sequent
     var: str
     hypothesis: Formula

@@ -28,19 +28,19 @@ cannot see.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
-from .core import GEQ, GT, Call, CallSystem, SizeChangeGraph, validate_call_system
+from .core import GEQ, GT, Call, CallSystem, Record, SizeChangeGraph, validate_call_system
 
 
 class MiniLangError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(Record):
+    __slots__ = ("name", "args")
     name: str
-    args: tuple["Term", ...] = ()
+    args: tuple[Term, ...]
+    _defaults = {"args": ()}
 
     def __str__(self) -> str:
         if not self.args:
@@ -50,16 +50,16 @@ class Term:
         return f"{self.name}({', '.join(map(str, self.args))})"
 
 
-@dataclass(frozen=True)
-class Clause:
+class Clause(Record):
+    __slots__ = ("fun", "patterns", "body", "line")
     fun: str
     patterns: tuple[Term, ...]
     body: Term
     line: int
 
 
-@dataclass(frozen=True)
-class Program:
+class Program(Record):
+    __slots__ = ("sorts", "funs", "clauses")
     sorts: dict  # sort -> {ctor: (arg sorts...)}
     funs: dict  # fun -> (arg sorts...)
     clauses: tuple[Clause, ...]

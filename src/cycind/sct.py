@@ -10,19 +10,34 @@ plus cycle) is produced as a counterexample.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 
-from .core import GT, CallSystem, CyclicSystem, RegularDerivation, SizeChangeGraph, compose, induced_call_graph
+from .core import (
+    GT,
+    CallSystem,
+    CyclicSystem,
+    Record,
+    RegularDerivation,
+    SizeChangeGraph,
+    compose,
+    induced_call_graph,
+    set_field,
+)
 
 
-@dataclass(frozen=True)
-class ClosureElement:
+class ClosureElement(Record):
     """A composite call path ``src -> dst`` together with its net size-change graph."""
 
+    __slots__ = ("src", "dst", "graph", "witness")
     src: str
     dst: str
     graph: SizeChangeGraph
     witness: tuple[str, ...]  # call ids, in path order
+
+    def __init__(self, src: str, dst: str, graph: SizeChangeGraph, witness: tuple[str, ...]) -> None:
+        set_field(self, "src", src)
+        set_field(self, "dst", dst)
+        set_field(self, "graph", graph)
+        set_field(self, "witness", witness)
 
     def is_idempotent(self) -> bool:
         return self.src == self.dst and compose(self.graph, self.graph) == self.graph
@@ -31,10 +46,10 @@ class ClosureElement:
         return any(s == d and lab == GT for s, d, lab in self.graph.edges)
 
 
-@dataclass(frozen=True)
-class Lasso:
+class Lasso(Record):
     """A counterexample to termination: a call path leading into a repeatable cycle."""
 
+    __slots__ = ("prefix", "cycle")
     prefix: tuple[str, ...]
     cycle: tuple[str, ...]
 
@@ -43,12 +58,14 @@ class Lasso:
         return f"prefix: {pre}; cycle: {' '.join(self.cycle)}"
 
 
-@dataclass(frozen=True)
-class SctVerdict:
+class SctVerdict(Record):
+    __slots__ = ("terminating", "counterexample", "closure_size", "culprit")
     terminating: bool
-    counterexample: Lasso | None = None
-    closure_size: int = 0
-    culprit: ClosureElement | None = field(default=None, compare=False)
+    counterexample: Lasso | None
+    closure_size: int
+    culprit: ClosureElement | None
+    _defaults = {"counterexample": None, "closure_size": 0, "culprit": None}
+    _nocompare = ("culprit",)
 
 
 def closure(cs: CallSystem) -> list[ClosureElement]:

@@ -25,10 +25,9 @@ DAG with one subproof per distinct annotated state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
-from .core import GEQ, GT, VarRef
+from .core import GEQ, GT, Record, VarRef, set_field
 from .logic import (
     Atom,
     Deriv,
@@ -66,8 +65,7 @@ def _vref(s: str) -> VarRef:
     return VarRef(int(d), int(p))
 
 
-@dataclass(frozen=True)
-class Fact:
+class Fact(Record):
     """One ordering fact with the recipe for deriving it at the parent.
 
     ``how`` is one of ``("refl",)``, ``("parent", k)``, ``("trans", k, edge)``,
@@ -75,18 +73,23 @@ class Fact:
     ``edge`` is an (src, dst, label) edge of the connecting graph.
     """
 
+    __slots__ = ("formula", "how")
     formula: Formula
     how: tuple
 
+    def __init__(self, formula: Formula, how: tuple) -> None:
+        set_field(self, "formula", formula)
+        set_field(self, "how", how)
 
-@dataclass(frozen=True)
-class HypEntry:
+
+class HypEntry(Record):
     """An induction hypothesis in scope: introduced at ``sprout`` for the buds
     progressing on ``prog``.  Carries everything a closing bud needs: the
     quantifier block, the sprout's facts (to discharge their instantiated
     copies), the older hypotheses in its body, and the sprout's name
     bindings (to map quantified variables to bud values)."""
 
+    __slots__ = ("sprout", "prog", "var", "formula", "block", "facts", "old", "sprout_depth", "bindings")
     sprout: str
     prog: str
     var: VarRef
@@ -98,8 +101,8 @@ class HypEntry:
     bindings: tuple[tuple[str, VarRef], ...]
 
 
-@dataclass
-class _NodeData:
+class _NodeData(Record):
+    __slots__ = ("ctx", "sorts", "ineq", "meta", "fmap", "smap", "e1", "e2", "entries", "appended")
     ctx: tuple[tuple[str, str], ...]
     sorts: tuple[str, ...]
     ineq: tuple[Fact, ...]

@@ -20,12 +20,10 @@ incomparable names can always reach each other through a common outer cycle).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 from .annotate import Annotation, init_annotation, step
-from .core import CyclicSystem, RegularDerivation
+from .core import CyclicSystem, Record, RegularDerivation, induced_call_graph, set_field
 from .sct import check_soundness, closure
-from .core import induced_call_graph
 
 
 class UnsoundDerivationError(ValueError):
@@ -40,8 +38,8 @@ class UnfoldCapError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class RepNode:
+class RepNode(Record):
+    __slots__ = ("id", "deriv_node", "rule", "parent", "index", "children", "ann", "sprout", "prog")
     id: str
     deriv_node: str
     rule: str
@@ -49,8 +47,30 @@ class RepNode:
     index: int | None  # which premise of the parent this node proves
     children: tuple[str, ...]
     ann: Annotation
-    sprout: str | None = None
-    prog: str | None = None
+    sprout: str | None
+    prog: str | None
+
+    def __init__(
+        self,
+        id: str,
+        deriv_node: str,
+        rule: str,
+        parent: str | None,
+        index: int | None,
+        children: tuple[str, ...],
+        ann: Annotation,
+        sprout: str | None = None,
+        prog: str | None = None,
+    ) -> None:
+        set_field(self, "id", id)
+        set_field(self, "deriv_node", deriv_node)
+        set_field(self, "rule", rule)
+        set_field(self, "parent", parent)
+        set_field(self, "index", index)
+        set_field(self, "children", children)
+        set_field(self, "ann", ann)
+        set_field(self, "sprout", sprout)
+        set_field(self, "prog", prog)
 
     @property
     def is_bud(self) -> bool:
@@ -61,8 +81,8 @@ class RepNode:
         return self.ann.depth
 
 
-@dataclass
-class ResetRep:
+class ResetRep(Record):
+    __slots__ = ("system", "deriv", "nodes", "root")
     system: CyclicSystem
     deriv: RegularDerivation
     nodes: dict[str, RepNode]

@@ -4,7 +4,7 @@ Proofs can share subtrees and get deep, so the walks are iterative; only the
 small per-node pieces (sequents, rule data) are rewritten recursively.
 """
 
-import dataclasses
+from cycind.core import Record
 
 SORT_NAMES = ("Nat", "Tree", "S", "*")
 
@@ -14,9 +14,8 @@ def erase_sorts(v):
         return "?" if v in SORT_NAMES else v
     if isinstance(v, tuple):
         return tuple(erase_sorts(u) for u in v)
-    if dataclasses.is_dataclass(v):
-        return type(v)(**{f.name: erase_sorts(getattr(v, f.name))
-                          for f in dataclasses.fields(v)})
+    if isinstance(v, Record):
+        return type(v)(**{f: erase_sorts(getattr(v, f)) for f in v._fields})
     return v
 
 

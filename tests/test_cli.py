@@ -217,6 +217,24 @@ def test_missing_file(capsys, tmp_path):
     assert "nosuch.fun" in err
 
 
+@pytest.mark.parametrize("cmd, name", [("sct", "latin1.fun"), ("verify", "latin1.json")])
+def test_input_that_is_not_utf8(capsys, tmp_path, cmd, name):
+    path = tmp_path / name
+    path.write_bytes("fun f(Nat) # café\n".encode("latin-1"))
+    code, out, err = run(capsys, cmd, path)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: not UTF-8 text (")
+
+
+@pytest.mark.parametrize("flag", ["--out", "--dot"])
+def test_unwritable_output(capsys, tmp_path, flag):
+    target = tmp_path / "missing" / "x"
+    code, out, err = run(capsys, "unravel", DATA / "plus.fun", flag, target)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+    assert str(target) in err
+
+
 def test_parse_error_in_fun_source(capsys, tmp_path):
     path = tmp_path / "broken.fun"
     path.write_text("sort Nat = 0\nfun f(Nat)\nf(x) := x ? x\n")

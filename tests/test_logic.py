@@ -1,7 +1,5 @@
 """Direct exercises of the proof kernel: constructors build, check_proof judges."""
 
-from dataclasses import replace
-
 import pytest
 
 from cycind import (
@@ -109,8 +107,7 @@ def test_assumption(plus_system):
     ({"children": (assumption(ASSUMPTION_CTX, ASSUMPTION_HYPS, 0),)}, "assumption expects 0 premises, got 1"),
 ])
 def test_assumption_rejects_a_bad_node(plus_system, change, message):
-    import dataclasses
-    bad = dataclasses.replace(assumption(ASSUMPTION_CTX, ASSUMPTION_HYPS, 0), **change)
+    bad = assumption(ASSUMPTION_CTX, ASSUMPTION_HYPS, 0).replace(**change)
     with pytest.raises(LogicError, match=message) as exc:
         check_proof(plus_system, bad)
     assert exc.value.path == ()
@@ -199,12 +196,11 @@ def test_escaped_variable_is_caught(plus_system):
 
 
 def test_error_paths_point_into_the_proof(plus_system, pipelines):
-    import dataclasses
     proof = pipelines["plus"].proof
     # damage one grandchild and watch the path name it
     kid = proof.children[0]
-    bad_kid = dataclasses.replace(kid, rule="identity")
-    bad = dataclasses.replace(proof, children=(bad_kid,) + proof.children[1:])
+    bad_kid = kid.replace(rule="identity")
+    bad = proof.replace(children=(bad_kid,) + proof.children[1:])
     with pytest.raises(LogicError) as exc:
         check_proof(plus_system, bad)
     assert exc.value.path == (0,)
@@ -221,15 +217,14 @@ def test_proof_size_and_count_shared_nodes(plus_system):
 
 
 def test_stray_rule_data_is_rejected(plus_system):
-    import dataclasses
     ctx = (("x", NAT),)
     phi = Atom("plus", (x("x"), x("x")))
     a = assumption(ctx, (phi,), 0)
-    bad = dataclasses.replace(cut(a, (phi,), [a]), data=("x",))
+    bad = cut(a, (phi,), [a]).replace(data=("x",))
     with pytest.raises(LogicError, match="cut takes no rule data") as exc:
         check_proof(plus_system, bad)
     assert exc.value.path == ()
-    bad = cut(dataclasses.replace(geq_refl(ctx, (), NAT, "x"), data=(0,)), (phi,), [])
+    bad = cut(geq_refl(ctx, (), NAT, "x").replace(data=(0,)), (phi,), [])
     with pytest.raises(LogicError, match="geq_refl takes no rule data") as exc:
         check_proof(plus_system, bad)
     assert exc.value.path == (0,)
@@ -286,14 +281,14 @@ def test_shared_subproof_is_checked_once(plus_system, monkeypatch):
 
 
 def test_invalid_shared_node_is_reported_at_its_first_path(plus_system):
-    bad = replace(geq_refl(CUT_CTX, (), NAT, "x"), data=(0,))
+    bad = geq_refl(CUT_CTX, (), NAT, "x").replace(data=(0,))
     with pytest.raises(LogicError, match="geq_refl takes no rule data") as exc:
         check_proof(plus_system, _shared_minors(bad))
     assert exc.value.path == (1, 0)
 
 
 def _other_ctx(d):
-    return replace(d, seq=replace(d.seq, ctx=CUT_CTX[::-1]))
+    return d.replace(seq=d.seq.replace(ctx=CUT_CTX[::-1]))
 
 
 @pytest.mark.parametrize("build, message", [
@@ -305,10 +300,10 @@ def _other_ctx(d):
     (lambda p, m: cut(p, (), [_other_ctx(m[0]), m[1]]),
      "cut minor 0 must share the sequent context and hypotheses"),
     (lambda p, m: _other_ctx(cut(p, (), m)), "cut premise must share the context and conclusion"),
-    (lambda p, m: replace(cut(p, (), m), seq=Sequent(CUT_CTX, (), CUT_HYPS[1])),
+    (lambda p, m: cut(p, (), m).replace(seq=Sequent(CUT_CTX, (), CUT_HYPS[1])),
      "cut premise must share the context and conclusion"),
-    (lambda p, m: replace(cut(p, (), m), data=(0,)), "cut takes no rule data"),
-    (lambda p, m: replace(cut(p, (), m), children=()), "cut expects a premise"),
+    (lambda p, m: cut(p, (), m).replace(data=(0,)), "cut takes no rule data"),
+    (lambda p, m: cut(p, (), m).replace(children=()), "cut expects a premise"),
 ], ids=["too_few", "too_many", "wrong_conclusion", "other_hyps", "minor_other_ctx",
         "premise_other_ctx", "premise_other_conclusion", "stray_data", "no_premise"])
 def test_cut_rejects_a_bad_node(plus_system, build, message):
@@ -338,13 +333,12 @@ def test_subst_renames_context_variables(plus_system, sub):
 
 
 def _bad_subst(**change):
-    import dataclasses
     dp = _subst_premise()
     # x and y stay in context, so a formula left unrenamed is still well formed
     d = rename(dp, {"x": "b", "y": "a"}, (("a", NAT), ("b", NAT), ("c", "Other")) + SUBST_PREMISE_CTX)
     if "seq" in change:
-        change["seq"] = dataclasses.replace(d.seq, **change["seq"])
-    return dataclasses.replace(d, **change)
+        change["seq"] = d.seq.replace(**change["seq"])
+    return d.replace(**change)
 
 
 @pytest.mark.parametrize("change, message", [

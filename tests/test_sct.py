@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 from cycind import (
@@ -27,12 +26,11 @@ def weakened(cs, call_id, edge):
     for c in cs.calls:
         if c.id == call_id:
             edges = (c.graph.edges - {edge}) | {(i, j, GEQ)}
-            calls.append(dataclasses.replace(
-                c, graph=SizeChangeGraph(c.graph.src_arity, c.graph.dst_arity,
-                                         frozenset(edges))))
+            calls.append(c.replace(
+                graph=SizeChangeGraph(c.graph.src_arity, c.graph.dst_arity, frozenset(edges))))
         else:
             calls.append(c)
-    return dataclasses.replace(cs, calls=tuple(calls))
+    return cs.replace(calls=tuple(calls))
 
 
 def test_fixture_verdicts_and_closure_sizes():
