@@ -12,11 +12,12 @@ Proof documents also store formulas and context entries once, in tables:
 row per distinct context entry, and sequents are lists of indices into them.
 The reader also accepts an inline formula array or ``[name, sort]`` pair
 wherever it expects an index, for hand-written and mutated documents.
-Documents written before the tables existed also used ``identity`` and
-``exchange`` rows, which the kernel no longer has: they load under the same
-format tag but no longer check.  The reader refuses formulas nested deeper than
-:data:`MAX_FORMULA_DEPTH`, so the kernel's recursive walks stay within the
-interpreter's recursion limit.
+Older documents also use rows of rules the kernel no longer has:
+``identity`` and ``exchange`` (before the tables existed), ``weakening``,
+``cut``, ``subst``, ``geq_trans``, ``gt_extend0`` and ``gt_extend1``.  They
+load under the same format tag but no longer check.  The reader refuses
+formulas nested deeper than :data:`MAX_FORMULA_DEPTH`, so the kernel's
+recursive walks stay within the interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -36,7 +37,9 @@ from .core import (
     RuleScheme,
     SizeChangeGraph,
     VarRef,
+    validate_call_system,
     validate_derivation,
+    validate_system,
 )
 from .unfold import RepNode, ResetRep
 
@@ -101,11 +104,14 @@ def call_system_from_doc(doc: dict) -> CallSystem:
         except ValueError as e:
             raise FormatError(f"{where}: {e}") from None
         calls.append(Call(id=cid, dom=dom, codom=codom, graph=graph))
-    return CallSystem(
+    cs = CallSystem(
         functions=functions,
         calls=tuple(calls),
         ind_sorts=frozenset(_strings(doc, "ind_sorts", "document")),
     )
+    if problems := validate_call_system(cs):
+        raise FormatError("call system: " + "; ".join(problems))
+    return cs
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +176,8 @@ def system_from_doc(doc: Any) -> CyclicSystem:
     for i, j in enumerate(_field(doc, "judgments", list, "system")):
         where = f"system judgment {i}"
         jid, ob, sorts = _field(j, "id", str, where), _field(j, "ob", int, where), _strings(j, "sorts", where)
+        if jid in judgments:
+            raise FormatError(f"system judgment {jid!r} declared twice")
         try:
             judgments[jid] = Judgment(jid, ob, sorts)
         except ValueError as e:
@@ -179,6 +187,8 @@ def system_from_doc(doc: Any) -> CyclicSystem:
         where = f"system rule {i}"
         rid = _field(r, "id", str, where)
         where = f"system rule {rid!r}"
+        if rid in rules:
+            raise FormatError(f"{where} declared twice")
         conclusion = _field(r, "conclusion", str, where)
         premises = _strings(r, "premises", where)
         ggs = _field(r, "graphs", list, where)
@@ -197,9 +207,12 @@ def system_from_doc(doc: Any) -> CyclicSystem:
             except ValueError as e:
                 raise FormatError(f"{where} graph {k}: {e}") from None
         rules[rid] = RuleScheme(id=rid, conclusion=conclusion, premises=premises, graphs=tuple(graphs))
-    return CyclicSystem(
+    sys = CyclicSystem(
         judgments=judgments, rules=rules, ind_sorts=frozenset(_strings(doc, "ind_sorts", "system"))
     )
+    if problems := validate_system(sys):
+        raise FormatError("system: " + "; ".join(problems))
+    return sys
 
 
 # ---------------------------------------------------------------------------

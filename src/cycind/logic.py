@@ -7,21 +7,27 @@ sequent is ``ctx; hyps |- concl`` where ``ctx`` is an *ordered* list of sorted
 variables: quantifier rules bind the last context entry, so the context
 discipline is part of the proof structure.
 
-Rules: assumption (conclude any hypothesis), cut (replace the hypotheses of a
-premise by derivations of each of them from other hypotheses), implication
-intro/elim, universal intro/elim,
-reflexivity / transitivity / subsumption / mixed-transitivity for the orders,
-well-founded induction on ``>``, instantiation (``subst``: rename the premise's
-context variables to variables of the same sorts in the conclusion's context),
-and one case-analysis rule per rule scheme of the ambient cyclic system.
+The kernel has eleven rules:
+
+- ``assumption``: conclude any hypothesis;
+- ``inst``: rename the premise's context variables to variables of the same
+  sorts in the conclusion's context, and replace the premise's hypotheses by
+  derivations of their renamed copies from other hypotheses;
+- ``imp_intro`` and ``imp_elim``;
+- ``forall_intro`` and ``forall_elim``;
+- ``geq_refl``: ``x >= x``;
+- ``trans``: chain ``l R m`` and ``m R' r`` into ``l > r`` if either premise
+  is strict, ``l >= r`` otherwise;
+- ``geq_subsum``: ``>`` implies ``>=``;
+- ``gt_ind``: well-founded induction on ``>``;
+- ``c_rule``: one case analysis per rule scheme of the ambient cyclic system.
+
 ``check_proof`` verifies a derivation bottom-up and is the only authority on
 validity; all builder helpers merely construct candidate derivations.
 
 The derived strong induction principle (inducting on an entire sequent rather
-than a single formula) is provided as a macro: :func:`expand_ind_prime`
-returns the premise sequent carrying the induction hypothesis and a
-completion function that wraps a derivation of that premise into kernel rules
-only.
+than a single formula) is provided as a macro: :func:`ind_prime` discharges
+an induction hypothesis made by :func:`ind_hypothesis` with kernel rules only.
 """
 
 from __future__ import annotations
@@ -400,13 +406,13 @@ def _check_sequent(
     return None
 
 
-def _same(a: Sequent, b: Sequent, ctx: bool = True, hyps: bool = True) -> bool:
-    return (not ctx or a.ctx == b.ctx) and (not hyps or a.hyps == b.hyps)
+def _same(a: Sequent, b: Sequent) -> bool:
+    return a.ctx == b.ctx and a.hyps == b.hyps
 
 
 # the other rules read their data, and an unknown rule is unknown whatever its data
-_RULES_WITHOUT_DATA = frozenset({"cut", "imp_intro", "imp_elim", "forall_intro", "geq_refl",
-                                 "geq_trans", "gt_extend0", "gt_extend1", "geq_subsum", "gt_ind"})
+_RULES_WITHOUT_DATA = frozenset({"imp_intro", "imp_elim", "forall_intro", "geq_refl", "trans",
+                                 "geq_subsum", "gt_ind"})
 
 
 def _check_node(system: CyclicSystem, d: Deriv) -> str | None:
@@ -430,19 +436,29 @@ def _check_node(system: CyclicSystem, d: Deriv) -> str | None:
         if seq.concl != seq.hyps[k]:
             return f"assumption conclusion is not hypothesis {k}"
         return None
-    if r == "cut":
+    if r == "inst":
         if not kids:
-            return "cut expects a premise"
+            return "inst expects a premise"
         p = kids[0].seq
+        if len(d.data) != len(p.ctx) or not all(isinstance(y, str) for y in d.data):
+            return f"inst needs one target variable per premise context entry ({len(p.ctx)})"
+        ctx = dict(seq.ctx)
+        for (v, s), y in zip(p.ctx, d.data):
+            ys = ctx.get(y)
+            if ys is None:
+                return f"inst target {y!r} for {v!r} not in context"
+            if ys != s:
+                return f"inst target {y!r} has sort {ys!r}, expected {s!r}"
         if len(kids) != 1 + len(p.hyps):
-            return f"cut expects {len(p.hyps)} minor premises, got {len(kids) - 1}"
-        if not _same(seq, p, hyps=False) or seq.concl != p.concl:
-            return "cut premise must share the context and conclusion"
+            return f"inst expects {len(p.hyps)} minor premises, got {len(kids) - 1}"
+        sub = {v: y for (v, _s), y in zip(p.ctx, d.data) if v != y}
+        if seq.concl != (subst_free(p.concl, sub) if sub else p.concl):
+            return "inst conclusion is not the renamed premise conclusion"
         for i, kid in enumerate(kids[1:]):
             if not _same(seq, kid.seq):
-                return f"cut minor {i} must share the sequent context and hypotheses"
-            if kid.seq.concl != p.hyps[i]:
-                return f"cut minor {i} must conclude premise hypothesis {i}"
+                return f"inst minor {i} must share the sequent context and hypotheses"
+            if kid.seq.concl != (subst_free(p.hyps[i], sub) if sub else p.hyps[i]):
+                return f"inst minor {i} must conclude renamed premise hypothesis {i}"
         return None
     if r == "imp_intro":
         if err := arity(1):
@@ -452,7 +468,7 @@ def _check_node(system: CyclicSystem, d: Deriv) -> str | None:
             return "imp_intro conclusion must be an implication"
         if p.hyps != seq.hyps + (seq.concl.lhs,) or p.concl != seq.concl.rhs:
             return "imp_intro premise must move the antecedent into the hypotheses"
-        if not _same(seq, p, hyps=False):
+        if seq.ctx != p.ctx:
             return "imp_intro must preserve context"
         return None
     if r == "imp_elim":
@@ -498,25 +514,6 @@ def _check_node(system: CyclicSystem, d: Deriv) -> str | None:
         if seq.concl != open_bound(p.concl.body, y):
             return "forall_elim conclusion is not the instantiated body"
         return None
-    if r == "subst":
-        if err := arity(1):
-            return err
-        p = kids[0].seq
-        if len(d.data) != len(p.ctx) or not all(isinstance(y, str) for y in d.data):
-            return f"subst needs one target variable per premise context entry ({len(p.ctx)})"
-        for (v, s), y in zip(p.ctx, d.data):
-            try:
-                ys = seq.sort_of(y)
-            except KeyError:
-                return f"subst target {y!r} for {v!r} not in context"
-            if ys != s:
-                return f"subst target {y!r} has sort {ys!r}, expected {s!r}"
-        sub = {v: y for (v, _s), y in zip(p.ctx, d.data)}
-        if seq.hyps != tuple(subst_free(h, sub) for h in p.hyps):
-            return "subst hypotheses are not the renamed premise hypotheses"
-        if seq.concl != subst_free(p.concl, sub):
-            return "subst conclusion is not the renamed premise conclusion"
-        return None
     if r == "geq_refl":
         if err := arity(0):
             return err
@@ -530,23 +527,20 @@ def _check_node(system: CyclicSystem, d: Deriv) -> str | None:
         if s != c.sort:
             return "geq_refl sort mismatch"
         return None
-    if r in ("geq_trans", "gt_extend0", "gt_extend1"):
+    if r == "trans":
         if err := arity(2):
             return err
-        a, b = kids[0].seq, kids[1].seq
-        if not (_same(seq, a) and _same(seq, b)):
-            return f"{r} premises must share the sequent context and hypotheses"
-        kinds = {
-            "geq_trans": (Geq, Geq, Geq),
-            "gt_extend0": (Geq, Gt, Gt),
-            "gt_extend1": (Gt, Geq, Gt),
-        }[r]
-        if not (isinstance(a.concl, kinds[0]) and isinstance(b.concl, kinds[1]) and isinstance(seq.concl, kinds[2])):
-            return f"{r} connective mismatch"
-        if not (a.concl.sort == b.concl.sort == seq.concl.sort):
-            return f"{r} sort mismatch"
-        if a.concl.right != b.concl.left or seq.concl.left != a.concl.left or seq.concl.right != b.concl.right:
-            return f"{r} endpoints do not chain"
+        a, b = kids[0].seq.concl, kids[1].seq.concl
+        if not (_same(seq, kids[0].seq) and _same(seq, kids[1].seq)):
+            return "trans premises must share the sequent context and hypotheses"
+        if not (isinstance(a, (Geq, Gt)) and isinstance(b, (Geq, Gt))):
+            return "trans premises must conclude orders"
+        if not isinstance(seq.concl, Gt if isinstance(a, Gt) or isinstance(b, Gt) else Geq):
+            return "trans must conclude > exactly when a premise is >"
+        if not (a.sort == b.sort == seq.concl.sort):
+            return "trans sort mismatch"
+        if a.right != b.left or seq.concl.left != a.left or seq.concl.right != b.right:
+            return "trans endpoints do not chain"
         return None
     if r == "geq_subsum":
         if err := arity(1):
@@ -736,22 +730,11 @@ def geq_refl(ctx: tuple[tuple[str, str], ...], hyps: tuple[Formula, ...], sort: 
     return Deriv("geq_refl", Sequent(ctx, hyps, Geq(sort, FreeV(y), FreeV(y))))
 
 
-def _chain2(rule: str, a: Deriv, b: Deriv, out_kind) -> Deriv:
-    s = a.seq
-    concl = out_kind(a.seq.concl.sort, a.seq.concl.left, b.seq.concl.right)
-    return Deriv(rule, Sequent(s.ctx, s.hyps, concl), (a, b))
-
-
-def geq_trans(a: Deriv, b: Deriv) -> Deriv:
-    return _chain2("geq_trans", a, b, Geq)
-
-
-def gt_extend0(a: Deriv, b: Deriv) -> Deriv:
-    return _chain2("gt_extend0", a, b, Gt)
-
-
-def gt_extend1(a: Deriv, b: Deriv) -> Deriv:
-    return _chain2("gt_extend1", a, b, Gt)
+def trans(a: Deriv, b: Deriv) -> Deriv:
+    """Chain ``l R m`` and ``m R' r``: ``l > r`` if either premise is ``>``."""
+    s, left, right = a.seq, a.seq.concl, b.seq.concl
+    kind = Gt if isinstance(left, Gt) or isinstance(right, Gt) else Geq
+    return Deriv("trans", Sequent(s.ctx, s.hyps, kind(left.sort, left.left, right.right)), (a, b))
 
 
 def geq_subsum(d: Deriv) -> Deriv:
@@ -768,14 +751,6 @@ def gt_ind(d: Deriv) -> Deriv:
     return Deriv("gt_ind", Sequent(s.ctx[:-1], s.hyps[:-1], Forall(sort, body, hint=x)), (d,))
 
 
-def rename(d: Deriv, sub: Mapping[str, str], ctx: tuple[tuple[str, str], ...]) -> Deriv:
-    """Move ``d`` under ``ctx`` by renaming each of its context variables with
-    ``sub``: one ``subst`` node, ``d`` itself is kept as the premise."""
-    s = d.seq
-    seq = Sequent(ctx, tuple(subst_free(h, sub) for h in s.hyps), subst_free(s.concl, sub))
-    return Deriv("subst", seq, (d,), tuple(sub[v] for v, _s in s.ctx))
-
-
 def c_apply(system: CyclicSystem, rid: str, ctx, hyps, args: tuple[str, ...], children: tuple[Deriv, ...]) -> Deriv:
     scheme = system.rules[rid]
     concl = Atom(scheme.conclusion, tuple(FreeV(a) for a in args))
@@ -787,10 +762,22 @@ def assumption(ctx: tuple[tuple[str, str], ...], hyps: tuple[Formula, ...], k: i
     return Deriv("assumption", Sequent(ctx, hyps, hyps[k]), (), (k,))
 
 
-def cut(d: Deriv, hyps: tuple[Formula, ...], minors: Iterable[Deriv]) -> Deriv:
-    """Move ``d`` onto ``hyps``: one node, ``minors`` derive ``d``'s hypotheses from ``hyps``."""
+def inst(
+    d: Deriv,
+    hyps: tuple[Formula, ...],
+    minors: Iterable[Deriv],
+    sub: Mapping[str, str] | None = None,
+    ctx: tuple[tuple[str, str], ...] | None = None,
+) -> Deriv:
+    """Move ``d`` onto ``ctx; hyps`` in one node: ``sub`` renames every
+    context variable of ``d`` (no renaming by default; ``ctx`` defaults to
+    ``d``'s own), and ``minors`` derive ``d``'s renamed hypotheses from
+    ``hyps``."""
     s = d.seq
-    return Deriv("cut", Sequent(s.ctx, hyps, s.concl), (d, *minors))
+    names = tuple(v for v, _s in s.ctx)
+    targets = names if sub is None else tuple(sub[v] for v in names)
+    concl = s.concl if sub is None else subst_free(s.concl, sub)
+    return Deriv("inst", Sequent(s.ctx if ctx is None else ctx, hyps, concl), (d, *minors), targets)
 
 
 def forall_elims(d: Deriv, ys: Iterable[str]) -> Deriv:
@@ -833,102 +820,78 @@ def ind_hypothesis(target: Sequent, x: str) -> Formula:
     return phi
 
 
-class IndPrime(Record):
-    """Strong induction on a sequent: prove the premise (which carries the
-    hypothesis as its last assumption), then ``complete`` it into a kernel
-    derivation of the target."""
+def ind_prime(dp: Deriv, x: str) -> Deriv:
+    """Strong induction on ``x`` over a whole sequent: discharge the last
+    hypothesis of ``dp``, which must be :func:`ind_hypothesis` of the rest of
+    ``dp``'s sequent.
 
-    __slots__ = ("target", "var", "hypothesis", "premise", "complete")
-    target: Sequent
-    var: str
-    hypothesis: Formula
-    premise: Sequent
-    complete: Callable[[Deriv], Deriv]
-
-
-def expand_ind_prime(target: Sequent, x: str) -> IndPrime:
-    """Build the strong-induction macro for ``target``, inducting on ``x``.
-
-    The returned completion wraps a derivation of ``premise`` using one
-    ``gt_ind`` plus implication/quantifier bookkeeping: the sequent formula is
-    universally closed, proved by well-founded induction on a fresh copy of
-    ``x`` (one ``subst`` node instantiates the premise derivation at the
-    copies and one ``cut`` discharges its hypotheses; the derivation itself is
-    shared, never rebuilt), and then instantiated back at the original
-    variables.
+    Uses one ``gt_ind`` plus implication/quantifier bookkeeping: the sequent
+    formula is universally closed, proved by well-founded induction on a fresh
+    copy of ``x`` (one ``inst`` node renames ``dp`` onto the copies and
+    discharges its hypotheses; ``dp`` itself is shared, never rebuilt), and
+    then instantiated back at the original variables.
     """
-    sort = target.sort_of(x)
+    ctx, gamma, delta = dp.seq.ctx, dp.seq.hyps[:-1], dp.seq.concl
+    target = Sequent(ctx, gamma, delta)
     hyp = ind_hypothesis(target, x)
-    premise = Sequent(target.ctx, target.hyps + (hyp,), target.concl)
+    assert dp.seq.hyps and dp.seq.hyps[-1] == hyp, "ind_prime: last hypothesis is not the induction hypothesis"
+    sort = target.sort_of(x)
+    avoid = {v for v, _s in ctx}
+    u = fresh_name("u", avoid)
+    avoid.add(u)
+    others = [(v, s) for v, s in ctx if v != x]
+    copies = {}
+    for v, _s in others:
+        copies[v] = fresh_name(f"{v}*", avoid)
+        avoid.add(copies[v])
+    sub = {x: u, **copies}
+    wide = ctx + ((u, sort),) + tuple((copies[v], s) for v, s in others)
 
-    def complete(dp: Deriv) -> Deriv:
-        assert dp.seq == premise, "completion requires a derivation of the premise sequent"
-        ctx, gamma, delta = target.ctx, target.hyps, target.concl
-        names = [v for v, _s in ctx]
-        avoid = set(names)
-        u = fresh_name("u", avoid)
-        avoid.add(u)
-        others = [(v, s) for v, s in ctx if v != x]
-        copies = {}
-        for v, _s in others:
-            copies[v] = fresh_name(f"{v}*", avoid)
-            avoid.add(copies[v])
-        sub = {x: u, **copies}
-        wide = ctx + ((u, sort),) + tuple((copies[v], s) for v, s in others)
+    # the closed sequent formula, as a function of u
+    phi_u = subst_free(fold_imp(gamma, delta), sub)
+    for v, s in reversed(others):
+        phi_u = Forall(s, close_free(phi_u, copies[v]), hint=f"{v}*")
+    ih_u = Forall(sort, Imp(Gt(sort, FreeV(u), BoundV(0)), close_free(phi_u, u)), hint=f"{u}'")
 
-        # the closed sequent formula, as a function of u
-        chain_u = subst_free(fold_imp(gamma, delta), sub)
-        phi_u: Formula = chain_u
-        for v, _s in reversed(others):
-            phi_u = Forall(dict(ctx)[v], close_free(phi_u, copies[v]), hint=f"{v}*")
-        ih_u = Forall(sort, Imp(Gt(sort, FreeV(u), BoundV(0)), close_free(phi_u, u)), hint=f"{u}'")
+    core_hyps = gamma + (ih_u,) + tuple(subst_free(g, sub) for g in gamma)
 
-        core_hyps = gamma + (ih_u,) + tuple(subst_free(g, sub) for g in gamma)
+    # H[u/x] from the kernel induction hypothesis, by pure plumbing
+    block = ind_block(target, x)
+    ts = {}
+    for v, _s in block:
+        ts[v] = fresh_name(f"{v}^", avoid)
+        avoid.add(ts[v])
+    inner_ctx = wide + tuple((ts[v], s) for v, s in block)
+    guard = Gt(sort, FreeV(u), FreeV(ts[x]))
+    inner_hyps = core_hyps + (guard,)
+    a = assumption(inner_ctx, inner_hyps, len(gamma))  # ih_u
+    a = forall_elim(a, ts[x])
+    g = assumption(inner_ctx, inner_hyps, len(inner_hyps) - 1)
+    a = imp_elim(a, g)  # phi at ts[x]
+    a = forall_elims(a, [ts[v] if v in ts else copies[v] for v, _s in others])
+    a = imp_intro(a)
+    for _v, _s in reversed(block):
+        a = forall_intro(a)
+    assert a.seq.concl == subst_free(hyp, {x: u}), "induction hypothesis reconstruction mismatch"
 
-        # H[u/x] from the kernel induction hypothesis, by pure plumbing
-        binders, _body = peel_forall(hyp)
-        block = ind_block(target, x)
-        assert len(binders) == len(block)
-        tavoid = {v for v, _s in wide} | set(avoid)
-        ts = {}
-        for v, _s in block:
-            ts[v] = fresh_name(f"{v}^", tavoid)
-            tavoid.add(ts[v])
-        inner_ctx = wide + tuple((ts[v], s) for v, s in block)
-        guard = Gt(sort, FreeV(u), FreeV(ts[x]))
-        inner_hyps = core_hyps + (guard,)
-        a = assumption(inner_ctx, inner_hyps, len(gamma))  # ih_u
-        a = forall_elim(a, ts[x])
-        g = assumption(inner_ctx, inner_hyps, len(inner_hyps) - 1)
-        a = imp_elim(a, g)  # phi at ts[x]
-        elim_order = [ts[v] if v in ts else copies[v] for v, _s in others]
-        a = forall_elims(a, elim_order)
-        a = imp_intro(a)
-        for _v, _s in reversed(block):
-            a = forall_intro(a)
-        h_at_u = subst_free(hyp, {x: u})
-        assert a.seq.concl == h_at_u, "induction hypothesis reconstruction mismatch"
+    # dp renamed onto the copies, its hypotheses discharged by them and H[u/x]
+    copied = [assumption(wide, core_hyps, len(gamma) + 1 + i) for i in range(len(gamma))]
+    d = inst(dp, core_hyps, copied + [a], sub, wide)
 
-        # the premise derivation renamed onto the copies, cut against them and H[u/x]
-        copied = [assumption(wide, core_hyps, len(gamma) + 1 + i) for i in range(len(gamma))]
-        d = cut(rename(dp, sub, wide), core_hyps, copied + [a])
+    # close over the copies and induct
+    for _ in range(len(gamma)):
+        d = imp_intro(d)
+    for _v, _s in reversed(others):
+        d = forall_intro(d)
+    d = gt_ind(d)
 
-        # close over the copies and induct
-        for _ in range(len(gamma)):
-            d = imp_intro(d)
-        for _v, _s in reversed(others):
-            d = forall_intro(d)
-        d = gt_ind(d)
-
-        # instantiate back at the original variables and discharge
-        d = forall_elim(d, x)
-        d = forall_elims(d, [v for v, _s in others])
-        for i in range(len(gamma)):
-            d = imp_elim(d, assumption(ctx, gamma, i))
-        assert d.seq == target
-        return d
-
-    return IndPrime(target, x, hyp, premise, complete)
+    # instantiate back at the original variables and discharge
+    d = forall_elim(d, x)
+    d = forall_elims(d, [v for v, _s in others])
+    for i in range(len(gamma)):
+        d = imp_elim(d, assumption(ctx, gamma, i))
+    assert d.seq == target
+    return d
 
 
 def hyp_monotone(
@@ -970,7 +933,7 @@ def hyp_monotone(
     a = forall_elims(a, [t for t, _s in ts])
     wy = geq_fact(inner_ctx, inner_hyps)
     yg = assumption(inner_ctx, inner_hyps, len(inner_hyps) - 1)
-    a = imp_elim(a, gt_extend0(wy, yg))
+    a = imp_elim(a, trans(wy, yg))
     a = imp_intro(a)
     for _ in ts:
         a = forall_intro(a)

@@ -98,14 +98,25 @@ class _Cursor:
     def __init__(self, tokens):
         self.tokens = tokens
         self.i = 0
+        # end of input is reported at the line of the last token
+        self.last_line = tokens[-1][2] if tokens else 1
 
     def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, -1)
+        return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, self.last_line)
 
     def next(self):
         t = self.peek()
+        if t[0] is None:
+            raise MiniLangError(f"line {t[2]}: unexpected end of input")
         self.i += 1
         return t
+
+    def name(self, what):
+        """The next token, which must be an identifier naming ``what``."""
+        kind, val, line = self.next()
+        if kind != "ident":
+            raise MiniLangError(f"line {line}: expected {what} name, found {val!r}")
+        return val, line
 
     def expect(self, val):
         kind, got, line = self.next()
@@ -154,20 +165,20 @@ def parse(text: str) -> Program:
         kind, val, line = cur.peek()
         if val == "sort":
             cur.next()
-            _, name, _ = cur.next()
+            name, _ = cur.name("a sort")
             if name in sorts:
                 raise MiniLangError(f"line {line}: sort {name!r} redeclared")
             cur.expect("=")
             ctors: dict = {}
             while True:
-                _, cname, cline = cur.next()
+                cname, cline = cur.name("a constructor")
                 args: list[str] = []
                 if cur.at_symbol("("):
                     cur.next()
-                    args.append(cur.next()[1])
+                    args.append(cur.name("a sort")[0])
                     while cur.at_symbol(","):
                         cur.next()
-                        args.append(cur.next()[1])
+                        args.append(cur.name("a sort")[0])
                     cur.expect(")")
                 if cname in ctors:
                     raise MiniLangError(f"line {cline}: constructor {cname!r} redeclared")
@@ -178,14 +189,14 @@ def parse(text: str) -> Program:
             sorts[name] = ctors
         elif val == "fun":
             cur.next()
-            _, name, fline = cur.next()
+            name, fline = cur.name("a function")
             if name in funs:
                 raise MiniLangError(f"line {fline}: fun {name!r} redeclared")
             cur.expect("(")
-            args = [cur.next()[1]]
+            args = [cur.name("a sort")[0]]
             while cur.at_symbol(","):
                 cur.next()
-                args.append(cur.next()[1])
+                args.append(cur.name("a sort")[0])
             cur.expect(")")
             funs[name] = tuple(args)
         else:

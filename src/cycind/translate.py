@@ -8,7 +8,7 @@ of its position; names lower on a stack strictly exceed those above) plus the
 judgment at its own variables.
 
 Internal nodes become one case-rule application; each child sequent is
-reached by one ``cut`` that derives every child fact from the parent facts
+reached by one ``inst`` that derives every child fact from the parent facts
 plus the fresh edge facts (every fact carries a recipe for this, recorded
 while the facts are computed).  A node that is the target of back-edges
 additionally introduces one induction hypothesis per progressing name of its
@@ -40,18 +40,16 @@ from .logic import (
     assumption,
     c_apply,
     check_proof,
-    cut,
-    expand_ind_prime,
     forall_elims,
     geq_refl,
     geq_subsum,
-    geq_trans,
-    gt_extend0,
-    gt_extend1,
     hyp_monotone,
     imp_elim,
     ind_block,
     ind_hypothesis,
+    ind_prime,
+    inst,
+    trans,
 )
 from .unfold import RepNode, ResetRep, reachable_from, unravel_rep
 
@@ -68,9 +66,9 @@ def _vref(s: str) -> VarRef:
 class Fact(Record):
     """One ordering fact with the recipe for deriving it at the parent.
 
-    ``how`` is one of ``("refl",)``, ``("parent", k)``, ``("trans", k, edge)``,
-    ``("ext0", k, edge)`` where ``k`` indexes the parent's fact list and
-    ``edge`` is an (src, dst, label) edge of the connecting graph.
+    ``how`` is one of ``("refl",)``, ``("parent", k)`` or ``("trans", k, edge)``
+    where ``k`` indexes the parent's fact list and ``edge`` is an (src, dst,
+    label) edge of the connecting graph.
     """
 
     __slots__ = ("formula", "how")
@@ -171,7 +169,7 @@ def _node_data(
                 a, a2 = st[i1], st[i2]
                 f = Gt(sorts[j], FreeV(str(ann.var_of(a))), FreeV(str(ann.var_of(a2))))
                 if org.kind == "append" and a2 == org.fresh:
-                    how = ("ext0", pdata.fmap[(a, org.src)], (org.src, j, GT))
+                    how = ("trans", pdata.fmap[(a, org.src)], (org.src, j, GT))
                 else:
                     how = ("parent", pdata.smap[(a, a2)])
                 k = add(f, how, ("strict", a, a2, f))
@@ -195,7 +193,7 @@ def _node_data(
             jstar = fresh_pos[0]
             org = ann.origins[jstar]
             assert org.kind == "append", "a cover fresh on a singleton stack covers nothing"
-            how1: tuple = ("ext0", pdata.fmap[(p, org.src)], (org.src, jstar, GT))
+            how1: tuple = ("trans", pdata.fmap[(p, org.src)], (org.src, jstar, GT))
         else:
             how1 = ("parent", pdata.smap[(p, cov)])
         e1 = add(f1, how1, ("extra1", p, cov, f1))
@@ -295,7 +293,7 @@ def _close_bud(rep: ResetRep, node: RepNode, nd: _NodeData) -> Deriv:
         m = assumption(ctx, H, nd.e1)
     else:
         assert e.var.depth == sd and sv == VarRef(t, e.var.pos)
-        m = gt_extend1(assumption(ctx, H, nd.e1), assumption(ctx, H, nd.e2[e.var.pos]))
+        m = trans(assumption(ctx, H, nd.e1), assumption(ctx, H, nd.e2[e.var.pos]))
     d = imp_elim(d, m)
 
     # the sprout's facts, instantiated
@@ -315,15 +313,12 @@ def _close_bud(rep: ResetRep, node: RepNode, nd: _NodeData) -> Deriv:
             w1, w2 = s_bind[a], s_bind[a2]
             assert w1.depth != sd and w1 != e.var, "a fresh or progressing name below another"
             if w2.depth == sd:
-                m = gt_extend1(
+                m = trans(
                     assumption(ctx, H, nd.smap[(a, a2)]),
                     assumption(ctx, H, nd.fmap[(a2, w2.pos)]),
                 )
             elif w2 == e.var:
-                m = gt_extend0(
-                    geq_subsum(assumption(ctx, H, nd.smap[(a, node.prog)])),
-                    assumption(ctx, H, nd.e1),
-                )
+                m = trans(assumption(ctx, H, nd.smap[(a, node.prog)]), assumption(ctx, H, nd.e1))
             else:
                 m = assumption(ctx, H, nd.smap[(a, a2)])
         d = imp_elim(d, m)
@@ -413,16 +408,13 @@ def _internal(
             k, (ea, eb, lab) = how[1], how[2]
             pf = assumption(cd.ctx, P, k)
             ed = assumption(cd.ctx, P, nI + nH + edge_pos[(ea, eb)])
-            if how[0] == "trans":
-                if lab == GT:
-                    ed = geq_subsum(ed)
-                return geq_trans(pf, ed)
-            assert how[0] == "ext0"
-            return gt_extend0(pf, ed)
+            if lab == GT and isinstance(f.formula, Geq):
+                ed = geq_subsum(ed)
+            return trans(pf, ed)
 
         minors = [minor(f) for f in cd.ineq]
         minors += [assumption(cd.ctx, P, nI + entry_pos[(e.sprout, e.prog)]) for e in inherited]
-        premises.append(cut(d, P, minors))
+        premises.append(inst(d, P, minors))
     return c_apply(system, rule.id, nd.ctx, target_hyps, xs, tuple(premises))
 
 
@@ -430,11 +422,7 @@ def _peel_new_hyps(d: Deriv, nd: _NodeData) -> Deriv:
     """Discharge the hypotheses introduced at this node, youngest first, with
     one strong-induction expansion each."""
     for e in reversed(nd.entries[len(nd.entries) - nd.appended:]):
-        assert d.seq.hyps and d.seq.hyps[-1] == e.formula, "hypothesis to peel is not last"
-        target = Sequent(d.seq.ctx, d.seq.hyps[:-1], d.seq.concl)
-        ip = expand_ind_prime(target, str(e.var))
-        assert ip.hypothesis == e.formula, "hypothesis shape drift"
-        d = ip.complete(d)
+        d = ind_prime(d, str(e.var))
     return d
 
 
@@ -495,19 +483,18 @@ def translate(rep: ResetRep) -> Deriv:
             d = memo[key] = _peel_new_hyps(d, nd)
         result[nid] = d
 
-    # root assembly: the root's own hypotheses are peeled; cut the reflexive root facts
+    # root assembly: the root's own hypotheses are peeled; discharge the reflexive root facts
     rdata = data[rep.root]
     d = result[rep.root]
     assert all(f.how == ("refl",) for f in rdata.ineq)
-    return cut(d, (), [geq_refl(rdata.ctx, (), f.formula.sort, f.formula.left.name) for f in rdata.ineq])
+    return inst(d, (), [geq_refl(rdata.ctx, (), f.formula.sort, f.formula.left.name) for f in rdata.ineq])
 
 
-def prove_by_induction(deriv, system, check: bool = True) -> tuple[ResetRep, Deriv]:
-    """End to end: unfold, order, translate — and by default re-check the result."""
+def prove_by_induction(deriv, system) -> tuple[ResetRep, Deriv]:
+    """End to end: unfold, order, translate, and re-check the result."""
     rep = unravel_rep(deriv, system)
     proof = translate(rep)
-    if check:
-        check_proof(system, proof)
+    check_proof(system, proof)
     return rep, proof
 
 

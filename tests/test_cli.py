@@ -76,13 +76,13 @@ def test_unravel_writes_a_checkable_proof(capsys, tmp_path):
     out_path = tmp_path / "proof.json"
     code, out, err = run(capsys, "unravel", DATA / "plus.fun", "--out", out_path)
     assert code == 0
-    assert out == f"wrote proof: 58 nodes, 1 induction applications -> {out_path}\n"
+    assert out == f"wrote proof: 57 nodes, 1 induction applications -> {out_path}\n"
     kind, _ = formats.loads(out_path.read_text())
     assert kind == "proof"
     code, out, err = run(capsys, "verify", out_path)
     assert code == 0
     assert out == (
-        "ok: 58 nodes, conclusion [x0_0:Nat, x0_1:Nat]  |- plus(x0_0, x0_1)\n"
+        "ok: 57 nodes, conclusion [x0_0:Nat, x0_1:Nat]  |- plus(x0_0, x0_1)\n"
     )
 
 
@@ -181,21 +181,19 @@ def test_show_proof_histogram(capsys, tmp_path, pipelines):
     code, out, err = run(capsys, "show", path)
     assert code == 0
     assert out == (
-        "proof: 58 nodes\n"
+        "proof: 57 nodes\n"
         "  conclusion: [x0_0:Nat, x0_1:Nat]  |- plus(x0_0, x0_1)\n"
         "  assumption: 20\n"
         "  c_rule: 2\n"
-        "  cut: 4\n"
         "  forall_elim: 6\n"
         "  forall_intro: 3\n"
         "  geq_refl: 5\n"
         "  geq_subsum: 2\n"
-        "  geq_trans: 4\n"
-        "  gt_extend0: 1\n"
         "  gt_ind: 1\n"
         "  imp_elim: 6\n"
         "  imp_intro: 3\n"
-        "  subst: 1\n"
+        "  inst: 4\n"
+        "  trans: 5\n"
     )
 
 
@@ -318,6 +316,21 @@ def _changed(doc, *path_and_value):
     return doc
 
 
+def _twice(doc, *path):
+    """``doc`` with the first row of the table at ``path`` (keys) repeated."""
+    at = doc
+    for k in path:
+        at = at[k]
+    at.append(at[0])
+    return doc
+
+
+NAT_EDGES = ("call system: call plus.0: edge 0->1 touches non-inductive sort 'Nat'; "
+             "call plus.0: edge 1->0 touches non-inductive sort 'Nat'")
+RULE_NAT_EDGES = ("system: rule plus premise 0: edge 0->1 touches non-inductive sort 'Nat'; "
+                  "rule plus premise 0: edge 1->0 touches non-inductive sort 'Nat'")
+
+
 @pytest.mark.parametrize("cmd, make, message", [
     ("sct", lambda p: {"format": formats.CALLSYSTEM}, "document: missing 'functions'"),
     ("sct", lambda p: _node_without_rule(formats.derivation_to_doc(p.deriv, p.system)),
@@ -349,6 +362,20 @@ def _changed(doc, *path_and_value):
      "node 'n2': sprout 'nosuch' is not a node"),
     ("show", lambda p: _changed(formats.rep_to_doc(p.rep), "deriv", "nodes", 0, "children", 0, "nosuch"),
      "deriv: node plus: child 'nosuch' missing"),
+    ("sct", lambda p: _twice(formats.call_system_to_doc(p.cs), "calls"),
+     "call system: duplicate call id 'plus.0'"),
+    ("unravel", lambda p: _twice(formats.call_system_to_doc(p.cs), "calls"),
+     "call system: duplicate call id 'plus.0'"),
+    ("sct", lambda p: _changed(formats.call_system_to_doc(p.cs), "ind_sorts", []), NAT_EDGES),
+    ("unravel", lambda p: _changed(formats.call_system_to_doc(p.cs), "ind_sorts", []), NAT_EDGES),
+    ("sct", lambda p: _changed(formats.derivation_to_doc(p.deriv, p.system), "system", "ind_sorts", []),
+     RULE_NAT_EDGES),
+    ("unravel", lambda p: _changed(formats.derivation_to_doc(p.deriv, p.system), "system", "ind_sorts", []),
+     RULE_NAT_EDGES),
+    ("sct", lambda p: _twice(formats.derivation_to_doc(p.deriv, p.system), "system", "judgments"),
+     "system judgment 'plus' declared twice"),
+    ("sct", lambda p: _twice(formats.derivation_to_doc(p.deriv, p.system), "system", "rules"),
+     "system rule 'plus' declared twice"),
 ])
 def test_readers_refuse_malformed_documents(capsys, tmp_path, pipelines, cmd, make, message):
     path = tmp_path / "bad.json"

@@ -14,9 +14,11 @@ from cycind import (
     induced_proof_system,
     proof_size,
 )
+from cycind import logic
 from cycind.logic import (
     Atom,
     BoundV,
+    Deriv,
     Forall,
     FreeV,
     Geq,
@@ -26,22 +28,21 @@ from cycind.logic import (
     assumption,
     c_apply,
     close_free,
-    cut,
     distinct_nodes,
-    expand_ind_prime,
     forall_elim,
     forall_intro,
     fold_imp,
     free_vars,
     geq_refl,
-    geq_trans,
     gt_ind,
     imp_intro,
     ind_hypothesis,
+    ind_prime,
+    inst,
     open_bound,
-    rename,
     render_formula,
     subst_free,
+    trans,
 )
 
 import systems
@@ -116,10 +117,12 @@ def test_assumption_rejects_a_bad_node(plus_system, change, message):
 def test_identity_rows_no_longer_check(pipelines):
     from cycind import formats
     p = pipelines["plus"]
-    # rows of the layouts before the assumption and cut rules; the sequent
-    # stays as it is, so no rule above the row objects before the kernel
-    # reaches it, and the rule name is judged before its data
-    for rule, data in (("identity", []), ("exchange", [3]), ("weakening", [])):
+    # rows of the layouts before the assumption, cut, inst and trans rules;
+    # the sequent stays as it is, so no rule above the row objects before the
+    # kernel reaches it, and the rule name is judged before its data
+    for rule, data in (("identity", []), ("exchange", [3]), ("weakening", []), ("cut", []),
+                       ("subst", ["x0_0", "x0_1"]), ("geq_trans", []), ("gt_extend0", []),
+                       ("gt_extend1", [])):
         doc = formats.proof_to_doc(p.proof, p.system)
         row = next(r for r in doc["nodes"] if r["rule"] == "assumption")
         row.update(rule=rule, data=data)
@@ -127,6 +130,23 @@ def test_identity_rows_no_longer_check(pipelines):
         with pytest.raises(LogicError, match=f"unknown rule '{rule}'") as exc:
             check_proof(system, proof)
         assert exc.value.path
+
+
+KERNEL_RULES = ("assumption", "inst", "imp_intro", "imp_elim", "forall_intro", "forall_elim",
+                "geq_refl", "trans", "geq_subsum", "gt_ind", "c_rule")
+
+
+@pytest.mark.parametrize("data", [(), ("x",)])
+def test_kernel_knows_exactly_its_rules(plus_system, data):
+    # every name the kernel lists as taking no data is one of its rules, so a
+    # name left behind by a rule merge shows here
+    assert logic._RULES_WITHOUT_DATA <= set(KERNEL_RULES)
+    seq = Sequent(ASSUMPTION_CTX, ASSUMPTION_HYPS, ASSUMPTION_HYPS[0])
+    for rule in KERNEL_RULES:
+        err = logic._check_node(plus_system, Deriv(rule, seq, (), data))
+        assert err != f"unknown rule {rule!r}", rule
+    for rule in ("cut", "subst", "geq_trans", "gt_extend0", "gt_extend1", "weakening"):
+        assert logic._check_node(plus_system, Deriv(rule, seq, (), data)) == f"unknown rule {rule!r}"
 
 
 def test_quantifier_round_trip(plus_system):
@@ -145,7 +165,7 @@ def test_inequality_rules(plus_system):
     ctx = (("x", NAT), ("y", NAT))
     r = geq_refl(ctx, (), NAT, "x")
     check_proof(plus_system, r)
-    t = geq_trans(r, r)
+    t = trans(r, r)
     assert t.seq.concl == Geq(NAT, x("x"), x("x"))
     check_proof(plus_system, t)
 
@@ -210,163 +230,250 @@ def test_error_paths_point_into_the_proof(plus_system, pipelines):
 def test_proof_size_and_count_shared_nodes(plus_system):
     ctx = (("x", NAT),)
     r = geq_refl(ctx, (), NAT, "x")
-    t = geq_trans(r, r)  # both children are literally the same object
+    t = trans(r, r)  # both children are literally the same object
     assert proof_size(t) == 2
     assert count_rule(t, "geq_refl") == 1
-    assert count_rule(t, "geq_trans") == 1
+    assert count_rule(t, "trans") == 1
 
 
 def test_stray_rule_data_is_rejected(plus_system):
     ctx = (("x", NAT),)
     phi = Atom("plus", (x("x"), x("x")))
-    a = assumption(ctx, (phi,), 0)
-    bad = cut(a, (phi,), [a]).replace(data=("x",))
-    with pytest.raises(LogicError, match="cut takes no rule data") as exc:
+    r = geq_refl(ctx, (phi,), NAT, "x")
+    bad = trans(r, r).replace(data=("x",))
+    with pytest.raises(LogicError, match="trans takes no rule data") as exc:
         check_proof(plus_system, bad)
     assert exc.value.path == ()
-    bad = cut(geq_refl(ctx, (), NAT, "x").replace(data=(0,)), (phi,), [])
+    bad = inst(geq_refl(ctx, (), NAT, "x").replace(data=(0,)), (phi,), [])
     with pytest.raises(LogicError, match="geq_refl takes no rule data") as exc:
         check_proof(plus_system, bad)
     assert exc.value.path == (0,)
 
 
-# a premise [x:Nat, y:Nat] x >= x, y >= y |- x >= x for the cut rule, and
-# minors deriving its two hypotheses from none
-CUT_CTX = (("x", NAT), ("y", NAT))
-CUT_HYPS = (Geq(NAT, x("x"), x("x")), Geq(NAT, x("y"), x("y")))
+# The cut case of inst (a node that renames nothing): a premise
+# [x:Nat, y:Nat] x >= x, y >= y |- x >= x, and minors deriving its two
+# hypotheses from none
+INST_CTX = (("x", NAT), ("y", NAT))
+INST_HYPS = (Geq(NAT, x("x"), x("x")), Geq(NAT, x("y"), x("y")))
 
 
-def _cut_parts():
-    return assumption(CUT_CTX, CUT_HYPS, 0), [geq_refl(CUT_CTX, (), NAT, v) for v in ("x", "y")]
+def _inst_parts():
+    return assumption(INST_CTX, INST_HYPS, 0), [geq_refl(INST_CTX, (), NAT, v) for v in ("x", "y")]
 
 
 def test_cut_discharges_every_hypothesis(plus_system):
-    premise, minors = _cut_parts()
-    d = cut(premise, (), minors)
-    assert d.rule == "cut" and d.data == () and d.children == (premise, *minors)
-    assert d.seq == Sequent(CUT_CTX, (), CUT_HYPS[0])
+    premise, minors = _inst_parts()
+    d = inst(premise, (), minors)
+    assert d.rule == "inst" and d.data == ("x", "y") and d.children == (premise, *minors)
+    assert d.seq == Sequent(INST_CTX, (), INST_HYPS[0])
     check_proof(plus_system, d)
 
 
 def test_cut_with_no_minors_adds_hypotheses(plus_system):
-    hyps = (Atom("plus", (x("x"), x("y"))), CUT_HYPS[1])
-    d = cut(geq_refl(CUT_CTX, (), NAT, "x"), hyps, [])
-    assert d.seq == Sequent(CUT_CTX, hyps, CUT_HYPS[0]) and len(d.children) == 1
+    hyps = (Atom("plus", (x("x"), x("y"))), INST_HYPS[1])
+    d = inst(geq_refl(INST_CTX, (), NAT, "x"), hyps, [])
+    assert d.seq == Sequent(INST_CTX, hyps, INST_HYPS[0]) and len(d.children) == 1
     check_proof(plus_system, d)
 
 
 def test_cut_shares_one_minor_between_hypotheses(plus_system):
-    refl = geq_refl(CUT_CTX, (), NAT, "x")
-    d = cut(assumption(CUT_CTX, (CUT_HYPS[0], CUT_HYPS[0]), 1), (), [refl, refl])
+    refl = geq_refl(INST_CTX, (), NAT, "x")
+    d = inst(assumption(INST_CTX, (INST_HYPS[0], INST_HYPS[0]), 1), (), [refl, refl])
     check_proof(plus_system, d)
     assert proof_size(d) == 3
 
 
 def _shared_minors(r):
-    # r is used under two parents: m1 and m2 (and m1 under the cut and m2)
-    m1 = geq_trans(r, r)
-    m2 = geq_trans(m1, r)
-    return cut(assumption(CUT_CTX, (CUT_HYPS[0], CUT_HYPS[0]), 1), (), [m1, m2])
+    # r is used under two parents: m1 and m2 (and m1 under the inst and m2)
+    m1 = trans(r, r)
+    m2 = trans(m1, r)
+    return inst(assumption(INST_CTX, (INST_HYPS[0], INST_HYPS[0]), 1), (), [m1, m2])
 
 
 def test_shared_subproof_is_checked_once(plus_system, monkeypatch):
-    import cycind.logic as logic
     checked = []
     real = logic._check_node
     monkeypatch.setattr(logic, "_check_node", lambda s, d: checked.append(id(d)) or real(s, d))
-    d = _shared_minors(geq_refl(CUT_CTX, (), NAT, "x"))
+    d = _shared_minors(geq_refl(INST_CTX, (), NAT, "x"))
     check_proof(plus_system, d)
     assert sorted(checked) == sorted(id(n) for n in distinct_nodes(d))
     assert len(checked) == proof_size(d) == 5
 
 
 def test_invalid_shared_node_is_reported_at_its_first_path(plus_system):
-    bad = geq_refl(CUT_CTX, (), NAT, "x").replace(data=(0,))
+    bad = geq_refl(INST_CTX, (), NAT, "x").replace(data=(0,))
     with pytest.raises(LogicError, match="geq_refl takes no rule data") as exc:
         check_proof(plus_system, _shared_minors(bad))
     assert exc.value.path == (1, 0)
 
 
 def _other_ctx(d):
-    return d.replace(seq=d.seq.replace(ctx=CUT_CTX[::-1]))
+    return d.replace(seq=d.seq.replace(ctx=INST_CTX[::-1]))
 
 
 @pytest.mark.parametrize("build, message", [
-    (lambda p, m: cut(p, (), m[:1]), "cut expects 2 minor premises, got 1"),
-    (lambda p, m: cut(p, (), m + m[:1]), "cut expects 2 minor premises, got 3"),
-    (lambda p, m: cut(p, (), m[::-1]), "cut minor 0 must conclude premise hypothesis 0"),
-    (lambda p, m: cut(p, (), [m[0], geq_refl(CUT_CTX, CUT_HYPS, NAT, "y")]),
-     "cut minor 1 must share the sequent context and hypotheses"),
-    (lambda p, m: cut(p, (), [_other_ctx(m[0]), m[1]]),
-     "cut minor 0 must share the sequent context and hypotheses"),
-    (lambda p, m: _other_ctx(cut(p, (), m)), "cut premise must share the context and conclusion"),
-    (lambda p, m: cut(p, (), m).replace(seq=Sequent(CUT_CTX, (), CUT_HYPS[1])),
-     "cut premise must share the context and conclusion"),
-    (lambda p, m: cut(p, (), m).replace(data=(0,)), "cut takes no rule data"),
-    (lambda p, m: cut(p, (), m).replace(children=()), "cut expects a premise"),
+    (lambda p, m: inst(p, (), m[:1]), "inst expects 2 minor premises, got 1"),
+    (lambda p, m: inst(p, (), m + m[:1]), "inst expects 2 minor premises, got 3"),
+    (lambda p, m: inst(p, (), m[::-1]), "inst minor 0 must conclude renamed premise hypothesis 0"),
+    (lambda p, m: inst(p, (), [m[0], geq_refl(INST_CTX, INST_HYPS, NAT, "y")]),
+     "inst minor 1 must share the sequent context and hypotheses"),
+    (lambda p, m: inst(p, (), [_other_ctx(m[0]), m[1]]),
+     "inst minor 0 must share the sequent context and hypotheses"),
+    (lambda p, m: inst(p, (), m).replace(seq=Sequent(INST_CTX[:1], (), INST_HYPS[0])),
+     "inst target 'y' for 'y' not in context"),
+    (lambda p, m: inst(p, (), m).replace(seq=Sequent(INST_CTX, (), INST_HYPS[1])),
+     "inst conclusion is not the renamed premise conclusion"),
+    (lambda p, m: inst(p, (), m).replace(data=("x", "y", 0)),
+     r"inst needs one target variable per premise context entry \(2\)"),
+    (lambda p, m: inst(p, (), m).replace(children=()), "inst expects a premise"),
 ], ids=["too_few", "too_many", "wrong_conclusion", "other_hyps", "minor_other_ctx",
         "premise_other_ctx", "premise_other_conclusion", "stray_data", "no_premise"])
 def test_cut_rejects_a_bad_node(plus_system, build, message):
-    bad = build(*_cut_parts())
+    bad = build(*_inst_parts())
     with pytest.raises(LogicError, match=message) as exc:
         check_proof(plus_system, bad)
     assert exc.value.path == ()
 
 
-# a premise [x:Nat, y:Nat] plus(x, y), x > y |- plus(x, y) for the subst rule
-SUBST_PREMISE_CTX = (("x", NAT), ("y", NAT))
+# The subst case of inst (a renaming whose minors are assumptions): a premise
+# [x:Nat, y:Nat] plus(x, y), x > y |- plus(x, y)
+RENAME_PREMISE_CTX = (("x", NAT), ("y", NAT))
+RENAME_CTX = (("a", NAT), ("b", NAT), ("x", NAT), ("y", NAT))
 
 
-def _subst_premise():
+def _rename_premise():
     gt, phi = Gt(NAT, x("x"), x("y")), Atom("plus", (x("x"), x("y")))
-    return cut(assumption(SUBST_PREMISE_CTX, (phi,), 0), (phi, gt), [assumption(SUBST_PREMISE_CTX, (phi, gt), 0)])
+    return inst(assumption(RENAME_PREMISE_CTX, (phi,), 0), (phi, gt),
+                [assumption(RENAME_PREMISE_CTX, (phi, gt), 0)])
 
 
-@pytest.mark.parametrize("sub", [{"x": "b", "y": "a"}, {"x": "a", "y": "a"}, {"x": "y", "y": "x"}])
+def _renamed(dp, sub, ctx):
+    """``dp`` renamed by ``sub`` onto ``ctx``, over its renamed hypotheses."""
+    hyps = tuple(subst_free(h, sub) for h in dp.seq.hyps)
+    return inst(dp, hyps, [assumption(ctx, hyps, i) for i in range(len(hyps))], sub, ctx)
+
+
+@pytest.mark.parametrize("sub", [{"x": "b", "y": "a"}, {"x": "a", "y": "a"}, {"x": "y", "y": "x"},
+                                 {"x": "a", "y": "y"}])
 def test_subst_renames_context_variables(plus_system, sub):
-    dp = _subst_premise()
+    dp = _rename_premise()
     check_proof(plus_system, dp)
-    d = rename(dp, sub, (("a", NAT), ("b", NAT), ("x", NAT), ("y", NAT)))
+    d = _renamed(dp, sub, RENAME_CTX)
     check_proof(plus_system, d)
-    assert d.rule == "subst" and d.children[0] is dp
+    assert d.rule == "inst" and d.children[0] is dp
+    # one target per premise context entry, identity entries included
+    assert d.data == (sub["x"], sub["y"])
     assert d.seq.concl == Atom("plus", (x(sub["x"]), x(sub["y"])))
 
 
-def _bad_subst(**change):
-    dp = _subst_premise()
+def _bad_rename(**change):
+    dp = _rename_premise()
     # x and y stay in context, so a formula left unrenamed is still well formed
-    d = rename(dp, {"x": "b", "y": "a"}, (("a", NAT), ("b", NAT), ("c", "Other")) + SUBST_PREMISE_CTX)
+    d = _renamed(dp, {"x": "b", "y": "a"}, (("a", NAT), ("b", NAT), ("c", "Other")) + RENAME_PREMISE_CTX)
     if "seq" in change:
         change["seq"] = d.seq.replace(**change["seq"])
     return d.replace(**change)
 
 
 @pytest.mark.parametrize("change, message", [
-    ({"data": ("b", "z")}, "subst target 'z' for 'y' not in context"),
-    ({"data": ("b", "c")}, "subst target 'c' has sort 'Other', expected 'Nat'"),
-    ({"data": ("b",)}, "subst needs one target variable per premise context entry"),
-    ({"data": ("b", "a", "a")}, "subst needs one target variable per premise context entry"),
-    ({"data": ("b", 1)}, "subst needs one target variable per premise context entry"),
+    ({"data": ("b", "z")}, "inst target 'z' for 'y' not in context"),
+    ({"data": ("b", "c")}, "inst target 'c' has sort 'Other', expected 'Nat'"),
+    ({"data": ("b",)}, "inst needs one target variable per premise context entry"),
+    ({"data": ("b", "a", "a")}, "inst needs one target variable per premise context entry"),
+    ({"data": ("b", 1)}, "inst needs one target variable per premise context entry"),
     ({"seq": {"hyps": (Atom("plus", (x("b"), x("a"))), Gt(NAT, x("x"), x("y")))}},
-     "subst hypotheses are not the renamed premise hypotheses"),
+     "inst minor 0 must share the sequent context and hypotheses"),
     ({"seq": {"concl": Atom("plus", (x("a"), x("b")))}},
-     "subst conclusion is not the renamed premise conclusion"),
-])
+     "inst conclusion is not the renamed premise conclusion"),
+    ({"data": ("x", "y")}, "inst conclusion is not the renamed premise conclusion"),
+], ids=["target_missing", "target_sort", "too_few_targets", "too_many_targets", "target_not_a_name",
+        "hyps_not_renamed", "concl_not_renamed", "identity_for_a_renaming"])
 def test_subst_rejects_a_bad_renaming(plus_system, change, message):
-    bad = _bad_subst(**change)
+    bad = _bad_rename(**change)
     with pytest.raises(LogicError, match=message) as exc:
         check_proof(plus_system, bad)
+    assert exc.value.path == ()
+
+
+def test_inst_minor_must_conclude_the_renamed_hypothesis(plus_system):
+    dp = _rename_premise()
+    # the minor for x > y derives the unrenamed hypothesis
+    hyps = (Atom("plus", (x("b"), x("a"))), Gt(NAT, x("x"), x("y")))
+    bad = inst(dp, hyps, [assumption(RENAME_CTX, hyps, 0), assumption(RENAME_CTX, hyps, 1)],
+               {"x": "b", "y": "a"}, RENAME_CTX)
+    with pytest.raises(LogicError, match="inst minor 1 must conclude renamed premise hypothesis 1") as exc:
+        check_proof(plus_system, bad)
+    assert exc.value.path == ()
+
+
+# x R1 y and y R2 z over [x:Nat, y:Nat, z:Nat] for the trans rule
+TRANS_CTX = (("x", NAT), ("y", NAT), ("z", NAT))
+
+
+def _trans_parts(k1, k2, ctx=TRANS_CTX):
+    hyps = (k1(ctx[0][1], x("x"), x("y")), k2(ctx[1][1], x("y"), x("z")))
+    return assumption(ctx, hyps, 0), assumption(ctx, hyps, 1)
+
+
+@pytest.mark.parametrize("k1, k2, out", [
+    (Geq, Geq, Geq), (Geq, Gt, Gt), (Gt, Geq, Gt), (Gt, Gt, Gt),
+])
+def test_trans_concludes_strict_when_a_premise_is(plus_system, k1, k2, out):
+    d = trans(*_trans_parts(k1, k2))
+    assert d.rule == "trans" and d.data == ()
+    assert d.seq.concl == out(NAT, x("x"), x("z"))
+    check_proof(plus_system, d)
+
+
+def _with_concl(d, concl):
+    return d.replace(seq=d.seq.replace(concl=concl))
+
+
+def _other_sort():
+    # a second inductive sort, with y at it
+    ctx = (("x", NAT), ("y", "Tree"), ("z", NAT))
+    hyps = (Geq(NAT, x("x"), x("z")), Geq("Tree", x("y"), x("y")))
+    a, b = assumption(ctx, hyps, 0), assumption(ctx, hyps, 1)
+    return trans(a, b).replace(seq=a.seq)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: _with_concl(trans(*_trans_parts(Geq, Geq)), Gt(NAT, x("x"), x("z"))),
+     "trans must conclude > exactly when a premise is >"),
+    (lambda: _with_concl(trans(*_trans_parts(Geq, Gt)), Geq(NAT, x("x"), x("z"))),
+     "trans must conclude > exactly when a premise is >"),
+    (_other_sort, "trans sort mismatch"),
+    (lambda: _with_concl(trans(*_trans_parts(Geq, Geq)), Geq(NAT, x("y"), x("z"))),
+     "trans endpoints do not chain"),
+    (lambda: trans(*_trans_parts(Geq, Geq)[::-1]), "trans endpoints do not chain"),
+    (lambda: trans(*_trans_parts(Geq, Geq)).replace(children=_trans_parts(Geq, Geq)[:1]),
+     "trans expects 2 premises, got 1"),
+    (lambda: trans(_trans_parts(Geq, Geq)[0], geq_refl(TRANS_CTX, (), NAT, "z")),
+     "trans premises must share the sequent context and hypotheses"),
+], ids=["gt_from_geqs", "geq_from_gt", "sort_mismatch", "bad_endpoint", "swapped_premises",
+        "one_premise", "other_hyps"])
+def test_trans_rejects_a_bad_node(plus_system, build, message):
+    system = plus_system.replace(ind_sorts=plus_system.ind_sorts | {"Tree"})
+    with pytest.raises(LogicError, match=message) as exc:
+        check_proof(system, build())
     assert exc.value.path == ()
 
 
 def test_induction_completion_keeps_the_premise_derivation(plus_system):
     ctx = (("x", NAT), ("y", NAT))
     target = Sequent(ctx, (Atom("plus", (x("x"), x("y"))),), Atom("plus", (x("x"), x("y"))))
-    ip = expand_ind_prime(target, "x")
-    dp = assumption(ip.premise.ctx, ip.premise.hyps, 0)
-    d = ip.complete(dp)
+    hyp = ind_hypothesis(target, "x")
+    dp = assumption(ctx, target.hyps + (hyp,), 0)
+    d = ind_prime(dp, "x")
     assert d.seq == target
     check_proof(plus_system, d)
     # the premise derivation is shared as it is, never copied
     assert any(n is dp for n in distinct_nodes(d))
-    assert count_rule(d, "subst") == 1 and count_rule(d, "gt_ind") == 1
+    assert count_rule(d, "inst") == 1 and count_rule(d, "gt_ind") == 1
+
+
+def test_ind_prime_needs_the_induction_hypothesis_last():
+    ctx = (("x", NAT), ("y", NAT))
+    phi = Atom("plus", (x("x"), x("y")))
+    with pytest.raises(AssertionError, match="not the induction hypothesis"):
+        ind_prime(assumption(ctx, (phi, phi), 0), "x")

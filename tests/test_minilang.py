@@ -111,6 +111,17 @@ def test_tree_sort_extraction():
         ("sort Nat = 0\nfun f(Nat)\nf(x) := ,\n",
          "line 3: expected a term, found ','"),
         ("sort Nat = 0\nfun f(Nat)\nf(x := x\n", "line 3: expected ')', found ':='"),
+        # names are identifiers, and end of input is located at the last line
+        ("sort Nat =", "line 1: unexpected end of input"),
+        ("sort Nat = ( | )", "line 1: expected a constructor name, found '('"),
+        ("sort = 0\n", "line 1: expected a sort name, found '='"),
+        ("sort Nat = 0 | suc(,)\n", "line 1: expected a sort name, found ','"),
+        ("sort Nat = 0\nfun (Nat)\n", "line 2: expected a function name, found '('"),
+        ("sort Nat = 0\nfun f(Nat, =)\n", "line 2: expected a sort name, found '='"),
+        ("sort Nat = 0\nfun f(Nat\n\n", "line 2: unexpected end of input"),
+        ("sort Nat = 0\nfun f(Nat)\nf(x) :=\n# trailing comment\n", "line 3: unexpected end of input"),
+        ("sort Nat = 0\nfun f(Nat)\nf(x) := (x", "line 3: unexpected end of input"),
+        ("sort", "line 1: unexpected end of input"),
     ],
 )
 def test_rejections(src, msg):

@@ -161,7 +161,7 @@ def test_forced_replay_on_plus(pipelines, monkeypatch):
     assert oracles.reset_rep_violations(rep2) == []
     proof = translate(rep2)
     check_proof(p.system, proof)
-    assert proof_size(proof) == 92 and count_rule(proof, "gt_ind") == 1
+    assert proof_size(proof) == 91 and count_rule(proof, "gt_ind") == 1
 
 
 def test_forced_replay_on_fg(pipelines, monkeypatch):
@@ -171,7 +171,7 @@ def test_forced_replay_on_fg(pipelines, monkeypatch):
     assert oracles.reset_rep_violations(rep2) == []
     proof = translate(rep2)
     check_proof(p.system, proof)
-    assert proof_size(proof) == 96 and count_rule(proof, "gt_ind") == 1
+    assert proof_size(proof) == 95 and count_rule(proof, "gt_ind") == 1
 
 
 def test_forced_replay_on_ackermann(pipelines, monkeypatch):
