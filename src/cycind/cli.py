@@ -27,8 +27,8 @@ from .dot import call_system_to_dot, derivation_to_dot, rep_to_dot
 from .logic import LogicError, check_proof, distinct_nodes, proof_size
 from .minilang import MiniLangError, parse_call_system
 from .sct import decide_termination
-from .translate import translate
-from .unfold import ResetRep, UnfoldCapError, unravel_rep
+from .translate import prove_by_induction
+from .unfold import ResetRep, UnfoldCapError, UnsoundDerivationError
 
 
 class _CliError(Exception):
@@ -93,6 +93,12 @@ def render_trace(rep: ResetRep) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _print_lasso(header: str, lasso, file=None) -> None:
+    print(header, file=file)
+    print(f"  prefix: {' '.join(lasso.prefix) if lasso.prefix else '(empty)'}", file=file)
+    print(f"  cycle:  {' '.join(lasso.cycle)}", file=file)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -121,16 +127,15 @@ def cmd_sct(args) -> int:
     elif verdict.terminating:
         print(f"terminating (closure size {verdict.closure_size})")
     else:
-        lasso = verdict.counterexample
-        print("non-terminating: cycle with no progressing trace")
-        print(f"  prefix: {' '.join(lasso.prefix) if lasso.prefix else '(empty)'}")
-        print(f"  cycle:  {' '.join(lasso.cycle)}")
+        _print_lasso("non-terminating: cycle with no progressing trace", verdict.counterexample)
         print(f"  (closure size {verdict.closure_size})")
     return 0 if verdict.terminating else 1
 
 
-def _pick_derivation(kind, obj, fun):
+def _pick_derivation(path, kind, obj, fun):
     if kind == "callsystem":
+        if not obj.functions:
+            raise _CliError(f"{path}: the call system has no function to unravel")
         sys_, derivs = induced_proof_system(obj)
         if fun is None:
             fun = next(iter(obj.functions))
@@ -146,21 +151,15 @@ def _pick_derivation(kind, obj, fun):
 
 def cmd_unravel(args) -> int:
     kind, obj = _load(args.path)
-    sys_, deriv = _pick_derivation(kind, obj, args.fun)
-    cs = induced_call_graph(deriv, sys_)
-    verdict = decide_termination(cs)
-    if not verdict.terminating:
-        lasso = verdict.counterexample
-        print("input is not sound: cycle with no progressing trace", file=sys.stderr)
-        print(f"  prefix: {' '.join(lasso.prefix) if lasso.prefix else '(empty)'}", file=sys.stderr)
-        print(f"  cycle:  {' '.join(lasso.cycle)}", file=sys.stderr)
-        return 1
+    sys_, deriv = _pick_derivation(args.path, kind, obj, args.fun)
     try:
-        rep = unravel_rep(deriv, sys_)
+        rep, proof = prove_by_induction(deriv, sys_)
+    except UnsoundDerivationError as e:
+        _print_lasso("input is not sound: cycle with no progressing trace",
+                     e.verdict.counterexample, file=sys.stderr)
+        return 1
     except UnfoldCapError as e:
         raise _CliError(str(e)) from None
-    proof = translate(rep)
-    check_proof(sys_, proof)
     if args.trace:
         sys.stdout.write(render_trace(rep))
     if args.dot:

@@ -269,9 +269,6 @@ class Sequent(Record):
                 return s
         raise KeyError(f"variable {name!r} not in context")
 
-    def ctx_names(self) -> tuple[str, ...]:
-        return tuple(v for v, _s in self.ctx)
-
     def render(self) -> str:
         cv = ", ".join(f"{v}:{s}" for v, s in self.ctx)
         hy = ", ".join(render_formula(h) for h in self.hyps)
@@ -833,8 +830,6 @@ def ind_prime(dp: Deriv, x: str) -> Deriv:
     """
     ctx, gamma, delta = dp.seq.ctx, dp.seq.hyps[:-1], dp.seq.concl
     target = Sequent(ctx, gamma, delta)
-    hyp = ind_hypothesis(target, x)
-    assert dp.seq.hyps and dp.seq.hyps[-1] == hyp, "ind_prime: last hypothesis is not the induction hypothesis"
     sort = target.sort_of(x)
     avoid = {v for v, _s in ctx}
     u = fresh_name("u", avoid)
@@ -872,7 +867,9 @@ def ind_prime(dp: Deriv, x: str) -> Deriv:
     a = imp_intro(a)
     for _v, _s in reversed(block):
         a = forall_intro(a)
-    assert a.seq.concl == subst_free(hyp, {x: u}), "induction hypothesis reconstruction mismatch"
+    assert dp.seq.hyps and a.seq.concl == subst_free(dp.seq.hyps[-1], {x: u}), (
+        "ind_prime: last hypothesis is not the induction hypothesis"
+    )
 
     # dp renamed onto the copies, its hypotheses discharged by them and H[u/x]
     copied = [assumption(wide, core_hyps, len(gamma) + 1 + i) for i in range(len(gamma))]

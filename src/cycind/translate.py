@@ -20,7 +20,8 @@ the resulting obligations are discharged from the bud's own facts.
 
 Nodes in the same state (rule, annotation, context, hypotheses by value, and
 the states of their children) share one derivation object, so the proof is a
-DAG with one subproof per distinct annotated state.
+DAG with one subproof per distinct annotated state; equal induction targets
+share one hypothesis.  :func:`prove_by_induction` runs the whole pipeline.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from .logic import (
     inst,
     trans,
 )
-from .unfold import RepNode, ResetRep, reachable_from, unravel_rep
+from .unfold import RepNode, ResetRep, build_reset_rep, reachable_from, respect_induction_order
 
 
 class TranslationError(RuntimeError):
@@ -123,6 +124,7 @@ def _node_data(
     reach: dict,
     budsby: dict,
     group_order: dict,
+    hypothesis: Callable[[Sequent, str], tuple[Formula, tuple]],
 ) -> _NodeData:
     node = rep.nodes[nid]
     ann = node.ann
@@ -220,14 +222,14 @@ def _node_data(
         for p in group_order[nid]:
             older = entries + tuple(new)
             target = Sequent(ctx, ineq_formulas + tuple(e.formula for e in older), concl)
-            xv = str(ann.var_of(p))
+            formula, block = hypothesis(target, str(ann.var_of(p)))
             new.append(
                 HypEntry(
                     sprout=nid,
                     prog=p,
                     var=ann.var_of(p),
-                    formula=ind_hypothesis(target, xv),
-                    block=tuple(ind_block(target, xv)),
+                    formula=formula,
+                    block=block,
                     facts=tuple(meta),
                     old=tuple((e.sprout, e.prog, e.var, e.formula) for e in older),
                     sprout_depth=depth,
@@ -446,24 +448,31 @@ def translate(rep: ResetRep) -> Deriv:
         for s, bids in sprout_buds.items()
     }
 
+    # Formulas are numbered by value; ``data`` keeps every numbered one alive.
+    number = FormulaNumbering()
+    hyp_memo: dict[tuple, tuple[Formula, tuple]] = {}
+
+    def hypothesis(target: Sequent, x: str) -> tuple[Formula, tuple]:
+        key = (target.ctx, tuple(map(number, target.hyps)), target.concl, x)
+        if key not in hyp_memo:
+            hyp_memo[key] = (ind_hypothesis(target, x), tuple(ind_block(target, x)))
+        return hyp_memo[key]
+
     data: dict[str, _NodeData] = {}
     order: list[str] = []
     todo: list[tuple[str, "str | None"]] = [(rep.root, None)]
     while todo:
         nid, parent = todo.pop()
         pdata = data[parent] if parent is not None else None
-        data[nid] = _node_data(rep, nid, pdata, reach, budsby, group_order)
+        data[nid] = _node_data(rep, nid, pdata, reach, budsby, group_order, hypothesis)
         order.append(nid)
         for c in reversed(rep.nodes[nid].children):
             todo.append((c, nid))
 
     # One peeled derivation per state.  The rule, context and hypotheses (by
-    # value, through a formula numbering) fix the end sequent, so a shared
-    # derivation always proves what the node needs; the annotations, the
-    # children's derivations (by identity) and their fact recipes fix the
-    # subtree's shape.  ``data`` keeps the numbered formulas alive, ``memo``
-    # the derivations.
-    number = FormulaNumbering()
+    # value) fix the end sequent, so a shared derivation always proves what
+    # the node needs; the annotations, the children's derivations (by
+    # identity) and their fact recipes fix the subtree's shape.
     memo: dict[tuple, Deriv] = {}
     result: dict[str, Deriv] = {}
     for nid in reversed(order):
@@ -491,8 +500,9 @@ def translate(rep: ResetRep) -> Deriv:
 
 
 def prove_by_induction(deriv, system) -> tuple[ResetRep, Deriv]:
-    """End to end: unfold, order, translate, and re-check the result."""
-    rep = unravel_rep(deriv, system)
+    """The whole pipeline: decide soundness (an unsound derivation raises
+    :class:`~cycind.unfold.UnsoundDerivationError`), unfold, order, translate, and check."""
+    rep = respect_induction_order(build_reset_rep(deriv, system))
     proof = translate(rep)
     check_proof(system, proof)
     return rep, proof

@@ -5,7 +5,8 @@ Phase one unfolds the derivation tree, annotating every node with stacks
 ancestor's annotation exactly and one of the names reset at the node is old
 enough to have been introduced at or before the ancestor.  The result is a
 finite tree whose leaves are either axiom nodes or *buds* pointing back to a
-*sprout* ancestor, each bud carrying a progressing name.
+*sprout* ancestor, each bud carrying a progressing name.  Phase one decides
+soundness first; the verdict's closure size sets the node cap of both phases.
 
 Phase two re-unfolds that representation until back-edges nest with the age
 order of their buds: a bud whose back-edge escapes the subtree of an enclosing
@@ -22,8 +23,8 @@ from __future__ import annotations
 import os
 
 from .annotate import Annotation, init_annotation, step
-from .core import CyclicSystem, Record, RegularDerivation, induced_call_graph, set_field
-from .sct import check_soundness, closure
+from .core import CyclicSystem, Record, RegularDerivation, set_field
+from .sct import check_soundness
 
 
 class UnsoundDerivationError(ValueError):
@@ -95,16 +96,15 @@ class ResetRep(Record):
         return self.system.rules[self.nodes[nid].rule].conclusion
 
 
-def _unfold_cap(deriv: RegularDerivation, system: CyclicSystem) -> int:
+def _unfold_cap(deriv: RegularDerivation, system: CyclicSystem, closure_size: int) -> int:
     env = os.environ.get("CYCIND_UNFOLD_CAP")
     if env:
         return int(env)
-    cs = induced_call_graph(deriv, system)
     m = max((j.ob for j in system.judgments.values()), default=1)
     # Circuit breaker only.  Reorderings of sound two-call systems have been
     # observed above twenty thousand nodes, so the floor stays well clear of
     # anything a legitimate input produces.
-    return max(200_000, 100 * len(closure(cs)) * (2 ** m + m) * len(deriv.nodes))
+    return max(200_000, 100 * closure_size * (2 ** m + m) * len(deriv.nodes))
 
 
 def _qualifying_prog(ann: Annotation, sprout_depth: int) -> str | None:
@@ -125,11 +125,10 @@ def build_reset_rep(deriv: RegularDerivation, system: CyclicSystem, check: bool 
     was introduced no deeper than that ancestor.  The deepest such ancestor is
     chosen as sprout and the oldest such reset name as the progressing name.
     """
-    if check:
-        verdict = check_soundness(deriv, system)
-        if not verdict.terminating:
-            raise UnsoundDerivationError(verdict)
-    cap = _unfold_cap(deriv, system)
+    verdict = check_soundness(deriv, system)
+    if check and not verdict.terminating:
+        raise UnsoundDerivationError(verdict)
+    cap = _unfold_cap(deriv, system, verdict.closure_size)
     nodes: dict[str, RepNode] = {}
     counter = 0
 
@@ -435,7 +434,7 @@ def respect_induction_order(rep: ResetRep) -> ResetRep:
         for g2, b2 in member.items():
             older[(g1, g2)] = is_older(b2)
 
-    cap = _unfold_cap(rep.deriv, rep.system)
+    cap = _unfold_cap(rep.deriv, rep.system, check_soundness(rep.deriv, rep.system).closure_size)
     nodes: dict[str, RepNode] = {}
     counter = 0
 
@@ -487,8 +486,3 @@ def respect_induction_order(rep: ResetRep) -> ResetRep:
         for i in reversed(range(len(kids))):
             todo.append((child_ids[i], kids[i], nid, i, step(ann, rule.graphs[i]), avail))
     return ResetRep(rep.system, rep.deriv, nodes, root_id)
-
-
-def unravel_rep(deriv: RegularDerivation, system: CyclicSystem) -> ResetRep:
-    """Phase one and two combined: the representation the proof translation uses."""
-    return respect_induction_order(build_reset_rep(deriv, system))

@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 
 import pytest
 
@@ -35,3 +36,26 @@ def pipelines():
         check_proof(system, proof)
         out[name] = Pipeline(cs, system, deriv, rep, proof)
     return out
+
+
+@pytest.fixture
+def calls_to():
+    """``calls_to(fn, thunk)``: run ``thunk`` and return the arguments of every
+    call to ``fn`` it made, under whatever name the caller bound ``fn``, with
+    ``thunk``'s result."""
+
+    def run(fn, thunk):
+        code, calls = fn.__code__, []
+
+        def profile(frame, event, _arg):
+            if event == "call" and frame.f_code is code:
+                calls.append(dict(frame.f_locals))
+
+        sys.setprofile(profile)
+        try:
+            result = thunk()
+        finally:
+            sys.setprofile(None)
+        return calls, result
+
+    return run

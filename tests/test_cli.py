@@ -7,6 +7,9 @@ import pytest
 
 from cycind import formats
 from cycind.cli import main
+from cycind.sct import closure
+
+import systems
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -114,6 +117,41 @@ def test_unravel_unsound_input(capsys):
         "  cycle:  f.0\n"
     )
     assert out == ""
+
+
+def test_unravel_lasso_starts_at_the_chosen_function(capsys, tmp_path):
+    src = tmp_path / "gf.fun"
+    src.write_text("sort Nat = 0 | suc(Nat)\nfun g(Nat)\nfun f(Nat)\n"
+                   "g(x0) := f(x0)\nf(x0) := f(x0)\n")
+    code, out, err = run(capsys, "unravel", src, "--fun", "g")
+    assert (code, out) == (1, "")
+    assert err == (
+        "input is not sound: cycle with no progressing trace\n"
+        "  prefix: g.0\n"
+        "  cycle:  f.0\n"
+    )
+    # sct reports over all roots
+    code, out, err = run(capsys, "sct", src)
+    assert code == 1 and "  prefix: (empty)\n  cycle:  f.0\n" in out
+
+
+def test_unravel_a_call_system_without_functions(capsys, tmp_path):
+    src = tmp_path / "empty.fun"
+    src.write_text("sort Nat = 0\n")
+    code, out, err = run(capsys, "unravel", src)
+    assert (code, out) == (2, "")
+    assert err == f"error: {src}: the call system has no function to unravel\n"
+    assert run(capsys, "sct", src) == (0, "terminating (closure size 0)\n", "")
+
+
+@pytest.mark.parametrize("name", ["plus", "fg", "ack", "dist"])
+def test_unravel_decides_soundness_once(capsys, tmp_path, calls_to, name):
+    src = tmp_path / f"{name}.json"
+    src.write_text(formats.dumps(formats.call_system_to_doc(systems.load(name))))
+    argv = ["unravel", str(src), "--fun", systems.ROOT_FUN[name], "--out", str(tmp_path / "p.json")]
+    calls, code = calls_to(closure, lambda: main(argv))
+    assert (len(calls), code) == (1, 0)
+    capsys.readouterr()
 
 
 def test_unravel_fun_selects_and_rejects(capsys, tmp_path, pipelines):

@@ -14,7 +14,8 @@ from cycind import (
     respect_induction_order,
     translate,
 )
-from cycind.logic import distinct_nodes
+from cycind.logic import FormulaNumbering, distinct_nodes, ind_hypothesis
+from cycind.sct import closure
 from cycind.translate import rep_skeleton
 
 import proofcmp
@@ -100,3 +101,31 @@ def test_every_induction_targets_a_sprout(pipelines):
         for r in node.ann.resets:
             prog_vars.add(r.cover_var)
     assert len(prog_vars) >= IND_COUNT["ack"]
+
+
+@pytest.mark.parametrize("name", ["plus", "fg", "ack", "dist"])
+def test_soundness_is_decided_once(name, calls_to):
+    cs = systems.load(name)
+    system, derivs = induced_proof_system(cs)
+    deriv = derivs[systems.ROOT_FUN[name]]
+    calls, _ = calls_to(closure, lambda: prove_by_induction(deriv, system))
+    assert len(calls) == 1
+
+
+def test_the_replay_decides_soundness_at_most_once_more(calls_to):
+    system, derivs = induced_proof_system(systems.load("crossing"))
+    calls, _ = calls_to(closure, lambda: respect_induction_order(build_reset_rep(derivs["f0"], system)))
+    assert len(calls) <= 2
+
+
+@pytest.mark.parametrize("name", ["plus", "fg", "ack", "dist"])
+def test_one_hypothesis_per_distinct_target(name, calls_to):
+    system, derivs = induced_proof_system(systems.load(name))
+    deriv = derivs[systems.ROOT_FUN[name]]
+    calls, (_rep, proof) = calls_to(ind_hypothesis, lambda: prove_by_induction(deriv, system))
+    number = FormulaNumbering()
+    targets = {(c["target"].ctx, tuple(map(number, c["target"].hyps)), c["target"].concl, c["x"])
+               for c in calls}
+    assert len(calls) == len(targets)
+    # distinct targets conclude distinct inductions
+    assert len(calls) <= count_rule(proof, "gt_ind")
