@@ -26,13 +26,9 @@ from .formats import FormatError
 from .logic import Deriv, LogicError, Sequent, check_proof, count_rule, proof_size
 from .minilang import MiniLangError, parse_call_system
 from .sct import ClosureElement, Lasso, SctVerdict, check_soundness, closure, decide_termination
-from .translate import (
-    TranslationError,
-    extract_skeleton,
-    prove_by_induction,
-    rep_skeleton,
-    translate,
-)
+# The ``translate`` function is not re-exported: it would shadow the
+# ``cycind.translate`` module it lives in.
+from .translate import TranslationError, extract_skeleton, prove_by_induction, rep_skeleton
 from .unfold import (
     ResetRep,
     UnfoldCapError,
@@ -92,7 +88,6 @@ __all__ = [
     "rep_skeleton",
     "respect_induction_order",
     "step",
-    "translate",
     "validate_call_system",
     "validate_derivation",
     "validate_system",

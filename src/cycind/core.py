@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from functools import total_ordering
 from operator import attrgetter
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping
 
 # Edge labels.  GT ("progressing") subsumes GEQ ("preserving"): whenever both
 # would relate the same pair of positions, only the > edge is kept.
@@ -129,16 +129,6 @@ class SizeChangeGraph(Record):
     @classmethod
     def of(cls, src_arity: int, dst_arity: int, edges: Iterable[tuple[int, int, str]]) -> "SizeChangeGraph":
         return cls(src_arity, dst_arity, frozenset(edges))
-
-    @classmethod
-    def identity(cls, n: int) -> "SizeChangeGraph":
-        return cls.of(n, n, ((j, j, GEQ) for j in range(n)))
-
-    def label(self, i: int, j: int) -> Optional[str]:
-        for a, b, lab in self.edges:
-            if a == i and b == j:
-                return lab
-        return None
 
     def sorted_edges(self) -> list[tuple[int, int, str]]:
         """Edges in the canonical (src, dst) lexicographic order."""

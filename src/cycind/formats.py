@@ -2,9 +2,10 @@
 
 Every document carries a ``format`` tag (``cycind/<kind>@1``); loaders check
 it and raise :class:`FormatError` on anything unexpected.  Node tables are
-flat — children refer to other rows by id — so documents stay linear in the
-size of the shared structure and never nest deeply.  Formulas are arrays with
-``["b", k]`` for bound references and ``["v", name]`` for free variables.
+flat — children refer to other rows by id, and a repeated id is refused — so
+documents stay linear in the size of the shared structure and never nest
+deeply.  Formulas are arrays with ``["b", k]`` for bound references and
+``["v", name]`` for free variables.
 
 Proof documents also store formulas and context entries once, in tables:
 ``formulas`` has one row per distinct formula (the subformulas of ``imp`` and
@@ -237,7 +238,10 @@ def _regular_derivation(d: Any, where: str, sys: CyclicSystem) -> RegularDerivat
     nodes = {}
     for i, n in enumerate(_field(d, "nodes", list, where)):
         at = f"{where} node {i}"
-        nodes[_field(n, "id", str, at)] = DerivNode(
+        nid = _field(n, "id", str, at)
+        if nid in nodes:
+            raise FormatError(f"{at}: repeated id {nid!r}")
+        nodes[nid] = DerivNode(
             rule=_field(n, "rule", str, at), children=_strings(n, "children", at)
         )
     deriv = RegularDerivation(nodes=nodes, root=_field(d, "root", str, where))
@@ -360,6 +364,8 @@ def rep_from_doc(doc: dict) -> ResetRep:
     nodes = {}
     for i, n in enumerate(_field(doc, "nodes", list, "document")):
         nid = _field(n, "id", str, f"node {i}")
+        if nid in nodes:
+            raise FormatError(f"node {i}: repeated id {nid!r}")
         where = f"node {nid!r}"
         nodes[nid] = RepNode(
             id=nid,
@@ -631,9 +637,11 @@ def proof_from_doc(doc: dict) -> tuple[CyclicSystem, logic.Deriv]:
     sys = system_from_doc(_field(doc, "system", dict, "document"))
     reader = _ProofReader(doc)
     built: dict[int, logic.Deriv] = {}
-    for row in _array(doc.get("nodes"), "nodes"):
+    for i, row in enumerate(_array(doc.get("nodes"), "nodes")):
         if not isinstance(row, dict) or type(row.get("id")) is not int:
             raise FormatError("node rows must be objects with an integer id")
+        if row["id"] in built:
+            raise FormatError(f"node row {i}: repeated id {row['id']}")
         try:
             kids = []
             for c in _array(row.get("children"), "children"):

@@ -1,16 +1,20 @@
 import dataclasses
+import random
 import sys
 
 import pytest
 
 from cycind import (
+    UnfoldCapError,
+    UnsoundDerivationError,
     build_reset_rep,
     check_proof,
     induced_proof_system,
     respect_induction_order,
-    translate,
 )
+from cycind.translate import translate
 
+import oracles
 import systems
 
 
@@ -36,6 +40,41 @@ def pipelines():
         check_proof(system, proof)
         out[name] = Pipeline(cs, system, deriv, rep, proof)
     return out
+
+
+@dataclasses.dataclass
+class FuzzCase:
+    cs: object
+    system: object
+    deriv: object
+    rep1: object
+    rep2: object
+
+
+@pytest.fixture(scope="session")
+def fuzz_population():
+    """200 random sound systems whose plain unfolding stays small."""
+    rng = random.Random(7)
+    kept, attempts = [], 0
+    while len(kept) < 200:
+        attempts += 1
+        cs = oracles.gentle_random_call_system(rng)
+        system, derivs = induced_proof_system(cs)
+        deriv = derivs[next(iter(cs.functions))]
+        try:
+            rep1 = build_reset_rep(deriv, system)
+        except (UnsoundDerivationError, UnfoldCapError):
+            continue
+        if len(rep1.nodes) > 60:
+            continue
+        kept.append(FuzzCase(cs, system, deriv, rep1, respect_induction_order(rep1)))
+    return attempts, kept
+
+
+@pytest.fixture(scope="session")
+def fuzz_proofs(fuzz_population):
+    _, cases = fuzz_population
+    return [(case, translate(case.rep2)) for case in cases]
 
 
 @pytest.fixture

@@ -9,7 +9,6 @@ account suggests (06).  Each failure message states the measured facts.
 """
 
 import copy
-import dataclasses
 import json
 import pathlib
 import random
@@ -21,8 +20,6 @@ import pytest
 from cycind import (
     CallSystem,
     LogicError,
-    UnfoldCapError,
-    UnsoundDerivationError,
     build_reset_rep,
     check_proof,
     count_rule,
@@ -32,11 +29,10 @@ from cycind import (
     induction_order_violations,
     proof_size,
     respect_induction_order,
-    translate,
 )
 from cycind.annotate import name_token
 from cycind.formats import proof_from_doc, proof_to_doc
-from cycind.translate import rep_skeleton
+from cycind.translate import rep_skeleton, translate
 
 import oracles
 import proofcmp
@@ -51,45 +47,6 @@ def _report(num, ok, detail):
     print(line, file=sys.__stdout__, flush=True)
     if not ok:
         pytest.fail(line, pytrace=False)
-
-
-# ---------------------------------------------------------------------------
-# shared fuzz population
-# ---------------------------------------------------------------------------
-
-@dataclasses.dataclass
-class FuzzCase:
-    cs: object
-    system: object
-    deriv: object
-    rep1: object
-    rep2: object
-
-
-@pytest.fixture(scope="session")
-def fuzz_population():
-    """200 random sound systems whose plain unfolding stays small."""
-    rng = random.Random(7)
-    kept, attempts = [], 0
-    while len(kept) < 200:
-        attempts += 1
-        cs = oracles.gentle_random_call_system(rng)
-        system, derivs = induced_proof_system(cs)
-        deriv = derivs[next(iter(cs.functions))]
-        try:
-            rep1 = build_reset_rep(deriv, system)
-        except (UnsoundDerivationError, UnfoldCapError):
-            continue
-        if len(rep1.nodes) > 60:
-            continue
-        kept.append(FuzzCase(cs, system, deriv, rep1, respect_induction_order(rep1)))
-    return attempts, kept
-
-
-@pytest.fixture(scope="session")
-def fuzz_proofs(fuzz_population):
-    _, cases = fuzz_population
-    return [(case, translate(case.rep2)) for case in cases]
 
 
 # ---------------------------------------------------------------------------

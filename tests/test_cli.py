@@ -79,13 +79,13 @@ def test_unravel_writes_a_checkable_proof(capsys, tmp_path):
     out_path = tmp_path / "proof.json"
     code, out, err = run(capsys, "unravel", DATA / "plus.fun", "--out", out_path)
     assert code == 0
-    assert out == f"wrote proof: 57 nodes, 1 induction applications -> {out_path}\n"
+    assert out == f"wrote proof: 53 nodes, 1 induction applications -> {out_path}\n"
     kind, _ = formats.loads(out_path.read_text())
     assert kind == "proof"
     code, out, err = run(capsys, "verify", out_path)
     assert code == 0
     assert out == (
-        "ok: 57 nodes, conclusion [x0_0:Nat, x0_1:Nat]  |- plus(x0_0, x0_1)\n"
+        "ok: 53 nodes, conclusion [x0_0:Nat, x0_1:Nat]  |- plus(x0_0, x0_1)\n"
     )
 
 
@@ -219,19 +219,19 @@ def test_show_proof_histogram(capsys, tmp_path, pipelines):
     code, out, err = run(capsys, "show", path)
     assert code == 0
     assert out == (
-        "proof: 57 nodes\n"
+        "proof: 53 nodes\n"
         "  conclusion: [x0_0:Nat, x0_1:Nat]  |- plus(x0_0, x0_1)\n"
-        "  assumption: 20\n"
+        "  assumption: 19\n"
         "  c_rule: 2\n"
         "  forall_elim: 6\n"
         "  forall_intro: 3\n"
-        "  geq_refl: 5\n"
+        "  geq_refl: 4\n"
         "  geq_subsum: 2\n"
         "  gt_ind: 1\n"
         "  imp_elim: 6\n"
         "  imp_intro: 3\n"
         "  inst: 4\n"
-        "  trans: 5\n"
+        "  trans: 3\n"
     )
 
 
@@ -421,3 +421,19 @@ def test_readers_refuse_malformed_documents(capsys, tmp_path, pipelines, cmd, ma
     code, out, err = run(capsys, cmd, path)
     assert (code, out) == (2, "")
     assert err == f"error: {path}: {message}\n"
+
+
+@pytest.mark.parametrize("cmd, make, message", [
+    ("sct", lambda p: _twice(formats.derivation_to_doc(p.deriv, p.system), "nodes"),
+     "derivation node 1: repeated id 'plus'"),
+    ("show", lambda p: _twice(formats.rep_to_doc(p.rep), "nodes"), "node 3: repeated id 'n0'"),
+    ("show", lambda p: _twice(formats.rep_to_doc(p.rep), "deriv", "nodes"), "deriv node 1: repeated id 'plus'"),
+    ("verify", lambda p: _twice(formats.proof_to_doc(p.proof, p.system), "nodes"),
+     "node row 53: repeated id 0"),
+])
+def test_readers_refuse_repeated_node_ids(capsys, tmp_path, pipelines, cmd, make, message):
+    # a repeated row used to replace the earlier one silently
+    path = tmp_path / "bad.json"
+    path.write_text(formats.dumps(make(pipelines["plus"])))
+    code, out, err = run(capsys, cmd, path)
+    assert (code, out, err) == (2, "", f"error: {path}: {message}\n")

@@ -12,17 +12,16 @@ from cycind import (
     proof_size,
     prove_by_induction,
     respect_induction_order,
-    translate,
 )
-from cycind.logic import FormulaNumbering, distinct_nodes, ind_hypothesis
+from cycind.logic import FormulaNumbering, FreeV, Geq, Gt, distinct_nodes, ind_hypothesis
 from cycind.sct import closure
-from cycind.translate import rep_skeleton
+from cycind.translate import TranslationError, _Orders, rep_skeleton, translate
 
 import proofcmp
 import systems
 
 # node counts and induction counts of the finished proofs, frozen
-PROOF_SIZE = {"plus": 57, "ack": 272, "dist": 818, "treedist": 818, "fg": 74}
+PROOF_SIZE = {"plus": 53, "ack": 254, "dist": 756, "treedist": 756, "fg": 72}
 IND_COUNT = {"plus": 1, "ack": 4, "dist": 7, "treedist": 7, "fg": 1}
 
 
@@ -129,3 +128,67 @@ def test_one_hypothesis_per_distinct_target(name, calls_to):
     assert len(calls) == len(targets)
     # distinct targets conclude distinct inductions
     assert len(calls) <= count_rule(proof, "gt_ind")
+
+
+def test_no_order_step_rederives_one_of_its_hypotheses(pipelines, fuzz_proofs):
+    # the order prover looks a fact up before it builds one
+    proofs = [p.proof for p in pipelines.values()] + [proof for _case, proof in fuzz_proofs]
+    redone = [d.seq.concl for proof in proofs for d in distinct_nodes(proof)
+              if d.rule in ("trans", "geq_refl", "geq_subsum") and d.seq.concl in d.seq.hyps]
+    assert redone == []
+
+
+A, B, C, D = (FreeV(v) for v in "abcd")
+CTX = tuple((v, "Nat") for v in "abcd")
+
+
+def shape(d):
+    """A derivation as nested ``(rule, data..., children...)`` tuples."""
+    return (d.rule, *d.data, *map(shape, d.children))
+
+
+def prove(hyps, goal):
+    d = _Orders(CTX, hyps).prove(goal)
+    assert d.seq.concl == goal and d.seq.hyps == hyps
+    return shape(d)
+
+
+def test_orders_prefer_a_hypothesis():
+    hyps = (Gt("Nat", A, B), Geq("Nat", A, C), Geq("Nat", C, B), Geq("Nat", A, B))
+    assert prove(hyps, Geq("Nat", A, B)) == ("assumption", 3)
+
+
+def test_orders_prove_reflexivity():
+    assert prove((), Geq("Nat", A, A)) == ("geq_refl",)
+
+
+def test_orders_weaken_a_strict_hypothesis():
+    hyps = (Geq("Nat", A, C), Geq("Nat", C, B), Gt("Nat", A, B))
+    assert prove(hyps, Geq("Nat", A, B)) == ("geq_subsum", ("assumption", 2))
+
+
+def test_orders_chain_two_hypotheses_with_the_fewest_weakenings():
+    hyps = (Gt("Nat", A, B), Geq("Nat", B, C), Geq("Nat", A, D), Geq("Nat", D, C))
+    # a weak goal: the all-weak chain needs no geq_subsum
+    assert prove(hyps, Geq("Nat", A, C)) == ("trans", ("assumption", 2), ("assumption", 3))
+    # a strict goal: only the chain through the strict fact fits
+    assert prove(hyps, Gt("Nat", A, C)) == ("trans", ("assumption", 0), ("assumption", 1))
+    # only strict chains: one weakening of the chained fact
+    assert prove(hyps[:2], Geq("Nat", A, C)) == (
+        "geq_subsum", ("trans", ("assumption", 0), ("assumption", 1)))
+
+
+def test_orders_break_ties_towards_earlier_hypotheses():
+    hyps = (Geq("Nat", A, D), Gt("Nat", A, B), Gt("Nat", D, C), Geq("Nat", B, C), Gt("Nat", B, C))
+    assert prove(hyps, Gt("Nat", A, C)) == ("trans", ("assumption", 0), ("assumption", 2))
+    assert prove(hyps[1:], Gt("Nat", A, C)) == ("trans", ("assumption", 0), ("assumption", 2))
+
+
+@pytest.mark.parametrize("hyps, goal", [
+    ((Geq("Nat", A, B), Geq("Nat", B, C)), Gt("Nat", A, C)),
+    ((Gt("Nat", A, B), Gt("Nat", B, C), Gt("Nat", C, D)), Gt("Nat", A, D)),
+    ((), Gt("Nat", A, A)),
+])
+def test_orders_name_the_fact_they_cannot_derive(hyps, goal):
+    with pytest.raises(TranslationError, match=f"no derivation of {goal.left} > {goal.right}"):
+        _Orders(CTX, hyps).prove(goal)
