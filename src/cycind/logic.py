@@ -23,7 +23,12 @@ The kernel has eleven rules:
 - ``c_rule``: one case analysis per rule scheme of the ambient cyclic system.
 
 ``check_proof`` verifies a derivation bottom-up and is the only authority on
-validity; all builder helpers merely construct candidate derivations.
+validity; all builder helpers merely construct candidate derivations.  It
+checks the context and hypotheses of every sequent, and a conclusion where
+it enters the proof: at the root, at ``inst``'s premise 0, at ``imp_elim``'s
+minor and at ``trans``'s left premise.  Every other rule builds its
+premises' conclusions from the conclusion below, so its own check covers
+them.
 
 The derived strong induction principle (inducting on an entire sequent rather
 than a single formula) is provided as a macro: :func:`ind_prime` discharges
@@ -384,6 +389,7 @@ def _check_sequent(
     seq: Sequent,
     cache: dict[int, _Summary],
     contexts: dict[tuple[int, int], dict[str, str]],
+    with_concl: bool,
 ) -> str | None:
     # ``contexts`` maps each (id(ctx), id(hyps)) pair found well formed to its
     # context as a dict, so a pair shared by many sequents is checked once
@@ -398,7 +404,7 @@ def _check_sequent(
             if err := _check_formula(system, h, ctx, cache):
                 return f"hypothesis {i}: {err}"
         contexts[pair] = ctx
-    if err := _check_formula(system, seq.concl, ctx, cache):
+    if with_concl and (err := _check_formula(system, seq.concl, ctx, cache)):
         return f"conclusion: {err}"
     return None
 
@@ -606,32 +612,71 @@ def _check_node(system: CyclicSystem, d: Deriv) -> str | None:
     return f"unknown rule {r!r}"
 
 
+# The one premise of each rule whose conclusion brings in a formula that the
+# conclusion below does not fix (see ``check_proof``).
+_ENTERING_PREMISE = {"inst": 0, "imp_elim": 1, "trans": 0}
+
+
+def _path(link: tuple | None) -> tuple[int, ...]:
+    # a link is (the parent's link, child index), None at the root
+    steps: list[int] = []
+    while link is not None:
+        link, i = link
+        steps.append(i)
+    return tuple(reversed(steps))
+
+
 def check_proof(system: CyclicSystem, root: Deriv) -> None:
     """Verify a derivation; raises :class:`LogicError` locating the first defect.
 
-    The cost is per distinct node and per distinct ``(ctx, hyps)`` pair, both
-    by object identity: a subproof shared by several parents is checked once,
-    at the first path that reaches it, and the context and hypotheses of a
-    sequent are checked once per pair of tuple objects, leaving only the
-    conclusion to check at each node.  The proof keeps these immutable
-    objects alive for the whole call, so ``id`` keys are exact.
+    The context and hypotheses of every sequent are checked for well
+    formedness, but a conclusion only where it enters the proof: at the root,
+    at ``inst``'s premise 0 (an arbitrary sequent), at ``imp_elim``'s minor
+    (its conclusion ``A`` is the new antecedent) and at ``trans``'s left
+    premise (its right end is the new middle term).  Every other premise
+    conclusion is built by its rule from well-formed parts, so it is well
+    formed once the rule's check passes below it:
+
+    - ``imp_intro``: the consequent of the conclusion;
+    - ``forall_intro``, ``gt_ind``: the conclusion's body opened at the
+      premise's new context variable, of the binder's sort;
+    - ``forall_elim``: the premise's body opened at a context variable of the
+      binder's sort is the conclusion;
+    - ``geq_subsum``: the conclusion's terms and sort under ``>``;
+    - ``c_rule``: an atom of the premise judgment at its new context
+      variables, of the judgment's sorts;
+    - ``inst`` minors: premise 0's hypotheses (checked at premise 0) renamed
+      to context variables of the same sorts;
+    - ``imp_elim`` major: the minor's conclusion implies the conclusion;
+    - ``trans`` right premise: the left premise's right end, related to the
+      conclusion's right end at the conclusion's sort.
+
+    A node shared by several parents is checked once, at the first path that
+    reaches it, and with its conclusion when that path enters there; any one
+    parent's rule check is enough, whichever comes first.  So the cost is per
+    distinct node and per distinct ``(ctx, hyps)`` pair, both by object
+    identity, plus a conclusion per entering node.  The proof keeps these
+    immutable objects alive for the whole call, so ``id`` keys are exact.  A
+    failure's path is rebuilt from parent links only when it is raised.
     """
     cache: dict[int, _Summary] = {}
     contexts: dict[tuple[int, int], dict[str, str]] = {}
     seen: set[int] = set()
-    stack: list[tuple[Deriv, tuple[int, ...]]] = [(root, ())]
+    stack: list[tuple[Deriv, tuple | None, bool]] = [(root, None, True)]
     while stack:
-        node, path = stack.pop()
+        node, link, enters = stack.pop()
         if id(node) in seen:
             continue
         seen.add(id(node))
-        err = _check_sequent(system, node.seq, cache, contexts)
+        err = _check_sequent(system, node.seq, cache, contexts, enters)
         if err is None:
             err = _check_node(system, node)
         if err is not None:
-            raise LogicError(err, path)
-        for i in reversed(range(len(node.children))):
-            stack.append((node.children[i], path + (i,)))
+            raise LogicError(err, _path(link))
+        kids = node.children
+        entry = _ENTERING_PREMISE.get(node.rule)
+        for i in reversed(range(len(kids))):
+            stack.append((kids[i], (link, i), i == entry))
 
 
 def distinct_nodes(root: Deriv) -> Iterator[Deriv]:

@@ -2,13 +2,15 @@
 
 Everything here is written from scratch against the definitions, on purpose
 sharing no code with the package: composition as plain dict algebra,
-termination as saturation of the full multipath relation, and the
-representation invariants as a direct structural walk.
+termination as saturation of the full multipath relation, the
+representation invariants as a direct structural walk, and the
+well-formedness of every sequent of a proof as a walk over every node.
 """
 
 import random
 
 from cycind import Call, CallSystem, SizeChangeGraph, GEQ, GT
+from cycind.logic import Atom, BoundV, Forall, FreeV, Geq, Gt, Imp
 
 WEAK, STRICT = 1, 2
 
@@ -166,4 +168,78 @@ def reset_rep_violations(rep):
         elif not node.children:
             if rep.system.rules[node.rule].premises:
                 bad.append(f"{nid}: non-bud leaf with premises pending")
+    return bad
+
+
+# ---------------------------------------------------------------------------
+# Well-formed sequents, checked at every node
+# ---------------------------------------------------------------------------
+
+def _term_defect(t, want, ctx, binders):
+    if isinstance(t, FreeV):
+        have = ctx.get(t.name)
+        if have is None:
+            return f"variable {t.name!r} not in context"
+        return None if have == want else f"variable {t.name!r} has sort {have!r}, expected {want!r}"
+    if isinstance(t, BoundV):
+        if t.k >= len(binders):
+            return f"unbound index {t.k}"
+        have = binders[-1 - t.k]
+        return None if have == want else f"bound variable has sort {have!r}, expected {want!r}"
+    return f"not a term: {t!r}"
+
+
+def formula_defect(system, phi, ctx, binders=()):
+    """Why ``phi`` is not well formed over ``ctx`` (a name -> sort dict), or None."""
+    if isinstance(phi, Atom):
+        judg = system.judgments.get(phi.judg)
+        if judg is None:
+            return f"unknown judgment {phi.judg!r}"
+        if len(phi.args) != judg.ob:
+            return f"{phi.judg} expects {judg.ob} arguments, got {len(phi.args)}"
+        for t, sort in zip(phi.args, judg.sorts):
+            if err := _term_defect(t, sort, ctx, binders):
+                return err
+        return None
+    if isinstance(phi, (Geq, Gt)):
+        if phi.sort not in system.ind_sorts:
+            return f"order at non-inductive sort {phi.sort!r}"
+        return (_term_defect(phi.left, phi.sort, ctx, binders)
+                or _term_defect(phi.right, phi.sort, ctx, binders))
+    if isinstance(phi, Imp):
+        return formula_defect(system, phi.lhs, ctx, binders) or formula_defect(system, phi.rhs, ctx, binders)
+    if isinstance(phi, Forall):
+        return formula_defect(system, phi.body, ctx, binders + (phi.sort,))
+    return f"not a formula: {phi!r}"
+
+
+def sequent_defects(system, proof):
+    """``(node, reason)`` for every distinct node whose sequent is not well
+    formed: its context repeats a variable, or a hypothesis or the conclusion
+    uses an unknown judgment, a wrong arity, an order at a non-inductive sort,
+    an unbound index, or a variable outside the context or at the wrong sort.
+    Ideally []."""
+    bad, seen, stack = [], set(), [proof]
+    memo, pairs = {}, {}  # by formula and context; by (ctx, hyps) objects
+
+    def defect(phi, seq):
+        key = (id(phi), seq.ctx)
+        if key not in memo:
+            memo[key] = formula_defect(system, phi, dict(seq.ctx))
+        return memo[key]
+
+    while stack:
+        d = stack.pop()
+        if id(d) in seen:
+            continue
+        seen.add(id(d))
+        stack.extend(d.children)
+        seq = d.seq
+        pair = (id(seq.ctx), id(seq.hyps))
+        if pair not in pairs:
+            names = [v for v, _s in seq.ctx]
+            pairs[pair] = ("repeated context variable" if len(set(names)) != len(names)
+                           else next(filter(None, (defect(h, seq) for h in seq.hyps)), None))
+        if err := pairs[pair] or defect(seq.concl, seq):
+            bad.append((d, err))
     return bad

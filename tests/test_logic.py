@@ -45,6 +45,7 @@ from cycind.logic import (
     trans,
 )
 
+import oracles
 import systems
 
 NAT = "Nat"
@@ -134,6 +135,8 @@ def test_identity_rows_no_longer_check(pipelines):
 
 KERNEL_RULES = ("assumption", "inst", "imp_intro", "imp_elim", "forall_intro", "forall_elim",
                 "geq_refl", "trans", "geq_subsum", "gt_ind", "c_rule")
+# the premise whose conclusion brings in a formula the conclusion below does not fix
+ENTERING_PREMISE = {"inst": 0, "imp_elim": 1, "trans": 0}
 
 
 @pytest.mark.parametrize("data", [(), ("x",)])
@@ -225,6 +228,133 @@ def test_error_paths_point_into_the_proof(plus_system, pipelines):
         check_proof(plus_system, bad)
     assert exc.value.path == (0,)
     assert str(exc.value).startswith("at 0:")
+
+
+def test_deep_error_path_names_every_step(plus_system):
+    # a valid chain of inst nodes over a leaf with stray data: the path of the
+    # failure is rebuilt from the chain, one step per level
+    depth = 5000
+    d = geq_refl((("x", NAT),), (), NAT, "x").replace(data=(0,))
+    for _ in range(depth):
+        d = inst(d, (), [])
+    with pytest.raises(LogicError, match="geq_refl takes no rule data") as exc:
+        check_proof(plus_system, d)
+    assert exc.value.path == (0,) * depth
+    assert str(exc.value).startswith("at 0/0/")
+
+
+@pytest.mark.parametrize("rule", [r for r in KERNEL_RULES if r not in ("assumption", "geq_refl")])
+def test_conclusions_are_checked_where_they_enter(plus_system, monkeypatch, rule):
+    # With every rule check passing, a bad conclusion is caught at the root
+    # and at the premise where it enters (inst 0, imp_elim 1, trans 0) and
+    # nowhere else; a bad hypothesis is caught at every premise.
+    monkeypatch.setattr(logic, "_check_node", lambda s, d: None)
+    ctx = (("x", NAT),)
+    good = Deriv("geq_refl", Sequent(ctx, (), Geq(NAT, x("x"), x("x"))))
+    escaped = Geq(NAT, x("x"), x("z"))
+    bad_concl = Deriv("geq_refl", Sequent(ctx, (), escaped))
+    bad_hyp = Deriv("geq_refl", Sequent(ctx, (escaped,), escaped))
+    with pytest.raises(LogicError, match="^at root: conclusion: variable 'z' not in context"):
+        check_proof(plus_system, Deriv(rule, bad_concl.seq, (good,) * 3))
+    entering = ENTERING_PREMISE.get(rule)
+    for i in range(3):
+        kids = [good] * 3
+        kids[i] = bad_concl
+        if i == entering:
+            with pytest.raises(LogicError, match=f"^at {i}: conclusion: variable 'z'"):
+                check_proof(plus_system, Deriv(rule, good.seq, tuple(kids)))
+        else:
+            check_proof(plus_system, Deriv(rule, good.seq, tuple(kids)))
+        kids[i] = bad_hyp
+        with pytest.raises(LogicError, match=f"^at {i}: hypothesis 0: variable 'z'"):
+            check_proof(plus_system, Deriv(rule, good.seq, tuple(kids)))
+
+
+def _ill_formed_conclusions(system, seq):
+    """Conclusions that are not well formed over ``seq``'s context: an order
+    on a variable outside it, an unbound index, an atom of the wrong arity,
+    and a quantifier whose body has an unbound index (so that a rule that
+    wants a quantified premise has to look inside)."""
+    sort = sorted(system.ind_sorts)[0]
+    outside = FreeV("out" + "".join(v for v, _s in seq.ctx))
+    judg = system.judgments[sorted(system.judgments)[0]]
+    return {
+        "outside": Gt(sort, outside, outside),
+        "unbound": Geq(sort, BoundV(0), BoundV(0)),
+        "arity": Atom(judg.id, (outside,) * (judg.ob - 1 if judg.ob else 1)),
+        "quantified": Forall(sort, Gt(sort, BoundV(0), BoundV(1))),
+    }
+
+
+def _replace_node(root, old, new):
+    """``root`` with the node object ``old`` replaced by ``new`` under every
+    parent, as when one row of a proof document is edited."""
+    memo = {id(old): new}
+
+    def rebuild(d):
+        if id(d) not in memo:
+            kids = tuple(rebuild(k) for k in d.children)
+            same = all(a is b for a, b in zip(kids, d.children))
+            memo[id(d)] = d if same else d.replace(children=kids)
+        return memo[id(d)]
+
+    return rebuild(root)
+
+
+@pytest.mark.parametrize("name", ["plus", "fg", "ack"])
+def test_ill_formed_conclusions_are_rejected_at_every_node(pipelines, name):
+    # A conclusion is checked only where it enters the proof; anywhere else a
+    # bad one must fail its parent's rule.  The proof is read back from its
+    # document, so its nodes are the document's rows, and each mutation
+    # replaces one row's conclusion under every parent of the row.
+    from cycind import formats
+    p = pipelines[name]
+    system, proof = formats.proof_from_doc(formats.proof_to_doc(p.proof, p.system))
+    located = 0
+    for node in distinct_nodes(proof):
+        for kind, concl in _ill_formed_conclusions(system, node.seq).items():
+            assert oracles.formula_defect(system, concl, dict(node.seq.ctx)), kind
+            bad = _replace_node(proof, node, node.replace(seq=node.seq.replace(concl=concl)))
+            with pytest.raises(LogicError) as exc:
+                check_proof(system, bad)
+            assert str(exc.value).startswith("at "), (node.rule, kind, str(exc.value))
+            located += 1
+    assert located == 4 * proof_size(p.proof)
+
+
+@pytest.mark.parametrize("name", ["plus", "fg", "ack"])
+def test_parent_rule_pins_every_built_premise(pipelines, monkeypatch, name):
+    # The sharper form of the test above: only the parent's own rule is
+    # checked, so a bad conclusion at any premise other than the entering
+    # one must fail that rule, at the parent.
+    real = logic._check_node
+    p = pipelines[name]
+    pinned = 0
+    for parent in distinct_nodes(p.proof):
+        for i, kid in enumerate(parent.children):
+            if i == ENTERING_PREMISE.get(parent.rule):
+                continue
+            for kind, concl in _ill_formed_conclusions(p.system, kid.seq).items():
+                kids = list(parent.children)
+                kids[i] = kid.replace(seq=kid.seq.replace(concl=concl))
+                bad = parent.replace(children=tuple(kids))
+                monkeypatch.setattr(logic, "_check_node", lambda s, d: real(s, d) if d is bad else None)
+                with pytest.raises(LogicError) as exc:
+                    check_proof(p.system, bad)
+                assert exc.value.path == (), (parent.rule, i, kind, str(exc.value))
+                pinned += 1
+    assert pinned
+
+
+def test_every_sequent_of_a_checked_proof_is_well_formed(pipelines, fuzz_proofs):
+    # The kernel checks a conclusion only where it enters the proof; the
+    # reference walk checks every sequent of the proofs that
+    # test_acceptance::test_every_translated_proof_checks has the kernel accept.
+    proofs = [(p.system, p.proof) for p in pipelines.values()]
+    proofs += [(case.system, proof) for case, proof in fuzz_proofs]
+    assert len(proofs) == 205
+    for system, proof in proofs:
+        assert oracles.sequent_defects(system, proof) == []
 
 
 def test_proof_size_and_count_shared_nodes(plus_system):
