@@ -570,6 +570,40 @@ class _ProofReader:
         )
 
 
+class FormulaNumbering:
+    """Numbers formulas by value, visiting each formula object once.
+
+    Calling the numbering on a formula returns its row in ``rows``.  A row is
+    the leaf itself (an atom or an order, hashed by its few terms), or
+    ``("imp", lhs, rhs)`` / ``("all", sort, hint, body)`` over the rows of
+    the subformulas; the hint takes no part in formula equality but does in
+    the row.  Objects are remembered by ``id``, so the caller keeps every
+    numbered formula alive while it uses the numbering.
+    """
+
+    def __init__(self) -> None:
+        self.rows: list = []
+        self._row_of_key: dict = {}
+        self._row_of_obj: dict[int, int] = {}
+
+    def __call__(self, phi: logic.Formula) -> int:
+        row = self._row_of_obj.get(id(phi))
+        if row is not None:
+            return row
+        if isinstance(phi, logic.Imp):
+            key: object = ("imp", self(phi.lhs), self(phi.rhs))
+        elif isinstance(phi, logic.Forall):
+            key = ("all", phi.sort, phi.hint, self(phi.body))
+        else:
+            key = phi
+        row = self._row_of_key.get(key)
+        if row is None:
+            row = self._row_of_key[key] = len(self.rows)
+            self.rows.append(key)
+        self._row_of_obj[id(phi)] = row
+        return row
+
+
 def proof_to_doc(proof: logic.Deriv, sys: CyclicSystem) -> dict:
     """Flatten a proof DAG into tables, writing every shared object once.
 
@@ -582,7 +616,7 @@ def proof_to_doc(proof: logic.Deriv, sys: CyclicSystem) -> dict:
     - a sequent is ``{"ctx": [variable index…], "hyps": [formula index…],
       "concl": formula index}``.
     """
-    formula = logic.FormulaNumbering()
+    formula = FormulaNumbering()
     variables: list[list] = []
     row_of_var: dict[tuple[str, str], int] = {}
 

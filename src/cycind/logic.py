@@ -7,7 +7,7 @@ sequent is ``ctx; hyps |- concl`` where ``ctx`` is an *ordered* list of sorted
 variables: quantifier rules bind the last context entry, so the context
 discipline is part of the proof structure.
 
-The kernel has eleven rules:
+The trusted kernel is this module alone, 692 lines, with eleven rules:
 
 - ``assumption``: conclude any hypothesis;
 - ``inst``: rename the premise's context variables to variables of the same
@@ -23,23 +23,23 @@ The kernel has eleven rules:
 - ``c_rule``: one case analysis per rule scheme of the ambient cyclic system.
 
 ``check_proof`` verifies a derivation bottom-up and is the only authority on
-validity; all builder helpers merely construct candidate derivations.  It
-checks the context and hypotheses of every sequent, and a conclusion where
-it enters the proof: at the root, at ``inst``'s premise 0, at ``imp_elim``'s
-minor and at ``trans``'s left premise.  Every other rule builds its
-premises' conclusions from the conclusion below, so its own check covers
-them.
+validity; the builders of :mod:`cycind.builders` merely construct candidate
+derivations.  It checks the context and hypotheses of every sequent, and a
+conclusion where it enters the proof: at the root, at ``inst``'s premise 0,
+at ``imp_elim``'s minor and at ``trans``'s left premise.  Every other rule
+builds its premises' conclusions from the conclusion below, so its own check
+covers them.
 
-The derived strong induction principle (inducting on an entire sequent rather
-than a single formula) is provided as a macro: :func:`ind_prime` discharges
-an induction hypothesis made by :func:`ind_hypothesis` with kernel rules only.
+It imports nothing of this package but :mod:`cycind.core`.  The two formula
+shapes that a rule checks and a builder builds, :func:`gt_ind_hypothesis`
+and :func:`edge_facts`, are written here once.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
-from .core import GT, CyclicSystem, Record, set_field
+from .core import GT, CyclicSystem, Record, SizeChangeGraph, set_field
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +137,22 @@ def ordered(sort: str, label: str, left: Term, right: Term) -> Formula:
     return Gt(sort, left, right) if label == GT else Geq(sort, left, right)
 
 
+def gt_ind_hypothesis(sort: str, x: str, body: Formula) -> Formula:
+    """The hypothesis ``gt_ind`` adds when it inducts on ``x`` to conclude
+    ``all x. body``: ``all x'. x > x' -> body``."""
+    return Forall(sort, Imp(Gt(sort, FreeV(x), BoundV(0)), body), hint=f"{x}'")
+
+
+def edge_facts(
+    sorts: tuple[str, ...], graph: SizeChangeGraph, xs: tuple[str, ...], ys: tuple[str, ...]
+) -> tuple[Formula, ...]:
+    """The hypotheses ``c_rule`` adds to a premise: one order per edge of the
+    premise's size-change graph, from the conclusion's variables ``xs`` (of
+    ``sorts``) to the premise's fresh variables ``ys``."""
+    return tuple(ordered(sorts[a], lab, FreeV(xs[a]), FreeV(ys[b]))
+                 for a, b, lab in graph.sorted_edges())
+
+
 def _map_terms(phi: Formula, f: Callable[[Term, int], Term], depth: int = 0) -> Formula:
     # Returns ``phi`` itself when nothing changes, so untouched subtrees stay
     # shared between input and output.
@@ -189,32 +205,6 @@ def close_free(phi: Formula, name: str) -> Formula:
             return BoundV(t.k + 1)
         return t
     return _map_terms(phi, f)
-
-
-def free_vars(phi: Formula) -> set[str]:
-    out: set[str] = set()
-    def f(t: Term, _d: int) -> Term:
-        if isinstance(t, FreeV):
-            out.add(t.name)
-        return t
-    _map_terms(phi, f)
-    return out
-
-
-def fold_imp(hyps: Iterable[Formula], concl: Formula) -> Formula:
-    acc = concl
-    for phi in reversed(tuple(hyps)):
-        acc = Imp(phi, acc)
-    return acc
-
-
-def peel_forall(phi: Formula) -> tuple[list[tuple[str, str]], Formula]:
-    """Strip leading quantifiers; returns [(sort, hint)] and the raw body."""
-    binders: list[tuple[str, str]] = []
-    while isinstance(phi, Forall):
-        binders.append((phi.sort, phi.hint))
-        phi = phi.body
-    return binders, phi
 
 
 def fresh_name(base: str, avoid: set[str]) -> str:
@@ -569,8 +559,7 @@ def _check_node(system: CyclicSystem, d: Deriv) -> str | None:
         if s != sort:
             return "gt_ind variable sort mismatch"
         body = seq.concl.body
-        ih = Forall(sort, Imp(Gt(sort, FreeV(x), BoundV(0)), body))
-        if p.hyps != seq.hyps + (ih,):
+        if p.hyps != seq.hyps + (gt_ind_hypothesis(sort, x, body),):
             return "gt_ind premise must carry the induction hypothesis"
         if p.concl != open_bound(body, x):
             return "gt_ind premise conclusion does not open the quantified body"
@@ -600,13 +589,10 @@ def _check_node(system: CyclicSystem, d: Deriv) -> str | None:
             for j, (yv, ysort) in enumerate(ys):
                 if ysort != prem.sorts[j]:
                     return f"premise {i}: variable {j} has sort {ysort!r}, expected {prem.sorts[j]!r}"
-            block = tuple(
-                ordered(judg.sorts[a], lab, FreeV(xs[a]), FreeV(ys[b][0]))
-                for a, b, lab in scheme.graphs[i].sorted_edges()
-            )
-            if p.hyps != seq.hyps + block:
+            names = tuple(y for y, _ in ys)
+            if p.hyps != seq.hyps + edge_facts(judg.sorts, scheme.graphs[i], xs, names):
                 return f"premise {i} must extend the hypotheses by the edge facts"
-            if p.concl != Atom(prem.id, tuple(FreeV(y) for y, _ in ys)):
+            if p.concl != Atom(prem.id, tuple(map(FreeV, names))):
                 return f"premise {i} must conclude {prem.id} at the fresh variables"
         return None
     return f"unknown rule {r!r}"
@@ -704,280 +690,3 @@ def count_rule(root: Deriv, rule: str) -> int:
     """Number of distinct nodes (by object identity, as in :func:`proof_size`)
     that apply ``rule``."""
     return sum(1 for d in distinct_nodes(root) if d.rule == rule)
-
-
-class FormulaNumbering:
-    """Numbers formulas by value, visiting each formula object once.
-
-    Calling the numbering on a formula returns its row in ``rows``.  A row is
-    the leaf itself (an atom or an order, hashed by its few terms), or
-    ``("imp", lhs, rhs)`` / ``("all", sort, hint, body)`` over the rows of
-    the subformulas; the hint takes no part in formula equality but does in
-    the row.  Objects are remembered by ``id``, so the caller keeps every
-    numbered formula alive while it uses the numbering.
-    """
-
-    def __init__(self) -> None:
-        self.rows: list = []
-        self._row_of_key: dict = {}
-        self._row_of_obj: dict[int, int] = {}
-
-    def __call__(self, phi: Formula) -> int:
-        row = self._row_of_obj.get(id(phi))
-        if row is not None:
-            return row
-        if isinstance(phi, Imp):
-            key: object = ("imp", self(phi.lhs), self(phi.rhs))
-        elif isinstance(phi, Forall):
-            key = ("all", phi.sort, phi.hint, self(phi.body))
-        else:
-            key = phi
-        row = self._row_of_key.get(key)
-        if row is None:
-            row = self._row_of_key[key] = len(self.rows)
-            self.rows.append(key)
-        self._row_of_obj[id(phi)] = row
-        return row
-
-
-# ---------------------------------------------------------------------------
-# Builders
-# ---------------------------------------------------------------------------
-
-def imp_intro(d: Deriv) -> Deriv:
-    s = d.seq
-    return Deriv("imp_intro", Sequent(s.ctx, s.hyps[:-1], Imp(s.hyps[-1], s.concl)), (d,))
-
-
-def imp_elim(major: Deriv, minor: Deriv) -> Deriv:
-    s = major.seq
-    assert isinstance(s.concl, Imp)
-    return Deriv("imp_elim", Sequent(s.ctx, s.hyps, s.concl.rhs), (major, minor))
-
-
-def forall_intro(d: Deriv) -> Deriv:
-    s = d.seq
-    x, sort = s.ctx[-1]
-    body = close_free(s.concl, x)
-    return Deriv("forall_intro", Sequent(s.ctx[:-1], s.hyps, Forall(sort, body, hint=x)), (d,))
-
-
-def forall_elim(d: Deriv, y: str) -> Deriv:
-    s = d.seq
-    assert isinstance(s.concl, Forall)
-    return Deriv("forall_elim", Sequent(s.ctx, s.hyps, open_bound(s.concl.body, y)), (d,), (y,))
-
-
-def geq_refl(ctx: tuple[tuple[str, str], ...], hyps: tuple[Formula, ...], sort: str, y: str) -> Deriv:
-    return Deriv("geq_refl", Sequent(ctx, hyps, Geq(sort, FreeV(y), FreeV(y))))
-
-
-def trans(a: Deriv, b: Deriv) -> Deriv:
-    """Chain ``l R m`` and ``m R' r``: ``l > r`` if either premise is ``>``."""
-    s, left, right = a.seq, a.seq.concl, b.seq.concl
-    kind = Gt if isinstance(left, Gt) or isinstance(right, Gt) else Geq
-    return Deriv("trans", Sequent(s.ctx, s.hyps, kind(left.sort, left.left, right.right)), (a, b))
-
-
-def geq_subsum(d: Deriv) -> Deriv:
-    s = d.seq
-    return Deriv("geq_subsum", Sequent(s.ctx, s.hyps, Geq(s.concl.sort, s.concl.left, s.concl.right)), (d,))
-
-
-def gt_ind(d: Deriv) -> Deriv:
-    s = d.seq
-    x, sort = s.ctx[-1]
-    body = close_free(s.concl, x)
-    ih = Forall(sort, Imp(Gt(sort, FreeV(x), BoundV(0)), body), hint=f"{x}'")
-    assert s.hyps and s.hyps[-1] == ih, "gt_ind builder: last hypothesis is not the induction hypothesis"
-    return Deriv("gt_ind", Sequent(s.ctx[:-1], s.hyps[:-1], Forall(sort, body, hint=x)), (d,))
-
-
-def c_apply(system: CyclicSystem, rid: str, ctx, hyps, args: tuple[str, ...], children: tuple[Deriv, ...]) -> Deriv:
-    scheme = system.rules[rid]
-    concl = Atom(scheme.conclusion, tuple(FreeV(a) for a in args))
-    return Deriv("c_rule", Sequent(ctx, hyps, concl), children, (rid,))
-
-
-def assumption(ctx: tuple[tuple[str, str], ...], hyps: tuple[Formula, ...], k: int) -> Deriv:
-    """Conclude hypothesis ``k`` of ``hyps``: one ``assumption`` node."""
-    return Deriv("assumption", Sequent(ctx, hyps, hyps[k]), (), (k,))
-
-
-def inst(
-    d: Deriv,
-    hyps: tuple[Formula, ...],
-    minors: Iterable[Deriv],
-    sub: Mapping[str, str] | None = None,
-    ctx: tuple[tuple[str, str], ...] | None = None,
-) -> Deriv:
-    """Move ``d`` onto ``ctx; hyps`` in one node: ``sub`` renames every
-    context variable of ``d`` (no renaming by default; ``ctx`` defaults to
-    ``d``'s own), and ``minors`` derive ``d``'s renamed hypotheses from
-    ``hyps``."""
-    s = d.seq
-    names = tuple(v for v, _s in s.ctx)
-    targets = names if sub is None else tuple(sub[v] for v in names)
-    concl = s.concl if sub is None else subst_free(s.concl, sub)
-    return Deriv("inst", Sequent(s.ctx if ctx is None else ctx, hyps, concl), (d, *minors), targets)
-
-
-def forall_elims(d: Deriv, ys: Iterable[str]) -> Deriv:
-    for y in ys:
-        d = forall_elim(d, y)
-    return d
-
-
-# ---------------------------------------------------------------------------
-# Induction hypotheses and the strong induction macro
-# ---------------------------------------------------------------------------
-
-def ind_block(target: Sequent, x: str) -> list[tuple[str, str]]:
-    """The quantifier block of the induction hypothesis for ``target`` and ``x``:
-    the context variables free in the sequent formula (plus ``x``), in context
-    order, with their sorts."""
-    chain = fold_imp(target.hyps, target.concl)
-    fv = free_vars(chain) | {x}
-    return [(v, s) for v, s in target.ctx if v in fv]
-
-
-def ind_hypothesis(target: Sequent, x: str) -> Formula:
-    """The induction hypothesis for inducting on ``x`` over a whole sequent.
-
-    Universally closes the sequent formula over the context variables that
-    occur free in it (plus ``x``), in context order, guarding with
-    ``x > x-copy``: the result only has ``x`` free.
-    """
-    sort = target.sort_of(x)
-    chain = fold_imp(target.hyps, target.concl)
-    block = ind_block(target, x)
-    avoid = {v for v, _s in target.ctx}
-    temps: dict[str, str] = {}
-    for v, _s in block:
-        temps[v] = fresh_name(f"{v}'", avoid)
-        avoid.add(temps[v])
-    phi: Formula = Imp(Gt(sort, FreeV(x), FreeV(temps[x])), subst_free(chain, temps))
-    for v, s in reversed(block):
-        phi = Forall(s, close_free(phi, temps[v]), hint=f"{v}'")
-    return phi
-
-
-def ind_prime(dp: Deriv, x: str) -> Deriv:
-    """Strong induction on ``x`` over a whole sequent: discharge the last
-    hypothesis of ``dp``, which must be :func:`ind_hypothesis` of the rest of
-    ``dp``'s sequent.
-
-    Uses one ``gt_ind`` plus implication/quantifier bookkeeping: the sequent
-    formula is universally closed, proved by well-founded induction on a fresh
-    copy of ``x`` (one ``inst`` node renames ``dp`` onto the copies and
-    discharges its hypotheses; ``dp`` itself is shared, never rebuilt), and
-    then instantiated back at the original variables.
-    """
-    ctx, gamma, delta = dp.seq.ctx, dp.seq.hyps[:-1], dp.seq.concl
-    target = Sequent(ctx, gamma, delta)
-    sort = target.sort_of(x)
-    avoid = {v for v, _s in ctx}
-    u = fresh_name("u", avoid)
-    avoid.add(u)
-    others = [(v, s) for v, s in ctx if v != x]
-    copies = {}
-    for v, _s in others:
-        copies[v] = fresh_name(f"{v}*", avoid)
-        avoid.add(copies[v])
-    sub = {x: u, **copies}
-    wide = ctx + ((u, sort),) + tuple((copies[v], s) for v, s in others)
-
-    # the closed sequent formula, as a function of u
-    phi_u = subst_free(fold_imp(gamma, delta), sub)
-    for v, s in reversed(others):
-        phi_u = Forall(s, close_free(phi_u, copies[v]), hint=f"{v}*")
-    ih_u = Forall(sort, Imp(Gt(sort, FreeV(u), BoundV(0)), close_free(phi_u, u)), hint=f"{u}'")
-
-    core_hyps = gamma + (ih_u,) + tuple(subst_free(g, sub) for g in gamma)
-
-    # H[u/x] from the kernel induction hypothesis, by pure plumbing
-    block = ind_block(target, x)
-    ts = {}
-    for v, _s in block:
-        ts[v] = fresh_name(f"{v}^", avoid)
-        avoid.add(ts[v])
-    inner_ctx = wide + tuple((ts[v], s) for v, s in block)
-    guard = Gt(sort, FreeV(u), FreeV(ts[x]))
-    inner_hyps = core_hyps + (guard,)
-    a = assumption(inner_ctx, inner_hyps, len(gamma))  # ih_u
-    a = forall_elim(a, ts[x])
-    g = assumption(inner_ctx, inner_hyps, len(inner_hyps) - 1)
-    a = imp_elim(a, g)  # phi at ts[x]
-    a = forall_elims(a, [ts[v] if v in ts else copies[v] for v, _s in others])
-    a = imp_intro(a)
-    for _v, _s in reversed(block):
-        a = forall_intro(a)
-    assert dp.seq.hyps and a.seq.concl == subst_free(dp.seq.hyps[-1], {x: u}), (
-        "ind_prime: last hypothesis is not the induction hypothesis"
-    )
-
-    # dp renamed onto the copies, its hypotheses discharged by them and H[u/x]
-    copied = [assumption(wide, core_hyps, len(gamma) + 1 + i) for i in range(len(gamma))]
-    d = inst(dp, core_hyps, copied + [a], sub, wide)
-
-    # close over the copies and induct
-    for _ in range(len(gamma)):
-        d = imp_intro(d)
-    for _v, _s in reversed(others):
-        d = forall_intro(d)
-    d = gt_ind(d)
-
-    # instantiate back at the original variables and discharge
-    d = forall_elim(d, x)
-    d = forall_elims(d, [v for v, _s in others])
-    for i in range(len(gamma)):
-        d = imp_elim(d, assumption(ctx, gamma, i))
-    assert d.seq == target
-    return d
-
-
-def hyp_monotone(
-    hyp: Formula,
-    hyp_index: int,
-    y: str,
-    ctx: tuple[tuple[str, str], ...],
-    hyps: tuple[Formula, ...],
-    geq_fact: Callable[[tuple[tuple[str, str], ...], tuple[Formula, ...]], Deriv],
-) -> Deriv:
-    """Derive ``hyp[y/w]`` from ``hyp`` (at ``hyp_index``) and ``w >= y``.
-
-    ``hyp`` must be an induction hypothesis: a quantifier block over a guard
-    ``w > copy`` with ``w`` its only free variable.  ``geq_fact`` must produce
-    a derivation of ``w >= y`` over any extension of the given sequent.
-    """
-    (w,) = free_vars(hyp)
-    binders, body = peel_forall(hyp)
-    assert isinstance(body, Imp) and isinstance(body.lhs, Gt) and body.lhs.left == FreeV(w)
-    sort = body.lhs.sort
-    avoid = {v for v, _s in ctx}
-    ts = []
-    for bsort, hint in binders:
-        t = fresh_name(hint.rstrip("'") + "^", avoid)
-        avoid.add(t)
-        ts.append((t, bsort))
-    inner_ctx = ctx + tuple(ts)
-    opened = hyp
-    for t, _s in ts:
-        opened = open_bound(opened.body, t)  # type: ignore[union-attr]
-    assert isinstance(opened, Imp)
-    guard_ix = opened.lhs  # w > t_x
-    assert isinstance(guard_ix, Gt)
-    tx = guard_ix.right
-    assert isinstance(tx, FreeV)
-    new_guard = Gt(sort, FreeV(y), tx)
-    inner_hyps = hyps + (new_guard,)
-    a = assumption(inner_ctx, inner_hyps, hyp_index)
-    a = forall_elims(a, [t for t, _s in ts])
-    wy = geq_fact(inner_ctx, inner_hyps)
-    yg = assumption(inner_ctx, inner_hyps, len(inner_hyps) - 1)
-    a = imp_elim(a, trans(wy, yg))
-    a = imp_intro(a)
-    for _ in ts:
-        a = forall_intro(a)
-    assert a.seq.concl == subst_free(hyp, {w: y})
-    return a

@@ -14,7 +14,7 @@ case-rule application; each child sequent is reached by one ``inst`` whose
 minors prove every child fact from the parent's hypotheses plus the fresh
 edge facts.  A node that is the target of back-edges additionally introduces
 one induction hypothesis per progressing name of its buds, which the strong
-induction macro of :mod:`cycind.logic` discharges.  A bud node closes by
+induction macro of :mod:`cycind.builders` discharges.  A bud node closes by
 instantiating its hypothesis: every quantified variable is mapped to its
 current value at the bud — positions to the bud's variables, the progressing
 name to its cover, other names to their bindings at the bud — and each
@@ -30,20 +30,9 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .core import GT, Record, VarRef
-from .logic import (
-    Atom,
-    Deriv,
-    Formula,
-    FormulaNumbering,
-    FreeV,
-    Geq,
-    Gt,
-    Imp,
-    Sequent,
+from .builders import (
     assumption,
     c_apply,
-    check_proof,
     forall_elims,
     geq_refl,
     geq_subsum,
@@ -53,41 +42,50 @@ from .logic import (
     ind_hypothesis,
     ind_prime,
     inst,
-    render_formula,
     trans,
 )
-from .unfold import RepNode, ResetRep, build_reset_rep, reachable_from, respect_induction_order
+from .core import Record, VarRef
+from .formats import FormulaNumbering
+from .logic import (
+    Atom,
+    Deriv,
+    Formula,
+    FreeV,
+    Geq,
+    Gt,
+    Imp,
+    Sequent,
+    check_proof,
+    edge_facts,
+    render_formula,
+)
+from .unfold import RepNode, ResetRep, build_reset_rep, respect_induction_order, sprout_reach
 
 
 class TranslationError(RuntimeError):
     pass
 
 
-def _vref(s: str) -> VarRef:
-    d, p = s[1:].split("_")
-    return VarRef(int(d), int(p))
-
-
 class HypEntry(Record):
     """An induction hypothesis in scope: introduced at ``sprout`` for the buds
     progressing on ``prog``.  Carries what a closing bud needs to instantiate
-    it: the quantifier block, the (sprout, name) keys of the older hypotheses
-    in its body, and the sprout's name bindings (to map quantified variables
-    to bud values)."""
+    it: the quantified variables and the (sprout, name) keys of the older
+    hypotheses in its body.  The sprout's annotation gives the rest: the
+    induction variable, the sprout's depth and its name bindings."""
 
-    __slots__ = ("sprout", "prog", "var", "formula", "block", "old", "sprout_depth", "bindings")
+    __slots__ = ("sprout", "prog", "formula", "block", "old")
     sprout: str
     prog: str
-    var: VarRef
     formula: Formula
-    block: tuple[tuple[str, str], ...]
+    block: tuple[VarRef, ...]
     old: tuple[tuple[str, str], ...]
-    sprout_depth: int
-    bindings: tuple[tuple[str, VarRef], ...]
 
 
 class _NodeData(Record):
-    __slots__ = ("ctx", "ineq", "entries", "appended")
+    """``refs`` are the context variables as references, in ``ctx`` order."""
+
+    __slots__ = ("refs", "ctx", "ineq", "entries", "appended")
+    refs: tuple[VarRef, ...]
     ctx: tuple[tuple[str, str], ...]
     ineq: tuple[Formula, ...]
     entries: tuple[HypEntry, ...]
@@ -149,16 +147,17 @@ def _node_data(
     reach: dict,
     budsby: dict,
     group_order: dict,
-    hypothesis: Callable[[Sequent, str], tuple[Formula, tuple]],
+    hypothesis: Callable[[Sequent, str, tuple[VarRef, ...]], tuple[Formula, tuple[VarRef, ...]]],
 ) -> _NodeData:
     node = rep.nodes[nid]
     ann = node.ann
     judg = rep.system.judgment_of_rule(node.rule)
     sorts = judg.sorts
     depth = node.depth
-    base_ctx = pdata.ctx if pdata is not None else ()
-    xs = tuple(str(VarRef(depth, j)) for j in range(judg.ob))
-    ctx = base_ctx + tuple((xs[j], sorts[j]) for j in range(judg.ob))
+    own = tuple(VarRef(depth, j) for j in range(judg.ob))
+    xs = tuple(map(str, own))
+    refs = (pdata.refs if pdata is not None else ()) + own
+    ctx = (pdata.ctx if pdata is not None else ()) + tuple(zip(xs, sorts))
 
     def at(name: str) -> FreeV:
         return FreeV(str(ann.var_of(name)))
@@ -199,23 +198,13 @@ def _node_data(
         for p in group_order[nid]:
             older = entries + tuple(new)
             target = Sequent(ctx, ineq + tuple(e.formula for e in older), concl)
-            formula, block = hypothesis(target, str(ann.var_of(p)))
-            new.append(
-                HypEntry(
-                    sprout=nid,
-                    prog=p,
-                    var=ann.var_of(p),
-                    formula=formula,
-                    block=block,
-                    old=tuple((e.sprout, e.prog) for e in older),
-                    sprout_depth=depth,
-                    bindings=tuple(zip(ann.names, ann.binding)),
-                )
-            )
+            formula, block = hypothesis(target, str(ann.var_of(p)), refs)
+            new.append(HypEntry(sprout=nid, prog=p, formula=formula, block=block,
+                                old=tuple((e.sprout, e.prog) for e in older)))
         entries = entries + tuple(new)
         appended = len(new)
 
-    return _NodeData(ctx=ctx, ineq=ineq, entries=entries, appended=appended)
+    return _NodeData(refs=refs, ctx=ctx, ineq=ineq, entries=entries, appended=appended)
 
 
 # ---------------------------------------------------------------------------
@@ -238,15 +227,16 @@ def _close_bud(rep: ResetRep, node: RepNode, nd: _NodeData) -> Deriv:
     e = nd.entries[k]
     ctx, H = nd.ctx, nd.hyps()
     bud_bind = dict(zip(ann.names, ann.binding))
-    var_to_name = {v: nm for nm, v in e.bindings}
+    sp = rep.nodes[e.sprout].ann
+    var_to_name = dict(zip(sp.binding, sp.names))
     cov_var = ann.cover_of(node.prog).cover_var
-    sd = e.sprout_depth
-    assert dict(e.bindings)[node.prog] == bud_bind[node.prog] == e.var, "progressing name rebound"
+    ind_var = sp.var_of(node.prog)
+    assert bud_bind[node.prog] == ind_var, "progressing name rebound"
 
     def sigma(v: VarRef) -> VarRef:
-        if v.depth == sd:
+        if v.depth == sp.depth:
             return VarRef(t, v.pos)
-        if v == e.var:
+        if v == ind_var:
             return cov_var
         nm = var_to_name.get(v)
         if nm is not None:
@@ -256,7 +246,7 @@ def _close_bud(rep: ResetRep, node: RepNode, nd: _NodeData) -> Deriv:
     orders = _Orders(ctx, H)
     older = iter(e.old)
     d = assumption(ctx, H, len(nd.ineq) + k)
-    d = forall_elims(d, [str(sigma(_vref(v))) for v, _s in e.block])
+    d = forall_elims(d, [str(sigma(v)) for v in e.block])
     while isinstance(d.seq.concl, Imp):
         goal = d.seq.concl.lhs
         if isinstance(goal, (Geq, Gt)):
@@ -267,11 +257,12 @@ def _close_bud(rep: ResetRep, node: RepNode, nd: _NodeData) -> Deriv:
         if k2 is None:
             raise TranslationError(f"hypothesis for {key} not in scope at bud {node.id}")
         o = nd.entries[k2]
-        sw = sigma(o.var)
-        if sw == o.var:
+        ow = rep.nodes[o.sprout].ann.var_of(o.prog)
+        sw = sigma(ow)
+        if sw == ow:
             m = assumption(ctx, H, len(nd.ineq) + k2)
         else:
-            geq = Geq(dict(ctx)[str(o.var)], FreeV(str(o.var)), FreeV(str(sw)))
+            geq = Geq(dict(ctx)[str(ow)], FreeV(str(ow)), FreeV(str(sw)))
             m = hyp_monotone(o.formula, len(nd.ineq) + k2, str(sw), ctx, H,
                              lambda c, h: _Orders(c, h).prove(geq))
         if m.seq.concl != goal:
@@ -312,14 +303,8 @@ def _internal(
         assert d.seq.hyps == cd.ineq + tuple(
             e.formula for e in inherited
         ), "child sequent out of shape after peeling"
-        cdepth = node.depth + 1
-        block = tuple(
-            (Gt if lab == GT else Geq)(
-                judg.sorts[a], FreeV(xs[a]), FreeV(str(VarRef(cdepth, b)))
-            )
-            for a, b, lab in rule.graphs[i].sorted_edges()
-        )
-        P = target_hyps + block
+        ys = tuple(v for v, _s in cd.ctx[len(nd.ctx):])
+        P = target_hyps + edge_facts(judg.sorts, rule.graphs[i], xs, ys)
         orders = _Orders(cd.ctx, P)
         minors = [orders.prove(f) for f in cd.ineq]
         minors += [assumption(cd.ctx, P, nI + entry_pos[(e.sprout, e.prog)]) for e in inherited]
@@ -327,11 +312,11 @@ def _internal(
     return c_apply(system, rule.id, nd.ctx, target_hyps, xs, tuple(premises))
 
 
-def _peel_new_hyps(d: Deriv, nd: _NodeData) -> Deriv:
+def _peel_new_hyps(d: Deriv, node: RepNode, nd: _NodeData) -> Deriv:
     """Discharge the hypotheses introduced at this node, youngest first, with
     one strong-induction expansion each."""
     for e in reversed(nd.entries[len(nd.entries) - nd.appended:]):
-        d = ind_prime(d, str(e.var))
+        d = ind_prime(d, str(node.ann.var_of(e.prog)))
     return d
 
 
@@ -347,7 +332,7 @@ def translate(rep: ResetRep) -> Deriv:
         b = rep.nodes[bid]
         budsby.setdefault((b.sprout, b.prog), []).append(bid)
         sprout_buds.setdefault(b.sprout, []).append(bid)
-    reach = {s: reachable_from(rep, s) for s in sprout_buds}
+    reach = sprout_reach(rep)
     group_order = {
         s: sorted(
             {rep.nodes[b].prog for b in bids}, key=rep.nodes[s].ann.names.index
@@ -357,12 +342,15 @@ def translate(rep: ResetRep) -> Deriv:
 
     # Formulas are numbered by value; ``data`` keeps every numbered one alive.
     number = FormulaNumbering()
-    hyp_memo: dict[tuple, tuple[Formula, tuple]] = {}
+    hyp_memo: dict[tuple, tuple[Formula, tuple[VarRef, ...]]] = {}
 
-    def hypothesis(target: Sequent, x: str) -> tuple[Formula, tuple]:
+    def hypothesis(target: Sequent, x: str, refs: tuple[VarRef, ...]) -> tuple[Formula, tuple[VarRef, ...]]:
+        # ``refs`` name the context's variables, so the key's ``target.ctx`` fixes them
         key = (target.ctx, tuple(map(number, target.hyps)), target.concl, x)
         if key not in hyp_memo:
-            hyp_memo[key] = (ind_hypothesis(target, x), tuple(ind_block(target, x)))
+            block = set(ind_block(target, x))
+            hyp_memo[key] = (ind_hypothesis(target, x),
+                             tuple(r for r, v in zip(refs, target.ctx) if v in block))
         return hyp_memo[key]
 
     data: dict[str, _NodeData] = {}
@@ -395,7 +383,7 @@ def translate(rep: ResetRep) -> Deriv:
         d = memo.get(key)
         if d is None:
             d = _close_bud(rep, node, nd) if node.is_bud else _internal(rep, node, nd, data, result)
-            d = memo[key] = _peel_new_hyps(d, nd)
+            d = memo[key] = _peel_new_hyps(d, node, nd)
         result[nid] = d
 
     # root assembly: the root's own hypotheses are peeled; discharge the

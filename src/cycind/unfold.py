@@ -99,6 +99,8 @@ class ResetRep(Record):
 def _unfold_cap(deriv: RegularDerivation, system: CyclicSystem, closure_size: int) -> int:
     env = os.environ.get("CYCIND_UNFOLD_CAP")
     if env:
+        if not (env.isdecimal() and int(env) > 0):
+            raise UnfoldCapError(f"CYCIND_UNFOLD_CAP must be a positive integer, got {env!r}")
         return int(env)
     m = max((j.ob for j in system.judgments.values()), default=1)
     # Circuit breaker only.  Reorderings of sound two-call systems have been
@@ -216,6 +218,11 @@ def reachable_from(rep: ResetRep, start: str) -> set[str]:
     return seen
 
 
+def sprout_reach(rep: ResetRep) -> dict[str, set[str]]:
+    """:func:`reachable_from` of every node that is the sprout of some bud."""
+    return {s: reachable_from(rep, s) for s in {rep.nodes[b].sprout for b in rep.buds()}}
+
+
 def _bud_order_data(rep: ResetRep) -> dict[str, tuple[tuple[str, ...], tuple]]:
     """Per bud: the prefix up to its progressing name and the prefix's bindings."""
     data = {}
@@ -280,86 +287,31 @@ def _tree_intervals(rep: ResetRep) -> tuple[dict[str, int], dict[str, int]]:
     return tin, tout
 
 
-def _components(rep: ResetRep) -> dict[str, int]:
-    """Strongly connected components over child edges plus bud back-edges."""
-    nodes = rep.nodes
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    comp: dict[str, int] = {}
-    tstack: list[str] = []
-    on_stack: set[str] = set()
-    counter = ncomp = 0
-    for start in nodes:
-        if start in index:
-            continue
-        work: list[tuple[str, int]] = [(start, 0)]
-        while work:
-            nid, pi = work[-1]
-            if pi == 0:
-                index[nid] = low[nid] = counter
-                counter += 1
-                tstack.append(nid)
-                on_stack.add(nid)
-            node = nodes[nid]
-            succ = node.children + ((node.sprout,) if node.is_bud else ())
-            descended = False
-            while pi < len(succ):
-                w = succ[pi]
-                pi += 1
-                if w not in index:
-                    work[-1] = (nid, pi)
-                    work.append((w, 0))
-                    descended = True
-                    break
-                if w in on_stack:
-                    low[nid] = min(low[nid], index[w])
-            if descended:
-                continue
-            work.pop()
-            if low[nid] == index[nid]:
-                while True:
-                    w = tstack.pop()
-                    on_stack.discard(w)
-                    comp[w] = ncomp
-                    if w == nid:
-                        break
-                ncomp += 1
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[nid])
-    return comp
-
-
 def induction_order_violations(rep: ResetRep) -> list[tuple[str, str]]:
     """Pairs (b, b2) of mutually reachable buds where b2's sprout is a proper
-    ancestor of b's sprout but b2 is not at least as old as b."""
+    ancestor of b's sprout but b2 is not at least as old as b.
+
+    A bud's only successor is its sprout, so two distinct buds reach each
+    other exactly when each lies in the reach set of the other's sprout."""
     buds = rep.buds()
     nodes = rep.nodes
-    pos = {b: k for k, b in enumerate(buds)}
-    comp = _components(rep)
+    reach = sprout_reach(rep)
     tin, tout = _tree_intervals(rep)
     data = _bud_order_data(rep)
-    groups: dict[int, list[str]] = {}
-    for b in buds:
-        groups.setdefault(comp[b], []).append(b)
     checkers: dict = {}
     found = []
-    for group in groups.values():
-        if len(group) < 2:
-            continue
-        for b in group:
-            s = nodes[b].sprout
-            for b2 in group:
-                if b2 == b:
-                    continue
-                s2 = nodes[b2].sprout
-                if not (tin[s2] < tin[s] and tout[s] < tout[s2]):
-                    continue
-                if b2 not in checkers:
-                    checkers[b2] = _older_checker(rep, b2, data)
-                if not checkers[b2](b):
-                    found.append((b, b2))
-    found.sort(key=lambda p: (pos[p[0]], pos[p[1]]))
+    for b in buds:
+        s = nodes[b].sprout
+        for b2 in buds:
+            s2 = nodes[b2].sprout
+            if b2 == b or b2 not in reach[s] or b not in reach[s2]:
+                continue
+            if not (tin[s2] < tin[s] and tout[s] < tout[s2]):
+                continue
+            if b2 not in checkers:
+                checkers[b2] = _older_checker(rep, b2, data)
+            if not checkers[b2](b):
+                found.append((b, b2))
     return found
 
 

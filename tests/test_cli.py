@@ -144,6 +144,14 @@ def test_unravel_a_call_system_without_functions(capsys, tmp_path):
     assert run(capsys, "sct", src) == (0, "terminating (closure size 0)\n", "")
 
 
+@pytest.mark.parametrize("value", ["abc", "-1", "0", "1.5"])
+def test_unravel_refuses_a_malformed_unfold_cap(capsys, monkeypatch, value):
+    monkeypatch.setenv("CYCIND_UNFOLD_CAP", value)
+    code, out, err = run(capsys, "unravel", DATA / "plus.fun")
+    assert (code, out) == (2, "")
+    assert err == f"error: CYCIND_UNFOLD_CAP must be a positive integer, got {value!r}\n"
+
+
 @pytest.mark.parametrize("name", ["plus", "fg", "ack", "dist"])
 def test_unravel_decides_soundness_once(capsys, tmp_path, calls_to, name):
     src = tmp_path / f"{name}.json"

@@ -15,20 +15,9 @@ from cycind import (
     proof_size,
 )
 from cycind import logic
-from cycind.logic import (
-    Atom,
-    BoundV,
-    Deriv,
-    Forall,
-    FreeV,
-    Geq,
-    Gt,
-    Imp,
-    Sequent,
+from cycind.builders import (
     assumption,
     c_apply,
-    close_free,
-    distinct_nodes,
     forall_elim,
     forall_intro,
     fold_imp,
@@ -39,10 +28,23 @@ from cycind.logic import (
     ind_hypothesis,
     ind_prime,
     inst,
+    trans,
+)
+from cycind.logic import (
+    Atom,
+    BoundV,
+    Deriv,
+    Forall,
+    FreeV,
+    Geq,
+    Gt,
+    Imp,
+    Sequent,
+    close_free,
+    distinct_nodes,
     open_bound,
     render_formula,
     subst_free,
-    trans,
 )
 
 import oracles

@@ -10,7 +10,8 @@ import pytest
 
 from cycind import GEQ, GT, SizeChangeGraph, VarRef
 from cycind.annotate import Origin, init_annotation
-from cycind.logic import Atom, BoundV, Deriv, Forall, FormulaNumbering, FreeV, Geq, Gt, Imp, Sequent
+from cycind.formats import FormulaNumbering
+from cycind.logic import Atom, BoundV, Deriv, Forall, FreeV, Geq, Gt, Imp, Sequent
 from cycind.sct import ClosureElement, Lasso, SctVerdict
 from cycind.unfold import RepNode
 

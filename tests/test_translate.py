@@ -13,7 +13,9 @@ from cycind import (
     prove_by_induction,
     respect_induction_order,
 )
-from cycind.logic import FormulaNumbering, FreeV, Geq, Gt, distinct_nodes, ind_hypothesis
+from cycind.builders import ind_hypothesis
+from cycind.formats import FormulaNumbering
+from cycind.logic import FreeV, Geq, Gt, distinct_nodes
 from cycind.sct import closure
 from cycind.translate import TranslationError, _Orders, rep_skeleton, translate
 

@@ -1,0 +1,76 @@
+"""The trust boundary of ``src/cycind``, read from the source: the kernel
+(``logic``) stands alone, and only ``translate`` uses the untrusted builders."""
+
+import ast
+import re
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).parent.parent / "src" / "cycind"
+
+# every rule builder, the formula helpers only they use, and the strong
+# induction macro
+BUILDER_NAMES = {
+    "fold_imp", "peel_forall", "free_vars",
+    "imp_intro", "imp_elim", "forall_intro", "forall_elim", "geq_refl", "trans", "geq_subsum",
+    "gt_ind", "c_apply", "assumption", "inst", "forall_elims",
+    "ind_block", "ind_hypothesis", "ind_prime", "hyp_monotone",
+}
+
+
+def _source(name: str) -> str:
+    return (SRC / f"{name}.py").read_text(encoding="utf-8")
+
+
+def _imports(name: str) -> set[str]:
+    """The modules ``name`` imports; modules of this package as ``.module``."""
+    out = set()
+    for node in ast.walk(ast.parse(_source(name))):
+        if isinstance(node, ast.Import):
+            out |= {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            out.add(node.module)
+        elif isinstance(node, ast.ImportFrom) and node.module is None:
+            out |= {f".{a.name}" for a in node.names}  # from . import m
+        elif isinstance(node, ast.ImportFrom):
+            out.add(f".{node.module}")
+    return {f".{m[len('cycind.'):]}" if m.startswith("cycind.") else m for m in out}
+
+
+def _top_level_names(name: str) -> set[str]:
+    out = set()
+    for node in ast.parse(_source(name)).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, ast.Assign):
+            out |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            out.add(node.target.id)
+    return out
+
+
+def test_kernel_imports_only_core_and_the_standard_library():
+    imports = _imports("logic")
+    assert ".core" in imports
+    for m in imports - {".core"}:
+        assert not m.startswith(".") and m.split(".")[0] in sys.stdlib_module_names, m
+
+
+def test_kernel_defines_no_builder_or_macro():
+    builders = _top_level_names("builders")
+    assert BUILDER_NAMES <= builders
+    assert not _top_level_names("logic") & (BUILDER_NAMES | builders)
+
+
+def test_only_translate_imports_the_builders():
+    modules = sorted(p.stem for p in SRC.glob("*.py"))
+    importers = [m for m in modules if ".builders" in _imports(m)]
+    assert importers == ["translate"]
+
+
+def test_kernel_docstring_states_its_line_count():
+    source = _source("logic")
+    doc = ast.get_docstring(ast.parse(source))
+    m = re.search(r"([\d,]+) lines, with eleven rules", doc)
+    assert m, "the kernel's docstring states its size next to its rules"
+    assert int(m[1].replace(",", "")) == len(source.splitlines())
