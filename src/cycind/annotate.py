@@ -14,7 +14,7 @@ back-edges and to pick induction variables.
 
 from __future__ import annotations
 
-from .core import GT, Record, VarRef, set_field
+from .core import GT, Record, VarRef
 
 
 def name_token(i: int) -> str:
@@ -38,11 +38,7 @@ class Origin(Record):
     kind: str
     src: int | None
     fresh: str | None
-
-    def __init__(self, kind: str, src: int | None = None, fresh: str | None = None) -> None:
-        set_field(self, "kind", kind)
-        set_field(self, "src", src)
-        set_field(self, "fresh", fresh)
+    _defaults = {"src": None, "fresh": None}
 
 
 class Reset(Record):
@@ -75,24 +71,6 @@ class Annotation(Record):
     origins: tuple[Origin, ...]
     resets: tuple[Reset, ...]
     depth: int
-
-    def __init__(
-        self,
-        names: tuple[str, ...],
-        binding: tuple[VarRef, ...],
-        stacks: tuple[tuple[str, ...], ...],
-        pre_stacks: tuple[tuple[str, ...], ...],
-        origins: tuple[Origin, ...],
-        resets: tuple[Reset, ...],
-        depth: int,
-    ) -> None:
-        set_field(self, "names", names)
-        set_field(self, "binding", binding)
-        set_field(self, "stacks", stacks)
-        set_field(self, "pre_stacks", pre_stacks)
-        set_field(self, "origins", origins)
-        set_field(self, "resets", resets)
-        set_field(self, "depth", depth)
 
     def var_of(self, name: str) -> VarRef:
         return self.binding[self.names.index(name)]

@@ -161,7 +161,8 @@ def cmd_unravel(args) -> int:
     except UnfoldCapError as e:
         raise _CliError(str(e)) from None
     if args.trace:
-        sys.stdout.write(render_trace(rep))
+        # the proof document alone goes to stdout when there is no --out
+        (sys.stdout if args.out else sys.stderr).write(render_trace(rep))
     if args.dot:
         _write(args.dot, rep_to_dot(rep))
     doc = formats.dumps(formats.proof_to_doc(proof, sys_))
@@ -245,7 +246,7 @@ def main(argv=None) -> int:
     p.add_argument("path")
     p.add_argument("--out", help="write the proof document here (default: stdout)")
     p.add_argument("--dot", help="also write the annotated representation as dot")
-    p.add_argument("--trace", action="store_true", help="print the annotation trace")
+    p.add_argument("--trace", action="store_true", help="print the annotation trace (to stderr if no --out)")
     p.add_argument("--fun", help="which function to unravel (call-system inputs)")
     p.set_defaults(fn=cmd_unravel)
 

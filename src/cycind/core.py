@@ -26,7 +26,7 @@ DEFAULT_SORT = "*"
 # Records
 # ---------------------------------------------------------------------------
 
-# Explicit ``__init__`` methods of records set their fields with this.
+# Constructors set the fields of a record with this.
 set_field = object.__setattr__
 
 
@@ -36,9 +36,10 @@ class Record:
     Records of one class are equal when their compared fields are (records of
     different classes never are), and hash over those fields.  ``_defaults``
     maps fields to default values and ``_nocompare`` names fields left out of
-    equality and hashing; both still show in the ``repr``.  The generic
-    ``__init__`` takes fields by position or keyword and then runs
-    ``_validate``; records built in bulk define their own ``__init__``.
+    equality and hashing; both still show in the ``repr``.  Each class gets an
+    ``__init__`` compiled when it is created: the fields by position or
+    keyword, ``_defaults`` filled in, then ``_validate`` if the class defines
+    one.  ``SizeChangeGraph`` normalises its edges in its own ``__init__``.
     """
 
     __slots__ = ()
@@ -51,22 +52,16 @@ class Record:
     def __init_subclass__(cls) -> None:
         cls._fields = cls.__slots__
         cls._key = attrgetter(*(f for f in cls._fields if f not in cls._nocompare))
-
-    def __init__(self, *args, **kw) -> None:
-        cls = type(self)
-        fields = cls._fields
-        if len(args) > len(fields):
-            raise TypeError(f"{cls.__name__} takes {len(fields)} fields, got {len(args)}")
-        values = dict(zip(fields, args))
-        for f in kw:
-            if f in values or f not in fields:
-                raise TypeError(f"{cls.__name__}: unexpected or repeated field {f!r}")
-        values = {**cls._defaults, **values, **kw}
-        for f in fields:
-            if f not in values:
-                raise TypeError(f"{cls.__name__}: missing field {f!r}")
-            set_field(self, f, values[f])
-        self._validate()
+        if "__init__" in cls.__dict__:
+            return
+        params = ", ".join(f"{f}=_defaults[{f!r}]" if f in cls._defaults else f for f in cls._fields)
+        body = [f"    set_field(self, {f!r}, {f})" for f in cls._fields]
+        if cls._validate is not Record._validate:
+            body.append("    self._validate()")
+        namespace = {"set_field": set_field, "_defaults": cls._defaults}
+        exec(f"def __init__(self, {params}):\n" + "\n".join(body), namespace)
+        cls.__init__ = namespace["__init__"]
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
 
     def _validate(self) -> None:
         pass
@@ -255,10 +250,6 @@ class VarRef(Record):
     __slots__ = ("depth", "pos")
     depth: int
     pos: int
-
-    def __init__(self, depth: int, pos: int) -> None:
-        set_field(self, "depth", depth)
-        set_field(self, "pos", pos)
 
     def __lt__(self, other: object) -> bool:
         if other.__class__ is not VarRef:

@@ -7,7 +7,7 @@ sequent is ``ctx; hyps |- concl`` where ``ctx`` is an *ordered* list of sorted
 variables: quantifier rules bind the last context entry, so the context
 discipline is part of the proof structure.
 
-The trusted kernel is this module alone, 692 lines, with eleven rules:
+The trusted kernel is this module alone, 662 lines, with eleven rules:
 
 - ``assumption``: conclude any hypothesis;
 - ``inst``: rename the premise's context variables to variables of the same
@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterator, Mapping
 
-from .core import GT, CyclicSystem, Record, SizeChangeGraph, set_field
+from .core import GT, CyclicSystem, Record, SizeChangeGraph
 
 
 # ---------------------------------------------------------------------------
@@ -50,9 +50,6 @@ class FreeV(Record):
     __slots__ = ("name",)
     name: str
 
-    def __init__(self, name: str) -> None:
-        set_field(self, "name", name)
-
     def __str__(self) -> str:
         return self.name
 
@@ -60,9 +57,6 @@ class FreeV(Record):
 class BoundV(Record):
     __slots__ = ("k",)
     k: int
-
-    def __init__(self, k: int) -> None:
-        set_field(self, "k", k)
 
     def __str__(self) -> str:
         return f"^{self.k}"
@@ -76,21 +70,12 @@ class Atom(Record):
     judg: str
     args: tuple[Term, ...]
 
-    def __init__(self, judg: str, args: tuple[Term, ...]) -> None:
-        set_field(self, "judg", judg)
-        set_field(self, "args", args)
-
 
 class Geq(Record):
     __slots__ = ("sort", "left", "right")
     sort: str
     left: Term
     right: Term
-
-    def __init__(self, sort: str, left: Term, right: Term) -> None:
-        set_field(self, "sort", sort)
-        set_field(self, "left", left)
-        set_field(self, "right", right)
 
 
 class Gt(Record):
@@ -99,20 +84,11 @@ class Gt(Record):
     left: Term
     right: Term
 
-    def __init__(self, sort: str, left: Term, right: Term) -> None:
-        set_field(self, "sort", sort)
-        set_field(self, "left", left)
-        set_field(self, "right", right)
-
 
 class Imp(Record):
     __slots__ = ("lhs", "rhs")
     lhs: Formula
     rhs: Formula
-
-    def __init__(self, lhs: Formula, rhs: Formula) -> None:
-        set_field(self, "lhs", lhs)
-        set_field(self, "rhs", rhs)
 
 
 class Forall(Record):
@@ -122,12 +98,8 @@ class Forall(Record):
     sort: str
     body: Formula
     hint: str
+    _defaults = {"hint": "x"}
     _nocompare = ("hint",)
-
-    def __init__(self, sort: str, body: Formula, hint: str = "x") -> None:
-        set_field(self, "sort", sort)
-        set_field(self, "body", body)
-        set_field(self, "hint", hint)
 
 
 Formula = Atom | Geq | Gt | Imp | Forall
@@ -253,11 +225,6 @@ class Sequent(Record):
     hyps: tuple[Formula, ...]
     concl: Formula
 
-    def __init__(self, ctx: tuple[tuple[str, str], ...], hyps: tuple[Formula, ...], concl: Formula) -> None:
-        set_field(self, "ctx", ctx)
-        set_field(self, "hyps", hyps)
-        set_field(self, "concl", concl)
-
     def sort_of(self, name: str) -> str:
         for v, s in self.ctx:
             if v == name:
@@ -276,12 +243,7 @@ class Deriv(Record):
     seq: Sequent
     children: tuple[Deriv, ...]
     data: tuple
-
-    def __init__(self, rule: str, seq: Sequent, children: tuple[Deriv, ...] = (), data: tuple = ()) -> None:
-        set_field(self, "rule", rule)
-        set_field(self, "seq", seq)
-        set_field(self, "children", children)
-        set_field(self, "data", data)
+    _defaults = {"children": (), "data": ()}
 
 
 class LogicError(Exception):
@@ -616,12 +578,13 @@ def check_proof(system: CyclicSystem, root: Deriv) -> None:
     """Verify a derivation; raises :class:`LogicError` locating the first defect.
 
     The context and hypotheses of every sequent are checked for well
-    formedness, but a conclusion only where it enters the proof: at the root,
-    at ``inst``'s premise 0 (an arbitrary sequent), at ``imp_elim``'s minor
-    (its conclusion ``A`` is the new antecedent) and at ``trans``'s left
-    premise (its right end is the new middle term).  Every other premise
-    conclusion is built by its rule from well-formed parts, so it is well
-    formed once the rule's check passes below it:
+    formedness (a context's sorts after its node's rule), but a conclusion
+    only where it enters the proof: at the root, at ``inst``'s premise 0 (an
+    arbitrary sequent), at ``imp_elim``'s minor (its conclusion ``A`` is the
+    new antecedent) and at ``trans``'s left premise (its right end is the new
+    middle term).  Every other premise conclusion is built by its rule from
+    well-formed parts, so it is well formed once the rule's check passes
+    below it:
 
     - ``imp_intro``: the consequent of the conclusion;
     - ``forall_intro``, ``gt_ind``: the conclusion's body opened at the
@@ -647,6 +610,9 @@ def check_proof(system: CyclicSystem, root: Deriv) -> None:
     """
     cache: dict[int, _Summary] = {}
     contexts: dict[tuple[int, int], dict[str, str]] = {}
+    # a context declares only sorts that a judgment takes or induction runs over
+    known = system.ind_sorts.union(*(j.sorts for j in system.judgments.values()))
+    checked_ctxs: set[int] = set()
     seen: set[int] = set()
     stack: list[tuple[Deriv, tuple | None, bool]] = [(root, None, True)]
     while stack:
@@ -657,6 +623,10 @@ def check_proof(system: CyclicSystem, root: Deriv) -> None:
         err = _check_sequent(system, node.seq, cache, contexts, enters)
         if err is None:
             err = _check_node(system, node)
+        if err is None and id(node.seq.ctx) not in checked_ctxs:
+            checked_ctxs.add(id(node.seq.ctx))
+            err = next((f"variable {v!r} has unknown sort {s!r}"
+                        for v, s in node.seq.ctx if s not in known), None)
         if err is not None:
             raise LogicError(err, _path(link))
         kids = node.children

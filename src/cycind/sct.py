@@ -20,7 +20,6 @@ from .core import (
     SizeChangeGraph,
     compose,
     induced_call_graph,
-    set_field,
 )
 
 
@@ -32,12 +31,6 @@ class ClosureElement(Record):
     dst: str
     graph: SizeChangeGraph
     witness: tuple[str, ...]  # call ids, in path order
-
-    def __init__(self, src: str, dst: str, graph: SizeChangeGraph, witness: tuple[str, ...]) -> None:
-        set_field(self, "src", src)
-        set_field(self, "dst", dst)
-        set_field(self, "graph", graph)
-        set_field(self, "witness", witness)
 
     def is_idempotent(self) -> bool:
         return self.src == self.dst and compose(self.graph, self.graph) == self.graph

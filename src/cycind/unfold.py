@@ -23,7 +23,7 @@ from __future__ import annotations
 import os
 
 from .annotate import Annotation, init_annotation, step
-from .core import CyclicSystem, Record, RegularDerivation, set_field
+from .core import CyclicSystem, Record, RegularDerivation
 from .sct import check_soundness
 
 
@@ -50,28 +50,7 @@ class RepNode(Record):
     ann: Annotation
     sprout: str | None
     prog: str | None
-
-    def __init__(
-        self,
-        id: str,
-        deriv_node: str,
-        rule: str,
-        parent: str | None,
-        index: int | None,
-        children: tuple[str, ...],
-        ann: Annotation,
-        sprout: str | None = None,
-        prog: str | None = None,
-    ) -> None:
-        set_field(self, "id", id)
-        set_field(self, "deriv_node", deriv_node)
-        set_field(self, "rule", rule)
-        set_field(self, "parent", parent)
-        set_field(self, "index", index)
-        set_field(self, "children", children)
-        set_field(self, "ann", ann)
-        set_field(self, "sprout", sprout)
-        set_field(self, "prog", prog)
+    _defaults = {"sprout": None, "prog": None}
 
     @property
     def is_bud(self) -> bool:
@@ -151,21 +130,19 @@ def build_reset_rep(deriv: RegularDerivation, system: CyclicSystem, check: bool 
             raise UnfoldCapError(
                 f"unfolding exceeded {cap} nodes; set CYCIND_UNFOLD_CAP to raise the limit"
             )
-        # bud check: deepest ancestor with the same derivation node and annotation key
+        # bud check: only the deepest ancestor with the same derivation node and
+        # annotation key can be the sprout; a shallower one admits a subset of the
+        # reset names, since a name qualifies if introduced no deeper than it
         sprout = prog = None
-        if ann.resets:
-            cur = parent
-            best: RepNode | None = None
-            while cur is not None:
-                anc = nodes[cur]
-                if anc.deriv_node == dn and anc.ann.key() == ann.key():
-                    p = _qualifying_prog(ann, anc.depth)
-                    if p is not None and best is None:
-                        best = anc
-                        prog = p
-                cur = anc.parent
-            if best is not None:
-                sprout = best.id
+        cur = parent if ann.resets else None
+        while cur is not None:
+            anc = nodes[cur]
+            if anc.deriv_node == dn and anc.ann.key() == ann.key():
+                prog = _qualifying_prog(ann, anc.depth)
+                if prog is not None:
+                    sprout = anc.id
+                break
+            cur = anc.parent
         if sprout is not None:
             nodes[nid] = RepNode(nid, dn, deriv.nodes[dn].rule, parent, index, (), ann, sprout, prog)
             continue

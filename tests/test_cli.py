@@ -108,6 +108,14 @@ def test_unravel_trace_and_dot(capsys, tmp_path):
     assert dot_path.read_text().startswith("digraph")
 
 
+def test_unravel_trace_without_out_keeps_stdout_a_document(capsys, tmp_path):
+    code, out, err = run(capsys, "unravel", DATA / "plus.fun", "--trace")
+    assert code == 0
+    assert err == (GOLDEN / "plus.trace").read_text()
+    run(capsys, "unravel", DATA / "plus.fun", "--out", tmp_path / "p.json")
+    assert json.loads(out) == json.loads((tmp_path / "p.json").read_text())
+
+
 def test_unravel_unsound_input(capsys):
     code, out, err = run(capsys, "unravel", DATA / "loop.fun")
     assert code == 1

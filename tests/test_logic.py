@@ -591,6 +591,24 @@ def test_trans_rejects_a_bad_node(plus_system, build, message):
     assert exc.value.path == ()
 
 
+def test_forall_elim_rejects_a_target_of_another_sort(plus_system):
+    # the body ignores its bound variable, so only the target's sort is wrong
+    system = plus_system.replace(ind_sorts=plus_system.ind_sorts | {"Tree"})
+    ctx = (("x", NAT), ("t", "Tree"))
+    hyps = (Forall(NAT, Geq(NAT, x("x"), x("x"))),)
+    check_proof(system, forall_elim(assumption(ctx, hyps, 0), "x"))
+    with pytest.raises(LogicError, match="forall_elim target has sort 'Tree', expected 'Nat'") as exc:
+        check_proof(system, forall_elim(assumption(ctx, hyps, 0), "t"))
+    assert exc.value.path == ()
+
+
+def test_context_sorts_are_sorts_of_the_system(plus_system):
+    seq = Sequent((("x", NAT), ("y", "Bogus")), (), Geq(NAT, x("x"), x("x")))
+    with pytest.raises(LogicError, match="at root: variable 'y' has unknown sort 'Bogus'"):
+        check_proof(plus_system, Deriv("geq_refl", seq))
+    check_proof(plus_system.replace(ind_sorts=plus_system.ind_sorts | {"Bogus"}), Deriv("geq_refl", seq))
+
+
 def test_induction_completion_keeps_the_premise_derivation(plus_system):
     ctx = (("x", NAT), ("y", NAT))
     target = Sequent(ctx, (Atom("plus", (x("x"), x("y"))),), Atom("plus", (x("x"), x("y"))))

@@ -82,9 +82,10 @@ def test_keyword_construction_and_defaults():
     assert (node.sprout, node.prog, node.is_bud) == (None, None, False)
     assert node == RepNode("n0", "f", "f", None, None, (), ann, None, None)
     assert SctVerdict(terminating=True) == SctVerdict(True, None, 0, None)
-    with pytest.raises(TypeError, match="missing field 'terminating'"):
+    with pytest.raises(TypeError, match=r"SctVerdict\.__init__\(\) missing 1 required positional "
+                                        r"argument: 'terminating'"):
         SctVerdict()
-    with pytest.raises(TypeError, match="unexpected or repeated field 'terminating'"):
+    with pytest.raises(TypeError, match=r"SctVerdict\.__init__\(\) got multiple values for argument 'terminating'"):
         SctVerdict(True, terminating=True)
     with pytest.raises(TypeError):
         X.replace(nosuch=1)

@@ -1,5 +1,7 @@
 """The trust boundary of ``src/cycind``, read from the source: the kernel
-(``logic``) stands alone, and only ``translate`` uses the untrusted builders."""
+(``logic``) stands alone, and only ``translate`` uses the untrusted builders.
+Every record but ``SizeChangeGraph`` is built by the ``__init__`` that
+``core.Record`` generates."""
 
 import ast
 import re
@@ -74,3 +76,21 @@ def test_kernel_docstring_states_its_line_count():
     m = re.search(r"([\d,]+) lines, with eleven rules", doc)
     assert m, "the kernel's docstring states its size next to its rules"
     assert int(m[1].replace(",", "")) == len(source.splitlines())
+
+
+def test_records_use_the_generated_constructor():
+    modules = sorted(p.stem for p in SRC.glob("*.py"))
+    trees = {m: ast.parse(_source(m)) for m in modules}
+    classes = [c for t in trees.values() for c in ast.walk(t) if isinstance(c, ast.ClassDef)]
+    # Record's subclasses, through any chain of bases in the package
+    records = {"Record"}
+    while more := {c.name for c in classes if c.name not in records
+                   and any(isinstance(b, ast.Name) and b.id in records for b in c.bases)}:
+        records |= more
+    own_init = [c.name for c in classes if c.name in records
+                and any(isinstance(f, ast.FunctionDef) and f.name == "__init__" for f in c.body)]
+    assert own_init == ["SizeChangeGraph"]
+    users = [m for m, t in trees.items()
+             if any(isinstance(n, ast.Name) and n.id == "set_field"
+                    or isinstance(n, ast.alias) and n.name == "set_field" for n in ast.walk(t))]
+    assert users == ["core"]
