@@ -17,7 +17,7 @@ ann = init_annotation(2)
 print("depth 0:", render_annotation(ann))
 
 for depth in (1, 2, 3, 4):
-    ann = step(ann, g, depth=depth)
+    ann = step(ann, g)
     resets = ", ".join(f"{r.name} reset by {r.cover}" for r in ann.resets) or "-"
     print(f"depth {depth}: {render_annotation(ann)}   resets: {resets}")
 

@@ -1,6 +1,6 @@
 """Size-change termination and unravelling of cyclic proofs into induction."""
 
-from .annotate import Annotation, Origin, Reset, init_annotation, render_annotation, step
+from .annotate import Annotation, Reset, init_annotation, render_annotation, step
 from .core import (
     GEQ,
     GT,
@@ -54,7 +54,6 @@ __all__ = [
     "Lasso",
     "LogicError",
     "MiniLangError",
-    "Origin",
     "RegularDerivation",
     "Reset",
     "ResetRep",

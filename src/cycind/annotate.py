@@ -24,23 +24,6 @@ def name_token(i: int) -> str:
     return f"a{i}"
 
 
-class Origin(Record):
-    """How the stack at one target position was obtained in a step.
-
-    kind is one of:
-      - "init":   root position, a fresh singleton stack;
-      - "carry":  the stack of source position ``src``, via a >= edge;
-      - "append": the stack of source position ``src`` plus ``fresh``, via a > edge;
-      - "fresh":  no incoming edge, a fresh singleton stack.
-    """
-
-    __slots__ = ("kind", "src", "fresh")
-    kind: str
-    src: int | None
-    fresh: str | None
-    _defaults = {"src": None, "fresh": None}
-
-
 class Reset(Record):
     """One reset: ``name`` was uniformly covered by ``cover`` and truncated away.
 
@@ -63,12 +46,11 @@ class Annotation(Record):
     any resets (their extra suffixes are the names struck out at this node).
     """
 
-    __slots__ = ("names", "binding", "stacks", "pre_stacks", "origins", "resets", "depth")
+    __slots__ = ("names", "binding", "stacks", "pre_stacks", "resets", "depth")
     names: tuple[str, ...]
     binding: tuple[VarRef, ...]
     stacks: tuple[tuple[str, ...], ...]
     pre_stacks: tuple[tuple[str, ...], ...]
-    origins: tuple[Origin, ...]
     resets: tuple[Reset, ...]
     depth: int
 
@@ -107,7 +89,6 @@ def init_annotation(ob: int) -> Annotation:
         binding=tuple(VarRef(0, j) for j in range(ob)),
         stacks=tuple((n,) for n in names),
         pre_stacks=tuple((n,) for n in names),
-        origins=tuple(Origin("init", None, n) for n in names),
         resets=(),
         depth=0,
     )
@@ -164,12 +145,11 @@ def _truncate(stacks: tuple[tuple[str, ...], ...], name: str) -> tuple[tuple[str
     return tuple(out)
 
 
-def step(ann: Annotation, g, depth: int | None = None) -> Annotation:
+def step(ann: Annotation, g) -> Annotation:
     """Annotation of the next node along an edge labelled with graph ``g``."""
     if g.src_arity != ann.ob:
         raise ValueError(f"graph source arity {g.src_arity} does not match node arity {ann.ob}")
-    if depth is None:
-        depth = ann.depth + 1
+    depth = ann.depth + 1
     age = {n: k for k, n in enumerate(ann.names)}
 
     in_edges: list[list[tuple[int, str]]] = [[] for _ in range(g.dst_arity)]
@@ -178,22 +158,19 @@ def step(ann: Annotation, g, depth: int | None = None) -> Annotation:
 
     # Pick the oldest candidate per target position; fresh names are compared
     # abstractly and only minted afterwards, for the positions that use one.
-    picks: list[tuple[str, int | None, bool]] = []  # (kind, src, uses_fresh)
+    picks: list[tuple[int | None, bool]] = []  # (source position, uses_fresh)
     for j2 in range(g.dst_arity):
-        best: tuple[frozenset[str], bool, str, int | None] | None = None
+        best: tuple[frozenset[str], bool, int] | None = None
         for i, lab in in_edges[j2]:
-            cand = (frozenset(ann.stacks[i]), lab == GT, "append" if lab == GT else "carry", i)
+            cand = (frozenset(ann.stacks[i]), lab == GT, i)
             if best is None or candidate_older(cand[0], cand[1], best[0], best[1], age):
                 best = cand
-        if best is None:
-            picks.append(("fresh", None, True))
-        else:
-            picks.append((best[2], best[3], best[1]))
+        picks.append((None, True) if best is None else (best[2], best[1]))
 
     pool = (name_token(i) for i in range(10 ** 9))
     used = set(ann.names)
     fresh_at: dict[int, str] = {}
-    for j2, (_kind, _src, uses_fresh) in enumerate(picks):
+    for j2, (_src, uses_fresh) in enumerate(picks):
         if uses_fresh:
             nm = next(n for n in pool if n not in used)
             used.add(nm)
@@ -201,19 +178,12 @@ def step(ann: Annotation, g, depth: int | None = None) -> Annotation:
 
     names = ann.names + tuple(fresh_at[j2] for j2 in sorted(fresh_at))
     binding = ann.binding + tuple(VarRef(depth, j2) for j2 in sorted(fresh_at))
-    origins = []
-    pre_stacks = []
-    for j2, (kind, src, _uses_fresh) in enumerate(picks):
-        if kind == "carry":
-            pre_stacks.append(ann.stacks[src])
-            origins.append(Origin("carry", src, None))
-        elif kind == "append":
-            pre_stacks.append(ann.stacks[src] + (fresh_at[j2],))
-            origins.append(Origin("append", src, fresh_at[j2]))
-        else:
-            pre_stacks.append((fresh_at[j2],))
-            origins.append(Origin("fresh", None, fresh_at[j2]))
-    pre_stacks = tuple(pre_stacks)
+    # a >= edge carries its source stack, a > edge extends it with the fresh
+    # name, and a position with no incoming edge starts a fresh singleton
+    pre_stacks = tuple(
+        (() if src is None else ann.stacks[src]) + ((fresh_at[j2],) if uses_fresh else ())
+        for j2, (src, uses_fresh) in enumerate(picks)
+    )
 
     var_by_name = dict(zip(names, binding))
     stacks = pre_stacks
@@ -237,7 +207,6 @@ def step(ann: Annotation, g, depth: int | None = None) -> Annotation:
         binding=kept_binding,
         stacks=stacks,
         pre_stacks=pre_stacks,
-        origins=tuple(origins),
         resets=tuple(r for r in resets if r.name in live),
         depth=depth,
     )

@@ -1,6 +1,6 @@
 """Command line frontend.
 
-Four subcommands over the four file formats (plus ``.fun`` sources for the
+Four subcommands over the three document kinds (plus ``.fun`` sources for the
 mini-language):
 
 - ``sct``      decide termination / soundness; exit 0 terminating, 1 not;
@@ -70,8 +70,6 @@ def _as_call_system(kind, obj):
     if kind == "derivation":
         sys_, deriv = obj
         return induced_call_graph(deriv, sys_)
-    if kind == "resetrep":
-        return induced_call_graph(obj.deriv, obj.system)
     raise _CliError(f"cannot run termination analysis on a {kind} document")
 
 
@@ -199,8 +197,6 @@ def cmd_show(args) -> int:
             out = call_system_to_dot(obj)
         elif kind == "derivation":
             out = derivation_to_dot(obj[1], obj[0])
-        elif kind == "resetrep":
-            out = rep_to_dot(obj)
         else:
             raise _CliError("no dot rendering for proof documents")
         sys.stdout.write(out)
@@ -217,8 +213,6 @@ def cmd_show(args) -> int:
         for nid, n in deriv.nodes.items():
             kids = ", ".join(n.children) if n.children else "-"
             print(f"  {nid}: {n.rule} [{kids}]")
-    elif kind == "resetrep":
-        sys.stdout.write(render_trace(obj))
     else:
         sys_, proof = obj
         hist = Counter(d.rule for d in distinct_nodes(proof))

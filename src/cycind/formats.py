@@ -1,4 +1,5 @@
-"""Versioned JSON formats for the four artifact kinds.
+"""Versioned JSON formats for the three document kinds: call systems,
+derivations and proofs.
 
 Every document carries a ``format`` tag (``cycind/<kind>@1``); loaders check
 it and raise :class:`FormatError` on anything unexpected.  Node tables are
@@ -12,13 +13,9 @@ Proof documents also store formulas and context entries once, in tables:
 ``all`` rows are indices of earlier rows), ``variables`` one ``[name, sort]``
 row per distinct context entry, and sequents are lists of indices into them.
 The reader also accepts an inline formula array or ``[name, sort]`` pair
-wherever it expects an index, for hand-written and mutated documents.
-Older documents also use rows of rules the kernel no longer has:
-``identity`` and ``exchange`` (before the tables existed), ``weakening``,
-``cut``, ``subst``, ``geq_trans``, ``gt_extend0`` and ``gt_extend1``.  They
-load under the same format tag but no longer check.  The reader refuses
-formulas nested deeper than :data:`MAX_FORMULA_DEPTH`, so the kernel's
-recursive walks stay within the interpreter's recursion limit.
+wherever it expects an index, for hand-written and mutated documents.  The
+reader refuses formulas nested deeper than :data:`MAX_FORMULA_DEPTH`, so the
+kernel's recursive walks stay within the interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -27,7 +24,6 @@ import json
 from typing import Any
 
 from . import logic
-from .annotate import Annotation, Origin, Reset
 from .core import (
     Call,
     CallSystem,
@@ -37,16 +33,13 @@ from .core import (
     RegularDerivation,
     RuleScheme,
     SizeChangeGraph,
-    VarRef,
     validate_call_system,
     validate_derivation,
     validate_system,
 )
-from .unfold import RepNode, ResetRep
 
 CALLSYSTEM = "cycind/callsystem@1"
 DERIVATION = "cycind/derivation@1"
-RESETREP = "cycind/resetrep@1"
 PROOF = "cycind/proof@1"
 
 # Formula nesting accepted by the proof reader.  The kernel compares and walks
@@ -232,161 +225,24 @@ def derivation_to_doc(deriv: RegularDerivation, sys: CyclicSystem) -> dict:
     }
 
 
-def _regular_derivation(d: Any, where: str, sys: CyclicSystem) -> RegularDerivation:
-    """The node table and root of a derivation, in a document or its ``deriv``
-    section, checked to be a derivation of ``sys`` (every id names a node)."""
+def derivation_from_doc(doc: dict) -> tuple[CyclicSystem, RegularDerivation]:
+    """Read a derivation document, checked to be a derivation of its own
+    system (every id names a node)."""
+    _tag(doc, DERIVATION)
+    sys = system_from_doc(_field(doc, "system", dict, "document"))
     nodes = {}
-    for i, n in enumerate(_field(d, "nodes", list, where)):
-        at = f"{where} node {i}"
+    for i, n in enumerate(_field(doc, "nodes", list, "derivation")):
+        at = f"derivation node {i}"
         nid = _field(n, "id", str, at)
         if nid in nodes:
             raise FormatError(f"{at}: repeated id {nid!r}")
         nodes[nid] = DerivNode(
             rule=_field(n, "rule", str, at), children=_strings(n, "children", at)
         )
-    deriv = RegularDerivation(nodes=nodes, root=_field(d, "root", str, where))
+    deriv = RegularDerivation(nodes=nodes, root=_field(doc, "root", str, "derivation"))
     if problems := validate_derivation(deriv, sys):
-        raise FormatError(f"{where}: " + "; ".join(problems))
-    return deriv
-
-
-def derivation_from_doc(doc: dict) -> tuple[CyclicSystem, RegularDerivation]:
-    _tag(doc, DERIVATION)
-    sys = system_from_doc(_field(doc, "system", dict, "document"))
-    return sys, _regular_derivation(doc, "derivation", sys)
-
-
-# ---------------------------------------------------------------------------
-# annotated representations
-# ---------------------------------------------------------------------------
-
-def _var_to_doc(v: VarRef) -> list:
-    return [v.depth, v.pos]
-
-
-def _var_from_doc(x: Any, where: str) -> VarRef:
-    if not (isinstance(x, list) and len(x) == 2 and all(type(k) is int for k in x)):
-        raise FormatError(f"{where}: malformed variable {_short(x)}")
-    return VarRef(x[0], x[1])
-
-
-def _ann_to_doc(a: Annotation) -> dict:
-    return {
-        "names": list(a.names),
-        "binding": [_var_to_doc(v) for v in a.binding],
-        "stacks": [list(s) for s in a.stacks],
-        "pre_stacks": [list(s) for s in a.pre_stacks],
-        "origins": [{"kind": o.kind, "src": o.src, "fresh": o.fresh} for o in a.origins],
-        "resets": [
-            {"name": r.name, "cover": r.cover, "cover_var": _var_to_doc(r.cover_var)}
-            for r in a.resets
-        ],
-        "depth": a.depth,
-    }
-
-
-def _nullable(d: Any, key: str, kind: type, where: str):
-    """:func:`_field`, but the value may also be ``null``."""
-    if isinstance(d, dict) and d.get(key, 0) is None:
-        return None
-    return _field(d, key, kind, where)
-
-
-def _stacks(d: Any, key: str, where: str) -> tuple[tuple[str, ...], ...]:
-    xs = _field(d, key, list, where)
-    if not all(isinstance(st, list) and all(isinstance(n, str) for n in st) for st in xs):
-        raise FormatError(f"{where}: {key} must be an array of string arrays")
-    return tuple(tuple(st) for st in xs)
-
-
-def _ann_from_doc(d: Any, where: str) -> Annotation:
-    where = f"{where} ann"
-    origins = []
-    for i, o in enumerate(_field(d, "origins", list, where)):
-        at = f"{where} origin {i}"
-        origins.append(Origin(
-            kind=_field(o, "kind", str, at),
-            src=_nullable(o, "src", int, at),
-            fresh=_nullable(o, "fresh", str, at),
-        ))
-    resets = []
-    for i, r in enumerate(_field(d, "resets", list, where)):
-        at = f"{where} reset {i}"
-        resets.append(Reset(
-            name=_field(r, "name", str, at),
-            cover=_field(r, "cover", str, at),
-            cover_var=_var_from_doc(_field(r, "cover_var", list, at), at),
-        ))
-    return Annotation(
-        names=_strings(d, "names", where),
-        binding=tuple(_var_from_doc(v, where) for v in _field(d, "binding", list, where)),
-        stacks=_stacks(d, "stacks", where),
-        pre_stacks=_stacks(d, "pre_stacks", where),
-        origins=tuple(origins),
-        resets=tuple(resets),
-        depth=_field(d, "depth", int, where),
-    )
-
-
-def rep_to_doc(rep: ResetRep) -> dict:
-    return {
-        "format": RESETREP,
-        "system": system_to_doc(rep.system),
-        "deriv": {
-            "nodes": [
-                {"id": nid, "rule": n.rule, "children": list(n.children)}
-                for nid, n in rep.deriv.nodes.items()
-            ],
-            "root": rep.deriv.root,
-        },
-        "nodes": [
-            {
-                "id": n.id,
-                "deriv_node": n.deriv_node,
-                "rule": n.rule,
-                "parent": n.parent,
-                "index": n.index,
-                "children": list(n.children),
-                "ann": _ann_to_doc(n.ann),
-                "sprout": n.sprout,
-                "prog": n.prog,
-            }
-            for n in rep.nodes.values()
-        ],
-        "root": rep.root,
-    }
-
-
-def rep_from_doc(doc: dict) -> ResetRep:
-    _tag(doc, RESETREP)
-    sys = system_from_doc(_field(doc, "system", dict, "document"))
-    deriv = _regular_derivation(_field(doc, "deriv", dict, "document"), "deriv", sys)
-    nodes = {}
-    for i, n in enumerate(_field(doc, "nodes", list, "document")):
-        nid = _field(n, "id", str, f"node {i}")
-        if nid in nodes:
-            raise FormatError(f"node {i}: repeated id {nid!r}")
-        where = f"node {nid!r}"
-        nodes[nid] = RepNode(
-            id=nid,
-            deriv_node=_field(n, "deriv_node", str, where),
-            rule=_field(n, "rule", str, where),
-            parent=_nullable(n, "parent", str, where),
-            index=_nullable(n, "index", int, where),
-            children=_strings(n, "children", where),
-            ann=_ann_from_doc(_field(n, "ann", dict, where), where),
-            sprout=_nullable(n, "sprout", str, where),
-            prog=_nullable(n, "prog", str, where),
-        )
-    root = _field(doc, "root", str, "document")
-    refs = [("document", "root", root)]
-    for nid, n in nodes.items():
-        refs += [(f"node {nid!r}", what, ref) for what, ref in (("parent", n.parent), ("sprout", n.sprout))]
-        refs += [(f"node {nid!r}", "child", c) for c in n.children]
-    for where, what, ref in refs:
-        if ref is not None and ref not in nodes:
-            raise FormatError(f"{where}: {what} {ref!r} is not a node")
-    return ResetRep(system=sys, deriv=deriv, nodes=nodes, root=root)
+        raise FormatError("derivation: " + "; ".join(problems))
+    return sys, deriv
 
 
 # ---------------------------------------------------------------------------
@@ -702,11 +558,10 @@ def proof_from_doc(doc: dict) -> tuple[CyclicSystem, logic.Deriv]:
 # top-level helpers
 # ---------------------------------------------------------------------------
 
-_KIND_OF_TAG = {
-    CALLSYSTEM: "callsystem",
-    DERIVATION: "derivation",
-    RESETREP: "resetrep",
-    PROOF: "proof",
+_KINDS = {
+    CALLSYSTEM: ("callsystem", call_system_from_doc),
+    DERIVATION: ("derivation", derivation_from_doc),
+    PROOF: ("proof", proof_from_doc),
 }
 
 
@@ -720,15 +575,10 @@ def loads(text: str) -> tuple[str, Any]:
         raise FormatError("not valid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise FormatError("document is not a JSON object")
-    kind = _KIND_OF_TAG.get(doc.get("format"))
-    if kind is None:
-        raise FormatError(f"unknown format tag {doc.get('format')!r}")
-    loader = {
-        "callsystem": call_system_from_doc,
-        "derivation": derivation_from_doc,
-        "resetrep": rep_from_doc,
-        "proof": proof_from_doc,
-    }[kind]
+    tag = doc.get("format")
+    if not isinstance(tag, str) or tag not in _KINDS:
+        raise FormatError(f"unknown format tag {_short(tag)}")
+    kind, loader = _KINDS[tag]
     return kind, loader(doc)
 
 

@@ -7,7 +7,7 @@ sequent is ``ctx; hyps |- concl`` where ``ctx`` is an *ordered* list of sorted
 variables: quantifier rules bind the last context entry, so the context
 discipline is part of the proof structure.
 
-The trusted kernel is this module alone, 662 lines, with eleven rules:
+The trusted kernel is this module alone, 669 lines, with eleven rules:
 
 - ``assumption``: conclude any hypothesis;
 - ``inst``: rename the premise's context variables to variables of the same
@@ -261,14 +261,16 @@ class LogicError(Exception):
 
 # Formula objects are shared structurally between the sequents of a
 # derivation, so their context-independent wellformedness (arities, sort
-# agreement, bound indices in scope) plus the sorts they demand of their free
-# variables are computed once per object.  The cache lives for one
-# ``check_proof`` call and is keyed by ``id``: the proof keeps every formula
-# alive for that long.
+# agreement, known binder sorts, bound indices in scope) plus the sorts they
+# demand of their free variables are computed once per object.  The cache
+# lives for one ``check_proof`` call and is keyed by ``id``: the proof keeps
+# every formula alive for that long.
 _Summary = dict[str, str] | str
 
 
-def _formula_summary(system: CyclicSystem, phi: Formula, cache: dict[int, _Summary]) -> _Summary:
+def _formula_summary(
+    system: CyclicSystem, known: frozenset[str], phi: Formula, cache: dict[int, _Summary]
+) -> _Summary:
     hit = cache.get(id(phi))
     if hit is not None:
         return hit
@@ -295,6 +297,8 @@ def _formula_summary(system: CyclicSystem, phi: Formula, cache: dict[int, _Summa
         if isinstance(f, Imp):
             return walk(f.lhs, binders) or walk(f.rhs, binders)
         if isinstance(f, Forall):
+            if f.sort not in known:
+                return f"quantifier over unknown sort {f.sort!r}"
             binders.append(f.sort)
             try:
                 return walk(f.body, binders)
@@ -322,9 +326,10 @@ def _formula_summary(system: CyclicSystem, phi: Formula, cache: dict[int, _Summa
 
 
 def _check_formula(
-    system: CyclicSystem, phi: Formula, ctx: dict[str, str], cache: dict[int, _Summary]
+    system: CyclicSystem, known: frozenset[str], phi: Formula, ctx: dict[str, str],
+    cache: dict[int, _Summary],
 ) -> str | None:
-    summary = _formula_summary(system, phi, cache)
+    summary = _formula_summary(system, known, phi, cache)
     if isinstance(summary, str):
         return summary
     for name, want in summary.items():
@@ -338,6 +343,7 @@ def _check_formula(
 
 def _check_sequent(
     system: CyclicSystem,
+    known: frozenset[str],
     seq: Sequent,
     cache: dict[int, _Summary],
     contexts: dict[tuple[int, int], dict[str, str]],
@@ -353,10 +359,10 @@ def _check_sequent(
             return "repeated context variable"
         ctx = dict(seq.ctx)
         for i, h in enumerate(seq.hyps):
-            if err := _check_formula(system, h, ctx, cache):
+            if err := _check_formula(system, known, h, ctx, cache):
                 return f"hypothesis {i}: {err}"
         contexts[pair] = ctx
-    if with_concl and (err := _check_formula(system, seq.concl, ctx, cache)):
+    if with_concl and (err := _check_formula(system, known, seq.concl, ctx, cache)):
         return f"conclusion: {err}"
     return None
 
@@ -610,7 +616,8 @@ def check_proof(system: CyclicSystem, root: Deriv) -> None:
     """
     cache: dict[int, _Summary] = {}
     contexts: dict[tuple[int, int], dict[str, str]] = {}
-    # a context declares only sorts that a judgment takes or induction runs over
+    # a context or quantifier uses only sorts that a judgment takes or induction
+    # runs over
     known = system.ind_sorts.union(*(j.sorts for j in system.judgments.values()))
     checked_ctxs: set[int] = set()
     seen: set[int] = set()
@@ -620,7 +627,7 @@ def check_proof(system: CyclicSystem, root: Deriv) -> None:
         if id(node) in seen:
             continue
         seen.add(id(node))
-        err = _check_sequent(system, node.seq, cache, contexts, enters)
+        err = _check_sequent(system, known, node.seq, cache, contexts, enters)
         if err is None:
             err = _check_node(system, node)
         if err is None and id(node.seq.ctx) not in checked_ctxs:

@@ -40,12 +40,11 @@ class UnfoldCapError(RuntimeError):
 
 
 class RepNode(Record):
-    __slots__ = ("id", "deriv_node", "rule", "parent", "index", "children", "ann", "sprout", "prog")
+    __slots__ = ("id", "deriv_node", "rule", "parent", "children", "ann", "sprout", "prog")
     id: str
     deriv_node: str
     rule: str
     parent: str | None
-    index: int | None  # which premise of the parent this node proves
     children: tuple[str, ...]
     ann: Annotation
     sprout: str | None
@@ -121,11 +120,11 @@ def build_reset_rep(deriv: RegularDerivation, system: CyclicSystem, check: bool 
 
     root_judg = system.judgment_of_rule(deriv.nodes[deriv.root].rule)
     root_id = fresh_id()
-    todo: list[tuple[str, str, str | None, int | None, Annotation]] = [
-        (root_id, deriv.root, None, None, init_annotation(root_judg.ob))
+    todo: list[tuple[str, str, str | None, Annotation]] = [
+        (root_id, deriv.root, None, init_annotation(root_judg.ob))
     ]
     while todo:
-        nid, dn, parent, index, ann = todo.pop()
+        nid, dn, parent, ann = todo.pop()
         if len(nodes) >= cap:
             raise UnfoldCapError(
                 f"unfolding exceeded {cap} nodes; set CYCIND_UNFOLD_CAP to raise the limit"
@@ -144,13 +143,13 @@ def build_reset_rep(deriv: RegularDerivation, system: CyclicSystem, check: bool 
                 break
             cur = anc.parent
         if sprout is not None:
-            nodes[nid] = RepNode(nid, dn, deriv.nodes[dn].rule, parent, index, (), ann, sprout, prog)
+            nodes[nid] = RepNode(nid, dn, deriv.nodes[dn].rule, parent, (), ann, sprout, prog)
             continue
         rule = system.rules[deriv.nodes[dn].rule]
         child_ids = tuple(fresh_id() for _ in rule.premises)
-        nodes[nid] = RepNode(nid, dn, rule.id, parent, index, child_ids, ann)
+        nodes[nid] = RepNode(nid, dn, rule.id, parent, child_ids, ann)
         for i in reversed(range(len(rule.premises))):
-            todo.append((child_ids[i], deriv.nodes[dn].children[i], nid, i, step(ann, rule.graphs[i])))
+            todo.append((child_ids[i], deriv.nodes[dn].children[i], nid, step(ann, rule.graphs[i])))
     return ResetRep(system, deriv, nodes, root_id)
 
 
@@ -381,11 +380,11 @@ def respect_induction_order(rep: ResetRep) -> ResetRep:
 
     root_judg = rep.system.judgment_of_rule(rep.nodes[rep.root].rule)
     root_id = fresh_id()
-    todo: list[tuple[str, str, str | None, int | None, Annotation, dict]] = [
-        (root_id, rep.root, None, None, init_annotation(root_judg.ob), {})
+    todo: list[tuple[str, str, str | None, Annotation, dict]] = [
+        (root_id, rep.root, None, init_annotation(root_judg.ob), {})
     ]
     while todo:
-        nid, rid, parent, index, ann, avail = todo.pop()
+        nid, rid, parent, ann, avail = todo.pop()
         if len(nodes) >= cap:
             raise UnfoldCapError(
                 f"re-unfolding exceeded {cap} nodes; set CYCIND_UNFOLD_CAP to raise the limit"
@@ -399,9 +398,7 @@ def respect_induction_order(rep: ResetRep) -> ResetRep:
             if entry is not None:
                 if ann.key() != nodes[entry].ann.key():
                     raise AssertionError(f"sprout mismatch closing {nid} onto {entry}")
-                nodes[nid] = RepNode(
-                    nid, cur.deriv_node, cur.rule, parent, index, (), ann, entry, cur.prog
-                )
+                nodes[nid] = RepNode(nid, cur.deriv_node, cur.rule, parent, (), ann, entry, cur.prog)
                 continue
             avail = dict(avail)
             avail[g] = nid
@@ -411,7 +408,7 @@ def respect_induction_order(rep: ResetRep) -> ResetRep:
         kids = rep_children(rid)
         rule = rep.system.rules[cur.rule]
         child_ids = tuple(fresh_id() for _ in kids)
-        nodes[nid] = RepNode(nid, cur.deriv_node, cur.rule, parent, index, child_ids, ann)
+        nodes[nid] = RepNode(nid, cur.deriv_node, cur.rule, parent, child_ids, ann)
         for i in reversed(range(len(kids))):
-            todo.append((child_ids[i], kids[i], nid, i, step(ann, rule.graphs[i]), avail))
+            todo.append((child_ids[i], kids[i], nid, step(ann, rule.graphs[i]), avail))
     return ResetRep(rep.system, rep.deriv, nodes, root_id)

@@ -46,7 +46,6 @@ def test_plus_first_step():
     # position 1 appended a fresh name c over a, which immediately covered a
     assert a1.pre_stacks == (("b",), ("a", "c"))
     assert a1.resets == (Reset("a", "c", VarRef(1, 1)),)
-    assert [o.kind for o in a1.origins] == ["carry", "append"]
     assert render_annotation(a1) == "(b | a ~c~)"
 
 
@@ -61,7 +60,6 @@ def test_no_edge_position_gets_fresh_singleton():
     g = SizeChangeGraph(2, 2, frozenset({(0, 0, GEQ)}))
     a1 = step(init_annotation(2), g)
     assert a1.stacks == (("a",), ("c",))
-    assert a1.origins[1].kind == "fresh"
     assert a1.names == ("a", "c")  # b was forgotten
 
 
@@ -76,12 +74,6 @@ def test_uniform_covers():
 def test_step_rejects_wrong_arity():
     with pytest.raises(ValueError, match="arity"):
         step(init_annotation(2), SizeChangeGraph(3, 1, frozenset()))
-
-
-def test_depth_override():
-    a1 = step(init_annotation(2), PLUS_G, depth=7)
-    assert a1.depth == 7
-    assert a1.resets[0].cover_var == VarRef(7, 1)
 
 
 def annotation_ok(a):

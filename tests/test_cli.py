@@ -180,13 +180,6 @@ def test_unravel_fun_selects_and_rejects(capsys, tmp_path, pipelines):
     assert (code, err) == (2, "error: --fun only applies to call-system inputs\n")
 
 
-def test_unravel_refuses_reps(capsys, tmp_path, pipelines):
-    path = tmp_path / "rep.json"
-    path.write_text(formats.dumps(formats.rep_to_doc(pipelines["plus"].rep)))
-    code, out, err = run(capsys, "unravel", path)
-    assert (code, err) == (2, "error: cannot unravel a resetrep document\n")
-
-
 def test_verify_flags_a_broken_proof(capsys, tmp_path, pipelines):
     p = pipelines["plus"]
     doc = formats.proof_to_doc(p.proof, p.system)
@@ -218,14 +211,6 @@ def test_show_derivation(capsys, tmp_path, pipelines):
     path.write_text(formats.dumps(formats.derivation_to_doc(p.deriv, p.system)))
     code, out, err = run(capsys, "show", path)
     assert (code, out) == (0, "derivation: 1 nodes, root plus\n  plus: plus [plus]\n")
-
-
-def test_show_rep_renders_the_trace(capsys, tmp_path, pipelines):
-    path = tmp_path / "rep.json"
-    path.write_text(formats.dumps(formats.rep_to_doc(pipelines["plus"].rep)))
-    code, out, err = run(capsys, "show", path)
-    assert code == 0
-    assert out == (GOLDEN / "plus.trace").read_text()
 
 
 def test_show_proof_histogram(capsys, tmp_path, pipelines):
@@ -392,8 +377,6 @@ RULE_NAT_EDGES = ("system: rule plus premise 0: edge 0->1 touches non-inductive 
     ("sct", lambda p: {"format": formats.CALLSYSTEM, "functions": {"f": ["Nat"]}, "ind_sorts": ["Nat"],
                        "calls": [{"id": "c", "dom": "f", "codom": "f", "edges": [[0, 5, ">"]]}]},
      "call 'c': edge (0,5) out of range for 1->1"),
-    ("show", lambda p: {k: v for k, v in formats.rep_to_doc(p.rep).items() if k != "deriv"},
-     "document: missing 'deriv'"),
     ("sct", lambda p: _changed(formats.derivation_to_doc(p.deriv, p.system), "nodes", 0, "children", 0, "nosuch"),
      "derivation: node plus: child 'nosuch' missing"),
     ("unravel", lambda p: _changed(formats.derivation_to_doc(p.deriv, p.system), "nodes", 0, "children", 0, "nosuch"),
@@ -406,16 +389,6 @@ RULE_NAT_EDGES = ("system: rule plus premise 0: edge 0->1 touches non-inductive 
      "derivation: node plus: 2 children for 1 premises"),
     ("unravel", lambda p: _changed(formats.derivation_to_doc(p.deriv, p.system), "nodes", 0, "children", ["plus", "plus"]),
      "derivation: node plus: 2 children for 1 premises"),
-    ("show", lambda p: _changed(formats.rep_to_doc(p.rep), "nodes", 0, "children", 0, "nosuch"),
-     "node 'n0': child 'nosuch' is not a node"),
-    ("show", lambda p: _changed(formats.rep_to_doc(p.rep), "root", "nosuch"),
-     "document: root 'nosuch' is not a node"),
-    ("show", lambda p: _changed(formats.rep_to_doc(p.rep), "nodes", 1, "parent", "nosuch"),
-     "node 'n1': parent 'nosuch' is not a node"),
-    ("show", lambda p: _changed(formats.rep_to_doc(p.rep), "nodes", 2, "sprout", "nosuch"),
-     "node 'n2': sprout 'nosuch' is not a node"),
-    ("show", lambda p: _changed(formats.rep_to_doc(p.rep), "deriv", "nodes", 0, "children", 0, "nosuch"),
-     "deriv: node plus: child 'nosuch' missing"),
     ("sct", lambda p: _twice(formats.call_system_to_doc(p.cs), "calls"),
      "call system: duplicate call id 'plus.0'"),
     ("unravel", lambda p: _twice(formats.call_system_to_doc(p.cs), "calls"),
@@ -439,11 +412,23 @@ def test_readers_refuse_malformed_documents(capsys, tmp_path, pipelines, cmd, ma
     assert err == f"error: {path}: {message}\n"
 
 
+@pytest.mark.parametrize("cmd", ["sct", "unravel", "verify", "show"])
+@pytest.mark.parametrize("tag, shown", [
+    ([], "[]"),
+    ({}, "{}"),
+    ("cycind/resetrep@1", "'cycind/resetrep@1'"),  # no longer a document kind
+])
+def test_readers_refuse_unknown_format_tags(capsys, tmp_path, cmd, tag, shown):
+    # an array or object tag used to crash the kind lookup with a TypeError
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"format": tag}))
+    code, out, err = run(capsys, cmd, path)
+    assert (code, out, err) == (2, "", f"error: {path}: unknown format tag {shown}\n")
+
+
 @pytest.mark.parametrize("cmd, make, message", [
     ("sct", lambda p: _twice(formats.derivation_to_doc(p.deriv, p.system), "nodes"),
      "derivation node 1: repeated id 'plus'"),
-    ("show", lambda p: _twice(formats.rep_to_doc(p.rep), "nodes"), "node 3: repeated id 'n0'"),
-    ("show", lambda p: _twice(formats.rep_to_doc(p.rep), "deriv", "nodes"), "deriv node 1: repeated id 'plus'"),
     ("verify", lambda p: _twice(formats.proof_to_doc(p.proof, p.system), "nodes"),
      "node row 53: repeated id 0"),
 ])

@@ -19,8 +19,6 @@ from cycind.formats import (
     loads,
     proof_from_doc,
     proof_to_doc,
-    rep_from_doc,
-    rep_to_doc,
 )
 from cycind.logic import distinct_nodes
 
@@ -38,12 +36,6 @@ def test_derivation_round_trip(pipelines):
     sys2, deriv2 = derivation_from_doc(derivation_to_doc(p.deriv, p.system))
     assert sys2 == p.system
     assert deriv2 == p.deriv
-
-
-def test_rep_round_trip(pipelines):
-    for name in ("plus", "ack", "fg"):
-        rep = pipelines[name].rep
-        assert rep_from_doc(rep_to_doc(rep)) == rep
 
 
 def test_proof_round_trip_small(pipelines):
@@ -79,8 +71,6 @@ def test_dumps_and_loads(pipelines):
     assert kind == "callsystem" and cs == p.cs
     kind, (sys2, proof2) = loads(dumps(proof_to_doc(p.proof, p.system)))
     assert kind == "proof" and proof2 == p.proof
-    kind, rep2 = loads(dumps(rep_to_doc(p.rep)))
-    assert kind == "resetrep" and rep2 == p.rep
     kind, (sys3, deriv3) = loads(dumps(derivation_to_doc(p.deriv, p.system)))
     assert kind == "derivation" and deriv3 == p.deriv
 

@@ -609,6 +609,15 @@ def test_context_sorts_are_sorts_of_the_system(plus_system):
     check_proof(plus_system.replace(ind_sorts=plus_system.ind_sorts | {"Bogus"}), Deriv("geq_refl", seq))
 
 
+@pytest.mark.parametrize("body", [Geq(NAT, x("x"), x("x")), Atom("plus", (x("x"), x("x")))])
+def test_quantifier_sorts_are_sorts_of_the_system(plus_system, body):
+    # the body never uses the bound variable, so only the binder names the sort
+    d = assumption((("x", NAT),), (Forall("Bogus", body, hint="x"),), 0)
+    with pytest.raises(LogicError, match="at root: hypothesis 0: quantifier over unknown sort 'Bogus'"):
+        check_proof(plus_system, d)
+    check_proof(plus_system.replace(ind_sorts=plus_system.ind_sorts | {"Bogus"}), d)
+
+
 def test_induction_completion_keeps_the_premise_derivation(plus_system):
     ctx = (("x", NAT), ("y", NAT))
     target = Sequent(ctx, (Atom("plus", (x("x"), x("y"))),), Atom("plus", (x("x"), x("y"))))

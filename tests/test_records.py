@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from cycind import GEQ, GT, SizeChangeGraph, VarRef
-from cycind.annotate import Origin, init_annotation
+from cycind.annotate import init_annotation
 from cycind.formats import FormulaNumbering
 from cycind.logic import Atom, BoundV, Deriv, Forall, FreeV, Geq, Gt, Imp, Sequent
 from cycind.sct import ClosureElement, Lasso, SctVerdict
@@ -75,12 +75,10 @@ def test_size_change_graphs_normalise_and_stay_totally_ordered():
 def test_keyword_construction_and_defaults():
     seq = Sequent(ctx=(("x", "Nat"),), hyps=(), concl=Geq("Nat", X, X))
     assert Deriv(rule="geq_refl", seq=seq) == Deriv("geq_refl", seq, (), ())
-    assert Origin("init") == Origin(kind="init", src=None, fresh=None)
-    assert Origin("carry", src=1).fresh is None
     ann = init_annotation(1)
-    node = RepNode(id="n0", deriv_node="f", rule="f", parent=None, index=None, children=(), ann=ann)
+    node = RepNode(id="n0", deriv_node="f", rule="f", parent=None, children=(), ann=ann)
     assert (node.sprout, node.prog, node.is_bud) == (None, None, False)
-    assert node == RepNode("n0", "f", "f", None, None, (), ann, None, None)
+    assert node == RepNode("n0", "f", "f", None, (), ann, None, None)
     assert SctVerdict(terminating=True) == SctVerdict(True, None, 0, None)
     with pytest.raises(TypeError, match=r"SctVerdict\.__init__\(\) missing 1 required positional "
                                         r"argument: 'terminating'"):

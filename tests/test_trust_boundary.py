@@ -58,6 +58,12 @@ def test_kernel_imports_only_core_and_the_standard_library():
         assert not m.startswith(".") and m.split(".")[0] in sys.stdlib_module_names, m
 
 
+def test_formats_imports_only_core_and_logic_of_the_package():
+    # the documents are call systems, derivations and proofs; the annotated
+    # representation is shown only as a trace or as dot
+    assert {m for m in _imports("formats") if m.startswith(".")} == {".core", ".logic"}
+
+
 def test_kernel_defines_no_builder_or_macro():
     builders = _top_level_names("builders")
     assert BUILDER_NAMES <= builders
