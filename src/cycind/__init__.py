@@ -23,7 +23,7 @@ from .core import (
     validate_system,
 )
 from .formats import FormatError
-from .logic import Deriv, LogicError, Sequent, check_proof, count_rule, proof_size
+from .logic import Deriv, LogicError, Sequent, check_proof, count_rule, proof_size, states_judgment
 from .minilang import MiniLangError, parse_call_system
 from .sct import ClosureElement, Lasso, SctVerdict, check_soundness, closure, decide_termination
 # The ``translate`` function is not re-exported: it would shadow the
@@ -86,6 +86,7 @@ __all__ = [
     "render_annotation",
     "rep_skeleton",
     "respect_induction_order",
+    "states_judgment",
     "step",
     "validate_call_system",
     "validate_derivation",

@@ -6,7 +6,9 @@ rule builders take premises and compute the conclusion their kernel rule
 demands.  The derived strong induction principle (inducting on an entire
 sequent rather than a single formula) is a macro: :func:`ind_prime`
 discharges an induction hypothesis made by :func:`ind_hypothesis` with kernel
-rules only.
+rules only.  The term maps that build instances (:func:`subst_free`,
+:func:`open_bound`, :func:`close_free`) live here too: the kernel compares an
+instance with its pattern without building it.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from typing import Callable, Iterable, Mapping
 from .core import CyclicSystem
 from .logic import (
     Atom,
+    BoundV,
     Deriv,
     Forall,
     Formula,
@@ -25,18 +28,68 @@ from .logic import (
     Imp,
     Sequent,
     Term,
-    _map_terms,
-    close_free,
     fresh_name,
     gt_ind_hypothesis,
-    open_bound,
-    subst_free,
 )
 
 
 # ---------------------------------------------------------------------------
 # Formula helpers
 # ---------------------------------------------------------------------------
+
+def _map_terms(phi: Formula, f: Callable[[Term, int], Term], depth: int = 0) -> Formula:
+    # Returns ``phi`` itself when nothing changes, so untouched subtrees stay
+    # shared between input and output.
+    if isinstance(phi, Atom):
+        args = tuple(f(t, depth) for t in phi.args)
+        return phi if args == phi.args else Atom(phi.judg, args)
+    if isinstance(phi, Geq):
+        left, right = f(phi.left, depth), f(phi.right, depth)
+        return phi if left is phi.left and right is phi.right else Geq(phi.sort, left, right)
+    if isinstance(phi, Gt):
+        left, right = f(phi.left, depth), f(phi.right, depth)
+        return phi if left is phi.left and right is phi.right else Gt(phi.sort, left, right)
+    if isinstance(phi, Imp):
+        lhs = _map_terms(phi.lhs, f, depth)
+        rhs = _map_terms(phi.rhs, f, depth)
+        return phi if lhs is phi.lhs and rhs is phi.rhs else Imp(lhs, rhs)
+    if isinstance(phi, Forall):
+        body = _map_terms(phi.body, f, depth + 1)
+        return phi if body is phi.body else Forall(phi.sort, body, hint=phi.hint)
+    raise TypeError(f"not a formula: {phi!r}")
+
+
+def subst_free(phi: Formula, sub: Mapping[str, str]) -> Formula:
+    """Rename free variables; bound variables are indices, so no capture."""
+    def f(t: Term, _d: int) -> Term:
+        if isinstance(t, FreeV) and t.name in sub:
+            return FreeV(sub[t.name])
+        return t
+    return _map_terms(phi, f)
+
+
+def open_bound(body: Formula, name: str) -> Formula:
+    """Instantiate the outermost binder of a quantifier body with a free variable."""
+    def f(t: Term, d: int) -> Term:
+        if isinstance(t, BoundV):
+            if t.k == d:
+                return FreeV(name)
+            if t.k > d:
+                return BoundV(t.k - 1)
+        return t
+    return _map_terms(body, f)
+
+
+def close_free(phi: Formula, name: str) -> Formula:
+    """Abstract a free variable into the outermost binder position."""
+    def f(t: Term, d: int) -> Term:
+        if isinstance(t, FreeV) and t.name == name:
+            return BoundV(d)
+        if isinstance(t, BoundV) and t.k >= d:
+            return BoundV(t.k + 1)
+        return t
+    return _map_terms(phi, f)
+
 
 def free_vars(phi: Formula) -> set[str]:
     out: set[str] = set()

@@ -5,7 +5,8 @@ mini-language):
 
 - ``sct``      decide termination / soundness; exit 0 terminating, 1 not;
 - ``unravel``  unfold a sound input into an inductive proof file;
-- ``verify``   run the proof checker over a proof file;
+- ``verify``   run the proof checker over a proof file, and with ``--source``
+  check that it proves the source's statement;
 - ``show``     render any document as text or dot.
 
 Exit codes: 0 ok / positive verdict, 1 negative verdict or failed check,
@@ -24,7 +25,7 @@ from . import formats
 from .annotate import render_annotation
 from .core import induced_call_graph, induced_proof_system
 from .dot import call_system_to_dot, derivation_to_dot, rep_to_dot
-from .logic import LogicError, check_proof, distinct_nodes, proof_size
+from .logic import LogicError, check_proof, distinct_nodes, proof_size, states_judgment
 from .minilang import MiniLangError, parse_call_system
 from .sct import decide_termination
 from .translate import prove_by_induction
@@ -176,11 +177,32 @@ def cmd_unravel(args) -> int:
     return 0
 
 
+def _check_statement(args, sys_, proof) -> str | None:
+    """What keeps ``proof`` over ``sys_`` from proving the statement of
+    ``--source``: the system that the source induces, and the judgment of its
+    root function (``--fun``, by default the first) or root rule."""
+    kind, obj = _load(args.source)
+    if kind == "proof":
+        raise _CliError("--source expects a call system or a derivation, found proof")
+    src_sys, deriv = _pick_derivation(args.source, kind, obj, args.fun)
+    judg = src_sys.rules[deriv.nodes[deriv.root].rule].conclusion
+    if sys_ != src_sys:
+        return f"the document's system is not the one {args.source} induces"
+    if not states_judgment(sys_, proof.seq, judg):
+        return f"the conclusion is not {judg} at its context variables with no hypotheses"
+    return None
+
+
 def cmd_verify(args) -> int:
     kind, obj = _load(args.path)
     if kind != "proof":
         raise _CliError(f"verify expects a proof document, found {kind}")
+    if args.fun is not None and args.source is None:
+        raise _CliError("--fun only applies with --source")
     sys_, proof = obj
+    if args.source is not None and (err := _check_statement(args, sys_, proof)):
+        print(f"invalid proof: {err}", file=sys.stderr)
+        return 1
     try:
         check_proof(sys_, proof)
     except LogicError as e:
@@ -246,6 +268,8 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("verify", help="check a proof document")
     p.add_argument("path")
+    p.add_argument("--source", help="also require the proof to state this source's root judgment")
+    p.add_argument("--fun", help="which function's judgment (call-system sources)")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("show", help="render any document as text or dot")

@@ -7,7 +7,7 @@ sequent is ``ctx; hyps |- concl`` where ``ctx`` is an *ordered* list of sorted
 variables: quantifier rules bind the last context entry, so the context
 discipline is part of the proof structure.
 
-The trusted kernel is this module alone, 669 lines, with eleven rules:
+The trusted kernel is this module alone, 720 lines, with eleven rules:
 
 - ``assumption``: conclude any hypothesis;
 - ``inst``: rename the premise's context variables to variables of the same
@@ -24,11 +24,15 @@ The trusted kernel is this module alone, 669 lines, with eleven rules:
 
 ``check_proof`` verifies a derivation bottom-up and is the only authority on
 validity; the builders of :mod:`cycind.builders` merely construct candidate
-derivations.  It checks the context and hypotheses of every sequent, and a
-conclusion where it enters the proof: at the root, at ``inst``'s premise 0,
-at ``imp_elim``'s minor and at ``trans``'s left premise.  Every other rule
-builds its premises' conclusions from the conclusion below, so its own check
-covers them.
+derivations.  It checks each part of a sequent where that part enters the
+proof.  A context and hypothesis list are checked in full at the root and at
+``inst``'s premise 0; at any other premise, only the variables and
+hypotheses it adds to the sequent below are.  A conclusion is checked at the
+root, at ``inst``'s premise 0, at ``imp_elim``'s minor and at ``trans``'s
+left premise.  Every other rule builds those parts of its premises from the
+sequent below, so its own check covers them.  The kernel matches an instance
+against its pattern without building it; the term maps that build instances
+are the builders'.
 
 It imports nothing of this package but :mod:`cycind.core`.  The two formula
 shapes that a rule checks and a builder builds, :func:`gt_ind_hypothesis`
@@ -37,7 +41,7 @@ and :func:`edge_facts`, are written here once.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator
 
 from .core import GT, CyclicSystem, Record, SizeChangeGraph
 
@@ -123,60 +127,6 @@ def edge_facts(
     ``sorts``) to the premise's fresh variables ``ys``."""
     return tuple(ordered(sorts[a], lab, FreeV(xs[a]), FreeV(ys[b]))
                  for a, b, lab in graph.sorted_edges())
-
-
-def _map_terms(phi: Formula, f: Callable[[Term, int], Term], depth: int = 0) -> Formula:
-    # Returns ``phi`` itself when nothing changes, so untouched subtrees stay
-    # shared between input and output.
-    if isinstance(phi, Atom):
-        args = tuple(f(t, depth) for t in phi.args)
-        return phi if args == phi.args else Atom(phi.judg, args)
-    if isinstance(phi, Geq):
-        left, right = f(phi.left, depth), f(phi.right, depth)
-        return phi if left is phi.left and right is phi.right else Geq(phi.sort, left, right)
-    if isinstance(phi, Gt):
-        left, right = f(phi.left, depth), f(phi.right, depth)
-        return phi if left is phi.left and right is phi.right else Gt(phi.sort, left, right)
-    if isinstance(phi, Imp):
-        lhs = _map_terms(phi.lhs, f, depth)
-        rhs = _map_terms(phi.rhs, f, depth)
-        return phi if lhs is phi.lhs and rhs is phi.rhs else Imp(lhs, rhs)
-    if isinstance(phi, Forall):
-        body = _map_terms(phi.body, f, depth + 1)
-        return phi if body is phi.body else Forall(phi.sort, body, hint=phi.hint)
-    raise TypeError(f"not a formula: {phi!r}")
-
-
-def subst_free(phi: Formula, sub: Mapping[str, str]) -> Formula:
-    """Rename free variables; bound variables are indices, so no capture."""
-    def f(t: Term, _d: int) -> Term:
-        if isinstance(t, FreeV) and t.name in sub:
-            return FreeV(sub[t.name])
-        return t
-    return _map_terms(phi, f)
-
-
-def open_bound(body: Formula, name: str) -> Formula:
-    """Instantiate the outermost binder of a quantifier body with a free variable."""
-    def f(t: Term, d: int) -> Term:
-        if isinstance(t, BoundV):
-            if t.k == d:
-                return FreeV(name)
-            if t.k > d:
-                return BoundV(t.k - 1)
-        return t
-    return _map_terms(body, f)
-
-
-def close_free(phi: Formula, name: str) -> Formula:
-    """Abstract a free variable into the outermost binder position."""
-    def f(t: Term, d: int) -> Term:
-        if isinstance(t, FreeV) and t.name == name:
-            return BoundV(d)
-        if isinstance(t, BoundV) and t.k >= d:
-            return BoundV(t.k + 1)
-        return t
-    return _map_terms(phi, f)
 
 
 def fresh_name(base: str, avoid: set[str]) -> str:
@@ -341,34 +291,95 @@ def _check_formula(
     return None
 
 
-def _check_sequent(
+# ``ctxs`` maps each context object found well formed to its entries as a
+# dict; ``check_proof`` adds one once its new entries' sorts pass, after the
+# node's rule check (see ``check_proof`` for where pairs enter).
+def _check_past(
     system: CyclicSystem,
     known: frozenset[str],
     seq: Sequent,
+    n_ctx: int,
+    n_hyps: int,
+    below: dict[str, str],
     cache: dict[int, _Summary],
-    contexts: dict[tuple[int, int], dict[str, str]],
-    with_concl: bool,
-) -> str | None:
-    # ``contexts`` maps each (id(ctx), id(hyps)) pair found well formed to its
-    # context as a dict, so a pair shared by many sequents is checked once
-    pair = (id(seq.ctx), id(seq.hyps))
-    ctx = contexts.get(pair)
-    if ctx is None:
-        names = [v for v, _s in seq.ctx]
-        if len(set(names)) != len(names):
-            return "repeated context variable"
-        ctx = dict(seq.ctx)
-        for i, h in enumerate(seq.hyps):
-            if err := _check_formula(system, known, h, ctx, cache):
-                return f"hypothesis {i}: {err}"
-        contexts[pair] = ctx
-    if with_concl and (err := _check_formula(system, known, seq.concl, ctx, cache)):
-        return f"conclusion: {err}"
-    return None
+    ctxs: dict[int, dict[str, str]],
+) -> dict[str, str] | str:
+    """Check the context variables of ``seq`` past ``n_ctx`` and its
+    hypotheses past ``n_hyps``, the first ones being those of a well-formed
+    context ``below``; returns ``seq``'s context as a dict, or what is wrong."""
+    ctx = below
+    if len(seq.ctx) > n_ctx:
+        ctx = ctxs.get(id(seq.ctx))
+        if ctx is None:
+            ctx = dict(below)
+            for v, s in seq.ctx[n_ctx:]:
+                if v in ctx:
+                    return "repeated context variable"
+                ctx[v] = s
+    for i in range(n_hyps, len(seq.hyps)):
+        if err := _check_formula(system, known, seq.hyps[i], ctx, cache):
+            return f"hypothesis {i}: {err}"
+    return ctx
+
+
+def _check_pair(system: CyclicSystem, known: frozenset[str], seq: Sequent,
+                cache: dict[int, _Summary], ctxs: dict[int, dict[str, str]]) -> dict[str, str] | str:
+    """Check the context and hypotheses of ``seq`` in full."""
+    return _check_past(system, known, seq, 0, 0, {}, cache, ctxs)
 
 
 def _same(a: Sequent, b: Sequent) -> bool:
-    return a.ctx == b.ctx and a.hyps == b.hyps
+    return (a.ctx is b.ctx or a.ctx == b.ctx) and (a.hyps is b.hyps or a.hyps == b.hyps)
+
+
+# ``term(p, t, d)`` says whether the target term ``t`` is the image of the
+# pattern term ``p`` under ``d`` binders
+_TermMatch = Callable[[Term, Term, int], bool]
+
+
+def _matches(pat: Formula, tgt: Formula, term: _TermMatch, depth: int = 0) -> bool:
+    """Whether ``tgt`` is ``pat`` with its terms mapped as ``term`` says: the
+    answer ``==`` gives on the mapped copy (hints aside), in one walk that
+    builds nothing."""
+    cls = pat.__class__
+    if tgt.__class__ is not cls:
+        return False
+    if cls is Atom:
+        if pat.judg != tgt.judg or len(pat.args) != len(tgt.args):
+            return False
+        for p, t in zip(pat.args, tgt.args):
+            if not term(p, t, depth):
+                return False
+        return True
+    if cls is Geq or cls is Gt:
+        return (pat.sort == tgt.sort and term(pat.left, tgt.left, depth)
+                and term(pat.right, tgt.right, depth))
+    if cls is Imp:
+        return _matches(pat.lhs, tgt.lhs, term, depth) and _matches(pat.rhs, tgt.rhs, term, depth)
+    if cls is Forall:
+        return pat.sort == tgt.sort and _matches(pat.body, tgt.body, term, depth + 1)
+    return False
+
+
+def _opening(name: str) -> _TermMatch:
+    """Matches the opening of a quantifier body at the variable ``name``: its
+    own index becomes ``name``, and the indices of outer binders drop by one."""
+    def term(p: Term, t: Term, d: int) -> bool:
+        if p.__class__ is BoundV and p.k >= d:
+            if p.k == d:
+                return t.__class__ is FreeV and t.name == name
+            return t.__class__ is BoundV and t.k == p.k - 1
+        return p is t or p == t
+    return term
+
+
+def _renaming(sub: dict[str, str]) -> _TermMatch:
+    """Matches the renaming of free variables by ``sub``."""
+    def term(p: Term, t: Term, _d: int) -> bool:
+        if p.__class__ is FreeV and p.name in sub:
+            return t.__class__ is FreeV and t.name == sub[p.name]
+        return p is t or p == t
+    return term
 
 
 # the other rules read their data, and an unknown rule is unknown whatever its data
@@ -413,12 +424,13 @@ def _check_node(system: CyclicSystem, d: Deriv) -> str | None:
         if len(kids) != 1 + len(p.hyps):
             return f"inst expects {len(p.hyps)} minor premises, got {len(kids) - 1}"
         sub = {v: y for (v, _s), y in zip(p.ctx, d.data) if v != y}
-        if seq.concl != (subst_free(p.concl, sub) if sub else p.concl):
+        renamed = _renaming(sub)
+        if not (_matches(p.concl, seq.concl, renamed) if sub else seq.concl == p.concl):
             return "inst conclusion is not the renamed premise conclusion"
         for i, kid in enumerate(kids[1:]):
             if not _same(seq, kid.seq):
                 return f"inst minor {i} must share the sequent context and hypotheses"
-            if kid.seq.concl != (subst_free(p.hyps[i], sub) if sub else p.hyps[i]):
+            if not (_matches(p.hyps[i], kid.seq.concl, renamed) if sub else kid.seq.concl == p.hyps[i]):
                 return f"inst minor {i} must conclude renamed premise hypothesis {i}"
         return None
     if r == "imp_intro":
@@ -452,7 +464,7 @@ def _check_node(system: CyclicSystem, d: Deriv) -> str | None:
             return "forall_intro conclusion must quantify at the bound variable's sort"
         if p.hyps != seq.hyps:
             return "forall_intro must preserve hypotheses"
-        if seq.concl.body != close_free(p.concl, x):
+        if not _matches(seq.concl.body, p.concl, _opening(x)):  # see check_proof
             return "forall_intro conclusion body does not match the premise"
         return None
     if r == "forall_elim":
@@ -472,7 +484,7 @@ def _check_node(system: CyclicSystem, d: Deriv) -> str | None:
             return f"forall_elim target {y!r} not in context"
         if s != p.concl.sort:
             return f"forall_elim target has sort {s!r}, expected {p.concl.sort!r}"
-        if seq.concl != open_bound(p.concl.body, y):
+        if not _matches(p.concl.body, seq.concl, _opening(y)):
             return "forall_elim conclusion is not the instantiated body"
         return None
     if r == "geq_refl":
@@ -529,7 +541,7 @@ def _check_node(system: CyclicSystem, d: Deriv) -> str | None:
         body = seq.concl.body
         if p.hyps != seq.hyps + (gt_ind_hypothesis(sort, x, body),):
             return "gt_ind premise must carry the induction hypothesis"
-        if p.concl != open_bound(body, x):
+        if not _matches(body, p.concl, _opening(x)):
             return "gt_ind premise conclusion does not open the quantified body"
         return None
     if r == "c_rule":
@@ -583,14 +595,21 @@ def _path(link: tuple | None) -> tuple[int, ...]:
 def check_proof(system: CyclicSystem, root: Deriv) -> None:
     """Verify a derivation; raises :class:`LogicError` locating the first defect.
 
-    The context and hypotheses of every sequent are checked for well
-    formedness (a context's sorts after its node's rule), but a conclusion
-    only where it enters the proof: at the root, at ``inst``'s premise 0 (an
-    arbitrary sequent), at ``imp_elim``'s minor (its conclusion ``A`` is the
-    new antecedent) and at ``trans``'s left premise (its right end is the new
-    middle term).  Every other premise conclusion is built by its rule from
-    well-formed parts, so it is well formed once the rule's check passes
-    below it:
+    Each part of a sequent is checked for well formedness where it enters the
+    proof.  A context and hypothesis list enter at the root and at ``inst``'s
+    premise 0 (an arbitrary sequent), where they are checked in full: distinct
+    context variables of known sorts, and hypotheses well formed over them.
+    Every other rule compares its premises' contexts and hypotheses, by value,
+    with extensions of its own, so there only the added entries are checked:
+    the new context variables of ``forall_intro``, ``gt_ind`` and ``c_rule``
+    (distinct from each other and from the context below, of known sorts) and
+    the new hypotheses of ``imp_intro``, ``gt_ind`` and ``c_rule``.
+
+    A conclusion enters at the root, at ``inst``'s premise 0, at
+    ``imp_elim``'s minor (its conclusion ``A`` is the new antecedent) and at
+    ``trans``'s left premise (its right end is the new middle term).  Every
+    other premise conclusion is built by its rule from well-formed parts, so
+    it is well formed once the rule's check passes below it:
 
     - ``imp_intro``: the consequent of the conclusion;
     - ``forall_intro``, ``gt_ind``: the conclusion's body opened at the
@@ -606,40 +625,72 @@ def check_proof(system: CyclicSystem, root: Deriv) -> None:
     - ``trans`` right premise: the left premise's right end, related to the
       conclusion's right end at the conclusion's sort.
 
+    An instance is matched against its pattern (:func:`_matches`), never
+    built.  ``forall_intro`` matches the premise's conclusion against the
+    conclusion's body opened at the premise's new variable.  That is exact,
+    the same as closing the premise's conclusion over the variable, because
+    the variable is fresh: the premise's check finds it outside the context
+    below, which holds every free variable of the body.
+
     A node shared by several parents is checked once, at the first path that
-    reaches it, and with its conclusion when that path enters there; any one
-    parent's rule check is enough, whichever comes first.  So the cost is per
-    distinct node and per distinct ``(ctx, hyps)`` pair, both by object
-    identity, plus a conclusion per entering node.  The proof keeps these
-    immutable objects alive for the whole call, so ``id`` keys are exact.  A
-    failure's path is rebuilt from parent links only when it is raised.
+    reaches it, with its pair and conclusion checked as that path enters
+    there; any one parent's rule check is enough, whichever comes first.  So
+    the cost is per distinct node, plus a full check per distinct entering
+    ``(ctx, hyps)`` pair and a conclusion per entering node, all by object
+    identity.  The proof keeps these immutable objects alive for the whole
+    call, so ``id`` keys are exact.  A failure's path is rebuilt from parent
+    links only when it is raised.
     """
     cache: dict[int, _Summary] = {}
-    contexts: dict[tuple[int, int], dict[str, str]] = {}
+    ctxs: dict[int, dict[str, str]] = {}
+    pairs: dict[tuple[int, int], dict[str, str] | str] = {}
     # a context or quantifier uses only sorts that a judgment takes or induction
     # runs over
     known = system.ind_sorts.union(*(j.sorts for j in system.judgments.values()))
-    checked_ctxs: set[int] = set()
     seen: set[int] = set()
-    stack: list[tuple[Deriv, tuple | None, bool]] = [(root, None, True)]
+    # each entry: a node, its link, whether its conclusion enters, and, when
+    # its pair does not enter, the sizes and context of the pair below it
+    stack: list[tuple[Deriv, tuple | None, bool, tuple | None]] = [(root, None, True, None)]
     while stack:
-        node, link, enters = stack.pop()
+        node, link, enters, prefix = stack.pop()
         if id(node) in seen:
             continue
         seen.add(id(node))
-        err = _check_sequent(system, known, node.seq, cache, contexts, enters)
-        if err is None:
+        seq = node.seq
+        if prefix is None:
+            pair = (id(seq.ctx), id(seq.hyps))
+            ctx = pairs.get(pair)
+            if ctx is None:
+                ctx = pairs[pair] = _check_pair(system, known, seq, cache, ctxs)
+        else:
+            ctx = _check_past(system, known, seq, *prefix, cache, ctxs)
+        if isinstance(ctx, str):
+            err = ctx
+        elif enters and (err := _check_formula(system, known, seq.concl, ctx, cache)):
+            err = f"conclusion: {err}"
+        else:
             err = _check_node(system, node)
-        if err is None and id(node.seq.ctx) not in checked_ctxs:
-            checked_ctxs.add(id(node.seq.ctx))
+        if err is None and id(seq.ctx) not in ctxs:
+            ctxs[id(seq.ctx)] = ctx
             err = next((f"variable {v!r} has unknown sort {s!r}"
-                        for v, s in node.seq.ctx if s not in known), None)
+                        for v, s in seq.ctx[0 if prefix is None else prefix[0]:] if s not in known), None)
         if err is not None:
             raise LogicError(err, _path(link))
         kids = node.children
         entry = _ENTERING_PREMISE.get(node.rule)
+        prefix = (len(seq.ctx), len(seq.hyps), ctx)
         for i in reversed(range(len(kids))):
-            stack.append((kids[i], (link, i), i == entry))
+            stack.append((kids[i], (link, i), i == entry,
+                          None if i == 0 and node.rule == "inst" else prefix))
+
+
+def states_judgment(system: CyclicSystem, seq: Sequent, judg: str) -> bool:
+    """Whether ``seq`` is the plain statement of the judgment ``judg``: no
+    hypotheses, one context variable per argument at the judgment's sorts,
+    and ``judg`` applied to those variables in context order."""
+    j = system.judgments.get(judg)
+    return (j is not None and not seq.hyps and tuple(s for _v, s in seq.ctx) == j.sorts
+            and seq.concl == Atom(judg, tuple(FreeV(v) for v, _s in seq.ctx)))
 
 
 def distinct_nodes(root: Deriv) -> Iterator[Deriv]:

@@ -195,6 +195,85 @@ def test_verify_wants_proofs(capsys):
     assert (code, err) == (2, "error: verify expects a proof document, found callsystem\n")
 
 
+def _source(tmp_path, name):
+    """The source of a worked system: its ``.fun`` text, or a call-system
+    document for ``fg``, which has none."""
+    if name in systems.TEXTS:
+        path = tmp_path / f"{name}.fun"
+        path.write_text(systems.TEXTS[name])
+    else:
+        path = tmp_path / f"{name}.cs.json"
+        path.write_text(formats.dumps(formats.call_system_to_doc(systems.load(name))))
+    return path
+
+
+def _proof_file(tmp_path, p, name="proof.json"):
+    path = tmp_path / name
+    path.write_text(formats.dumps(formats.proof_to_doc(p.proof, p.system)))
+    return path
+
+
+@pytest.mark.parametrize("name", ["plus", "fg", "ack", "dist", "treedist"])
+def test_verify_against_the_source(capsys, tmp_path, pipelines, name):
+    path = _proof_file(tmp_path, pipelines[name])
+    code, out, err = run(capsys, "verify", path)
+    assert code == 0 and err == ""
+    src = _source(tmp_path, name)
+    assert run(capsys, "verify", path, "--source", src, "--fun", systems.ROOT_FUN[name]) == (0, out, "")
+
+
+def test_verify_against_a_derivation_source(capsys, tmp_path, pipelines):
+    p = pipelines["plus"]
+    deriv = tmp_path / "deriv.json"
+    deriv.write_text(formats.dumps(formats.derivation_to_doc(p.deriv, p.system)))
+    code, out, err = run(capsys, "verify", _proof_file(tmp_path, p), "--source", deriv)
+    assert (code, err) == (0, "")
+    assert out.startswith("ok: 53 nodes")
+
+
+def _forged_axiom(pipelines):
+    """The ``plus`` document with a premise-less rule for ``plus`` added to its
+    system, and a one-node proof by that rule of the real statement."""
+    p = pipelines["plus"]
+    doc = formats.proof_to_doc(p.proof, p.system)
+    doc["system"]["rules"].append({"id": "axiom", "conclusion": "plus", "premises": [], "graphs": []})
+    root = doc["nodes"][doc["root"]]
+    doc["nodes"] = [{"id": 0, "rule": "c_rule", "seq": root["seq"], "children": [], "data": ["axiom"]}]
+    doc["root"] = 0
+    return doc
+
+
+def test_verify_source_refuses_a_forged_system(capsys, tmp_path, pipelines):
+    path = tmp_path / "forged.json"
+    path.write_text(formats.dumps(_forged_axiom(pipelines)))
+    # the kernel alone accepts it: the rule is in the document's own system
+    statement = "conclusion [x0_0:Nat, x0_1:Nat]  |- plus(x0_0, x0_1)\n"
+    assert run(capsys, "verify", path) == (0, f"ok: 1 nodes, {statement}", "")
+    src = _source(tmp_path, "plus")
+    assert run(capsys, "verify", path, "--source", src) == (
+        1, "", f"invalid proof: the document's system is not the one {src} induces\n")
+
+
+def test_verify_source_refuses_another_statement(capsys, tmp_path, pipelines):
+    # fg's proof is of f; g's statement is another judgment of the same system
+    path = _proof_file(tmp_path, pipelines["fg"])
+    src = _source(tmp_path, "fg")
+    assert run(capsys, "verify", path, "--source", src, "--fun", "g") == (
+        1, "", "invalid proof: the conclusion is not g at its context variables with no hypotheses\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--fun", "plus"], "--fun only applies with --source"),
+    (["--source", "{proof}"], "--source expects a call system or a derivation, found proof"),
+    (["--source", "{src}", "--fun", "nosuch"], "no function 'nosuch' in the input"),
+], ids=["fun_alone", "proof_source", "unknown_fun"])
+def test_verify_source_usage_errors(capsys, tmp_path, pipelines, argv, message):
+    proof = _proof_file(tmp_path, pipelines["plus"])
+    src = _source(tmp_path, "plus")
+    argv = [a.format(proof=proof, src=src) for a in argv]
+    assert run(capsys, "verify", proof, *argv) == (2, "", f"error: {message}\n")
+
+
 def test_show_call_system(capsys):
     code, out, err = run(capsys, "show", DATA / "plus.fun")
     assert code == 0

@@ -17,7 +17,9 @@ from cycind import (
 from cycind import logic
 from cycind.builders import (
     assumption,
+    _map_terms,
     c_apply,
+    close_free,
     forall_elim,
     forall_intro,
     fold_imp,
@@ -28,6 +30,8 @@ from cycind.builders import (
     ind_hypothesis,
     ind_prime,
     inst,
+    open_bound,
+    subst_free,
     trans,
 )
 from cycind.logic import (
@@ -40,11 +44,8 @@ from cycind.logic import (
     Gt,
     Imp,
     Sequent,
-    close_free,
     distinct_nodes,
-    open_bound,
     render_formula,
-    subst_free,
 )
 
 import oracles
@@ -249,16 +250,24 @@ def test_deep_error_path_names_every_step(plus_system):
 def test_conclusions_are_checked_where_they_enter(plus_system, monkeypatch, rule):
     # With every rule check passing, a bad conclusion is caught at the root
     # and at the premise where it enters (inst 0, imp_elim 1, trans 0) and
-    # nowhere else; a bad hypothesis is caught at every premise.
+    # nowhere else.  A bad hypothesis that a premise adds to the sequent
+    # below is caught at every premise; one in the place of a hypothesis of
+    # the sequent below is caught only where the pair enters (the root and
+    # inst 0), since elsewhere the rule compares the two by value.
     monkeypatch.setattr(logic, "_check_node", lambda s, d: None)
     ctx = (("x", NAT),)
-    good = Deriv("geq_refl", Sequent(ctx, (), Geq(NAT, x("x"), x("x"))))
+    refl = Geq(NAT, x("x"), x("x"))
+    good = Deriv("geq_refl", Sequent(ctx, (), refl))
     escaped = Geq(NAT, x("x"), x("z"))
     bad_concl = Deriv("geq_refl", Sequent(ctx, (), escaped))
     bad_hyp = Deriv("geq_refl", Sequent(ctx, (escaped,), escaped))
+    bad_first_hyp = Deriv("geq_refl", Sequent(ctx, (escaped,), refl))
     with pytest.raises(LogicError, match="^at root: conclusion: variable 'z' not in context"):
         check_proof(plus_system, Deriv(rule, bad_concl.seq, (good,) * 3))
+    with pytest.raises(LogicError, match="^at root: hypothesis 0: variable 'z'"):
+        check_proof(plus_system, Deriv(rule, bad_first_hyp.seq, (good,) * 3))
     entering = ENTERING_PREMISE.get(rule)
+    below = Sequent(ctx, (refl,), refl)
     for i in range(3):
         kids = [good] * 3
         kids[i] = bad_concl
@@ -270,6 +279,12 @@ def test_conclusions_are_checked_where_they_enter(plus_system, monkeypatch, rule
         kids[i] = bad_hyp
         with pytest.raises(LogicError, match=f"^at {i}: hypothesis 0: variable 'z'"):
             check_proof(plus_system, Deriv(rule, good.seq, tuple(kids)))
+        kids[i] = bad_first_hyp
+        if rule == "inst" and i == 0:
+            with pytest.raises(LogicError, match="^at 0: hypothesis 0: variable 'z'"):
+                check_proof(plus_system, Deriv(rule, below, tuple(kids)))
+        else:
+            check_proof(plus_system, Deriv(rule, below, tuple(kids)))
 
 
 def _ill_formed_conclusions(system, seq):
@@ -348,6 +363,61 @@ def test_parent_rule_pins_every_built_premise(pipelines, monkeypatch, name):
     assert pinned
 
 
+def _ill_formed_pairs(system, below, seq):
+    """``seq`` with its context or hypotheses made ill formed, by kind: a
+    context variable repeated or of an unknown sort, appended or, where
+    ``seq`` extends the context ``below``, in place of its last new variable;
+    and each of :func:`_ill_formed_conclusions` as a new last hypothesis."""
+    ctx = seq.ctx
+    first = ctx[0][0] if ctx else "v"
+    out = {"repeated": seq.replace(ctx=ctx + ((first, ctx[0][1] if ctx else NAT),)),
+           "bogus": seq.replace(ctx=ctx + (("bogus~", "Bogus"),))}
+    if len(ctx) > len(below.ctx):
+        (last, sort) = ctx[-1]
+        out["repeated_new"] = seq.replace(ctx=ctx[:-1] + ((first, sort),))
+        out["bogus_new"] = seq.replace(ctx=ctx[:-1] + ((last, "Bogus"),))
+    for kind, phi in _ill_formed_conclusions(system, seq).items():
+        out[f"hypothesis_{kind}"] = seq.replace(hyps=seq.hyps + (phi,))
+    return out
+
+
+@pytest.mark.parametrize("name", ["plus", "fg", "ack"])
+def test_parent_rule_pins_every_built_pair(pipelines, monkeypatch, name):
+    # The pair analogue of the test above: a sequent's context and hypotheses
+    # are checked in full only where they enter (the root and inst's premise
+    # 0), so at any other premise an ill-formed pair must fail the parent's
+    # rule or the premise's check of what it adds, at the parent or there.
+    real = logic._check_node
+    p = pipelines[name]
+    pinned = 0
+    for parent in distinct_nodes(p.proof):
+        for i, kid in enumerate(parent.children):
+            if parent.rule == "inst" and i == 0:
+                continue
+            for kind, seq in _ill_formed_pairs(p.system, parent.seq, kid.seq).items():
+                kids = list(parent.children)
+                kids[i] = kid.replace(seq=seq)
+                bad = parent.replace(children=tuple(kids))
+                monkeypatch.setattr(logic, "_check_node", lambda s, d: real(s, d) if d is bad else None)
+                with pytest.raises(LogicError) as exc:
+                    check_proof(p.system, bad)
+                assert exc.value.path in ((), (i,)), (parent.rule, i, kind, str(exc.value))
+                pinned += 1
+    assert pinned
+
+
+def test_a_new_variable_must_be_fresh(plus_system):
+    # The body ignores its bound variable, so the rule's own comparison
+    # passes whatever the variable is called, and the premise's check of its
+    # new context variable finds the repeat
+    refl = Geq(NAT, x("x"), x("x"))
+    premise = geq_refl((("x", NAT), ("x", NAT)), (), NAT, "x")
+    d = Deriv("forall_intro", Sequent((("x", NAT),), (), Forall(NAT, refl)), (premise,))
+    with pytest.raises(LogicError, match="^at 0: repeated context variable"):
+        check_proof(plus_system, d)
+    check_proof(plus_system, forall_intro(geq_refl((("x", NAT), ("y", NAT)), (), NAT, "x")))
+
+
 def test_every_sequent_of_a_checked_proof_is_well_formed(pipelines, fuzz_proofs):
     # The kernel checks a conclusion only where it enters the proof; the
     # reference walk checks every sequent of the proofs that
@@ -357,6 +427,92 @@ def test_every_sequent_of_a_checked_proof_is_well_formed(pipelines, fuzz_proofs)
     assert len(proofs) == 205
     for system, proof in proofs:
         assert oracles.sequent_defects(system, proof) == []
+
+
+def _with_term(phi, k, change):
+    """``phi`` with the term ``t`` that comes ``k``-th in preorder, counted
+    modulo the number of terms, replaced by ``change(t)``."""
+    n = 0
+
+    def f(t, _d):
+        nonlocal n
+        n += 1
+        return change(t) if n - 1 == k else t
+    out = _map_terms(phi, f)
+    return out if k < n else _with_term(phi, k % n, change)
+
+
+def _instances(node):
+    """Each ``(pattern, target, term matcher, build)`` that ``node``'s rule
+    matches; ``build(pattern, target)`` is the check the kernel made before,
+    with the builders' term maps and ``==``."""
+    seq, kids = node.seq, node.children
+    if node.rule == "forall_elim":
+        (y,) = node.data
+        yield kids[0].seq.concl.body, seq.concl, logic._opening(y), lambda pat, tgt: open_bound(pat, y) == tgt
+    elif node.rule in ("forall_intro", "gt_ind"):
+        v = kids[0].seq.ctx[-1][0]
+        build = ((lambda pat, tgt: close_free(tgt, v) == pat) if node.rule == "forall_intro"
+                 else (lambda pat, tgt: open_bound(pat, v) == tgt))
+        yield seq.concl.body, kids[0].seq.concl, logic._opening(v), build
+    elif node.rule == "inst":
+        # a node that renames nothing compares its formulas with ==
+        p = kids[0].seq
+        sub = {v: y for (v, _s), y in zip(p.ctx, node.data) if v != y}
+        pairs = [(p.concl, seq.concl)] + [(h, m.seq.concl) for h, m in zip(p.hyps, kids[1:])]
+        for pat, tgt in pairs if sub else ():
+            yield pat, tgt, logic._renaming(sub), lambda pat, tgt: subst_free(pat, sub) == tgt
+
+
+def _renamed_term(t):
+    return FreeV(t.name + "~") if isinstance(t, FreeV) else FreeV("v~")
+
+
+def _index_for_variable(t):
+    return BoundV(0) if isinstance(t, FreeV) else FreeV("v~")
+
+
+def test_the_matcher_agrees_with_building(pipelines, fuzz_proofs):
+    # _matches answers as building the instance with the builders' term maps
+    # and comparing with == does, on every instance the kernel compares in
+    # the fixture and fuzz proofs, and on a copy of each target with one term
+    # changed: to a variable of another name, or a variable to an index
+    proofs = [p.proof for p in pipelines.values()] + [proof for _case, proof in fuzz_proofs]
+    compared = differ = 0
+    for proof in proofs:
+        for node in distinct_nodes(proof):
+            for pat, tgt, term, build in _instances(node):
+                assert logic._matches(pat, tgt, term) and build(pat, tgt), node.rule
+                other = _with_term(tgt, compared % 7, _index_for_variable if compared % 2 else _renamed_term)
+                built = build(pat, other)
+                assert logic._matches(pat, other, term) == built, (node.rule, other)
+                compared += 1
+                differ += not built
+    assert compared > 10_000 and differ
+
+
+def test_a_non_formula_in_an_instance_is_rejected(plus_system):
+    # the premise's body is matched before the premise's own check reaches
+    # it; a library caller's stray object is a located error, not a crash
+    ctx = (("x", NAT),)
+    premise = Deriv("geq_refl", Sequent(ctx, (), Forall(NAT, "junk")))
+    d = Deriv("forall_elim", Sequent(ctx, (), Geq(NAT, x("x"), x("x"))), (premise,), ("x",))
+    with pytest.raises(LogicError, match="^at root: forall_elim conclusion is not the instantiated body"):
+        check_proof(plus_system, d)
+
+
+def test_states_judgment(plus_system, pipelines):
+    ctx = (("a", NAT), ("b", NAT))
+    plus = Atom("plus", (x("a"), x("b")))
+    assert logic.states_judgment(plus_system, pipelines["plus"].proof.seq, "plus")
+    assert logic.states_judgment(plus_system, Sequent(ctx, (), plus), "plus")
+    for seq in (Sequent(ctx, (plus,), plus),  # a hypothesis
+                Sequent(ctx[::-1], (), plus),  # the variables out of context order
+                Sequent(ctx + (("c", NAT),), (), plus),  # a variable too many
+                Sequent((("a", NAT), ("b", "Other")), (), plus),  # another sort
+                Sequent(ctx, (), Atom("plus", (x("a"), x("a"))))):  # not at its own variables
+        assert not logic.states_judgment(plus_system, seq, "plus"), seq.render()
+    assert not logic.states_judgment(plus_system, Sequent(ctx, (), plus), "times")
 
 
 def test_proof_size_and_count_shared_nodes(plus_system):
@@ -430,6 +586,23 @@ def test_shared_subproof_is_checked_once(plus_system, monkeypatch):
     check_proof(plus_system, d)
     assert sorted(checked) == sorted(id(n) for n in distinct_nodes(d))
     assert len(checked) == proof_size(d) == 5
+
+
+def test_full_pair_checks_run_once_per_entering_pair(pipelines, monkeypatch):
+    # a timing-free guard on the kernel's cost: on dist, the context and
+    # hypotheses are checked in full once per distinct (ctx, hyps) pair, by
+    # object, among the root and inst's premises 0, and not at the other
+    # 145 pairs
+    p = pipelines["dist"]
+    calls = []
+    real = logic._check_pair
+    monkeypatch.setattr(logic, "_check_pair",
+                        lambda *a: calls.append((id(a[2].ctx), id(a[2].hyps))) or real(*a))
+    check_proof(p.system, p.proof)
+    entering = [p.proof] + [d.children[0] for d in distinct_nodes(p.proof) if d.rule == "inst"]
+    pairs = {(id(d.seq.ctx), id(d.seq.hyps)) for d in entering}
+    assert sorted(calls) == sorted(pairs) and len(calls) == 24
+    assert len({(id(d.seq.ctx), id(d.seq.hyps)) for d in distinct_nodes(p.proof)}) == 169
 
 
 def test_invalid_shared_node_is_reported_at_its_first_path(plus_system):

@@ -70,6 +70,14 @@ def test_kernel_defines_no_builder_or_macro():
     assert not _top_level_names("logic") & (BUILDER_NAMES | builders)
 
 
+def test_kernel_builds_no_instances():
+    # the kernel matches an instance against its pattern; the term maps that
+    # build instances are the builders'
+    term_maps = {"_map_terms", "open_bound", "close_free", "subst_free"}
+    assert term_maps <= _top_level_names("builders")
+    assert not _top_level_names("logic") & term_maps
+
+
 def test_only_translate_imports_the_builders():
     modules = sorted(p.stem for p in SRC.glob("*.py"))
     importers = [m for m in modules if ".builders" in _imports(m)]
