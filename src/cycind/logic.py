@@ -7,7 +7,7 @@ sequent is ``ctx; hyps |- concl`` where ``ctx`` is an *ordered* list of sorted
 variables: quantifier rules bind the last context entry, so the context
 discipline is part of the proof structure.
 
-The trusted kernel is this module alone, 720 lines, with eleven rules:
+The trusted kernel is this module alone, 725 lines, with eleven rules:
 
 - ``assumption``: conclude any hypothesis;
 - ``inst``: rename the premise's context variables to variables of the same
@@ -551,9 +551,14 @@ def _check_node(system: CyclicSystem, d: Deriv) -> str | None:
         scheme = system.rules.get(rid)
         if scheme is None:
             return f"unknown rule scheme {rid!r}"
+        # the kernel does not rely on validate_system: the scheme must fit
+        judg = system.judgments.get(scheme.conclusion)
+        prems = [system.judgments.get(j) for j in scheme.premises]
+        if judg is None or any(q is None or (g.src_arity, g.dst_arity) != (judg.ob, q.ob)
+                               for g, q in zip(scheme.graphs, prems)):
+            return f"rule scheme {rid!r} does not fit the judgments of the system"
         if err := arity(len(scheme.premises)):
             return err
-        judg = system.judgments[scheme.conclusion]
         c = seq.concl
         if not isinstance(c, Atom) or c.judg != judg.id:
             return f"c_rule {rid} must conclude a {judg.id} atom"
@@ -562,7 +567,7 @@ def _check_node(system: CyclicSystem, d: Deriv) -> str | None:
         xs = tuple(t.name for t in c.args)
         for i, kid in enumerate(kids):
             p = kid.seq
-            prem = system.judgments[scheme.premises[i]]
+            prem = prems[i]
             if len(p.ctx) != len(seq.ctx) + prem.ob or p.ctx[: len(seq.ctx)] != seq.ctx:
                 return f"premise {i} must extend the context by {prem.ob} fresh variables"
             ys = p.ctx[len(seq.ctx):]

@@ -6,7 +6,8 @@ ancestor's annotation exactly and one of the names reset at the node is old
 enough to have been introduced at or before the ancestor.  The result is a
 finite tree whose leaves are either axiom nodes or *buds* pointing back to a
 *sprout* ancestor, each bud carrying a progressing name.  Phase one decides
-soundness first; the verdict's closure size sets the node cap of both phases.
+soundness and sets the node cap from the verdict's closure size, once; the cap
+travels to the replay on :class:`ResetRep`.  Both phases run one walker.
 
 Phase two re-unfolds that representation until back-edges nest with the age
 order of their buds: a bud whose back-edge escapes the subtree of an enclosing
@@ -61,9 +62,12 @@ class RepNode(Record):
 
 
 class ResetRep(Record):
-    __slots__ = ("system", "deriv", "nodes", "root")
+    """An annotated unfolding of ``system``, with the node cap it was built
+    under; phase one sets the cap once and the replay reuses it."""
+
+    __slots__ = ("system", "cap", "nodes", "root")
     system: CyclicSystem
-    deriv: RegularDerivation
+    cap: int
     nodes: dict[str, RepNode]
     root: str
 
@@ -87,6 +91,35 @@ def _unfold_cap(deriv: RegularDerivation, system: CyclicSystem, closure_size: in
     return max(200_000, 100 * closure_size * (2 ** m + m) * len(deriv.nodes))
 
 
+def _unfold(system: CyclicSystem, cap: int, verb: str, tree: dict, root: str, close) -> ResetRep:
+    """The unfolding walker of both phases, numbering nodes ``n0, n1, ...`` as
+    their parent is expanded.  ``tree`` maps each item the walk unravels to
+    its derivation node, rule and child items.  The phase's closing rule
+    ``close(nid, item, parent, ann, state, nodes)`` returns a bud's sprout and
+    progressing name, or ``None, None`` to expand the node, and the state its
+    children inherit (an empty dict at the root)."""
+    nodes: dict[str, RepNode] = {}
+    count = 1
+    root_ob = system.judgment_of_rule(tree[root][1]).ob
+    todo: list[tuple] = [("n0", root, None, init_annotation(root_ob), {})]
+    while todo:
+        nid, item, parent, ann, state = todo.pop()
+        if len(nodes) >= cap:
+            raise UnfoldCapError(f"{verb} exceeded {cap} nodes; set CYCIND_UNFOLD_CAP to raise the limit")
+        dn, rule, kids = tree[item]
+        sprout, prog, state = close(nid, item, parent, ann, state, nodes)
+        if sprout is not None:
+            nodes[nid] = RepNode(nid, dn, rule, parent, (), ann, sprout, prog)
+            continue
+        graphs = system.rules[rule].graphs
+        child_ids = tuple(f"n{count + i}" for i in range(len(kids)))
+        count += len(kids)
+        nodes[nid] = RepNode(nid, dn, rule, parent, child_ids, ann)
+        for i in reversed(range(len(kids))):
+            todo.append((child_ids[i], kids[i], nid, step(ann, graphs[i]), state))
+    return ResetRep(system, cap, nodes, "n0")
+
+
 def _qualifying_prog(ann: Annotation, sprout_depth: int) -> str | None:
     """Oldest reset name introduced at or before the sprout, if any."""
     best: str | None = None
@@ -108,49 +141,23 @@ def build_reset_rep(deriv: RegularDerivation, system: CyclicSystem, check: bool 
     verdict = check_soundness(deriv, system)
     if check and not verdict.terminating:
         raise UnsoundDerivationError(verdict)
-    cap = _unfold_cap(deriv, system, verdict.closure_size)
-    nodes: dict[str, RepNode] = {}
-    counter = 0
 
-    def fresh_id() -> str:
-        nonlocal counter
-        nid = f"n{counter}"
-        counter += 1
-        return nid
-
-    root_judg = system.judgment_of_rule(deriv.nodes[deriv.root].rule)
-    root_id = fresh_id()
-    todo: list[tuple[str, str, str | None, Annotation]] = [
-        (root_id, deriv.root, None, init_annotation(root_judg.ob))
-    ]
-    while todo:
-        nid, dn, parent, ann = todo.pop()
-        if len(nodes) >= cap:
-            raise UnfoldCapError(
-                f"unfolding exceeded {cap} nodes; set CYCIND_UNFOLD_CAP to raise the limit"
-            )
-        # bud check: only the deepest ancestor with the same derivation node and
-        # annotation key can be the sprout; a shallower one admits a subset of the
-        # reset names, since a name qualifies if introduced no deeper than it
-        sprout = prog = None
+    def close(nid, dn, parent, ann, state, nodes):
+        # only the deepest ancestor with the same derivation node and annotation
+        # key can be the sprout; a shallower one admits a subset of the reset
+        # names, since a name qualifies if introduced no deeper than it
         cur = parent if ann.resets else None
         while cur is not None:
             anc = nodes[cur]
             if anc.deriv_node == dn and anc.ann.key() == ann.key():
                 prog = _qualifying_prog(ann, anc.depth)
-                if prog is not None:
-                    sprout = anc.id
-                break
+                return (cur if prog is not None else None), prog, state
             cur = anc.parent
-        if sprout is not None:
-            nodes[nid] = RepNode(nid, dn, deriv.nodes[dn].rule, parent, (), ann, sprout, prog)
-            continue
-        rule = system.rules[deriv.nodes[dn].rule]
-        child_ids = tuple(fresh_id() for _ in rule.premises)
-        nodes[nid] = RepNode(nid, dn, rule.id, parent, child_ids, ann)
-        for i in reversed(range(len(rule.premises))):
-            todo.append((child_ids[i], deriv.nodes[dn].children[i], nid, step(ann, rule.graphs[i])))
-    return ResetRep(system, deriv, nodes, root_id)
+        return None, None, state
+
+    tree = {dn: (dn, n.rule, n.children) for dn, n in deriv.nodes.items()}
+    cap = _unfold_cap(deriv, system, verdict.closure_size)
+    return _unfold(system, cap, "unfolding", tree, deriv.root, close)
 
 
 # ---------------------------------------------------------------------------
@@ -362,53 +369,23 @@ def respect_induction_order(rep: ResetRep) -> ResetRep:
         for g2, b2 in member.items():
             older[(g1, g2)] = is_older(b2)
 
-    cap = _unfold_cap(rep.deriv, rep.system, check_soundness(rep.deriv, rep.system).closure_size)
-    nodes: dict[str, RepNode] = {}
-    counter = 0
-
-    def fresh_id() -> str:
-        nonlocal counter
-        nid = f"n{counter}"
-        counter += 1
-        return nid
-
-    def rep_children(rid: str) -> tuple[str, ...]:
-        node = rep.nodes[rid]
-        if node.is_bud:
-            return rep.nodes[node.sprout].children
-        return node.children
-
-    root_judg = rep.system.judgment_of_rule(rep.nodes[rep.root].rule)
-    root_id = fresh_id()
-    todo: list[tuple[str, str, str | None, Annotation, dict]] = [
-        (root_id, rep.root, None, init_annotation(root_judg.ob), {})
-    ]
-    while todo:
-        nid, rid, parent, ann, avail = todo.pop()
-        if len(nodes) >= cap:
-            raise UnfoldCapError(
-                f"re-unfolding exceeded {cap} nodes; set CYCIND_UNFOLD_CAP to raise the limit"
-            )
+    def close(nid, rid, parent, ann, avail, nodes):
         cur = rep.nodes[rid]
         if ann.key() != cur.ann.key() or ann.reset_names() != cur.ann.reset_names():
             raise AssertionError(f"annotation drift at {nid} (unravels {rid})")
-        if cur.is_bud:
-            g = group_of[rid]
-            entry = avail.get(g)
-            if entry is not None:
-                if ann.key() != nodes[entry].ann.key():
-                    raise AssertionError(f"sprout mismatch closing {nid} onto {entry}")
-                nodes[nid] = RepNode(nid, cur.deriv_node, cur.rule, parent, (), ann, entry, cur.prog)
-                continue
-            avail = dict(avail)
-            avail[g] = nid
-            for other in list(avail):
-                if other != g and not older[(other, g)]:
-                    del avail[other]
-        kids = rep_children(rid)
-        rule = rep.system.rules[cur.rule]
-        child_ids = tuple(fresh_id() for _ in kids)
-        nodes[nid] = RepNode(nid, cur.deriv_node, cur.rule, parent, child_ids, ann)
-        for i in reversed(range(len(kids))):
-            todo.append((child_ids[i], kids[i], nid, step(ann, rule.graphs[i]), avail))
-    return ResetRep(rep.system, rep.deriv, nodes, root_id)
+        if not cur.is_bud:
+            return None, None, avail
+        g = group_of[rid]
+        entry = avail.get(g)
+        if entry is not None:
+            if ann.key() != nodes[entry].ann.key():
+                raise AssertionError(f"sprout mismatch closing {nid} onto {entry}")
+            return entry, cur.prog, avail
+        avail = {other: site for other, site in avail.items() if older[(other, g)]}
+        avail[g] = nid
+        return None, None, avail
+
+    # a bud unravels on through its sprout's children
+    tree = {rid: (n.deriv_node, n.rule, rep.nodes[n.sprout].children if n.is_bud else n.children)
+            for rid, n in rep.nodes.items()}
+    return _unfold(rep.system, rep.cap, "re-unfolding", tree, rep.root, close)

@@ -160,6 +160,19 @@ def test_unravel_refuses_a_malformed_unfold_cap(capsys, monkeypatch, value):
     assert err == f"error: CYCIND_UNFOLD_CAP must be a positive integer, got {value!r}\n"
 
 
+@pytest.mark.parametrize("name, fun, cap, verb", [("dist", "d", 10, "unfolding"),
+                                                  ("crossing", "f0", 100, "re-unfolding")])
+def test_unravel_reports_a_tripped_unfold_cap(capsys, monkeypatch, tmp_path, name, fun, cap, verb):
+    # phase one trips on dist; crossing unfolds in 31 nodes and trips in the replay
+    src = tmp_path / f"{name}.json"
+    src.write_text(formats.dumps(formats.call_system_to_doc(systems.load(name))))
+    monkeypatch.setenv("CYCIND_UNFOLD_CAP", str(cap))
+    code, out, err = run(capsys, "unravel", src, "--fun", fun, "--out", tmp_path / "p.json")
+    assert (code, out) == (2, "")
+    assert err == f"error: {verb} exceeded {cap} nodes; set CYCIND_UNFOLD_CAP to raise the limit\n"
+    assert not (tmp_path / "p.json").exists()
+
+
 @pytest.mark.parametrize("name", ["plus", "fg", "ack", "dist"])
 def test_unravel_decides_soundness_once(capsys, tmp_path, calls_to, name):
     src = tmp_path / f"{name}.json"

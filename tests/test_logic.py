@@ -211,6 +211,23 @@ def test_c_apply_needs_the_edge_facts():
         check_proof(sys2, outer)
 
 
+@pytest.mark.parametrize("change", [
+    {"graphs": (SizeChangeGraph(3, 2, frozenset({(2, 0, GT)})),)},
+    {"conclusion": "nosuch"},
+    {"premises": ("nosuch",)},
+], ids=["graph_arity", "conclusion", "premise"])
+def test_c_rule_rejects_a_scheme_that_does_not_fit_the_judgments(plus_system, pipelines, change):
+    # the kernel does not rely on validate_system having run
+    bad = plus_system.replace(rules={"plus": plus_system.rules["plus"].replace(**change)})
+    proof = pipelines["plus"].proof
+    path, node = (), proof
+    while node.rule != "c_rule":
+        path, node = path + (0,), node.children[0]
+    with pytest.raises(LogicError, match="rule scheme 'plus' does not fit the judgments") as exc:
+        check_proof(bad, proof)
+    assert exc.value.path == path
+
+
 def test_escaped_variable_is_caught(plus_system):
     ctx = (("x", NAT), ("y", NAT))
     phi = Atom("plus", (x("x"), x("y")))

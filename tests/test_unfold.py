@@ -1,3 +1,4 @@
+import ast
 import pathlib
 
 import pytest
@@ -138,6 +139,18 @@ def test_cap_trips_as_circuit_breaker(monkeypatch):
         build_reset_rep(derivs["d"], sysm)
 
 
+def test_the_replay_keeps_the_cap_of_phase_one(monkeypatch):
+    # the cap is set once, in phase one, and travels on the representation
+    system, derivs = induced_proof_system(systems.load("crossing"))
+    monkeypatch.setenv("CYCIND_UNFOLD_CAP", "100")
+    rep = build_reset_rep(derivs["f0"], system)
+    assert len(rep.nodes) == 31
+    monkeypatch.delenv("CYCIND_UNFOLD_CAP")
+    with pytest.raises(UnfoldCapError) as exc:
+        respect_induction_order(rep)
+    assert str(exc.value) == "re-unfolding exceeded 100 nodes; set CYCIND_UNFOLD_CAP to raise the limit"
+
+
 # --- the availability replay -------------------------------------------------
 
 def force_replay(rep, monkeypatch):
@@ -193,3 +206,22 @@ def test_crossing_fixture_reordered():
     assert len(rep2.nodes) == 23881
     assert crossing_violations(rep2) == []
     assert oracles.reset_rep_violations(rep2) == []
+
+
+def test_one_walker_builds_both_phases():
+    # read from the source: one function builds every RepNode, and the
+    # replay neither decides soundness again nor reads the environment
+    tree = ast.parse(pathlib.Path(cycind.unfold.__file__).read_text(encoding="utf-8"))
+    funcs = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+
+    def names(f):
+        return {n.id for n in ast.walk(f) if isinstance(n, ast.Name)} | \
+               {n.attr for n in ast.walk(f) if isinstance(n, ast.Attribute)}
+
+    builders = [f.name for f in funcs
+                if any(isinstance(c, ast.Call) and isinstance(c.func, ast.Name) and c.func.id == "RepNode"
+                       for c in ast.walk(f))]
+    assert builders == ["_unfold"]
+    (replay,) = [f for f in funcs if f.name == "respect_induction_order"]
+    assert not names(replay) & {"check_soundness", "_unfold_cap", "closure", "environ", "getenv", "os"}
+    assert "deriv" not in cycind.unfold.ResetRep.__slots__
