@@ -21,15 +21,11 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+# verify and show need only the reader and the kernel; every other stage is
+# imported by the command that runs it
 from . import formats
-from .annotate import render_annotation
 from .core import induced_call_graph, induced_proof_system
-from .dot import call_system_to_dot, derivation_to_dot, rep_to_dot
 from .logic import LogicError, check_proof, distinct_nodes, proof_size, states_judgment
-from .minilang import MiniLangError, parse_call_system
-from .sct import decide_termination
-from .translate import prove_by_induction
-from .unfold import ResetRep, UnfoldCapError, UnsoundDerivationError
 
 
 class _CliError(Exception):
@@ -55,6 +51,8 @@ def _write(path: str, text: str) -> None:
 def _load(path: str):
     text = _read(path)
     if path.endswith(".fun"):
+        from .minilang import MiniLangError, parse_call_system
+
         try:
             return "callsystem", parse_call_system(text)
         except MiniLangError as e:
@@ -77,6 +75,8 @@ def _as_call_system(kind, obj):
 def render_trace(rep: ResetRep) -> str:
     """Preorder listing of the representation: one line per node with its
     annotation, resets, and back-edge.  The text ends in exactly one newline."""
+    from .annotate import render_annotation
+
     lines = []
     stack = [rep.root]
     while stack:
@@ -103,6 +103,8 @@ def _print_lasso(header: str, lasso, file=None) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_sct(args) -> int:
+    from .sct import decide_termination
+
     kind, obj = _load(args.path)
     cs = _as_call_system(kind, obj)
     roots = frozenset(args.roots) if args.roots else None
@@ -149,6 +151,9 @@ def _pick_derivation(path, kind, obj, fun):
 
 
 def cmd_unravel(args) -> int:
+    from .translate import prove_by_induction
+    from .unfold import UnfoldCapError, UnsoundDerivationError
+
     kind, obj = _load(args.path)
     sys_, deriv = _pick_derivation(args.path, kind, obj, args.fun)
     try:
@@ -163,6 +168,8 @@ def cmd_unravel(args) -> int:
         # the proof document alone goes to stdout when there is no --out
         (sys.stdout if args.out else sys.stderr).write(render_trace(rep))
     if args.dot:
+        from .dot import rep_to_dot
+
         _write(args.dot, rep_to_dot(rep))
     doc = formats.dumps(formats.proof_to_doc(proof, sys_))
     if args.out:
@@ -215,6 +222,8 @@ def cmd_verify(args) -> int:
 def cmd_show(args) -> int:
     kind, obj = _load(args.path)
     if args.dot:
+        from .dot import call_system_to_dot, derivation_to_dot
+
         if kind == "callsystem":
             out = call_system_to_dot(obj)
         elif kind == "derivation":

@@ -157,18 +157,6 @@ def compose(g: SizeChangeGraph, h: SizeChangeGraph) -> SizeChangeGraph:
     return SizeChangeGraph.of(g.src_arity, h.dst_arity, ((i, j, lab) for (i, j), lab in out.items()))
 
 
-def path_relation(graphs: Iterable[SizeChangeGraph]) -> SizeChangeGraph:
-    """Fold of compose over a nonempty sequence of compatible graphs."""
-    it = iter(graphs)
-    try:
-        acc = next(it)
-    except StopIteration:
-        raise ValueError("path_relation needs at least one graph")
-    for g in it:
-        acc = compose(acc, g)
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # Systems
 # ---------------------------------------------------------------------------
@@ -425,39 +413,3 @@ def induced_call_graph(d: RegularDerivation, sys: CyclicSystem) -> CallSystem:
             calls.append(Call(f"{nid}.{i}", nid, cid, rule.graphs[i]))
     return CallSystem(functions, tuple(calls), sys.ind_sorts)
 
-
-def minimize(d: RegularDerivation) -> RegularDerivation:
-    """Bisimulation quotient: merge nodes with the same rule and pointwise-merged
-    children (partition refinement until stable)."""
-    ids = sorted(d.nodes)
-    block: dict[str, int] = {}
-    # initial partition by rule id
-    by_rule: dict[str, int] = {}
-    for nid in ids:
-        r = d.nodes[nid].rule
-        block[nid] = by_rule.setdefault(r, len(by_rule))
-    while True:
-        sig = {nid: (block[nid], tuple(block[c] for c in d.nodes[nid].children)) for nid in ids}
-        renum: dict[tuple, int] = {}
-        nxt = {nid: renum.setdefault(sig[nid], len(renum)) for nid in ids}
-        if nxt == block:
-            break
-        block = nxt
-    rep: dict[int, str] = {}
-    for nid in ids:  # deterministic representative: first node id in sorted order
-        rep.setdefault(block[nid], nid)
-    nodes = {
-        rep[b]: DerivNode(d.nodes[nid].rule, tuple(rep[block[c]] for c in d.nodes[nid].children))
-        for nid in ids
-        if (b := block[nid]) is not None and rep[b] == nid
-    }
-    root = rep[block[d.root]]
-    reach: set[str] = set()
-    todo = [root]
-    while todo:
-        nid = todo.pop()
-        if nid in reach:
-            continue
-        reach.add(nid)
-        todo.extend(nodes[nid].children)
-    return RegularDerivation({nid: nodes[nid] for nid in reach}, root)

@@ -5,7 +5,6 @@ from __future__ import annotations
 from html import escape
 
 from .core import CallSystem, CyclicSystem, RegularDerivation
-from .unfold import ResetRep
 
 
 def _edges_label(graph) -> str:

@@ -67,6 +67,11 @@ class Program(Record):
 
 _INFIX = ("+", "-", "*")
 
+# Term nesting accepted by the parser, clause heads included.  The parser,
+# the extraction and the terms' comparisons all recurse on terms; the worked
+# systems' terms stay below 8 levels.
+MAX_TERM_DEPTH = 128
+
 _TOKEN = re.compile(
     r"""(?P<ws>\s+|\#[^\n]*)
       | (?P<assign>:=)
@@ -129,31 +134,43 @@ class _Cursor:
         return got == val and kind in ("sym", "assign")
 
 
-def _parse_atom(cur: _Cursor) -> Term:
+def _too_deep(line: int) -> MiniLangError:
+    return MiniLangError(f"line {line}: term nests deeper than {MAX_TERM_DEPTH} levels")
+
+
+def _parse_atom(cur: _Cursor, above: int = 0) -> tuple[Term, int]:
+    """The next atom and its depth; ``above`` counts the brackets that
+    enclose it."""
     kind, val, line = cur.next()
+    if above >= MAX_TERM_DEPTH:
+        raise _too_deep(line)
     if val == "(":
-        t = _parse_term(cur)
+        t = _parse_term(cur, above + 1)
         cur.expect(")")
         return t
     if kind != "ident":
         raise MiniLangError(f"line {line}: expected a term, found {val!r}")
     if cur.at_symbol("("):
         cur.next()
-        args = [_parse_term(cur)]
+        args = [_parse_term(cur, above + 1)]
         while cur.at_symbol(","):
             cur.next()
-            args.append(_parse_term(cur))
+            args.append(_parse_term(cur, above + 1))
         cur.expect(")")
-        return Term(val, tuple(args))
-    return Term(val)
+        return Term(val, tuple(a for a, _ in args)), 1 + max(d for _, d in args)
+    return Term(val), 1
 
 
-def _parse_term(cur: _Cursor) -> Term:
-    t = _parse_atom(cur)
+def _parse_term(cur: _Cursor, above: int = 0) -> tuple[Term, int]:
+    t, depth = _parse_atom(cur, above)
     while cur.peek()[1] in _INFIX:
-        _, op, _ = cur.next()
-        t = Term(op, (t, _parse_atom(cur)))
-    return t
+        _, op, line = cur.next()
+        rhs, rdepth = _parse_atom(cur, above + 1)
+        # the chain nests to the left, one level per operator
+        t, depth = Term(op, (t, rhs)), 1 + max(depth, rdepth)
+        if above + depth > MAX_TERM_DEPTH:
+            raise _too_deep(line)
+    return t, depth
 
 
 def parse(text: str) -> Program:
@@ -200,9 +217,9 @@ def parse(text: str) -> Program:
             cur.expect(")")
             funs[name] = tuple(args)
         else:
-            head = _parse_atom(cur)
+            head, _ = _parse_atom(cur)
             cur.expect(":=")
-            body = _parse_term(cur)
+            body, _ = _parse_term(cur)
             if head.name not in funs:
                 raise MiniLangError(f"line {line}: clause head {head.name!r} is not a declared fun")
             if len(head.args) != len(funs[head.name]):

@@ -35,6 +35,18 @@ def compose_dicts(a, b):
     return out
 
 
+def path_relation(graphs):
+    """The relation along a nonempty path of graphs, as a dict: the left fold
+    of ``compose_dicts``."""
+    dicts = [as_dict(g) for g in graphs]
+    if not dicts:
+        raise ValueError("a path has at least one graph")
+    out = dicts[0]
+    for d in dicts[1:]:
+        out = compose_dicts(out, d)
+    return out
+
+
 def _freeze(d):
     return frozenset(d.items())
 

@@ -372,6 +372,20 @@ def test_parse_error_in_fun_source(capsys, tmp_path):
     assert err == f"error: {path}: line 3: unexpected character '?'\n"
 
 
+@pytest.mark.parametrize("cmd", ["sct", "unravel", "show"])
+@pytest.mark.parametrize("clause", [
+    "f(suc(x)) := " + "suc(" * 600 + "x" + ")" * 600,
+    "f(" + "suc(" * 600 + "x" + ")" * 600 + ") := f(x)",
+    "f(suc(x)) := " + " + ".join(["x"] * 2000),
+], ids=["body", "pattern", "operators"])
+def test_deep_term_in_fun_source(capsys, tmp_path, cmd, clause):
+    path = tmp_path / "deep.fun"
+    path.write_text(f"sort Nat = 0 | suc(Nat)\nfun f(Nat)\n{clause}\n")
+    code, out, err = run(capsys, cmd, path)
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: line 3: term nests deeper than 128 levels\n"
+
+
 def test_bad_json_document(capsys, tmp_path):
     path = tmp_path / "junk.json"
     path.write_text("{]")

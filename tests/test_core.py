@@ -12,8 +12,6 @@ from cycind import (
     compose,
     induced_call_graph,
     induced_proof_system,
-    minimize,
-    path_relation,
     validate_call_system,
     validate_derivation,
 )
@@ -83,10 +81,10 @@ def test_compose_identity_neutral():
 
 def test_path_relation_folds_left():
     g = SizeChangeGraph(2, 2, frozenset({(0, 1, GT), (1, 0, GEQ)}))
-    assert path_relation([g]) == g
-    assert path_relation([g, g, g]) == compose(compose(g, g), g)
+    assert oracles.path_relation([g]) == oracles.as_dict(g)
+    assert oracles.path_relation([g, g, g]) == oracles.as_dict(compose(compose(g, g), g))
     with pytest.raises(ValueError):
-        path_relation([])
+        oracles.path_relation([])
 
 
 def test_validate_call_system_diagnostics():
@@ -135,27 +133,6 @@ def test_induced_system_rejects_non_inductive_sorts():
     stripped = CallSystem(cs.functions, cs.calls)  # loses ind_sorts={'Nat'}
     with pytest.raises(ValueError, match="non-inductive sort"):
         induced_proof_system(stripped)
-
-
-def test_minimize_collapses_bisimilar_unrolling():
-    cs = systems.load("plus")
-    induced_proof_system(cs)  # just to make sure the rule id below exists
-    d2 = RegularDerivation(
-        nodes={"u": DerivNode("plus", ("v",)), "v": DerivNode("plus", ("u",))},
-        root="u",
-    )
-    m = minimize(d2)
-    assert len(m.nodes) == 1 and m.root == "u"
-    assert m.nodes["u"].children == ("u",)
-
-
-def test_minimize_keeps_distinguishable_nodes():
-    d = RegularDerivation(
-        nodes={"u": DerivNode("g", ("v",)), "v": DerivNode("f", ())},
-        root="u",
-    )
-    m = minimize(d)
-    assert len(m.nodes) == 2
 
 
 def test_validate_derivation_diagnostics():

@@ -3,7 +3,7 @@
 import pytest
 
 from cycind import GEQ, GT, parse_call_system
-from cycind.minilang import MiniLangError, Term, extract, parse
+from cycind.minilang import MAX_TERM_DEPTH, MiniLangError, Term, extract, parse
 
 import systems
 
@@ -81,6 +81,15 @@ def test_tree_sort_extraction():
     assert graphs(cs) == graphs(systems.load("dist"))
 
 
+def _nested(k: int) -> str:
+    """``suc`` applied ``k`` times to ``x``: a term ``k + 1`` levels deep."""
+    return "suc(" * k + "x" + ")" * k
+
+
+NAT_F = "sort Nat = 0 | suc(Nat)\nfun f(Nat)\n"
+TOO_DEEP = f"line 3: term nests deeper than {MAX_TERM_DEPTH} levels"
+
+
 @pytest.mark.parametrize(
     "src, msg",
     [
@@ -122,6 +131,10 @@ def test_tree_sort_extraction():
         ("sort Nat = 0\nfun f(Nat)\nf(x) :=\n# trailing comment\n", "line 3: unexpected end of input"),
         ("sort Nat = 0\nfun f(Nat)\nf(x) := (x", "line 3: unexpected end of input"),
         ("sort", "line 1: unexpected end of input"),
+        (f"{NAT_F}f(suc(x)) := {_nested(MAX_TERM_DEPTH)}", TOO_DEEP),
+        (f"{NAT_F}f({_nested(MAX_TERM_DEPTH - 1)}) := f(x)", TOO_DEEP),
+        (NAT_F + "f(suc(x)) := " + " + ".join(["x"] * (MAX_TERM_DEPTH + 1)), TOO_DEEP),
+        (NAT_F + "f(suc(x)) := " + "(" * MAX_TERM_DEPTH + "x" + ")" * MAX_TERM_DEPTH, TOO_DEEP),
     ],
 )
 def test_rejections(src, msg):
@@ -151,3 +164,12 @@ def test_extract_without_validation_needs_parse_first():
     prog = parse(systems.ACK)
     cs = extract(prog)
     assert cs == systems.load("ack")
+
+
+@pytest.mark.parametrize("clause", [
+    f"f(suc(x)) := {_nested(MAX_TERM_DEPTH - 1)}",
+    f"f({_nested(MAX_TERM_DEPTH - 2)}) := f(x)",  # the head f(...) is a level
+    "f(suc(x)) := " + " + ".join(["x"] * MAX_TERM_DEPTH),  # operators nest to the left
+])
+def test_terms_at_the_depth_limit_parse(clause):
+    assert len(parse(f"{NAT_F}{clause}\n").clauses) == 1

@@ -1,5 +1,7 @@
 """The trust boundary of ``src/cycind``, read from the source: the kernel
-(``logic``) stands alone, and only ``translate`` uses the untrusted builders.
+(``logic``) stands alone, only ``translate`` uses the untrusted builders, and
+the command line imports nothing of the package up front but the reader and
+the kernel.
 Every record but ``SizeChangeGraph`` is built by the ``__init__`` that
 ``core.Record`` generates."""
 
@@ -24,10 +26,22 @@ def _source(name: str) -> str:
     return (SRC / f"{name}.py").read_text(encoding="utf-8")
 
 
-def _imports(name: str) -> set[str]:
-    """The modules ``name`` imports; modules of this package as ``.module``."""
+def _module_level(tree: ast.Module):
+    """The nodes of ``tree`` outside every function and class body."""
+    todo = list(tree.body)
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def _imports(name: str, module_level: bool = False) -> set[str]:
+    """The modules ``name`` imports, only those at module level if asked;
+    modules of this package as ``.module``."""
     out = set()
-    for node in ast.walk(ast.parse(_source(name))):
+    tree = ast.parse(_source(name))
+    for node in _module_level(tree) if module_level else ast.walk(tree):
         if isinstance(node, ast.Import):
             out |= {a.name for a in node.names}
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
@@ -62,6 +76,17 @@ def test_formats_imports_only_core_and_logic_of_the_package():
     # the documents are call systems, derivations and proofs; the annotated
     # representation is shown only as a trace or as dot
     assert {m for m in _imports("formats") if m.startswith(".")} == {".core", ".logic"}
+
+
+def test_package_namespace_imports_no_module_of_its_own():
+    # the re-exports resolve on first use, so ``import cycind`` loads no stage
+    assert not {m for m in _imports("__init__") if m.startswith(".")}
+
+
+def test_cli_loads_only_the_reader_and_the_kernel_up_front():
+    # each command imports the other stages where it runs them
+    assert {m for m in _imports("cli", module_level=True) if m.startswith(".")} == {
+        ".formats", ".core", ".logic"}
 
 
 def test_kernel_defines_no_builder_or_macro():
