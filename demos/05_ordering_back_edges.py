@@ -22,15 +22,15 @@ from cycind import (
     respect_induction_order,
 )
 
-# one function, two self calls, three arguments that trade places: the plain
-# unfolding closes its back-edges in an order that makes their cycles cross
+# one function, three self calls over two arguments that drop and trade
+# places: the plain unfolding closes its back-edges in an order that makes
+# their cycles cross
 cs = CallSystem(
-    functions={"f0": ("*", "*", "*")},
+    functions={"f0": ("*", "*")},
     calls=(
-        Call("c0", "f0", "f0",
-             SizeChangeGraph(3, 3, frozenset({(0, 1, GEQ), (1, 0, GT)}))),
-        Call("c1", "f0", "f0",
-             SizeChangeGraph(3, 3, frozenset({(0, 0, GT), (1, 1, GEQ), (2, 0, GT)}))),
+        Call("c0", "f0", "f0", SizeChangeGraph(2, 2, frozenset({(0, 0, GT), (1, 1, GT)}))),
+        Call("c1", "f0", "f0", SizeChangeGraph(2, 2, frozenset({(0, 1, GEQ), (1, 0, GT)}))),
+        Call("c2", "f0", "f0", SizeChangeGraph(2, 2, frozenset({(0, 1, GT), (1, 0, GEQ)}))),
     ),
 )
 

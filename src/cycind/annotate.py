@@ -167,11 +167,18 @@ def step(ann: Annotation, g) -> Annotation:
                 best = cand
         picks.append((None, True) if best is None else (best[2], best[1]))
 
-    pool = (name_token(i) for i in range(10 ** 9))
+    # A position with no incoming edge takes back its own initial token when
+    # that token is free; the other fresh names then take the smallest unused
+    # tokens, in position order.
     used = set(ann.names)
     fresh_at: dict[int, str] = {}
+    for j2, (src, _uses_fresh) in enumerate(picks):
+        if src is None and name_token(j2) not in used:
+            fresh_at[j2] = name_token(j2)
+            used.add(fresh_at[j2])
+    pool = (name_token(i) for i in range(10 ** 9))
     for j2, (_src, uses_fresh) in enumerate(picks):
-        if uses_fresh:
+        if uses_fresh and j2 not in fresh_at:
             nm = next(n for n in pool if n not in used)
             used.add(nm)
             fresh_at[j2] = nm

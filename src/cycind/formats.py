@@ -3,10 +3,11 @@ derivations and proofs.
 
 Every document carries a ``format`` tag (``cycind/<kind>@1``); loaders check
 it and raise :class:`FormatError` on anything unexpected.  Node tables are
-flat — children refer to other rows by id, and a repeated id is refused — so
-documents stay linear in the size of the shared structure and never nest
-deeply.  Formulas are arrays with ``["b", k]`` for bound references and
-``["v", name]`` for free variables.
+flat, so documents stay linear in the size of the shared structure and never
+nest deeply.  A derivation node names its children by id, and a repeated id
+is refused.  A proof node row is numbered by its position: its children are
+earlier rows, and the root is a row index.  Formulas are arrays with
+``["b", k]`` for bound references and ``["v", name]`` for free variables.
 
 Proof documents also store formulas and context entries once, in tables:
 ``formulas`` has one row per distinct formula (the subformulas of ``imp`` and
@@ -398,29 +399,26 @@ class _ProofReader:
         raise FormatError(f"expected a variable index or [name, sort] pair, found {_short(ref)}")
 
     @staticmethod
-    def _shared(memo: dict, refs: list, rows: list) -> tuple:
+    def _entries(refs, what: str, rows: list, memo: dict, entry) -> tuple:
+        """The entries ``refs`` names: a list of indices into ``rows`` becomes
+        the one tuple shared by every equal list, and any other list is
+        resolved by ``entry``, entry by entry."""
+        refs = _array(refs, what)
+        if not _all_indices(refs, len(rows)):
+            return tuple(map(entry, refs))
         key = tuple(refs)
         out = memo.get(key)
         if out is None:
             out = memo[key] = tuple(map(rows.__getitem__, refs))
         return out
 
-    def context(self, refs) -> tuple[tuple[str, str], ...]:
-        refs = _array(refs, "ctx")
-        if not _all_indices(refs, len(self.variables)):
-            return tuple(self.variable(r) for r in refs)
-        return self._shared(self.contexts, refs, self.variables)
-
     def sequent(self, d) -> logic.Sequent:
         if not isinstance(d, dict):
             raise FormatError(f"sequent must be an object, found {_json_type(d)}")
-        refs = _array(d.get("hyps"), "hyps")
-        if _all_indices(refs, self.size):
-            hyps = self._shared(self.hyps, refs, self.formulas)
-        else:
-            hyps = tuple(self.formula(h, self.size)[0] for h in refs)
+        hyps = self._entries(d.get("hyps"), "hyps", self.formulas, self.hyps,
+                             lambda h: self.formula(h, self.size)[0])
         return logic.Sequent(
-            ctx=self.context(d.get("ctx")),
+            ctx=self._entries(d.get("ctx"), "ctx", self.variables, self.contexts, self.variable),
             hyps=hyps,
             concl=self.formula(d.get("concl"), self.size)[0],
         )
@@ -463,8 +461,9 @@ class FormulaNumbering:
 def proof_to_doc(proof: logic.Deriv, sys: CyclicSystem) -> dict:
     """Flatten a proof DAG into tables, writing every shared object once.
 
-    - ``nodes``: one row per distinct ``Deriv`` object, children by row id, so
-      the row count is :func:`cycind.logic.proof_size`;
+    - ``nodes``: one row per distinct ``Deriv`` object, after its children,
+      which it names by row index, so the row count is
+      :func:`cycind.logic.proof_size`;
     - ``formulas``: one row per distinct formula; atoms and orders are written
       inline, and the subformulas of an ``imp`` or ``all`` row are indices of
       earlier rows;
@@ -500,7 +499,6 @@ def proof_to_doc(proof: logic.Deriv, sys: CyclicSystem) -> dict:
         seq = d.seq
         rows.append(
             {
-                "id": len(rows),
                 "rule": d.rule,
                 "seq": {
                     "ctx": [variable(e) for e in seq.ctx],
@@ -526,30 +524,28 @@ def proof_from_doc(doc: dict) -> tuple[CyclicSystem, logic.Deriv]:
     _tag(doc, PROOF)
     sys = system_from_doc(_field(doc, "system", dict, "document"))
     reader = _ProofReader(doc)
-    built: dict[int, logic.Deriv] = {}
+    built: list[logic.Deriv] = []
     for i, row in enumerate(_array(doc.get("nodes"), "nodes")):
-        if not isinstance(row, dict) or type(row.get("id")) is not int:
-            raise FormatError("node rows must be objects with an integer id")
-        if row["id"] in built:
-            raise FormatError(f"node row {i}: repeated id {row['id']}")
         try:
+            if not isinstance(row, dict):
+                raise FormatError(f"row must be an object, found {_json_type(row)}")
             kids = []
             for c in _array(row.get("children"), "children"):
-                if type(c) is not int or c not in built:
+                if type(c) is not int or not 0 <= c < i:
                     raise FormatError(f"refers to a later node {_short(c)}")
                 kids.append(built[c])
             if not isinstance(row.get("rule"), str):
                 raise FormatError(f"rule must be a string, found {_json_type(row.get('rule'))}")
-            built[row["id"]] = logic.Deriv(
+            built.append(logic.Deriv(
                 rule=row["rule"],
                 seq=reader.sequent(row.get("seq")),
                 children=tuple(kids),
                 data=tuple(_array(row.get("data"), "data")),
-            )
+            ))
         except FormatError as e:
-            raise FormatError(f"node {row['id']}: {e}") from None
+            raise FormatError(f"node {i}: {e}") from None
     root = doc.get("root")
-    if type(root) is not int or root not in built:
+    if type(root) is not int or not 0 <= root < len(built):
         raise FormatError("root not present in the node table")
     return sys, built[root]
 

@@ -7,7 +7,7 @@ sequent is ``ctx; hyps |- concl`` where ``ctx`` is an *ordered* list of sorted
 variables: quantifier rules bind the last context entry, so the context
 discipline is part of the proof structure.
 
-The trusted kernel is this module alone, 725 lines, with eleven rules:
+The trusted kernel is this module alone, 712 lines, with eleven rules:
 
 - ``assumption``: conclude any hypothesis;
 - ``inst``: rename the premise's context variables to variables of the same
@@ -382,24 +382,34 @@ def _renaming(sub: dict[str, str]) -> _TermMatch:
     return term
 
 
-# the other rules read their data, and an unknown rule is unknown whatever its data
-_RULES_WITHOUT_DATA = frozenset({"imp_intro", "imp_elim", "forall_intro", "geq_refl", "trans",
-                                 "geq_subsum", "gt_ind"})
+# Each rule's shape: its premise count (None where the rule counts its own
+# premises from its data), whether it reads rule data, the premise whose
+# conclusion enters and the premise whose pair enters (see ``check_proof``).
+_RULES: dict[str, tuple[int | None, bool, int | None, int | None]] = {
+    "assumption": (0, True, None, None),
+    "inst": (None, True, 0, 0),
+    "imp_intro": (1, False, None, None),
+    "imp_elim": (2, False, 1, None),
+    "forall_intro": (1, False, None, None),
+    "forall_elim": (1, True, None, None),
+    "geq_refl": (0, False, None, None),
+    "trans": (2, False, 0, None),
+    "geq_subsum": (1, False, None, None),
+    "gt_ind": (1, False, None, None),
+    "c_rule": (None, True, None, None),
+}
 
 
 def _check_node(system: CyclicSystem, d: Deriv) -> str | None:
-    seq = d.seq
-    kids = d.children
-    r = d.rule
-
-    def arity(n: int) -> str | None:
-        return None if len(kids) == n else f"{r} expects {n} premises, got {len(kids)}"
-
-    if d.data and r in _RULES_WITHOUT_DATA:
+    seq, kids, r = d.seq, d.children, d.rule
+    if r not in _RULES:
+        return f"unknown rule {r!r}"
+    n, reads_data, _concl, _pair = _RULES[r]
+    if d.data and not reads_data:
         return f"{r} takes no rule data, got {list(d.data)!r}"
+    if n is not None and len(kids) != n:
+        return f"{r} expects {n} premises, got {len(kids)}"
     if r == "assumption":
-        if err := arity(0):
-            return err
         if len(d.data) != 1 or type(d.data[0]) is not int:
             return "assumption needs one integer hypothesis position"
         (k,) = d.data
@@ -434,8 +444,6 @@ def _check_node(system: CyclicSystem, d: Deriv) -> str | None:
                 return f"inst minor {i} must conclude renamed premise hypothesis {i}"
         return None
     if r == "imp_intro":
-        if err := arity(1):
-            return err
         p = kids[0].seq
         if not isinstance(seq.concl, Imp):
             return "imp_intro conclusion must be an implication"
@@ -445,8 +453,6 @@ def _check_node(system: CyclicSystem, d: Deriv) -> str | None:
             return "imp_intro must preserve context"
         return None
     if r == "imp_elim":
-        if err := arity(2):
-            return err
         maj, mnr = kids[0].seq, kids[1].seq
         if not (_same(seq, maj) and _same(seq, mnr)):
             return "imp_elim premises must share the sequent context and hypotheses"
@@ -454,8 +460,6 @@ def _check_node(system: CyclicSystem, d: Deriv) -> str | None:
             return "imp_elim major premise must be minor -> conclusion"
         return None
     if r == "forall_intro":
-        if err := arity(1):
-            return err
         p = kids[0].seq
         if len(p.ctx) != len(seq.ctx) + 1 or p.ctx[:-1] != seq.ctx:
             return "forall_intro premise must extend the context by one variable"
@@ -468,8 +472,6 @@ def _check_node(system: CyclicSystem, d: Deriv) -> str | None:
             return "forall_intro conclusion body does not match the premise"
         return None
     if r == "forall_elim":
-        if err := arity(1):
-            return err
         if len(d.data) != 1 or not isinstance(d.data[0], str):
             return "forall_elim needs one target variable"
         (y,) = d.data
@@ -488,8 +490,6 @@ def _check_node(system: CyclicSystem, d: Deriv) -> str | None:
             return "forall_elim conclusion is not the instantiated body"
         return None
     if r == "geq_refl":
-        if err := arity(0):
-            return err
         c = seq.concl
         if not isinstance(c, Geq) or c.left != c.right or not isinstance(c.left, FreeV):
             return "geq_refl concludes x >= x for a context variable"
@@ -501,8 +501,6 @@ def _check_node(system: CyclicSystem, d: Deriv) -> str | None:
             return "geq_refl sort mismatch"
         return None
     if r == "trans":
-        if err := arity(2):
-            return err
         a, b = kids[0].seq.concl, kids[1].seq.concl
         if not (_same(seq, kids[0].seq) and _same(seq, kids[1].seq)):
             return "trans premises must share the sequent context and hypotheses"
@@ -516,8 +514,6 @@ def _check_node(system: CyclicSystem, d: Deriv) -> str | None:
             return "trans endpoints do not chain"
         return None
     if r == "geq_subsum":
-        if err := arity(1):
-            return err
         p = kids[0].seq
         if not _same(seq, p):
             return "geq_subsum must preserve context and hypotheses"
@@ -525,8 +521,6 @@ def _check_node(system: CyclicSystem, d: Deriv) -> str | None:
             return "geq_subsum conclusion must weaken the premise"
         return None
     if r == "gt_ind":
-        if err := arity(1):
-            return err
         p = kids[0].seq
         if not isinstance(seq.concl, Forall):
             return "gt_ind conclusion must be quantified"
@@ -544,48 +538,42 @@ def _check_node(system: CyclicSystem, d: Deriv) -> str | None:
         if not _matches(body, p.concl, _opening(x)):
             return "gt_ind premise conclusion does not open the quantified body"
         return None
-    if r == "c_rule":
-        if len(d.data) != 1 or not isinstance(d.data[0], str):
-            return "c_rule needs one rule scheme id"
-        (rid,) = d.data
-        scheme = system.rules.get(rid)
-        if scheme is None:
-            return f"unknown rule scheme {rid!r}"
-        # the kernel does not rely on validate_system: the scheme must fit
-        judg = system.judgments.get(scheme.conclusion)
-        prems = [system.judgments.get(j) for j in scheme.premises]
-        if judg is None or any(q is None or (g.src_arity, g.dst_arity) != (judg.ob, q.ob)
-                               for g, q in zip(scheme.graphs, prems)):
-            return f"rule scheme {rid!r} does not fit the judgments of the system"
-        if err := arity(len(scheme.premises)):
-            return err
-        c = seq.concl
-        if not isinstance(c, Atom) or c.judg != judg.id:
-            return f"c_rule {rid} must conclude a {judg.id} atom"
-        if not all(isinstance(t, FreeV) for t in c.args):
-            return "c_rule arguments must be context variables"
-        xs = tuple(t.name for t in c.args)
-        for i, kid in enumerate(kids):
-            p = kid.seq
-            prem = prems[i]
-            if len(p.ctx) != len(seq.ctx) + prem.ob or p.ctx[: len(seq.ctx)] != seq.ctx:
-                return f"premise {i} must extend the context by {prem.ob} fresh variables"
-            ys = p.ctx[len(seq.ctx):]
-            for j, (yv, ysort) in enumerate(ys):
-                if ysort != prem.sorts[j]:
-                    return f"premise {i}: variable {j} has sort {ysort!r}, expected {prem.sorts[j]!r}"
-            names = tuple(y for y, _ in ys)
-            if p.hyps != seq.hyps + edge_facts(judg.sorts, scheme.graphs[i], xs, names):
-                return f"premise {i} must extend the hypotheses by the edge facts"
-            if p.concl != Atom(prem.id, tuple(map(FreeV, names))):
-                return f"premise {i} must conclude {prem.id} at the fresh variables"
-        return None
-    return f"unknown rule {r!r}"
-
-
-# The one premise of each rule whose conclusion brings in a formula that the
-# conclusion below does not fix (see ``check_proof``).
-_ENTERING_PREMISE = {"inst": 0, "imp_elim": 1, "trans": 0}
+    # c_rule
+    if len(d.data) != 1 or not isinstance(d.data[0], str):
+        return "c_rule needs one rule scheme id"
+    (rid,) = d.data
+    scheme = system.rules.get(rid)
+    if scheme is None:
+        return f"unknown rule scheme {rid!r}"
+    # the kernel does not rely on validate_system: the scheme must fit
+    judg = system.judgments.get(scheme.conclusion)
+    prems = [system.judgments.get(j) for j in scheme.premises]
+    if judg is None or any(q is None or (g.src_arity, g.dst_arity) != (judg.ob, q.ob)
+                           for g, q in zip(scheme.graphs, prems)):
+        return f"rule scheme {rid!r} does not fit the judgments of the system"
+    if len(kids) != len(scheme.premises):
+        return f"c_rule expects {len(scheme.premises)} premises, got {len(kids)}"
+    c = seq.concl
+    if not isinstance(c, Atom) or c.judg != judg.id:
+        return f"c_rule {rid} must conclude a {judg.id} atom"
+    if not all(isinstance(t, FreeV) for t in c.args):
+        return "c_rule arguments must be context variables"
+    xs = tuple(t.name for t in c.args)
+    for i, kid in enumerate(kids):
+        p = kid.seq
+        prem = prems[i]
+        if len(p.ctx) != len(seq.ctx) + prem.ob or p.ctx[: len(seq.ctx)] != seq.ctx:
+            return f"premise {i} must extend the context by {prem.ob} fresh variables"
+        ys = p.ctx[len(seq.ctx):]
+        for j, (yv, ysort) in enumerate(ys):
+            if ysort != prem.sorts[j]:
+                return f"premise {i}: variable {j} has sort {ysort!r}, expected {prem.sorts[j]!r}"
+        names = tuple(y for y, _ in ys)
+        if p.hyps != seq.hyps + edge_facts(judg.sorts, scheme.graphs[i], xs, names):
+            return f"premise {i} must extend the hypotheses by the edge facts"
+        if p.concl != Atom(prem.id, tuple(map(FreeV, names))):
+            return f"premise {i} must conclude {prem.id} at the fresh variables"
+    return None
 
 
 def _path(link: tuple | None) -> tuple[int, ...]:
@@ -682,11 +670,10 @@ def check_proof(system: CyclicSystem, root: Deriv) -> None:
         if err is not None:
             raise LogicError(err, _path(link))
         kids = node.children
-        entry = _ENTERING_PREMISE.get(node.rule)
+        _n, _data, concl_entry, pair_entry = _RULES[node.rule]
         prefix = (len(seq.ctx), len(seq.hyps), ctx)
         for i in reversed(range(len(kids))):
-            stack.append((kids[i], (link, i), i == entry,
-                          None if i == 0 and node.rule == "inst" else prefix))
+            stack.append((kids[i], (link, i), i == concl_entry, None if i == pair_entry else prefix))
 
 
 def states_judgment(system: CyclicSystem, seq: Sequent, judg: str) -> bool:

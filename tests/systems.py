@@ -48,8 +48,9 @@ def fg_system():
 
 
 def crossing_system():
-    """One function, two self-calls; the plain unravelling places back-edges
-    whose cycles cross, so the reordering phase has real work to do."""
+    """One function, two self-calls, three arguments that trade places.  Its
+    plain unravelling has 15 nodes and no crossing back-edges, because a
+    position with no incoming edge takes back its initial token."""
     return CallSystem(
         functions={"f0": ("*", "*", "*")},
         calls=(
@@ -60,9 +61,23 @@ def crossing_system():
     )
 
 
+def drawn_crossing_system():
+    """The one draw of the benchmark population (``perfbench/run.py``, seed 7,
+    draw 333) whose plain unravelling has crossing back-edges: 10 nodes and
+    2 crossings, which the replay grows to 3,871 nodes."""
+    return CallSystem(
+        functions={"f0": ("*", "*")},
+        calls=(
+            Call("c0", "f0", "f0", SizeChangeGraph(2, 2, frozenset({(0, 0, GT), (1, 1, GT)}))),
+            Call("c1", "f0", "f0", SizeChangeGraph(2, 2, frozenset({(0, 1, GEQ), (1, 0, GT)}))),
+            Call("c2", "f0", "f0", SizeChangeGraph(2, 2, frozenset({(0, 1, GT), (1, 0, GEQ)}))),
+        ),
+    )
+
+
 TEXTS = {"plus": PLUS, "ack": ACK, "dist": DIST, "treedist": TREEDIST}
 ROOT_FUN = {"plus": "plus", "ack": "ack", "dist": "d", "treedist": "d", "fg": "f",
-            "crossing": "f0"}
+            "crossing": "f0", "drawn_crossing": "f0"}
 
 
 def load(name):
@@ -70,4 +85,6 @@ def load(name):
         return fg_system()
     if name == "crossing":
         return crossing_system()
+    if name == "drawn_crossing":
+        return drawn_crossing_system()
     return parse_call_system(TEXTS[name])

@@ -164,9 +164,8 @@ def test_03_worked_annotation_trees(pipelines):
     ok = not mismatches
     _report(3, ok, f"{matched}/{total} worked nodes reproduced; diverging: "
                    + (", ".join(mismatches) if mismatches else "none")
-                   + " [the worked trees re-use a dead token for the fresh name"
-                     " at those nodes; we always allocate the smallest unused one,"
-                     " so the back-edge lands two levels lower instead]")
+                   + " [a position with no incoming edge takes back its own"
+                     " initial token when it is dead, as the worked trees do]")
 
 
 def test_04_back_edge_invariants(pipelines, fuzz_population):
@@ -217,7 +216,7 @@ def test_06_translated_proofs_check(pipelines, fuzz_proofs):
     _report(6, ok, f"checker accepts 5 fixture proofs and {len(fuzz_proofs)} fuzz proofs; "
                    f"inductions: plus {plus_ind} (want 1), ack {ack_ind} (want 2) "
                    "[one induction per distinct annotated state that sprouts a "
-                   "back-edge; ack has 4 distinct inductions, the paper's worked "
+                   "back-edge; ack has 3 distinct inductions, the paper's worked "
                    "account has 2]")
 
 

@@ -63,6 +63,18 @@ def test_no_edge_position_gets_fresh_singleton():
     assert a1.names == ("a", "c")  # b was forgotten
 
 
+def test_no_edge_position_takes_back_its_dead_initial_token():
+    # after the first step b is dead; at the second, position 1 has no
+    # incoming edge and takes b back, so position 0's fresh name is c
+    merge = SizeChangeGraph(2, 2, frozenset({(0, 0, GEQ), (0, 1, GEQ)}))
+    a1 = step(init_annotation(2), merge)
+    assert a1.names == ("a",)
+    a2 = step(a1, SizeChangeGraph(2, 2, frozenset({(0, 0, GT)})))
+    assert a2.pre_stacks == (("a", "c"), ("b",))
+    assert render_annotation(a2) == "(a ~c~ | b)"
+    assert a2.names == ("a", "b")
+
+
 def test_uniform_covers():
     assert uniform_covers(("a", "b"), (("a",), ("b",))) == {}
     # c sits above a on every stack that carries a

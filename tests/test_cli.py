@@ -161,9 +161,9 @@ def test_unravel_refuses_a_malformed_unfold_cap(capsys, monkeypatch, value):
 
 
 @pytest.mark.parametrize("name, fun, cap, verb", [("dist", "d", 10, "unfolding"),
-                                                  ("crossing", "f0", 100, "re-unfolding")])
+                                                  ("drawn_crossing", "f0", 100, "re-unfolding")])
 def test_unravel_reports_a_tripped_unfold_cap(capsys, monkeypatch, tmp_path, name, fun, cap, verb):
-    # phase one trips on dist; crossing unfolds in 31 nodes and trips in the replay
+    # phase one trips on dist; drawn_crossing unfolds in 10 nodes and trips in the replay
     src = tmp_path / f"{name}.json"
     src.write_text(formats.dumps(formats.call_system_to_doc(systems.load(name))))
     monkeypatch.setenv("CYCIND_UNFOLD_CAP", str(cap))
@@ -251,7 +251,7 @@ def _forged_axiom(pipelines):
     doc = formats.proof_to_doc(p.proof, p.system)
     doc["system"]["rules"].append({"id": "axiom", "conclusion": "plus", "premises": [], "graphs": []})
     root = doc["nodes"][doc["root"]]
-    doc["nodes"] = [{"id": 0, "rule": "c_rule", "seq": root["seq"], "children": [], "data": ["axiom"]}]
+    doc["nodes"] = [{"rule": "c_rule", "seq": root["seq"], "children": [], "data": ["axiom"]}]
     doc["root"] = 0
     return doc
 
@@ -532,11 +532,10 @@ def test_readers_refuse_unknown_format_tags(capsys, tmp_path, cmd, tag, shown):
     assert (code, out, err) == (2, "", f"error: {path}: unknown format tag {shown}\n")
 
 
+# proof node rows have no id to repeat: a row's id is its position
 @pytest.mark.parametrize("cmd, make, message", [
     ("sct", lambda p: _twice(formats.derivation_to_doc(p.deriv, p.system), "nodes"),
      "derivation node 1: repeated id 'plus'"),
-    ("verify", lambda p: _twice(formats.proof_to_doc(p.proof, p.system), "nodes"),
-     "node row 53: repeated id 0"),
 ])
 def test_readers_refuse_repeated_node_ids(capsys, tmp_path, pipelines, cmd, make, message):
     # a repeated row used to replace the earlier one silently

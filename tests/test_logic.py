@@ -140,19 +140,33 @@ KERNEL_RULES = ("assumption", "inst", "imp_intro", "imp_elim", "forall_intro", "
                 "geq_refl", "trans", "geq_subsum", "gt_ind", "c_rule")
 # the premise whose conclusion brings in a formula the conclusion below does not fix
 ENTERING_PREMISE = {"inst": 0, "imp_elim": 1, "trans": 0}
+# the premise count of each rule but inst and c_rule, which count theirs from their data
+PREMISE_COUNT = {"assumption": 0, "imp_intro": 1, "imp_elim": 2, "forall_intro": 1,
+                 "forall_elim": 1, "geq_refl": 0, "trans": 2, "geq_subsum": 1, "gt_ind": 1}
 
 
 @pytest.mark.parametrize("data", [(), ("x",)])
 def test_kernel_knows_exactly_its_rules(plus_system, data):
-    # every name the kernel lists as taking no data is one of its rules, so a
-    # name left behind by a rule merge shows here
-    assert logic._RULES_WITHOUT_DATA <= set(KERNEL_RULES)
+    # the kernel's rule table names exactly its rules, so a name left behind
+    # by a rule merge, or a rule missing from the table, shows here
+    assert set(logic._RULES) == set(KERNEL_RULES)
     seq = Sequent(ASSUMPTION_CTX, ASSUMPTION_HYPS, ASSUMPTION_HYPS[0])
     for rule in KERNEL_RULES:
         err = logic._check_node(plus_system, Deriv(rule, seq, (), data))
         assert err != f"unknown rule {rule!r}", rule
     for rule in ("cut", "subst", "geq_trans", "gt_extend0", "gt_extend1", "weakening"):
         assert logic._check_node(plus_system, Deriv(rule, seq, (), data)) == f"unknown rule {rule!r}"
+
+
+@pytest.mark.parametrize("rule", sorted(PREMISE_COUNT))
+def test_fixed_arity_rules_count_their_premises(plus_system, rule):
+    assert set(PREMISE_COUNT) | {"inst", "c_rule"} == set(KERNEL_RULES)
+    n = PREMISE_COUNT[rule]
+    seq = Sequent(ASSUMPTION_CTX, ASSUMPTION_HYPS, ASSUMPTION_HYPS[0])
+    kid = assumption(ASSUMPTION_CTX, ASSUMPTION_HYPS, 0)
+    for k in [k for k in (n - 1, n + 1) if k >= 0]:
+        with pytest.raises(LogicError, match=f"^at root: {rule} expects {n} premises, got {k}$"):
+            check_proof(plus_system, Deriv(rule, seq, (kid,) * k))
 
 
 def test_quantifier_round_trip(plus_system):

@@ -55,7 +55,6 @@ def corpus(pipelines):
     for name, per_pair in SAMPLE.items():
         p = pipelines[name]
         doc = formats.proof_to_doc(p.proof, p.system)
-        assert [row["id"] for row in doc["nodes"]] == list(range(len(doc["nodes"])))
         _, original = formats.proof_from_doc(doc)
         for rule, kind, i, mutant in mutants.mutants(doc, SEED, per_pair):
             results.append((name, rule, kind, i, _outcome(doc, original, i, mutant)))

@@ -49,7 +49,7 @@ def test_runner_cli_op_on_plus(tmp_path):
     assert res["verdict"] is True and res["conclusion_ok"] is True
     assert res["counts"] == {"closure_size": 3, "unfold_nodes": 3, "replay_nodes": 3,
                              "proof_nodes": 53, "inductions": 1, "doc_rows": 53,
-                             "doc_bytes": 8450}
+                             "doc_bytes": 8036}
     assert not (tmp_path / "plus.proof.json").exists()
 
 

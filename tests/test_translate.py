@@ -23,8 +23,8 @@ import proofcmp
 import systems
 
 # node counts and induction counts of the finished proofs, frozen
-PROOF_SIZE = {"plus": 53, "ack": 254, "dist": 756, "treedist": 756, "fg": 72}
-IND_COUNT = {"plus": 1, "ack": 4, "dist": 7, "treedist": 7, "fg": 1}
+PROOF_SIZE = {"plus": 53, "ack": 189, "dist": 756, "treedist": 756, "fg": 49}
+IND_COUNT = {"plus": 1, "ack": 3, "dist": 7, "treedist": 7, "fg": 1}
 
 
 def test_frozen_proof_sizes(pipelines):
@@ -114,7 +114,7 @@ def test_soundness_is_decided_once(name, calls_to):
 
 
 def test_unfolding_and_replay_decide_soundness_once(calls_to):
-    system, derivs = induced_proof_system(systems.load("crossing"))
+    system, derivs = induced_proof_system(systems.load("drawn_crossing"))
     calls, _ = calls_to(closure, lambda: respect_induction_order(build_reset_rep(derivs["f0"], system)))
     assert len(calls) == 1
 

@@ -27,8 +27,8 @@ from test_sct import weakened
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
-REP_SHAPE = {"plus": (3, 1), "ack": (22, 15), "dist": (58, 39), "treedist": (58, 39),
-             "fg": (5, 1)}
+REP_SHAPE = {"plus": (3, 1), "ack": (10, 7), "dist": (58, 39), "treedist": (58, 39),
+             "fg": (3, 1)}
 
 
 def test_rep_sizes_and_bud_counts(pipelines):
@@ -60,17 +60,15 @@ def test_fg_bud_structure(pipelines):
     rep = pipelines["fg"].rep
     (bud,) = rep.buds()
     node = rep.nodes[bud]
-    assert (bud, node.sprout, node.prog) == ("n4", "n2", "a")
+    assert (bud, node.sprout, node.prog) == ("n2", "n0", "a")
 
 
 def test_ackermann_bud_map(pipelines):
     rep = pipelines["ack"].rep
     got = {b: (rep.nodes[b].sprout, rep.nodes[b].prog) for b in rep.buds()}
     assert got == {
-        "n2": ("n0", "b"), "n5": ("n1", "d"), "n7": ("n1", "a"), "n8": ("n4", "c"),
-        "n9": ("n1", "a"), "n10": ("n1", "a"), "n11": ("n6", "c"), "n12": ("n1", "a"),
-        "n14": ("n3", "d"), "n16": ("n3", "a"), "n17": ("n13", "c"), "n18": ("n3", "a"),
-        "n19": ("n3", "a"), "n20": ("n15", "c"), "n21": ("n3", "a"),
+        "n2": ("n0", "b"), "n4": ("n0", "a"), "n5": ("n1", "d"), "n6": ("n0", "a"),
+        "n7": ("n0", "a"), "n8": ("n3", "d"), "n9": ("n0", "a"),
     }
     # progress is claimed on both argument positions somewhere
     positions = {rep.nodes[b].ann.var_of(rep.nodes[b].prog).pos for b in rep.buds()}
@@ -102,7 +100,7 @@ def test_ackermann_induction_order_violations(pipelines):
     # buds are mutually reachable and not age-ordered; reordering does not
     # remove them because their back-edges never cross
     got = sorted(induction_order_violations(pipelines["ack"].rep))
-    assert got == [("n11", "n5"), ("n17", "n14"), ("n20", "n14"), ("n8", "n5")]
+    assert got == [("n5", "n2"), ("n8", "n2")]
     for name in ("plus", "dist", "treedist", "fg"):
         assert induction_order_violations(pipelines[name].rep) == []
 
@@ -112,7 +110,7 @@ def test_bud_age_order_on_ackermann(pipelines):
     # n7 progresses on the root name a, n5 on the deeper d: prefix (a) < (a, d)
     assert bud_weakly_older(rep, "n7", "n5")
     assert not bud_weakly_older(rep, "n5", "n7")
-    # prefixes (a, c) and (a, d): incomparable
+    # both progress on a name d, bound at different nodes: incomparable
     assert not bud_weakly_older(rep, "n8", "n5")
     assert not bud_weakly_older(rep, "n5", "n8")
     assert bud_weakly_older(rep, "n7", "n7")
@@ -141,10 +139,10 @@ def test_cap_trips_as_circuit_breaker(monkeypatch):
 
 def test_the_replay_keeps_the_cap_of_phase_one(monkeypatch):
     # the cap is set once, in phase one, and travels on the representation
-    system, derivs = induced_proof_system(systems.load("crossing"))
+    system, derivs = induced_proof_system(systems.load("drawn_crossing"))
     monkeypatch.setenv("CYCIND_UNFOLD_CAP", "100")
     rep = build_reset_rep(derivs["f0"], system)
-    assert len(rep.nodes) == 31
+    assert len(rep.nodes) == 10
     monkeypatch.delenv("CYCIND_UNFOLD_CAP")
     with pytest.raises(UnfoldCapError) as exc:
         respect_induction_order(rep)
@@ -180,30 +178,40 @@ def test_forced_replay_on_plus(pipelines, monkeypatch):
 def test_forced_replay_on_fg(pipelines, monkeypatch):
     p = pipelines["fg"]
     rep2 = force_replay(p.rep, monkeypatch)
-    assert len(rep2.nodes) == 7 and len(rep2.buds()) == 1
+    assert len(rep2.nodes) == 5 and len(rep2.buds()) == 1
     assert oracles.reset_rep_violations(rep2) == []
     proof = translate(rep2)
     check_proof(p.system, proof)
-    assert proof_size(proof) == 93 and count_rule(proof, "gt_ind") == 1
+    assert proof_size(proof) == 72 and count_rule(proof, "gt_ind") == 1
 
 
 def test_forced_replay_on_ackermann(pipelines, monkeypatch):
     rep2 = force_replay(pipelines["ack"].rep, monkeypatch)
-    assert len(rep2.nodes) == 2047 and len(rep2.buds()) == 1365
+    assert len(rep2.nodes) == 511 and len(rep2.buds()) == 341
     assert crossing_violations(rep2) == []
     assert oracles.reset_rep_violations(rep2) == []
 
 
 def test_crossing_fixture_reordered():
-    # two self-calls whose plain unravelling has genuinely crossing cycles
+    # with the paper's tokens nothing crosses, so the replay leaves the fixture as it is
     cs = systems.load("crossing")
     sysm, derivs = induced_proof_system(cs)
     rep1 = build_reset_rep(derivs["f0"], sysm)
-    assert len(rep1.nodes) == 31
-    assert len(crossing_violations(rep1)) == 5
+    assert len(rep1.nodes) == 15
+    assert crossing_violations(rep1) == []
+    assert oracles.reset_rep_violations(rep1) == []
+    assert respect_induction_order(rep1) is rep1
+
+
+def test_drawn_crossing_case_reordered():
+    # a drawn system whose plain unravelling has genuinely crossing cycles
+    sysm, derivs = induced_proof_system(systems.load("drawn_crossing"))
+    rep1 = build_reset_rep(derivs["f0"], sysm)
+    assert len(rep1.nodes) == 10
+    assert len(crossing_violations(rep1)) == 2
     assert oracles.reset_rep_violations(rep1) == []
     rep2 = respect_induction_order(rep1)
-    assert len(rep2.nodes) == 23881
+    assert len(rep2.nodes) == 3871
     assert crossing_violations(rep2) == []
     assert oracles.reset_rep_violations(rep2) == []
 
