@@ -35,7 +35,8 @@ row = doc["nodes"][0]
 print("first row:", json.dumps(row)[:100], "...")
 
 kind, (system2, proof2) = formats.loads(text)
-print(f"reloaded as {kind!r}; equal to the original: {proof2 == proof}")
+same = formats.proof_to_doc(proof2, system2) == doc
+print(f"reloaded as {kind!r}; equal to the original: {same}")
 check_proof(system2, proof2)
 print("reloaded proof checks: ok")
 

@@ -225,7 +225,7 @@ def ind_hypothesis(target: Sequent, x: str) -> Formula:
     occur free in it (plus ``x``), in context order, guarding with
     ``x > x-copy``: the result only has ``x`` free.
     """
-    sort = target.sort_of(x)
+    sort = dict(target.ctx)[x]
     chain = fold_imp(target.hyps, target.concl)
     block = ind_block(target, x)
     avoid = {v for v, _s in target.ctx}
@@ -252,7 +252,7 @@ def ind_prime(dp: Deriv, x: str) -> Deriv:
     """
     ctx, gamma, delta = dp.seq.ctx, dp.seq.hyps[:-1], dp.seq.concl
     target = Sequent(ctx, gamma, delta)
-    sort = target.sort_of(x)
+    sort = dict(ctx)[x]
     avoid = {v for v, _s in ctx}
     u = fresh_name("u", avoid)
     avoid.add(u)

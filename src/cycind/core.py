@@ -71,6 +71,8 @@ class Record:
         return type(self)(**{**{f: getattr(self, f) for f in self._fields}, **changes})
 
     def __eq__(self, other: object) -> bool:
+        if other is self:
+            return True
         if other.__class__ is self.__class__:
             return self._key(self) == self._key(other)
         return NotImplemented
@@ -212,9 +214,6 @@ class CallSystem(Record):
     ind_sorts: frozenset[str]
     _defaults = {"ind_sorts": frozenset({DEFAULT_SORT})}
 
-    def arity(self, f: str) -> int:
-        return len(self.functions[f])
-
 
 class DerivNode(Record):
     __slots__ = ("rule", "children")
@@ -252,6 +251,22 @@ class VarRef(Record):
 # Validation
 # ---------------------------------------------------------------------------
 
+def _graph_problems(where: str, g: SizeChangeGraph, src: tuple[str, ...], dst: tuple[str, ...],
+                    ind_sorts: frozenset[str]) -> list[str]:
+    """Diagnostics of ``g`` as a graph from positions of the sorts ``src`` to
+    positions of the sorts ``dst``, each prefixed by ``where``: its arities,
+    then each edge joining two sorts, which must be one inductive sort."""
+    if g.src_arity != len(src) or g.dst_arity != len(dst):
+        return [f"{where}: graph is {g.src_arity}->{g.dst_arity}, expected {len(src)}->{len(dst)}"]
+    out: list[str] = []
+    for a, b, _lab in g.sorted_edges():
+        if src[a] != dst[b]:
+            out.append(f"{where}: edge {a}->{b} joins sorts {src[a]!r} and {dst[b]!r}")
+        elif src[a] not in ind_sorts:
+            out.append(f"{where}: edge {a}->{b} touches non-inductive sort {src[a]!r}")
+    return out
+
+
 def validate_system(sys: CyclicSystem) -> list[str]:
     """Structural diagnostics for a cyclic system; empty list means valid."""
     out: list[str] = []
@@ -270,19 +285,8 @@ def validate_system(sys: CyclicSystem) -> list[str]:
             if prem is None:
                 out.append(f"rule {rid}: unknown premise judgment {pid!r}")
                 continue
-            g = rule.graphs[i]
-            if g.src_arity != concl.ob or g.dst_arity != prem.ob:
-                out.append(
-                    f"rule {rid} premise {i}: graph is {g.src_arity}->{g.dst_arity}, "
-                    f"expected {concl.ob}->{prem.ob}"
-                )
-                continue
-            for a, b, _lab in g.sorted_edges():
-                sa, sb = concl.sorts[a], prem.sorts[b]
-                if sa != sb:
-                    out.append(f"rule {rid} premise {i}: edge {a}->{b} joins sorts {sa!r} and {sb!r}")
-                elif sa not in sys.ind_sorts:
-                    out.append(f"rule {rid} premise {i}: edge {a}->{b} touches non-inductive sort {sa!r}")
+            out += _graph_problems(f"rule {rid} premise {i}", rule.graphs[i], concl.sorts, prem.sorts,
+                                   sys.ind_sorts)
     return out
 
 
@@ -299,18 +303,8 @@ def validate_call_system(cs: CallSystem) -> list[str]:
         if c.codom not in cs.functions:
             out.append(f"call {c.id}: unknown function {c.codom!r}")
             continue
-        if c.graph.src_arity != cs.arity(c.dom) or c.graph.dst_arity != cs.arity(c.codom):
-            out.append(
-                f"call {c.id}: graph is {c.graph.src_arity}->{c.graph.dst_arity}, "
-                f"expected {cs.arity(c.dom)}->{cs.arity(c.codom)}"
-            )
-            continue
-        dsorts, csorts = cs.functions[c.dom], cs.functions[c.codom]
-        for a, b, _lab in c.graph.sorted_edges():
-            if dsorts[a] != csorts[b]:
-                out.append(f"call {c.id}: edge {a}->{b} joins sorts {dsorts[a]!r} and {csorts[b]!r}")
-            elif dsorts[a] not in cs.ind_sorts:
-                out.append(f"call {c.id}: edge {a}->{b} touches non-inductive sort {dsorts[a]!r}")
+        out += _graph_problems(f"call {c.id}", c.graph, cs.functions[c.dom], cs.functions[c.codom],
+                               cs.ind_sorts)
     return out
 
 

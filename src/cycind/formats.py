@@ -531,7 +531,9 @@ def proof_from_doc(doc: dict) -> tuple[CyclicSystem, logic.Deriv]:
                 raise FormatError(f"row must be an object, found {_json_type(row)}")
             kids = []
             for c in _array(row.get("children"), "children"):
-                if type(c) is not int or not 0 <= c < i:
+                if type(c) is not int or c < 0:
+                    raise FormatError(f"child {_short(c)} is not a node index")
+                if c >= i:
                     raise FormatError(f"refers to a later node {_short(c)}")
                 kids.append(built[c])
             if not isinstance(row.get("rule"), str):

@@ -7,7 +7,7 @@ sequent is ``ctx; hyps |- concl`` where ``ctx`` is an *ordered* list of sorted
 variables: quantifier rules bind the last context entry, so the context
 discipline is part of the proof structure.
 
-The trusted kernel is this module alone, 712 lines, with eleven rules:
+The trusted kernel is this module alone, 770 lines, with eleven rules:
 
 - ``assumption``: conclude any hypothesis;
 - ``inst``: rename the premise's context variables to variables of the same
@@ -31,8 +31,9 @@ hypotheses it adds to the sequent below are.  A conclusion is checked at the
 root, at ``inst``'s premise 0, at ``imp_elim``'s minor and at ``trans``'s
 left premise.  Every other rule builds those parts of its premises from the
 sequent below, so its own check covers them.  The kernel matches an instance
-against its pattern without building it; the term maps that build instances
-are the builders'.
+against its pattern without building it, and takes a part that the instance
+shares with its pattern at once where the part's scope shows that the map
+leaves it as it is; the term maps that build instances are the builders'.
 
 It imports nothing of this package but :mod:`cycind.core`.  The two formula
 shapes that a rule checks and a builder builds, :func:`gt_ind_hypothesis`
@@ -41,7 +42,7 @@ and :func:`edge_facts`, are written here once.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .core import GT, CyclicSystem, Record, SizeChangeGraph
 
@@ -175,12 +176,6 @@ class Sequent(Record):
     hyps: tuple[Formula, ...]
     concl: Formula
 
-    def sort_of(self, name: str) -> str:
-        for v, s in self.ctx:
-            if v == name:
-                return s
-        raise KeyError(f"variable {name!r} not in context")
-
     def render(self) -> str:
         cv = ", ".join(f"{v}:{s}" for v, s in self.ctx)
         hy = ", ".join(render_formula(h) for h in self.hyps)
@@ -188,12 +183,19 @@ class Sequent(Record):
 
 
 class Deriv(Record):
+    """A proof node.  Proofs share subproofs, so a ``Deriv`` compares and
+    hashes by identity: by value, it would walk every path through the
+    shared parts, recursively.  Compare proofs by value through their
+    documents (:func:`cycind.formats.proof_to_doc`)."""
+
     __slots__ = ("rule", "seq", "children", "data")
     rule: str
     seq: Sequent
     children: tuple[Deriv, ...]
     data: tuple
     _defaults = {"children": (), "data": ()}
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
 
 class LogicError(Exception):
@@ -279,7 +281,7 @@ def _check_formula(
     system: CyclicSystem, known: frozenset[str], phi: Formula, ctx: dict[str, str],
     cache: dict[int, _Summary],
 ) -> str | None:
-    summary = _formula_summary(system, known, phi, cache)
+    summary = cache.get(id(phi)) or _formula_summary(system, known, phi, cache)
     if isinstance(summary, str):
         return summary
     for name, want in summary.items():
@@ -332,54 +334,87 @@ def _same(a: Sequent, b: Sequent) -> bool:
     return (a.ctx is b.ctx or a.ctx == b.ctx) and (a.hyps is b.hyps or a.hyps == b.hyps)
 
 
-# ``term(p, t, d)`` says whether the target term ``t`` is the image of the
-# pattern term ``p`` under ``d`` binders
-_TermMatch = Callable[[Term, Term, int], bool]
+# A formula's scope: its highest loose bound index (-1 if none) and its free
+# names, or None for what is not a formula.  ``scopes`` holds it once per
+# object for one ``check_proof`` call, keyed by ``id`` as ``cache`` is.
+_Scope = tuple[int, frozenset[str]] | None
 
 
-def _matches(pat: Formula, tgt: Formula, term: _TermMatch, depth: int = 0) -> bool:
-    """Whether ``tgt`` is ``pat`` with its terms mapped as ``term`` says: the
-    answer ``==`` gives on the mapped copy (hints aside), in one walk that
-    builds nothing."""
-    cls = pat.__class__
-    if tgt.__class__ is not cls:
-        return False
-    if cls is Atom:
-        if pat.judg != tgt.judg or len(pat.args) != len(tgt.args):
+def _scope(phi: Formula, scopes: dict[int, _Scope]) -> _Scope:
+    if id(phi) in scopes:
+        return scopes[id(phi)]
+    cls = phi.__class__
+    if cls is Imp:
+        a, b = _scope(phi.lhs, scopes), _scope(phi.rhs, scopes)
+        out = a and b and (a[0] if a[0] > b[0] else b[0], a[1] | b[1])
+    elif cls is Forall:
+        b = _scope(phi.body, scopes)
+        out = b and (b[0] - 1, b[1])
+    elif cls is Atom or cls is Geq or cls is Gt:
+        k, names = -1, []
+        for t in phi.args if cls is Atom else (phi.left, phi.right):
+            if t.__class__ is FreeV:
+                names.append(t.name)
+            elif t.__class__ is BoundV and t.k > k:
+                k = t.k
+        out = (k, frozenset(names))
+    else:
+        out = None
+    scopes[id(phi)] = out
+    return out
+
+
+def _matches(pat: Formula, tgt: Formula, m: str | dict[str, str], scopes: dict[int, _Scope],
+             depth: int = 0) -> bool:
+    """Whether ``tgt`` is ``pat`` with its terms mapped by ``m``: the answer
+    ``==`` gives on the mapped copy (hints aside), in one walk that builds
+    nothing.  A name ``m`` opens a quantifier body at that variable: its own
+    index becomes ``m``, and the indices of outer binders drop by one.  A
+    dict ``m`` renames free variables.  Where ``tgt`` holds ``pat``'s own
+    object and its scope shows that ``m`` leaves it as it is, it matches."""
+    opening = m.__class__ is str
+    while True:
+        cls = pat.__class__
+        if tgt.__class__ is not cls:
             return False
-        for p, t in zip(pat.args, tgt.args):
-            if not term(p, t, depth):
+        if pat is tgt:
+            scope = _scope(pat, scopes)
+            if scope is not None and (scope[0] < depth if opening else m.keys().isdisjoint(scope[1])):
+                return True
+        if cls is Imp:
+            if not _matches(pat.lhs, tgt.lhs, m, scopes, depth):
+                return False
+            pat, tgt = pat.rhs, tgt.rhs
+            continue
+        if cls is Forall:
+            if pat.sort != tgt.sort:
+                return False
+            pat, tgt, depth = pat.body, tgt.body, depth + 1
+            continue
+        if cls is Atom:
+            if pat.judg != tgt.judg or len(pat.args) != len(tgt.args):
+                return False
+            ps, ts = pat.args, tgt.args
+        elif cls is Geq or cls is Gt:
+            if pat.sort != tgt.sort:
+                return False
+            ps, ts = (pat.left, pat.right), (tgt.left, tgt.right)
+        else:
+            return False
+        for p, t in zip(ps, ts):
+            c = p.__class__
+            if opening and c is BoundV and p.k >= depth:  # the opening changes p
+                if p.k == depth:
+                    if t.__class__ is not FreeV or t.name != m:
+                        return False
+                elif t.__class__ is not BoundV or t.k != p.k - 1:
+                    return False
+            elif not opening and c is FreeV and p.name in m:  # the renaming changes p
+                if t.__class__ is not FreeV or t.name != m[p.name]:
+                    return False
+            elif p is not t and p != t:  # p is left as it is
                 return False
         return True
-    if cls is Geq or cls is Gt:
-        return (pat.sort == tgt.sort and term(pat.left, tgt.left, depth)
-                and term(pat.right, tgt.right, depth))
-    if cls is Imp:
-        return _matches(pat.lhs, tgt.lhs, term, depth) and _matches(pat.rhs, tgt.rhs, term, depth)
-    if cls is Forall:
-        return pat.sort == tgt.sort and _matches(pat.body, tgt.body, term, depth + 1)
-    return False
-
-
-def _opening(name: str) -> _TermMatch:
-    """Matches the opening of a quantifier body at the variable ``name``: its
-    own index becomes ``name``, and the indices of outer binders drop by one."""
-    def term(p: Term, t: Term, d: int) -> bool:
-        if p.__class__ is BoundV and p.k >= d:
-            if p.k == d:
-                return t.__class__ is FreeV and t.name == name
-            return t.__class__ is BoundV and t.k == p.k - 1
-        return p is t or p == t
-    return term
-
-
-def _renaming(sub: dict[str, str]) -> _TermMatch:
-    """Matches the renaming of free variables by ``sub``."""
-    def term(p: Term, t: Term, _d: int) -> bool:
-        if p.__class__ is FreeV and p.name in sub:
-            return t.__class__ is FreeV and t.name == sub[p.name]
-        return p is t or p == t
-    return term
 
 
 # Each rule's shape: its premise count (None where the rule counts its own
@@ -400,7 +435,9 @@ _RULES: dict[str, tuple[int | None, bool, int | None, int | None]] = {
 }
 
 
-def _check_node(system: CyclicSystem, d: Deriv) -> str | None:
+def _check_node(system: CyclicSystem, d: Deriv, ctx: dict[str, str],
+                scopes: dict[int, _Scope]) -> str | None:
+    """What is wrong with the rule at ``d``, whose context is ``ctx``."""
     seq, kids, r = d.seq, d.children, d.rule
     if r not in _RULES:
         return f"unknown rule {r!r}"
@@ -415,7 +452,7 @@ def _check_node(system: CyclicSystem, d: Deriv) -> str | None:
         (k,) = d.data
         if not 0 <= k < len(seq.hyps):
             return f"assumption position {k} out of range for {len(seq.hyps)} hypotheses"
-        if seq.concl != seq.hyps[k]:
+        if seq.concl is not seq.hyps[k] and seq.concl != seq.hyps[k]:
             return f"assumption conclusion is not hypothesis {k}"
         return None
     if r == "inst":
@@ -424,7 +461,6 @@ def _check_node(system: CyclicSystem, d: Deriv) -> str | None:
         p = kids[0].seq
         if len(d.data) != len(p.ctx) or not all(isinstance(y, str) for y in d.data):
             return f"inst needs one target variable per premise context entry ({len(p.ctx)})"
-        ctx = dict(seq.ctx)
         for (v, s), y in zip(p.ctx, d.data):
             ys = ctx.get(y)
             if ys is None:
@@ -434,13 +470,12 @@ def _check_node(system: CyclicSystem, d: Deriv) -> str | None:
         if len(kids) != 1 + len(p.hyps):
             return f"inst expects {len(p.hyps)} minor premises, got {len(kids) - 1}"
         sub = {v: y for (v, _s), y in zip(p.ctx, d.data) if v != y}
-        renamed = _renaming(sub)
-        if not (_matches(p.concl, seq.concl, renamed) if sub else seq.concl == p.concl):
+        if not (_matches(p.concl, seq.concl, sub, scopes) if sub else seq.concl == p.concl):
             return "inst conclusion is not the renamed premise conclusion"
         for i, kid in enumerate(kids[1:]):
             if not _same(seq, kid.seq):
                 return f"inst minor {i} must share the sequent context and hypotheses"
-            if not (_matches(p.hyps[i], kid.seq.concl, renamed) if sub else kid.seq.concl == p.hyps[i]):
+            if not (_matches(p.hyps[i], kid.seq.concl, sub, scopes) if sub else kid.seq.concl == p.hyps[i]):
                 return f"inst minor {i} must conclude renamed premise hypothesis {i}"
         return None
     if r == "imp_intro":
@@ -468,7 +503,7 @@ def _check_node(system: CyclicSystem, d: Deriv) -> str | None:
             return "forall_intro conclusion must quantify at the bound variable's sort"
         if p.hyps != seq.hyps:
             return "forall_intro must preserve hypotheses"
-        if not _matches(seq.concl.body, p.concl, _opening(x)):  # see check_proof
+        if not _matches(seq.concl.body, p.concl, x, scopes):  # see check_proof
             return "forall_intro conclusion body does not match the premise"
         return None
     if r == "forall_elim":
@@ -480,22 +515,20 @@ def _check_node(system: CyclicSystem, d: Deriv) -> str | None:
             return "forall_elim must preserve context and hypotheses"
         if not isinstance(p.concl, Forall):
             return "forall_elim premise must conclude a quantified formula"
-        try:
-            s = seq.sort_of(y)
-        except KeyError:
+        s = ctx.get(y)
+        if s is None:
             return f"forall_elim target {y!r} not in context"
         if s != p.concl.sort:
             return f"forall_elim target has sort {s!r}, expected {p.concl.sort!r}"
-        if not _matches(p.concl.body, seq.concl, _opening(y)):
+        if not _matches(p.concl.body, seq.concl, y, scopes):
             return "forall_elim conclusion is not the instantiated body"
         return None
     if r == "geq_refl":
         c = seq.concl
         if not isinstance(c, Geq) or c.left != c.right or not isinstance(c.left, FreeV):
             return "geq_refl concludes x >= x for a context variable"
-        try:
-            s = seq.sort_of(c.left.name)
-        except KeyError:
+        s = ctx.get(c.left.name)
+        if s is None:
             return "geq_refl variable not in context"
         if s != c.sort:
             return "geq_refl sort mismatch"
@@ -532,10 +565,11 @@ def _check_node(system: CyclicSystem, d: Deriv) -> str | None:
         x, s = p.ctx[-1]
         if s != sort:
             return "gt_ind variable sort mismatch"
-        body = seq.concl.body
-        if p.hyps != seq.hyps + (gt_ind_hypothesis(sort, x, body),):
+        body, n = seq.concl.body, len(seq.hyps)
+        if (len(p.hyps) != n + 1 or p.hyps[n] != gt_ind_hypothesis(sort, x, body)
+                or p.hyps[:n] != seq.hyps):
             return "gt_ind premise must carry the induction hypothesis"
-        if not _matches(body, p.concl, _opening(x)):
+        if not _matches(body, p.concl, x, scopes):
             return "gt_ind premise conclusion does not open the quantified body"
         return None
     # c_rule
@@ -576,13 +610,26 @@ def _check_node(system: CyclicSystem, d: Deriv) -> str | None:
     return None
 
 
-def _path(link: tuple | None) -> tuple[int, ...]:
-    # a link is (the parent's link, child index), None at the root
-    steps: list[int] = []
-    while link is not None:
-        link, i = link
-        steps.append(i)
-    return tuple(reversed(steps))
+def _path_to(root: Deriv, target: Deriv) -> tuple[int, ...]:
+    """The path at which the walk of :func:`check_proof` first reaches
+    ``target``: that walk again, with a link (the parent's link, child
+    index) on each entry."""
+    seen: set[int] = set()
+    stack: list[tuple[Deriv, tuple | None]] = [(root, None)]
+    while True:
+        node, link = stack.pop()
+        if node is target:
+            steps: list[int] = []
+            while link is not None:
+                link, i = link
+                steps.append(i)
+            return tuple(reversed(steps))
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        kids = node.children
+        for i in reversed(range(len(kids))):
+            stack.append((kids[i], (link, i)))
 
 
 def check_proof(system: CyclicSystem, root: Deriv) -> None:
@@ -623,7 +670,11 @@ def check_proof(system: CyclicSystem, root: Deriv) -> None:
     conclusion's body opened at the premise's new variable.  That is exact,
     the same as closing the premise's conclusion over the variable, because
     the variable is fresh: the premise's check finds it outside the context
-    below, which holds every free variable of the body.
+    below, which holds every free variable of the body.  A part of the
+    instance that is the pattern's own object matches at once where the map
+    leaves it as it is: an opening, when its highest loose index is below
+    the binders passed; a renaming, when none of its free names is renamed.
+    The kernel computes these scopes itself, once per object.
 
     A node shared by several parents is checked once, at the first path that
     reaches it, with its pair and conclusion checked as that path enters
@@ -631,49 +682,56 @@ def check_proof(system: CyclicSystem, root: Deriv) -> None:
     the cost is per distinct node, plus a full check per distinct entering
     ``(ctx, hyps)`` pair and a conclusion per entering node, all by object
     identity.  The proof keeps these immutable objects alive for the whole
-    call, so ``id`` keys are exact.  A failure's path is rebuilt from parent
-    links only when it is raised.
+    call, so ``id`` keys are exact.  A premise whose context and hypotheses
+    are the sequent's own objects reuses its context map.  The walk keeps no
+    parent links: when a check fails, the same walk runs again from the root
+    to find the path.
     """
     cache: dict[int, _Summary] = {}
+    scopes: dict[int, _Scope] = {}
     ctxs: dict[int, dict[str, str]] = {}
     pairs: dict[tuple[int, int], dict[str, str] | str] = {}
     # a context or quantifier uses only sorts that a judgment takes or induction
     # runs over
     known = system.ind_sorts.union(*(j.sorts for j in system.judgments.values()))
     seen: set[int] = set()
-    # each entry: a node, its link, whether its conclusion enters, and, when
-    # its pair does not enter, the sizes and context of the pair below it
-    stack: list[tuple[Deriv, tuple | None, bool, tuple | None]] = [(root, None, True, None)]
+    # each entry: a node, whether its conclusion enters, and, when its pair
+    # does not enter, the sequent below it and that sequent's context map
+    stack: list[tuple[Deriv, bool, Sequent | None, dict[str, str] | None]] = [(root, True, None, None)]
     while stack:
-        node, link, enters, prefix = stack.pop()
+        node, enters, below, below_ctx = stack.pop()
         if id(node) in seen:
             continue
         seen.add(id(node))
         seq = node.seq
-        if prefix is None:
+        if below is None:
             pair = (id(seq.ctx), id(seq.hyps))
             ctx = pairs.get(pair)
             if ctx is None:
                 ctx = pairs[pair] = _check_pair(system, known, seq, cache, ctxs)
+        elif seq.ctx is below.ctx and seq.hyps is below.hyps:
+            ctx = below_ctx
         else:
-            ctx = _check_past(system, known, seq, *prefix, cache, ctxs)
-        if isinstance(ctx, str):
+            ctx = _check_past(system, known, seq, len(below.ctx), len(below.hyps), below_ctx, cache, ctxs)
+        if ctx.__class__ is str:
             err = ctx
         elif enters and (err := _check_formula(system, known, seq.concl, ctx, cache)):
             err = f"conclusion: {err}"
         else:
-            err = _check_node(system, node)
-        if err is None and id(seq.ctx) not in ctxs:
+            err = _check_node(system, node, ctx, scopes)
+        # a context met for the first time (not the map below): its new sorts
+        if err is None and ctx is not below_ctx and id(seq.ctx) not in ctxs:
             ctxs[id(seq.ctx)] = ctx
             err = next((f"variable {v!r} has unknown sort {s!r}"
-                        for v, s in seq.ctx[0 if prefix is None else prefix[0]:] if s not in known), None)
+                        for v, s in seq.ctx[0 if below is None else len(below.ctx):] if s not in known), None)
         if err is not None:
-            raise LogicError(err, _path(link))
+            raise LogicError(err, _path_to(root, node))
         kids = node.children
+        if not kids:
+            continue
         _n, _data, concl_entry, pair_entry = _RULES[node.rule]
-        prefix = (len(seq.ctx), len(seq.hyps), ctx)
         for i in reversed(range(len(kids))):
-            stack.append((kids[i], (link, i), i == concl_entry, None if i == pair_entry else prefix))
+            stack.append((kids[i], i == concl_entry, None if i == pair_entry else seq, ctx))
 
 
 def states_judgment(system: CyclicSystem, seq: Sequent, judg: str) -> bool:

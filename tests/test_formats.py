@@ -7,6 +7,7 @@ import re
 import pytest
 
 from cycind import FormatError, check_proof, proof_size
+from cycind.builders import geq_refl, inst
 from cycind.formats import (
     CALLSYSTEM,
     MAX_FORMULA_DEPTH,
@@ -41,20 +42,35 @@ def test_derivation_round_trip(pipelines):
 def test_proof_round_trip_small(pipelines):
     for name in ("plus", "fg"):
         p = pipelines[name]
-        sys2, proof2 = proof_from_doc(proof_to_doc(p.proof, p.system))
+        doc = proof_to_doc(p.proof, p.system)
+        sys2, proof2 = proof_from_doc(doc)
         assert sys2 == p.system
-        assert proof2 == p.proof
+        assert proof_to_doc(proof2, sys2) == doc
 
 
 def test_proof_round_trip_large(pipelines):
-    # too deep for structural equality; identity shows through the checker
-    # and through a byte-identical second dump
+    # proofs compare by identity; equality by value shows through the
+    # checker and through a byte-identical second dump
     p = pipelines["ack"]
     doc = proof_to_doc(p.proof, p.system)
     sys2, proof2 = proof_from_doc(doc)
     assert proof_size(proof2) == proof_size(p.proof)
     check_proof(sys2, proof2)
     assert proof_to_doc(proof2, sys2) == doc
+
+
+def test_proofs_compare_by_identity_and_by_documents(pipelines):
+    # two equal chains of 2,000 nodes: by value, == and hash would recurse
+    # down the whole chain (a RecursionError); their documents are equal
+    def chain():
+        d = geq_refl((("x", "Nat"),), (), "Nat", "x")
+        for _ in range(2000):
+            d = inst(d, (), [])
+        return d
+    a, b = chain(), chain()
+    assert a == a and a != b and len({a, b, a}) == 2
+    system = pipelines["plus"].system
+    assert proof_to_doc(a, system) == proof_to_doc(b, system)
 
 
 def test_shared_subproofs_are_emitted_once(pipelines):
@@ -69,8 +85,9 @@ def test_dumps_and_loads(pipelines):
     assert text.endswith("}\n")
     kind, cs = loads(text)
     assert kind == "callsystem" and cs == p.cs
-    kind, (sys2, proof2) = loads(dumps(proof_to_doc(p.proof, p.system)))
-    assert kind == "proof" and proof2 == p.proof
+    doc = proof_to_doc(p.proof, p.system)
+    kind, (sys2, proof2) = loads(dumps(doc))
+    assert kind == "proof" and proof_to_doc(proof2, sys2) == doc
     kind, (sys3, deriv3) = loads(dumps(derivation_to_doc(p.deriv, p.system)))
     assert kind == "derivation" and deriv3 == p.deriv
 
@@ -119,11 +136,16 @@ def test_proof_doc_with_bad_term_tag(pipelines):
 
 def test_proof_doc_with_forward_reference(pipelines):
     p = pipelines["plus"]
-    doc = copy.deepcopy(proof_to_doc(p.proof, p.system))
+    doc = proof_to_doc(p.proof, p.system)
     last = len(doc["nodes"]) - 1
-    doc["nodes"][0]["children"] = [last]
-    with pytest.raises(FormatError, match=f"refers to a later node {last}"):
-        proof_from_doc(doc)
+    # only a forward reference is called a later node
+    for child, message in ((last, f"refers to a later node {last}"), (-1, "child -1 is not a node index"),
+                           ("x", "child 'x' is not a node index"), (1.5, "child 1.5 is not a node index"),
+                           (True, "child True is not a node index")):
+        bad = copy.deepcopy(doc)
+        bad["nodes"][0]["children"] = [child]
+        with pytest.raises(FormatError, match=f"^node 0: {re.escape(message)}$"):
+            proof_from_doc(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +182,7 @@ def test_inline_layout_still_loads(pipelines):
     assert "formulas" not in old and isinstance(old["nodes"][0]["seq"]["concl"], list)
     kind, (sys2, proof2) = loads(dumps(old))
     assert kind == "proof" and sys2 == p.system
-    assert proof2 == p.proof
+    assert proof_to_doc(proof2, sys2) == proof_to_doc(p.proof, p.system)
     check_proof(sys2, proof2)
 
 

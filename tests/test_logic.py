@@ -1,5 +1,9 @@
 """Direct exercises of the proof kernel: constructors build, check_proof judges."""
 
+import sys
+from collections import Counter
+from itertools import islice
+
 import pytest
 
 from cycind import (
@@ -152,10 +156,11 @@ def test_kernel_knows_exactly_its_rules(plus_system, data):
     assert set(logic._RULES) == set(KERNEL_RULES)
     seq = Sequent(ASSUMPTION_CTX, ASSUMPTION_HYPS, ASSUMPTION_HYPS[0])
     for rule in KERNEL_RULES:
-        err = logic._check_node(plus_system, Deriv(rule, seq, (), data))
+        err = logic._check_node(plus_system, Deriv(rule, seq, (), data), dict(ASSUMPTION_CTX), {})
         assert err != f"unknown rule {rule!r}", rule
     for rule in ("cut", "subst", "geq_trans", "gt_extend0", "gt_extend1", "weakening"):
-        assert logic._check_node(plus_system, Deriv(rule, seq, (), data)) == f"unknown rule {rule!r}"
+        err = logic._check_node(plus_system, Deriv(rule, seq, (), data), dict(ASSUMPTION_CTX), {})
+        assert err == f"unknown rule {rule!r}"
 
 
 @pytest.mark.parametrize("rule", sorted(PREMISE_COUNT))
@@ -285,7 +290,7 @@ def test_conclusions_are_checked_where_they_enter(plus_system, monkeypatch, rule
     # below is caught at every premise; one in the place of a hypothesis of
     # the sequent below is caught only where the pair enters (the root and
     # inst 0), since elsewhere the rule compares the two by value.
-    monkeypatch.setattr(logic, "_check_node", lambda s, d: None)
+    monkeypatch.setattr(logic, "_check_node", lambda s, d, *a: None)
     ctx = (("x", NAT),)
     refl = Geq(NAT, x("x"), x("x"))
     good = Deriv("geq_refl", Sequent(ctx, (), refl))
@@ -386,7 +391,7 @@ def test_parent_rule_pins_every_built_premise(pipelines, monkeypatch, name):
                 kids = list(parent.children)
                 kids[i] = kid.replace(seq=kid.seq.replace(concl=concl))
                 bad = parent.replace(children=tuple(kids))
-                monkeypatch.setattr(logic, "_check_node", lambda s, d: real(s, d) if d is bad else None)
+                monkeypatch.setattr(logic, "_check_node", lambda s, d, *a: real(s, d, *a) if d is bad else None)
                 with pytest.raises(LogicError) as exc:
                     check_proof(p.system, bad)
                 assert exc.value.path == (), (parent.rule, i, kind, str(exc.value))
@@ -429,7 +434,7 @@ def test_parent_rule_pins_every_built_pair(pipelines, monkeypatch, name):
                 kids = list(parent.children)
                 kids[i] = kid.replace(seq=seq)
                 bad = parent.replace(children=tuple(kids))
-                monkeypatch.setattr(logic, "_check_node", lambda s, d: real(s, d) if d is bad else None)
+                monkeypatch.setattr(logic, "_check_node", lambda s, d, *a: real(s, d, *a) if d is bad else None)
                 with pytest.raises(LogicError) as exc:
                     check_proof(p.system, bad)
                 assert exc.value.path in ((), (i,)), (parent.rule, i, kind, str(exc.value))
@@ -474,25 +479,42 @@ def _with_term(phi, k, change):
 
 
 def _instances(node):
-    """Each ``(pattern, target, term matcher, build)`` that ``node``'s rule
-    matches; ``build(pattern, target)`` is the check the kernel made before,
-    with the builders' term maps and ``==``."""
+    """Each ``(pattern, target, map, build)`` that ``node``'s rule matches,
+    the map being the variable an opening puts in or a renaming's dict;
+    ``build(pattern, target)`` is the check the kernel made before, with the
+    builders' term maps and ``==``."""
     seq, kids = node.seq, node.children
     if node.rule == "forall_elim":
         (y,) = node.data
-        yield kids[0].seq.concl.body, seq.concl, logic._opening(y), lambda pat, tgt: open_bound(pat, y) == tgt
+        yield kids[0].seq.concl.body, seq.concl, y, lambda pat, tgt: open_bound(pat, y) == tgt
     elif node.rule in ("forall_intro", "gt_ind"):
         v = kids[0].seq.ctx[-1][0]
         build = ((lambda pat, tgt: close_free(tgt, v) == pat) if node.rule == "forall_intro"
                  else (lambda pat, tgt: open_bound(pat, v) == tgt))
-        yield seq.concl.body, kids[0].seq.concl, logic._opening(v), build
+        yield seq.concl.body, kids[0].seq.concl, v, build
     elif node.rule == "inst":
         # a node that renames nothing compares its formulas with ==
         p = kids[0].seq
         sub = {v: y for (v, _s), y in zip(p.ctx, node.data) if v != y}
         pairs = [(p.concl, seq.concl)] + [(h, m.seq.concl) for h, m in zip(p.hyps, kids[1:])]
         for pat, tgt in pairs if sub else ():
-            yield pat, tgt, logic._renaming(sub), lambda pat, tgt: subst_free(pat, sub) == tgt
+            yield pat, tgt, sub, lambda pat, tgt: subst_free(pat, sub) == tgt
+
+
+def _with_changed_parts_shared(pat, img):
+    """Copies of ``img``, an instance of ``pat``, one for each part of
+    ``img`` that is not ``pat``'s own object, with that part put back as
+    ``pat``'s (the builders share only the parts that they leave as they
+    are, so most of these put back a part that the map changes)."""
+    if img is pat:
+        return
+    yield pat
+    if isinstance(pat, Imp):
+        yield from (Imp(lhs, img.rhs) for lhs in _with_changed_parts_shared(pat.lhs, img.lhs))
+        yield from (Imp(img.lhs, rhs) for rhs in _with_changed_parts_shared(pat.rhs, img.rhs))
+    elif isinstance(pat, Forall):
+        yield from (Forall(img.sort, body, hint=img.hint)
+                    for body in _with_changed_parts_shared(pat.body, img.body))
 
 
 def _renamed_term(t):
@@ -506,20 +528,55 @@ def _index_for_variable(t):
 def test_the_matcher_agrees_with_building(pipelines, fuzz_proofs):
     # _matches answers as building the instance with the builders' term maps
     # and comparing with == does, on every instance the kernel compares in
-    # the fixture and fuzz proofs, and on a copy of each target with one term
-    # changed: to a variable of another name, or a variable to an index
+    # the fixture and fuzz proofs; on a copy of each target with one term
+    # changed: to a variable of another name, or a variable to an index; on
+    # the pattern itself, where every part is shared; and on targets that
+    # share a part holding the opened index or a renamed name, where the
+    # shortcut for shared parts must not answer
     proofs = [p.proof for p in pipelines.values()] + [proof for _case, proof in fuzz_proofs]
-    compared = differ = 0
+    compared = differ = shared = 0
     for proof in proofs:
+        scopes = {}  # one cache per proof, as in check_proof
         for node in distinct_nodes(proof):
-            for pat, tgt, term, build in _instances(node):
-                assert logic._matches(pat, tgt, term) and build(pat, tgt), node.rule
+            for pat, tgt, m, build in _instances(node):
+                assert logic._matches(pat, tgt, m, scopes) and build(pat, tgt), node.rule
                 other = _with_term(tgt, compared % 7, _index_for_variable if compared % 2 else _renamed_term)
                 built = build(pat, other)
-                assert logic._matches(pat, other, term) == built, (node.rule, other)
+                assert logic._matches(pat, other, m, scopes) == built, (node.rule, other)
+                assert logic._matches(pat, pat, m, scopes) == build(pat, pat), (node.rule, pat)
+                spliced = next(islice(_with_changed_parts_shared(pat, tgt), compared % 5, None), None)
+                if spliced is not None:
+                    spliced_built = build(pat, spliced)
+                    assert logic._matches(pat, spliced, m, scopes) == spliced_built, (node.rule, spliced)
+                    shared += not spliced_built
                 compared += 1
                 differ += not built
-    assert compared > 10_000 and differ
+    assert compared > 10_000 and differ and shared > 5_000
+
+
+def test_the_matcher_makes_no_call_per_term(pipelines):
+    # a timing-free guard on the matcher's work: on dist, the kernel enters
+    # _matches 794 times for its 206 instances (once more per implication's
+    # left-hand side), and from there calls only itself, _scope and, for a
+    # term left as it is that the target holds as another object, ==; with
+    # one call per term it made 2,855 entries and 2,508 term calls
+    p = pipelines["dist"]
+    code = logic._matches.__code__
+    entries, callees = 0, Counter()
+
+    def profile(frame, event, _arg):
+        nonlocal entries
+        if event == "call":
+            entries += frame.f_code is code
+            if frame.f_back.f_code is code:
+                callees[frame.f_code.co_name] += 1
+
+    sys.setprofile(profile)
+    try:
+        check_proof(p.system, p.proof)
+    finally:
+        sys.setprofile(None)
+    assert entries == 794 and callees == {"_matches": 588, "_scope": 344, "__eq__": 83}
 
 
 def test_a_non_formula_in_an_instance_is_rejected(plus_system):
@@ -612,7 +669,7 @@ def _shared_minors(r):
 def test_shared_subproof_is_checked_once(plus_system, monkeypatch):
     checked = []
     real = logic._check_node
-    monkeypatch.setattr(logic, "_check_node", lambda s, d: checked.append(id(d)) or real(s, d))
+    monkeypatch.setattr(logic, "_check_node", lambda s, d, *a: checked.append(id(d)) or real(s, d, *a))
     d = _shared_minors(geq_refl(INST_CTX, (), NAT, "x"))
     check_proof(plus_system, d)
     assert sorted(checked) == sorted(id(n) for n in distinct_nodes(d))

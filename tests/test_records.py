@@ -74,7 +74,9 @@ def test_size_change_graphs_normalise_and_stay_totally_ordered():
 
 def test_keyword_construction_and_defaults():
     seq = Sequent(ctx=(("x", "Nat"),), hyps=(), concl=Geq("Nat", X, X))
-    assert Deriv(rule="geq_refl", seq=seq) == Deriv("geq_refl", seq, (), ())
+    d = Deriv(rule="geq_refl", seq=seq)
+    assert (d.rule, d.seq, d.children, d.data) == ("geq_refl", seq, (), ())
+    assert d != Deriv("geq_refl", seq, (), ())  # derivations compare by identity
     ann = init_annotation(1)
     node = RepNode(id="n0", deriv_node="f", rule="f", parent=None, children=(), ann=ann)
     assert (node.sprout, node.prog, node.is_bud) == (None, None, False)
