@@ -10,7 +10,6 @@ one application of well-founded induction.
 from cycind import (
     check_proof,
     count_rule,
-    extract_skeleton,
     induced_proof_system,
     parse_call_system,
     proof_size,
@@ -42,7 +41,7 @@ print(f"root sequent: {proof.seq.render()}")
 check_proof(system, proof)
 print("checker: ok")
 
-# the proof keeps the shape of the representation: erase all the glue rules
-# and the tree of rule applications is the bud/sprout tree again
-skel = extract_skeleton(proof)
-print(f"skeleton root: {skel[0]}, children at the root: {len(skel[1])}")
+# the proof keeps the shape of the representation: one case-rule application
+# per distinct state of its internal nodes, with the glue rules in between
+internal = sum(1 for n in rep.nodes.values() if not n.is_bud)
+print(f"case-rule applications: {count_rule(proof, 'c_rule')} for {internal} internal nodes")

@@ -17,7 +17,7 @@ _HOMES = {
     "logic": "Deriv LogicError Sequent check_proof count_rule proof_size states_judgment",
     "minilang": "MiniLangError parse_call_system",
     "sct": "ClosureElement Lasso SctVerdict check_soundness closure decide_termination",
-    "translate": "TranslationError extract_skeleton prove_by_induction rep_skeleton",
+    "translate": "TranslationError prove_by_induction",
     "unfold": "ResetRep UnfoldCapError UnsoundDerivationError build_reset_rep crossing_violations"
               " induction_order_violations respect_induction_order",
 }

@@ -4,11 +4,13 @@ Every function here only constructs a candidate :class:`~cycind.logic.Deriv`;
 :func:`cycind.logic.check_proof` alone decides whether it is valid.  The
 rule builders take premises and compute the conclusion their kernel rule
 demands.  The derived strong induction principle (inducting on an entire
-sequent rather than a single formula) is a macro: :func:`ind_prime`
-discharges an induction hypothesis made by :func:`ind_hypothesis` with kernel
-rules only.  The term maps that build instances (:func:`subst_free`,
-:func:`open_bound`, :func:`close_free`) live here too: the kernel compares an
-instance with its pattern without building it.
+sequent rather than a single formula) is a macro of kernel rules only.
+:func:`ind_hypothesis` gives its hypothesis the exact shape of the one that
+``gt_ind`` introduces, ``all x'. x > x' -> all ys'. chain``, so
+:func:`ind_prime` discharges it by one ``assumption`` of the hypothesis that
+its own ``gt_ind`` introduces.  The term maps that build instances
+(:func:`subst_free`, :func:`open_bound`, :func:`close_free`) live here too:
+the kernel compares an instance with its pattern without building it.
 """
 
 from __future__ import annotations
@@ -91,30 +93,11 @@ def close_free(phi: Formula, name: str) -> Formula:
     return _map_terms(phi, f)
 
 
-def free_vars(phi: Formula) -> set[str]:
-    out: set[str] = set()
-    def f(t: Term, _d: int) -> Term:
-        if isinstance(t, FreeV):
-            out.add(t.name)
-        return t
-    _map_terms(phi, f)
-    return out
-
-
 def fold_imp(hyps: Iterable[Formula], concl: Formula) -> Formula:
     acc = concl
     for phi in reversed(tuple(hyps)):
         acc = Imp(phi, acc)
     return acc
-
-
-def peel_forall(phi: Formula) -> tuple[list[tuple[str, str]], Formula]:
-    """Strip leading quantifiers; returns [(sort, hint)] and the raw body."""
-    binders: list[tuple[str, str]] = []
-    while isinstance(phi, Forall):
-        binders.append((phi.sort, phi.hint))
-        phi = phi.body
-    return binders, phi
 
 
 # ---------------------------------------------------------------------------
@@ -209,34 +192,18 @@ def forall_elims(d: Deriv, ys: Iterable[str]) -> Deriv:
 # Induction hypotheses and the strong induction macro
 # ---------------------------------------------------------------------------
 
-def ind_block(target: Sequent, x: str) -> list[tuple[str, str]]:
-    """The quantifier block of the induction hypothesis for ``target`` and ``x``:
-    the context variables free in the sequent formula (plus ``x``), in context
-    order, with their sorts."""
-    chain = fold_imp(target.hyps, target.concl)
-    fv = free_vars(chain) | {x}
-    return [(v, s) for v, s in target.ctx if v in fv]
-
-
 def ind_hypothesis(target: Sequent, x: str) -> Formula:
-    """The induction hypothesis for inducting on ``x`` over a whole sequent.
-
-    Universally closes the sequent formula over the context variables that
-    occur free in it (plus ``x``), in context order, guarding with
-    ``x > x-copy``: the result only has ``x`` free.
+    """The induction hypothesis for inducting on ``x`` over a whole sequent,
+    in the shape that ``gt_ind`` introduces (:func:`gt_ind_hypothesis`):
+    ``all x'. x > x' -> all ys'. chain``, where ``chain`` is the sequent
+    formula and ``ys`` are the other context variables, in context order.
+    Only ``x`` is free in it.
     """
-    sort = dict(target.ctx)[x]
-    chain = fold_imp(target.hyps, target.concl)
-    block = ind_block(target, x)
-    avoid = {v for v, _s in target.ctx}
-    temps: dict[str, str] = {}
-    for v, _s in block:
-        temps[v] = fresh_name(f"{v}'", avoid)
-        avoid.add(temps[v])
-    phi: Formula = Imp(Gt(sort, FreeV(x), FreeV(temps[x])), subst_free(chain, temps))
-    for v, s in reversed(block):
-        phi = Forall(s, close_free(phi, temps[v]), hint=f"{v}'")
-    return phi
+    phi = fold_imp(target.hyps, target.concl)
+    for v, s in reversed(target.ctx):
+        if v != x:
+            phi = Forall(s, close_free(phi, v), hint=f"{v}'")
+    return gt_ind_hypothesis(dict(target.ctx)[x], x, close_free(phi, x))
 
 
 def ind_prime(dp: Deriv, x: str) -> Deriv:
@@ -245,13 +212,15 @@ def ind_prime(dp: Deriv, x: str) -> Deriv:
     ``dp``'s sequent.
 
     Uses one ``gt_ind`` plus implication/quantifier bookkeeping: the sequent
-    formula is universally closed, proved by well-founded induction on a fresh
-    copy of ``x`` (one ``inst`` node renames ``dp`` onto the copies and
-    discharges its hypotheses; ``dp`` itself is shared, never rebuilt), and
-    then instantiated back at the original variables.
+    formula is universally closed over the context variables but ``x``, and
+    proved by well-founded induction on a fresh copy ``u`` of ``x``.  One
+    ``inst`` node renames ``dp`` onto the copies and discharges its
+    hypotheses: the copies of the others by ``assumption``, and the
+    induction hypothesis by the one ``gt_ind`` introduces for ``u``, which is
+    its renamed copy.  ``dp`` itself is shared, never rebuilt.  The closed
+    formula is then instantiated back at the original variables.
     """
     ctx, gamma, delta = dp.seq.ctx, dp.seq.hyps[:-1], dp.seq.concl
-    target = Sequent(ctx, gamma, delta)
     sort = dict(ctx)[x]
     avoid = {v for v, _s in ctx}
     u = fresh_name("u", avoid)
@@ -264,38 +233,20 @@ def ind_prime(dp: Deriv, x: str) -> Deriv:
     sub = {x: u, **copies}
     wide = ctx + ((u, sort),) + tuple((copies[v], s) for v, s in others)
 
-    # the closed sequent formula, as a function of u
+    # the closed sequent formula as a function of u, and the hypothesis that
+    # gt_ind introduces for u, which dp's own must be, renamed
     phi_u = subst_free(fold_imp(gamma, delta), sub)
     for v, s in reversed(others):
         phi_u = Forall(s, close_free(phi_u, copies[v]), hint=f"{v}*")
     ih_u = gt_ind_hypothesis(sort, u, close_free(phi_u, u))
-
-    core_hyps = gamma + (ih_u,) + tuple(subst_free(g, sub) for g in gamma)
-
-    # H[u/x] from the kernel induction hypothesis, by pure plumbing
-    block = ind_block(target, x)
-    ts = {}
-    for v, _s in block:
-        ts[v] = fresh_name(f"{v}^", avoid)
-        avoid.add(ts[v])
-    inner_ctx = wide + tuple((ts[v], s) for v, s in block)
-    guard = Gt(sort, FreeV(u), FreeV(ts[x]))
-    inner_hyps = core_hyps + (guard,)
-    a = assumption(inner_ctx, inner_hyps, len(gamma))  # ih_u
-    a = forall_elim(a, ts[x])
-    g = assumption(inner_ctx, inner_hyps, len(inner_hyps) - 1)
-    a = imp_elim(a, g)  # phi at ts[x]
-    a = forall_elims(a, [ts[v] if v in ts else copies[v] for v, _s in others])
-    a = imp_intro(a)
-    for _v, _s in reversed(block):
-        a = forall_intro(a)
-    assert dp.seq.hyps and a.seq.concl == subst_free(dp.seq.hyps[-1], {x: u}), (
+    assert dp.seq.hyps and subst_free(dp.seq.hyps[-1], {x: u}) == ih_u, (
         "ind_prime: last hypothesis is not the induction hypothesis"
     )
+    core_hyps = gamma + (ih_u,) + tuple(subst_free(g, sub) for g in gamma)
 
-    # dp renamed onto the copies, its hypotheses discharged by them and H[u/x]
-    copied = [assumption(wide, core_hyps, len(gamma) + 1 + i) for i in range(len(gamma))]
-    d = inst(dp, core_hyps, copied + [a], sub, wide)
+    # dp renamed onto the copies, its hypotheses discharged by assumption
+    minors = [assumption(wide, core_hyps, len(gamma) + 1 + i) for i in range(len(gamma))]
+    d = inst(dp, core_hyps, minors + [assumption(wide, core_hyps, len(gamma))], sub, wide)
 
     # close over the copies and induct
     for _ in range(len(gamma)):
@@ -309,7 +260,7 @@ def ind_prime(dp: Deriv, x: str) -> Deriv:
     d = forall_elims(d, [v for v, _s in others])
     for i in range(len(gamma)):
         d = imp_elim(d, assumption(ctx, gamma, i))
-    assert d.seq == target
+    assert d.seq == Sequent(ctx, gamma, delta)
     return d
 
 
@@ -323,38 +274,19 @@ def hyp_monotone(
 ) -> Deriv:
     """Derive ``hyp[y/w]`` from ``hyp`` (at ``hyp_index``) and ``w >= y``.
 
-    ``hyp`` must be an induction hypothesis: a quantifier block over a guard
-    ``w > copy`` with ``w`` its only free variable.  ``geq_fact`` must produce
-    a derivation of ``w >= y`` over any extension of the given sequent.
+    ``hyp`` must be an induction hypothesis ``all w'. w > w' -> B``
+    (:func:`ind_hypothesis`), so ``w`` is its only free variable.  ``geq_fact``
+    must produce a derivation of ``w >= y`` over any extension of the given
+    sequent.  Under a fresh ``t`` and ``y > t``: ``w > t`` by ``trans``, so
+    ``B`` at ``t``; then close over ``y > t`` and ``t``.
     """
-    (w,) = free_vars(hyp)
-    binders, body = peel_forall(hyp)
-    assert isinstance(body, Imp) and isinstance(body.lhs, Gt) and body.lhs.left == FreeV(w)
-    sort = body.lhs.sort
-    avoid = {v for v, _s in ctx}
-    ts = []
-    for bsort, hint in binders:
-        t = fresh_name(hint.rstrip("'") + "^", avoid)
-        avoid.add(t)
-        ts.append((t, bsort))
-    inner_ctx = ctx + tuple(ts)
-    opened = hyp
-    for t, _s in ts:
-        opened = open_bound(opened.body, t)  # type: ignore[union-attr]
-    assert isinstance(opened, Imp)
-    guard_ix = opened.lhs  # w > t_x
-    assert isinstance(guard_ix, Gt)
-    tx = guard_ix.right
-    assert isinstance(tx, FreeV)
-    new_guard = Gt(sort, FreeV(y), tx)
-    inner_hyps = hyps + (new_guard,)
-    a = assumption(inner_ctx, inner_hyps, hyp_index)
-    a = forall_elims(a, [t for t, _s in ts])
-    wy = geq_fact(inner_ctx, inner_hyps)
-    yg = assumption(inner_ctx, inner_hyps, len(inner_hyps) - 1)
-    a = imp_elim(a, trans(wy, yg))
-    a = imp_intro(a)
-    for _ in ts:
-        a = forall_intro(a)
+    assert isinstance(hyp, Forall) and isinstance(hyp.body, Imp) and isinstance(hyp.body.lhs, Gt)
+    sort, w = hyp.sort, hyp.body.lhs.left.name
+    t = fresh_name(f"{w}^", {v for v, _s in ctx})
+    inner_ctx = ctx + ((t, sort),)
+    inner_hyps = hyps + (Gt(sort, FreeV(y), FreeV(t)),)
+    a = forall_elim(assumption(inner_ctx, inner_hyps, hyp_index), t)
+    wt = trans(geq_fact(inner_ctx, inner_hyps), assumption(inner_ctx, inner_hyps, len(hyps)))
+    a = forall_intro(imp_intro(imp_elim(a, wt)))
     assert a.seq.concl == subst_free(hyp, {w: y})
     return a

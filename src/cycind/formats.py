@@ -16,7 +16,9 @@ row per distinct context entry, and sequents are lists of indices into them.
 The reader also accepts an inline formula array or ``[name, sort]`` pair
 wherever it expects an index, for hand-written and mutated documents.  The
 reader refuses formulas nested deeper than :data:`MAX_FORMULA_DEPTH`, so the
-kernel's recursive walks stay within the interpreter's recursion limit.
+kernel's recursive walks stay within the interpreter's recursion limit, and
+formulas larger than :data:`MAX_FORMULA_SIZE` as a tree, which a few bytes a
+row describe when each row names the row before twice.
 """
 
 from __future__ import annotations
@@ -43,10 +45,13 @@ CALLSYSTEM = "cycind/callsystem@1"
 DERIVATION = "cycind/derivation@1"
 PROOF = "cycind/proof@1"
 
-# Formula nesting accepted by the proof reader.  The kernel compares and walks
-# formulas recursively, and a formula table describes any depth in a few bytes
-# per level; the worked systems' proofs stay below 32.
+# Formula nesting and tree size accepted by the proof reader.  The kernel
+# compares and walks formulas recursively, as trees, and a formula table
+# describes any depth, or a tree that doubles with each row, in a few bytes a
+# row; the worked systems' proofs stay below 32 levels, and the largest real
+# formula has 689 nodes.
 MAX_FORMULA_DEPTH = 128
+MAX_FORMULA_SIZE = 100_000
 
 
 class FormatError(ValueError):
@@ -344,48 +349,51 @@ class _ProofReader:
         rows = _array(doc.get("formulas", []), "formulas")
         self.size = len(rows)
         self.formulas: list[logic.Formula] = []
-        self.depths: list[int] = []
+        self.shapes: list[tuple[int, int]] = []  # each row's depth and tree size
         for i, x in enumerate(rows):
             if not isinstance(x, list):
                 raise FormatError(f"formula row {i} must be an array, found {_json_type(x)}")
             try:
-                phi, depth = self._inline(x, i, 0)
+                phi, depth, size = self.formula(x, i)
             except FormatError as e:
                 raise FormatError(f"formula row {i}: {e}") from None
             self.formulas.append(phi)
-            self.depths.append(depth)
+            self.shapes.append((depth, size))
         self.contexts: dict[tuple, tuple[tuple[str, str], ...]] = {}
         self.hyps: dict[tuple, tuple[logic.Formula, ...]] = {}
 
-    def formula(self, ref, limit: int, above: int = 0) -> tuple[logic.Formula, int]:
-        """The formula ``ref`` names, and its depth.  Indices must be below
-        ``limit``; ``above`` counts the inline levels that enclose ``ref``."""
+    def formula(self, ref, limit: int, above: int = 0) -> tuple[logic.Formula, int, int]:
+        """The formula ``ref`` names, its depth and its size as a tree.
+        Indices must be below ``limit``; ``above`` counts the inline levels
+        that enclose ``ref``."""
         if type(ref) is int:
             if not 0 <= ref < limit:
                 if limit <= ref < self.size:
                     raise FormatError(f"formula index {ref} is not an earlier row")
                 raise FormatError(f"formula index {ref} out of range: the table has {self.size} rows")
-            phi, depth = self.formulas[ref], self.depths[ref]
+            phi, (depth, size) = self.formulas[ref], self.shapes[ref]
         elif isinstance(ref, list):
-            phi, depth = self._inline(ref, limit, above)
+            phi, depth, size = self._inline(ref, limit, above)
         else:
             raise FormatError(f"expected a formula index or array, found {_json_type(ref)}")
         if above + depth > MAX_FORMULA_DEPTH:
             raise FormatError(f"formula nests deeper than {MAX_FORMULA_DEPTH} levels")
-        return phi, depth
+        if size > MAX_FORMULA_SIZE:
+            raise FormatError(f"formula has more than {MAX_FORMULA_SIZE} nodes as a tree")
+        return phi, depth, size
 
-    def _inline(self, x: list, limit: int, above: int) -> tuple[logic.Formula, int]:
+    def _inline(self, x: list, limit: int, above: int) -> tuple[logic.Formula, int, int]:
         if above >= MAX_FORMULA_DEPTH:
             raise FormatError(f"formula nests deeper than {MAX_FORMULA_DEPTH} levels")
         tag = x[0] if x else None
         if tag == "imp" and len(x) == 3:
-            lhs, dl = self.formula(x[1], limit, above + 1)
-            rhs, dr = self.formula(x[2], limit, above + 1)
-            return logic.Imp(lhs, rhs), 1 + max(dl, dr)
+            lhs, dl, sl = self.formula(x[1], limit, above + 1)
+            rhs, dr, sr = self.formula(x[2], limit, above + 1)
+            return logic.Imp(lhs, rhs), 1 + max(dl, dr), 1 + sl + sr
         if tag == "all" and len(x) == 4 and isinstance(x[1], str) and isinstance(x[2], str):
-            body, db = self.formula(x[3], limit, above + 1)
-            return logic.Forall(x[1], body, hint=x[2]), 1 + db
-        return _leaf_from_doc(x), 1
+            body, db, sb = self.formula(x[3], limit, above + 1)
+            return logic.Forall(x[1], body, hint=x[2]), 1 + db, 1 + sb
+        return _leaf_from_doc(x), 1, 1
 
     def variable(self, ref) -> tuple[str, str]:
         if type(ref) is int:

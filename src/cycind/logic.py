@@ -20,14 +20,17 @@ The trusted kernel is this module alone, 770 lines, with eleven rules:
   is strict, ``l >= r`` otherwise;
 - ``geq_subsum``: ``>`` implies ``>=``;
 - ``gt_ind``: well-founded induction on ``>``;
-- ``c_rule``: one case analysis per rule scheme of the ambient cyclic system.
+- ``c_rule``: one case analysis per rule scheme of the ambient cyclic system;
+  the scheme must fit the system's judgments, each edge joining two
+  positions of one inductive sort.
 
 ``check_proof`` verifies a derivation bottom-up and is the only authority on
 validity; the builders of :mod:`cycind.builders` merely construct candidate
 derivations.  It checks each part of a sequent where that part enters the
 proof.  A context and hypothesis list are checked in full at the root and at
-``inst``'s premise 0; at any other premise, only the variables and
-hypotheses it adds to the sequent below are.  A conclusion is checked at the
+``inst``'s premise 0; at any other premise, only the variables it adds to
+the sequent below are, and a hypothesis it adds is compared with one that
+the rule builds from checked parts.  A conclusion is checked at the
 root, at ``inst``'s premise 0, at ``imp_elim``'s minor and at ``trans``'s
 left premise.  Every other rule builds those parts of its premises from the
 sequent below, so its own check covers them.  The kernel matches an instance
@@ -293,41 +296,33 @@ def _check_formula(
     return None
 
 
-# ``ctxs`` maps each context object found well formed to its entries as a
-# dict; ``check_proof`` adds one once its new entries' sorts pass, after the
-# node's rule check (see ``check_proof`` for where pairs enter).
-def _check_past(
-    system: CyclicSystem,
-    known: frozenset[str],
-    seq: Sequent,
-    n_ctx: int,
-    n_hyps: int,
-    below: dict[str, str],
-    cache: dict[int, _Summary],
-    ctxs: dict[int, dict[str, str]],
-) -> dict[str, str] | str:
-    """Check the context variables of ``seq`` past ``n_ctx`` and its
-    hypotheses past ``n_hyps``, the first ones being those of a well-formed
-    context ``below``; returns ``seq``'s context as a dict, or what is wrong."""
-    ctx = below
-    if len(seq.ctx) > n_ctx:
-        ctx = ctxs.get(id(seq.ctx))
-        if ctx is None:
-            ctx = dict(below)
-            for v, s in seq.ctx[n_ctx:]:
-                if v in ctx:
-                    return "repeated context variable"
-                ctx[v] = s
-    for i in range(n_hyps, len(seq.hyps)):
-        if err := _check_formula(system, known, seq.hyps[i], ctx, cache):
-            return f"hypothesis {i}: {err}"
+def _check_past(seq: Sequent, n_ctx: int, below: dict[str, str],
+                ctxs: dict[int, dict[str, str]]) -> dict[str, str] | str:
+    """Check the context variables of ``seq`` past ``n_ctx``, the first ones
+    being those of a well-formed context ``below``; returns ``seq``'s
+    context as a dict, or what is wrong.  ``ctxs`` holds the dict of each
+    context object found well formed, its sorts included (``check_proof``
+    adds one after the node's rule check)."""
+    ctx = ctxs.get(id(seq.ctx))
+    if ctx is None:
+        ctx = dict(below)
+        for v, s in seq.ctx[n_ctx:]:
+            if v in ctx:
+                return "repeated context variable"
+            ctx[v] = s
     return ctx
 
 
 def _check_pair(system: CyclicSystem, known: frozenset[str], seq: Sequent,
                 cache: dict[int, _Summary], ctxs: dict[int, dict[str, str]]) -> dict[str, str] | str:
     """Check the context and hypotheses of ``seq`` in full."""
-    return _check_past(system, known, seq, 0, 0, {}, cache, ctxs)
+    ctx = _check_past(seq, 0, {}, ctxs)
+    if ctx.__class__ is str:
+        return ctx
+    for i, h in enumerate(seq.hyps):
+        if err := _check_formula(system, known, h, ctx, cache):
+            return f"hypothesis {i}: {err}"
+    return ctx
 
 
 def _same(a: Sequent, b: Sequent) -> bool:
@@ -579,10 +574,13 @@ def _check_node(system: CyclicSystem, d: Deriv, ctx: dict[str, str],
     scheme = system.rules.get(rid)
     if scheme is None:
         return f"unknown rule scheme {rid!r}"
-    # the kernel does not rely on validate_system: the scheme must fit
+    # the kernel does not rely on validate_system: the scheme must fit, each
+    # edge joining two positions of one inductive sort
     judg = system.judgments.get(scheme.conclusion)
     prems = [system.judgments.get(j) for j in scheme.premises]
     if judg is None or any(q is None or (g.src_arity, g.dst_arity) != (judg.ob, q.ob)
+                           or any(judg.sorts[a] != q.sorts[b] or q.sorts[b] not in system.ind_sorts
+                                  for a, b, _lab in g.edges)
                            for g, q in zip(scheme.graphs, prems)):
         return f"rule scheme {rid!r} does not fit the judgments of the system"
     if len(kids) != len(scheme.premises):
@@ -593,9 +591,8 @@ def _check_node(system: CyclicSystem, d: Deriv, ctx: dict[str, str],
     if not all(isinstance(t, FreeV) for t in c.args):
         return "c_rule arguments must be context variables"
     xs = tuple(t.name for t in c.args)
-    for i, kid in enumerate(kids):
+    for i, (kid, prem) in enumerate(zip(kids, prems)):
         p = kid.seq
-        prem = prems[i]
         if len(p.ctx) != len(seq.ctx) + prem.ob or p.ctx[: len(seq.ctx)] != seq.ctx:
             return f"premise {i} must extend the context by {prem.ob} fresh variables"
         ys = p.ctx[len(seq.ctx):]
@@ -635,30 +632,35 @@ def _path_to(root: Deriv, target: Deriv) -> tuple[int, ...]:
 def check_proof(system: CyclicSystem, root: Deriv) -> None:
     """Verify a derivation; raises :class:`LogicError` locating the first defect.
 
-    Each part of a sequent is checked for well formedness where it enters the
-    proof.  A context and hypothesis list enter at the root and at ``inst``'s
-    premise 0 (an arbitrary sequent), where they are checked in full: distinct
-    context variables of known sorts, and hypotheses well formed over them.
-    Every other rule compares its premises' contexts and hypotheses, by value,
-    with extensions of its own, so there only the added entries are checked:
-    the new context variables of ``forall_intro``, ``gt_ind`` and ``c_rule``
-    (distinct from each other and from the context below, of known sorts) and
-    the new hypotheses of ``imp_intro``, ``gt_ind`` and ``c_rule``.
+    Each part of a sequent is checked for well formedness where it enters:
 
-    A conclusion enters at the root, at ``inst``'s premise 0, at
-    ``imp_elim``'s minor (its conclusion ``A`` is the new antecedent) and at
-    ``trans``'s left premise (its right end is the new middle term).  Every
-    other premise conclusion is built by its rule from well-formed parts, so
-    it is well formed once the rule's check passes below it:
+    - a context and hypothesis list, in full, at the root and at ``inst``'s
+      premise 0 (an arbitrary sequent): distinct context variables of known
+      sorts, and hypotheses well formed over them;
+    - the new context variables of ``forall_intro``, ``gt_ind`` and ``c_rule``:
+      distinct, outside the context below, of known sorts;
+    - a conclusion, at the root, at ``inst``'s premise 0, at ``imp_elim``'s
+      minor (its conclusion ``A`` is the new antecedent) and at ``trans``'s
+      left premise (its right end is the new middle term).
 
-    - ``imp_intro``: the consequent of the conclusion;
-    - ``forall_intro``, ``gt_ind``: the conclusion's body opened at the
-      premise's new context variable, of the binder's sort;
+    Every other part of a premise is compared, by value, with one that its
+    rule builds from well-formed parts, so it is well formed once the rule's
+    check passes below it.  Contexts and hypotheses are the sequent's own,
+    extended as follows, and the premise conclusions are:
+
+    - ``imp_intro``: the conclusion's consequent, with its antecedent as a
+      new hypothesis;
+    - ``forall_intro``: the conclusion's body opened at the premise's new
+      context variable, of the binder's sort;
+    - ``gt_ind``: the same, with the new hypothesis ``all x'. x > x' ->
+      body`` at that variable ``x``, whose sort the rule checks is inductive;
     - ``forall_elim``: the premise's body opened at a context variable of the
       binder's sort is the conclusion;
     - ``geq_subsum``: the conclusion's terms and sort under ``>``;
     - ``c_rule``: an atom of the premise judgment at its new context
-      variables, of the judgment's sorts;
+      variables, of the judgment's sorts, with the edge facts as new
+      hypotheses: orders from the conclusion's arguments to those variables,
+      at the one inductive sort of both ends that the scheme check demands;
     - ``inst`` minors: premise 0's hypotheses (checked at premise 0) renamed
       to context variables of the same sorts;
     - ``imp_elim`` major: the minor's conclusion implies the conclusion;
@@ -682,37 +684,35 @@ def check_proof(system: CyclicSystem, root: Deriv) -> None:
     the cost is per distinct node, plus a full check per distinct entering
     ``(ctx, hyps)`` pair and a conclusion per entering node, all by object
     identity.  The proof keeps these immutable objects alive for the whole
-    call, so ``id`` keys are exact.  A premise whose context and hypotheses
-    are the sequent's own objects reuses its context map.  The walk keeps no
-    parent links: when a check fails, the same walk runs again from the root
-    to find the path.
+    call, so ``id`` keys are exact.  A premise that adds no context variable
+    reuses the context map below.  The walk keeps no parent links: when a
+    check fails, the same walk runs again from the root to find the path.
     """
     cache: dict[int, _Summary] = {}
     scopes: dict[int, _Scope] = {}
     ctxs: dict[int, dict[str, str]] = {}
     pairs: dict[tuple[int, int], dict[str, str] | str] = {}
-    # a context or quantifier uses only sorts that a judgment takes or induction
-    # runs over
+    # the sorts a context or quantifier may use: a judgment's, or an inductive one
     known = system.ind_sorts.union(*(j.sorts for j in system.judgments.values()))
     seen: set[int] = set()
     # each entry: a node, whether its conclusion enters, and, when its pair
-    # does not enter, the sequent below it and that sequent's context map
-    stack: list[tuple[Deriv, bool, Sequent | None, dict[str, str] | None]] = [(root, True, None, None)]
+    # does not enter, the context length of the sequent below and its map
+    stack: list[tuple[Deriv, bool, int | None, dict[str, str] | None]] = [(root, True, None, None)]
     while stack:
-        node, enters, below, below_ctx = stack.pop()
+        node, enters, n_below, below_ctx = stack.pop()
         if id(node) in seen:
             continue
         seen.add(id(node))
         seq = node.seq
-        if below is None:
+        if n_below is None:
             pair = (id(seq.ctx), id(seq.hyps))
             ctx = pairs.get(pair)
             if ctx is None:
                 ctx = pairs[pair] = _check_pair(system, known, seq, cache, ctxs)
-        elif seq.ctx is below.ctx and seq.hyps is below.hyps:
+        elif len(seq.ctx) == n_below:
             ctx = below_ctx
         else:
-            ctx = _check_past(system, known, seq, len(below.ctx), len(below.hyps), below_ctx, cache, ctxs)
+            ctx = _check_past(seq, n_below, below_ctx, ctxs)
         if ctx.__class__ is str:
             err = ctx
         elif enters and (err := _check_formula(system, known, seq.concl, ctx, cache)):
@@ -723,7 +723,7 @@ def check_proof(system: CyclicSystem, root: Deriv) -> None:
         if err is None and ctx is not below_ctx and id(seq.ctx) not in ctxs:
             ctxs[id(seq.ctx)] = ctx
             err = next((f"variable {v!r} has unknown sort {s!r}"
-                        for v, s in seq.ctx[0 if below is None else len(below.ctx):] if s not in known), None)
+                        for v, s in seq.ctx[n_below or 0:] if s not in known), None)
         if err is not None:
             raise LogicError(err, _path_to(root, node))
         kids = node.children
@@ -731,7 +731,7 @@ def check_proof(system: CyclicSystem, root: Deriv) -> None:
             continue
         _n, _data, concl_entry, pair_entry = _RULES[node.rule]
         for i in reversed(range(len(kids))):
-            stack.append((kids[i], i == concl_entry, None if i == pair_entry else seq, ctx))
+            stack.append((kids[i], i == concl_entry, None if i == pair_entry else len(seq.ctx), ctx))
 
 
 def states_judgment(system: CyclicSystem, seq: Sequent, judg: str) -> bool:

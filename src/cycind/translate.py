@@ -14,11 +14,14 @@ case-rule application; each child sequent is reached by one ``inst`` whose
 minors prove every child fact from the parent's hypotheses plus the fresh
 edge facts.  A node that is the target of back-edges additionally introduces
 one induction hypothesis per progressing name of its buds, which the strong
-induction macro of :mod:`cycind.builders` discharges.  A bud node closes by
-instantiating its hypothesis: every quantified variable is mapped to its
-current value at the bud — positions to the bud's variables, the progressing
-name to its cover, other names to their bindings at the bud — and each
-antecedent is proved from the bud's own hypotheses.
+induction macro of :mod:`cycind.builders` discharges.  The hypothesis has the
+shape of the one ``gt_ind`` introduces, ``all x'. x > x' -> all ys'. chain``,
+with ``x`` the progressing name's variable and ``ys`` every other context
+variable.  A bud node closes by instantiating it at the bud's values: ``x'``
+at the cover, whose guard ``x > cover`` is one of the bud's facts, then each
+of ``ys``: the sprout's own variables at the bud's, a variable that a name
+binds at the sprout at that name's binding at the bud, any other at itself.
+Each antecedent of the chain is then proved from the bud's own hypotheses.
 
 Nodes in the same state (rule, annotation, context, hypotheses by value, and
 the states of their children) share one derivation object, so the proof is a
@@ -33,12 +36,12 @@ from typing import Callable
 from .builders import (
     assumption,
     c_apply,
+    forall_elim,
     forall_elims,
     geq_refl,
     geq_subsum,
     hyp_monotone,
     imp_elim,
-    ind_block,
     ind_hypothesis,
     ind_prime,
     inst,
@@ -69,8 +72,8 @@ class TranslationError(RuntimeError):
 class HypEntry(Record):
     """An induction hypothesis in scope: introduced at ``sprout`` for the buds
     progressing on ``prog``.  Carries what a closing bud needs to instantiate
-    it: the quantified variables and the (sprout, name) keys of the older
-    hypotheses in its body.  The sprout's annotation gives the rest: the
+    it: the quantified variables, the induction variable first, and the
+    (sprout, name) keys of the older hypotheses in its body.  The sprout's annotation gives the rest: the
     induction variable, the sprout's depth and its name bindings."""
 
     __slots__ = ("sprout", "prog", "formula", "block", "old")
@@ -212,9 +215,10 @@ def _node_data(
 # ---------------------------------------------------------------------------
 
 def _close_bud(rep: ResetRep, node: RepNode, nd: _NodeData) -> Deriv:
-    """Instantiate the bud's hypothesis at the bud's values and prove each
-    antecedent in turn: order facts by lookup, older hypotheses by
-    ``assumption`` or, where their variable moved, by ``hyp_monotone``."""
+    """Instantiate the bud's hypothesis at the bud's values: the cover, then
+    the guard by lookup, then the other variables.  Then prove each
+    antecedent of the chain in turn: order facts by lookup, older hypotheses
+    by ``assumption`` or, where their variable moved, by ``hyp_monotone``."""
     judg = rep.system.judgment_of_rule(node.rule)
     ann = node.ann
     t = node.depth
@@ -245,8 +249,10 @@ def _close_bud(rep: ResetRep, node: RepNode, nd: _NodeData) -> Deriv:
 
     orders = _Orders(ctx, H)
     older = iter(e.old)
-    d = assumption(ctx, H, len(nd.ineq) + k)
-    d = forall_elims(d, [str(sigma(v)) for v in e.block])
+    # the cover, the guard (one of the bud's facts), then the other variables
+    d = forall_elim(assumption(ctx, H, len(nd.ineq) + k), str(sigma(e.block[0])))
+    d = imp_elim(d, orders.prove(d.seq.concl.lhs))
+    d = forall_elims(d, [str(sigma(v)) for v in e.block[1:]])
     while isinstance(d.seq.concl, Imp):
         goal = d.seq.concl.lhs
         if isinstance(goal, (Geq, Gt)):
@@ -348,9 +354,10 @@ def translate(rep: ResetRep) -> Deriv:
         # ``refs`` name the context's variables, so the key's ``target.ctx`` fixes them
         key = (target.ctx, tuple(map(number, target.hyps)), target.concl, x)
         if key not in hyp_memo:
-            block = set(ind_block(target, x))
-            hyp_memo[key] = (ind_hypothesis(target, x),
-                             tuple(r for r, v in zip(refs, target.ctx) if v in block))
+            # the induction variable first, then the others in context order
+            block = [r for r, (v, _s) in zip(refs, target.ctx) if v == x]
+            block += [r for r, (v, _s) in zip(refs, target.ctx) if v != x]
+            hyp_memo[key] = (ind_hypothesis(target, x), tuple(block))
         return hyp_memo[key]
 
     data: dict[str, _NodeData] = {}
@@ -400,54 +407,3 @@ def prove_by_induction(deriv, system) -> tuple[ResetRep, Deriv]:
     proof = translate(rep)
     check_proof(system, proof)
     return rep, proof
-
-
-# ---------------------------------------------------------------------------
-# Skeletons
-# ---------------------------------------------------------------------------
-
-def _case_heads(d: Deriv) -> list[Deriv]:
-    out = []
-    stack = [d]
-    while stack:
-        cur = stack.pop()
-        if cur.rule == "c_rule":
-            out.append(cur)
-            continue
-        stack.extend(reversed(cur.children))
-    return out
-
-
-def extract_skeleton(proof: Deriv):
-    """The tree of case-rule applications: ``(rule_id, children)`` with ``None``
-    for premises discharged without one (closed back-edges)."""
-
-    def build(c: Deriv):
-        kids = []
-        for p in c.children:
-            heads = _case_heads(p)
-            if not heads:
-                kids.append(None)
-            elif len(heads) == 1:
-                kids.append(build(heads[0]))
-            else:
-                raise TranslationError("premise with several case-rule heads")
-        return (c.data[0], tuple(kids))
-
-    heads = _case_heads(proof)
-    if len(heads) != 1:
-        raise TranslationError(f"expected one case-rule head at the root, found {len(heads)}")
-    return build(heads[0])
-
-
-def rep_skeleton(rep: ResetRep):
-    """The internal-node tree of the representation, in the same shape."""
-
-    def build(nid: str):
-        node = rep.nodes[nid]
-        return (
-            node.rule,
-            tuple(None if rep.nodes[c].is_bud else build(c) for c in node.children),
-        )
-
-    return build(rep.root)

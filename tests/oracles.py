@@ -3,8 +3,10 @@
 Everything here is written from scratch against the definitions, on purpose
 sharing no code with the package: composition as plain dict algebra,
 termination as saturation of the full multipath relation, the
-representation invariants as a direct structural walk, and the
-well-formedness of every sequent of a proof as a walk over every node.
+representation invariants as a direct structural walk, the
+well-formedness of every sequent of a proof as a walk over every node, and
+the structure a translated proof preserves as the tree of its case-rule
+applications.
 """
 
 import random
@@ -255,3 +257,46 @@ def sequent_defects(system, proof):
         if err := pairs[pair] or defect(seq.concl, seq):
             bad.append((d, err))
     return bad
+
+
+def _case_heads(d):
+    """The nearest ``c_rule`` nodes at or above ``d``, left to right."""
+    out = []
+    stack = [d]
+    while stack:
+        cur = stack.pop()
+        if cur.rule == "c_rule":
+            out.append(cur)
+            continue
+        stack.extend(reversed(cur.children))
+    return out
+
+
+def extract_skeleton(proof):
+    """The tree of case-rule applications of a proof: ``(rule_id, children)``
+    with ``None`` for premises discharged without one (closed back-edges)."""
+
+    def build(c):
+        kids = []
+        for p in c.children:
+            heads = _case_heads(p)
+            if len(heads) > 1:
+                raise ValueError("premise with several case-rule heads")
+            kids.append(build(heads[0]) if heads else None)
+        return (c.data[0], tuple(kids))
+
+    heads = _case_heads(proof)
+    if len(heads) != 1:
+        raise ValueError(f"expected one case-rule head at the root, found {len(heads)}")
+    return build(heads[0])
+
+
+def rep_skeleton(rep):
+    """The internal-node tree of a representation, in the shape of
+    :func:`extract_skeleton`."""
+
+    def build(nid):
+        node = rep.nodes[nid]
+        return (node.rule, tuple(None if rep.nodes[c].is_bud else build(c) for c in node.children))
+
+    return build(rep.root)

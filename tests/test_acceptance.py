@@ -24,7 +24,6 @@ from cycind import (
     check_proof,
     count_rule,
     decide_termination,
-    extract_skeleton,
     induced_proof_system,
     induction_order_violations,
     proof_size,
@@ -32,7 +31,7 @@ from cycind import (
 )
 from cycind.annotate import name_token
 from cycind.formats import proof_from_doc, proof_to_doc
-from cycind.translate import rep_skeleton, translate
+from cycind.translate import translate
 
 import oracles
 import proofcmp
@@ -234,10 +233,10 @@ def test_07_structure_preservation(pipelines, fuzz_proofs):
     bad = 0
     for name in FIXTURES:
         p = pipelines[name]
-        if extract_skeleton(p.proof) != rep_skeleton(p.rep):
+        if oracles.extract_skeleton(p.proof) != oracles.rep_skeleton(p.rep):
             bad += 1
     for case, proof in fuzz_proofs:
-        if extract_skeleton(proof) != rep_skeleton(case.rep2):
+        if oracles.extract_skeleton(proof) != oracles.rep_skeleton(case.rep2):
             bad += 1
     ok = bad == 0
     _report(7, ok, f"skeletons of {5 + len(fuzz_proofs)} proofs coincide with their "

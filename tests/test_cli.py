@@ -79,13 +79,13 @@ def test_unravel_writes_a_checkable_proof(capsys, tmp_path):
     out_path = tmp_path / "proof.json"
     code, out, err = run(capsys, "unravel", DATA / "plus.fun", "--out", out_path)
     assert code == 0
-    assert out == f"wrote proof: 53 nodes, 1 induction applications -> {out_path}\n"
+    assert out == f"wrote proof: 46 nodes, 1 induction applications -> {out_path}\n"
     kind, _ = formats.loads(out_path.read_text())
     assert kind == "proof"
     code, out, err = run(capsys, "verify", out_path)
     assert code == 0
     assert out == (
-        "ok: 53 nodes, conclusion [x0_0:Nat, x0_1:Nat]  |- plus(x0_0, x0_1)\n"
+        "ok: 46 nodes, conclusion [x0_0:Nat, x0_1:Nat]  |- plus(x0_0, x0_1)\n"
     )
 
 
@@ -241,7 +241,7 @@ def test_verify_against_a_derivation_source(capsys, tmp_path, pipelines):
     deriv.write_text(formats.dumps(formats.derivation_to_doc(p.deriv, p.system)))
     code, out, err = run(capsys, "verify", _proof_file(tmp_path, p), "--source", deriv)
     assert (code, err) == (0, "")
-    assert out.startswith("ok: 53 nodes")
+    assert out.startswith("ok: 46 nodes")
 
 
 def _forged_axiom(pipelines):
@@ -312,17 +312,17 @@ def test_show_proof_histogram(capsys, tmp_path, pipelines):
     code, out, err = run(capsys, "show", path)
     assert code == 0
     assert out == (
-        "proof: 53 nodes\n"
+        "proof: 46 nodes\n"
         "  conclusion: [x0_0:Nat, x0_1:Nat]  |- plus(x0_0, x0_1)\n"
-        "  assumption: 19\n"
+        "  assumption: 18\n"
         "  c_rule: 2\n"
-        "  forall_elim: 6\n"
-        "  forall_intro: 3\n"
+        "  forall_elim: 4\n"
+        "  forall_intro: 1\n"
         "  geq_refl: 4\n"
         "  geq_subsum: 2\n"
         "  gt_ind: 1\n"
-        "  imp_elim: 6\n"
-        "  imp_intro: 3\n"
+        "  imp_elim: 5\n"
+        "  imp_intro: 2\n"
         "  inst: 4\n"
         "  trans: 3\n"
     )
@@ -384,6 +384,26 @@ def test_deep_term_in_fun_source(capsys, tmp_path, cmd, clause):
     code, out, err = run(capsys, cmd, path)
     assert (code, out) == (2, "")
     assert err == f"error: {path}: line 3: term nests deeper than 128 levels\n"
+
+
+@pytest.mark.parametrize("cmd", ["verify", "show"])
+@pytest.mark.parametrize("depth", [20, 60])
+def test_formula_tables_that_double_exit_2(capsys, tmp_path, pipelines, cmd, depth):
+    # a few hundred bytes whose formula table doubles the tree at each row;
+    # the reader refuses it, so neither the kernel nor the renderer walks it
+    # (the reader is asked first, so that one which accepts it fails there)
+    p = pipelines["plus"]
+    doc = formats.proof_to_doc(p.proof, p.system)
+    n = len(doc["formulas"])
+    doc["formulas"] += [[">=", "Nat", ["v", "x0_0"], ["v", "x0_0"]]]
+    doc["formulas"] += [["imp", n + k, n + k] for k in range(depth)]
+    doc["nodes"][0]["seq"]["concl"] = n + depth
+    message = f"formula row {n + 16}: formula has more than 100000 nodes as a tree"
+    with pytest.raises(formats.FormatError, match=f"^{message}$"):
+        formats.proof_from_doc(doc)
+    path = tmp_path / "doubling.json"
+    path.write_text(formats.dumps(doc))
+    assert run(capsys, cmd, path) == (2, "", f"error: {path}: {message}\n")
 
 
 def test_bad_json_document(capsys, tmp_path):

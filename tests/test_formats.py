@@ -11,6 +11,7 @@ from cycind.builders import geq_refl, inst
 from cycind.formats import (
     CALLSYSTEM,
     MAX_FORMULA_DEPTH,
+    MAX_FORMULA_SIZE,
     PROOF,
     call_system_from_doc,
     call_system_to_doc,
@@ -306,10 +307,11 @@ def test_variable_table_rows_are_pairs(pipelines):
 
 
 def test_deep_formulas_are_refused(pipelines):
-    # through the table: a few bytes a level, no nesting in the JSON
+    # through the table: a few bytes a level, no nesting in the JSON, and a
+    # tree that grows by one row's size a level, well within the size bound
     doc = _plus_doc(pipelines)
     n = len(doc["formulas"])
-    doc["formulas"] += [["imp", n + k - 1, n + k - 1] for k in range(MAX_FORMULA_DEPTH)]
+    doc["formulas"] += [["imp", n + k - 1, 0] for k in range(MAX_FORMULA_DEPTH)]
     doc["nodes"][0]["seq"]["concl"] = len(doc["formulas"]) - 1
     with pytest.raises(FormatError, match=f"nests deeper than {MAX_FORMULA_DEPTH} levels"):
         proof_from_doc(doc)
@@ -321,6 +323,33 @@ def test_deep_formulas_are_refused(pipelines):
     doc["nodes"][0]["seq"]["concl"] = deep
     with pytest.raises(FormatError, match=f"^node 0: formula nests deeper than {MAX_FORMULA_DEPTH}"):
         proof_from_doc(doc)
+
+
+def doubling_table(doc, depth):
+    """``doc`` with a leaf row and ``depth`` rows over it that each name the
+    row before twice, node 0 concluding the last; returns the leaf's row.
+    Level ``k`` over the leaf is ``2 ** (k + 1) - 1`` nodes as a tree."""
+    n = len(doc["formulas"])
+    doc["formulas"] += [[">=", "Nat", ["v", "x0_0"], ["v", "x0_0"]]]
+    doc["formulas"] += [["imp", n + k, n + k] for k in range(depth)]
+    doc["nodes"][0]["seq"]["concl"] = len(doc["formulas"]) - 1
+    return n
+
+
+@pytest.mark.parametrize("depth", [20, 60])
+def test_formula_tables_that_double_are_refused(pipelines, depth):
+    # a few bytes a row and within the depth bound, but a tree that doubles at
+    # each row: the reader refuses it by its size, so the kernel never walks
+    # it; level 16 is the first over the bound
+    assert depth < MAX_FORMULA_DEPTH and 2 ** 16 - 1 <= MAX_FORMULA_SIZE < 2 ** 17 - 1
+    doc = _plus_doc(pipelines)
+    leaf = doubling_table(doc, depth)
+    with pytest.raises(FormatError, match=f"^formula row {leaf + 16}: formula has more than "
+                                          f"{MAX_FORMULA_SIZE} nodes as a tree$"):
+        proof_from_doc(doc)
+    doc = _plus_doc(pipelines)
+    doubling_table(doc, 15)
+    proof_from_doc(doc)
 
 
 def test_loads_refuses_json_nested_past_the_recursion_limit():

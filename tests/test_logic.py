@@ -19,6 +19,7 @@ from cycind import (
     proof_size,
 )
 from cycind import logic
+from cycind.core import CyclicSystem, Judgment, RuleScheme
 from cycind.builders import (
     assumption,
     _map_terms,
@@ -27,7 +28,6 @@ from cycind.builders import (
     forall_elim,
     forall_intro,
     fold_imp,
-    free_vars,
     geq_refl,
     gt_ind,
     imp_intro,
@@ -68,11 +68,10 @@ def x(name):
     return FreeV(name)
 
 
-def test_render_and_free_vars():
+def test_render_names_bound_variables_by_hint():
     f = Forall(NAT, Imp(Geq(NAT, BoundV(0), x("x")), Atom("plus", (BoundV(0), x("x")))),
                hint="z")
     assert render_formula(f) == "all z:Nat. z >= x -> plus(z, x)"
-    assert free_vars(f) == {"x"}
 
 
 def test_open_close_round_trip():
@@ -286,24 +285,25 @@ def test_deep_error_path_names_every_step(plus_system):
 def test_conclusions_are_checked_where_they_enter(plus_system, monkeypatch, rule):
     # With every rule check passing, a bad conclusion is caught at the root
     # and at the premise where it enters (inst 0, imp_elim 1, trans 0) and
-    # nowhere else.  A bad hypothesis that a premise adds to the sequent
-    # below is caught at every premise; one in the place of a hypothesis of
-    # the sequent below is caught only where the pair enters (the root and
-    # inst 0), since elsewhere the rule compares the two by value.
+    # nowhere else.  A bad hypothesis is caught only where the pair enters
+    # (the root and inst 0), whether a premise adds it to the sequent below
+    # or has it in the place of one of that sequent's: elsewhere the real
+    # rule compares it, by value, with one it builds from checked parts
+    # (test_a_rule_rejects_an_ill_formed_hypothesis_it_adds).
     monkeypatch.setattr(logic, "_check_node", lambda s, d, *a: None)
     ctx = (("x", NAT),)
     refl = Geq(NAT, x("x"), x("x"))
     good = Deriv("geq_refl", Sequent(ctx, (), refl))
     escaped = Geq(NAT, x("x"), x("z"))
     bad_concl = Deriv("geq_refl", Sequent(ctx, (), escaped))
-    bad_hyp = Deriv("geq_refl", Sequent(ctx, (escaped,), escaped))
-    bad_first_hyp = Deriv("geq_refl", Sequent(ctx, (escaped,), refl))
+    bad_hyp = Deriv("geq_refl", Sequent(ctx, (escaped,), refl))
     with pytest.raises(LogicError, match="^at root: conclusion: variable 'z' not in context"):
         check_proof(plus_system, Deriv(rule, bad_concl.seq, (good,) * 3))
     with pytest.raises(LogicError, match="^at root: hypothesis 0: variable 'z'"):
-        check_proof(plus_system, Deriv(rule, bad_first_hyp.seq, (good,) * 3))
+        check_proof(plus_system, Deriv(rule, bad_hyp.seq, (good,) * 3))
     entering = ENTERING_PREMISE.get(rule)
-    below = Sequent(ctx, (refl,), refl)
+    # below, the bad hypothesis is added; below_one, it replaces refl
+    below, below_one = good.seq, Sequent(ctx, (refl,), refl)
     for i in range(3):
         kids = [good] * 3
         kids[i] = bad_concl
@@ -313,14 +313,83 @@ def test_conclusions_are_checked_where_they_enter(plus_system, monkeypatch, rule
         else:
             check_proof(plus_system, Deriv(rule, good.seq, tuple(kids)))
         kids[i] = bad_hyp
-        with pytest.raises(LogicError, match=f"^at {i}: hypothesis 0: variable 'z'"):
-            check_proof(plus_system, Deriv(rule, good.seq, tuple(kids)))
-        kids[i] = bad_first_hyp
-        if rule == "inst" and i == 0:
-            with pytest.raises(LogicError, match="^at 0: hypothesis 0: variable 'z'"):
-                check_proof(plus_system, Deriv(rule, below, tuple(kids)))
-        else:
-            check_proof(plus_system, Deriv(rule, below, tuple(kids)))
+        for seq in (below, below_one):
+            if rule == "inst" and i == 0:
+                with pytest.raises(LogicError, match="^at 0: hypothesis 0: variable 'z'"):
+                    check_proof(plus_system, Deriv(rule, seq, tuple(kids)))
+            else:
+                check_proof(plus_system, Deriv(rule, seq, tuple(kids)))
+
+
+def _edge_system(edge, sorts):
+    """Judgments ``g`` and ``f`` over ``sorts``, ``Nat`` the one inductive
+    sort, and a rule for ``g`` with one premise ``f`` along ``edge``, whose
+    conclusion is a premise-less rule for ``f``."""
+    judgments = {j: Judgment(j, len(sorts), sorts) for j in ("f", "g")}
+    graph = SizeChangeGraph.of(len(sorts), len(sorts), [edge])
+    return CyclicSystem(judgments, {"g": RuleScheme("g", "g", ("f",), (graph,)),
+                                    "f": RuleScheme("f", "f", (), ())}, frozenset({NAT}))
+
+
+def _premise_adding(rule):
+    """A system (None for ``plus``), a node of ``rule`` with a well-formed
+    conclusion whose premise adds a hypothesis with the escaped variable
+    ``z`` in the place of the one the rule builds, and that premise's
+    context."""
+    escaped = Gt(NAT, x("x"), x("z"))
+    refl = Geq(NAT, x("x"), x("x"))
+    if rule == "imp_intro":
+        ctx = (("x", NAT),)
+        return None, Deriv(rule, Sequent(ctx, (), Imp(refl, refl)),
+                           (Deriv("geq_refl", Sequent(ctx, (escaped,), refl)),)), ctx
+    if rule == "gt_ind":
+        # the body is x >= x; the hypothesis all x'. x > x' -> x' >= x' would fit
+        ctx = (("x", NAT),)
+        ih = Forall(NAT, Imp(escaped, Geq(NAT, BoundV(0), BoundV(0))), hint="x'")
+        return None, Deriv(rule, Sequent((), (), Forall(NAT, Geq(NAT, BoundV(0), BoundV(0)))),
+                           (Deriv("geq_refl", Sequent(ctx, (ih,), refl)),)), ctx
+    # c_rule: g(x) calls f(y) with x > y; the premise has x > z for that fact
+    system = _edge_system((0, 0, GT), (NAT,))
+    ctx = (("x", NAT), ("y", NAT))
+    inner = Deriv("c_rule", Sequent(ctx, (escaped,), Atom("f", (x("y"),))), (), ("f",))
+    return system, Deriv("c_rule", Sequent(ctx[:1], (), Atom("g", (x("x"),))), (inner,), ("g",)), ctx
+
+
+@pytest.mark.parametrize("rule, message", [
+    ("imp_intro", "imp_intro premise must move the antecedent into the hypotheses"),
+    ("gt_ind", "gt_ind premise must carry the induction hypothesis"),
+    ("c_rule", "premise 0 must extend the hypotheses by the edge facts"),
+], ids=["imp_intro", "gt_ind", "c_rule"])
+def test_a_rule_rejects_an_ill_formed_hypothesis_it_adds(plus_system, rule, message):
+    # the kernel checks no hypothesis that a rule adds, so the rule itself
+    # must reject one that is not the formula it builds from checked parts
+    system, d, ctx = _premise_adding(rule)
+    system = system or plus_system
+    (added,) = d.children[0].seq.hyps
+    assert oracles.formula_defect(system, added, dict(ctx))
+    with pytest.raises(LogicError, match=f"^at root: {message}$") as exc:
+        check_proof(system, d)
+    assert exc.value.path == ()
+
+
+@pytest.mark.parametrize("edge, ok", [((0, 0, GEQ), True), ((1, 1, GEQ), False), ((0, 1, GT), False)],
+                         ids=["inductive", "non_inductive", "two_sorts"])
+def test_c_rule_rejects_an_edge_it_cannot_order(edge, ok):
+    # the edge facts are compared with the premise's hypotheses but never
+    # checked, so an edge must join two positions of one inductive sort: at
+    # the parameter sort P, or from Nat to P, its fact would be ill formed
+    system = _edge_system(edge, (NAT, "P"))
+    ctx = (("x", NAT), ("p", "P"))
+    wide = ctx + (("y", NAT), ("q", "P"))
+    facts = logic.edge_facts((NAT, "P"), system.rules["g"].graphs[0], ("x", "p"), ("y", "q"))
+    assert bool(oracles.formula_defect(system, facts[0], dict(wide))) is not ok
+    inner = c_apply(system, "f", wide, facts, ("y", "q"), ())
+    d = c_apply(system, "g", ctx, (), ("x", "p"), (inner,))
+    if ok:
+        check_proof(system, d)
+        return
+    with pytest.raises(LogicError, match="^at root: rule scheme 'g' does not fit the judgments of the system"):
+        check_proof(system, d)
 
 
 def _ill_formed_conclusions(system, seq):
@@ -556,10 +625,9 @@ def test_the_matcher_agrees_with_building(pipelines, fuzz_proofs):
 
 def test_the_matcher_makes_no_call_per_term(pipelines):
     # a timing-free guard on the matcher's work: on dist, the kernel enters
-    # _matches 794 times for its 206 instances (once more per implication's
+    # _matches 524 times for its 172 instances (once more per implication's
     # left-hand side), and from there calls only itself, _scope and, for a
-    # term left as it is that the target holds as another object, ==; with
-    # one call per term it made 2,855 entries and 2,508 term calls
+    # term left as it is that the target holds as another object, ==
     p = pipelines["dist"]
     code = logic._matches.__code__
     entries, callees = 0, Counter()
@@ -576,7 +644,7 @@ def test_the_matcher_makes_no_call_per_term(pipelines):
         check_proof(p.system, p.proof)
     finally:
         sys.setprofile(None)
-    assert entries == 794 and callees == {"_matches": 588, "_scope": 344, "__eq__": 83}
+    assert entries == 524 and callees == {"_matches": 352, "_scope": 220, "__eq__": 83}
 
 
 def test_a_non_formula_in_an_instance_is_rejected(plus_system):
@@ -680,7 +748,7 @@ def test_full_pair_checks_run_once_per_entering_pair(pipelines, monkeypatch):
     # a timing-free guard on the kernel's cost: on dist, the context and
     # hypotheses are checked in full once per distinct (ctx, hyps) pair, by
     # object, among the root and inst's premises 0, and not at the other
-    # 145 pairs
+    # 111 pairs
     p = pipelines["dist"]
     calls = []
     real = logic._check_pair
@@ -690,7 +758,7 @@ def test_full_pair_checks_run_once_per_entering_pair(pipelines, monkeypatch):
     entering = [p.proof] + [d.children[0] for d in distinct_nodes(p.proof) if d.rule == "inst"]
     pairs = {(id(d.seq.ctx), id(d.seq.hyps)) for d in entering}
     assert sorted(calls) == sorted(pairs) and len(calls) == 24
-    assert len({(id(d.seq.ctx), id(d.seq.hyps)) for d in distinct_nodes(p.proof)}) == 169
+    assert len({(id(d.seq.ctx), id(d.seq.hyps)) for d in distinct_nodes(p.proof)}) == 135
 
 
 def test_invalid_shared_node_is_reported_at_its_first_path(plus_system):

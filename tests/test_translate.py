@@ -1,5 +1,8 @@
 """Translation of ordered reset representations into checkable proofs."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from cycind import (
@@ -7,7 +10,6 @@ from cycind import (
     build_reset_rep,
     check_proof,
     count_rule,
-    extract_skeleton,
     induced_proof_system,
     proof_size,
     prove_by_induction,
@@ -17,13 +19,14 @@ from cycind.builders import ind_hypothesis
 from cycind.formats import FormulaNumbering
 from cycind.logic import FreeV, Geq, Gt, distinct_nodes
 from cycind.sct import closure
-from cycind.translate import TranslationError, _Orders, rep_skeleton, translate
+from cycind.translate import TranslationError, _Orders, translate
 
 import proofcmp
 import systems
+from oracles import extract_skeleton, rep_skeleton
 
 # node counts and induction counts of the finished proofs, frozen
-PROOF_SIZE = {"plus": 53, "ack": 189, "dist": 756, "treedist": 756, "fg": 49}
+PROOF_SIZE = {"plus": 46, "ack": 162, "dist": 701, "treedist": 701, "fg": 42}
 IND_COUNT = {"plus": 1, "ack": 3, "dist": 7, "treedist": 7, "fg": 1}
 
 
@@ -33,6 +36,21 @@ def test_frozen_proof_sizes(pipelines):
 
 def test_frozen_induction_counts(pipelines):
     assert {k: count_rule(p.proof, "gt_ind") for k, p in pipelines.items()} == IND_COUNT
+
+
+def test_no_fuzz_proof_changes_size(fuzz_proofs):
+    # nodes and gt_ind of each draw, frozen: a change that makes any proof
+    # grow or shrink, or moves an induction count, names the draws here
+    golden = json.loads((Path(__file__).parent / "golden" / "fuzz_proof_sizes.json").read_text())
+    want = [tuple(w) for w in golden["draws"]]
+    got = [(proof_size(proof), count_rule(proof, "gt_ind")) for _case, proof in fuzz_proofs]
+    assert len(got) == len(want) == 200
+    moved = {
+        "grew": [(i, w[0], g[0]) for i, (w, g) in enumerate(zip(want, got)) if g[0] > w[0]],
+        "shrank": [(i, w[0], g[0]) for i, (w, g) in enumerate(zip(want, got)) if g[0] < w[0]],
+        "gt_ind": [(i, w[1], g[1]) for i, (w, g) in enumerate(zip(want, got)) if g[1] != w[1]],
+    }
+    assert moved == {"grew": [], "shrank": [], "gt_ind": []}, "(draw, golden, now)"
 
 
 def test_all_proofs_check(pipelines):

@@ -15,10 +15,10 @@ SRC = Path(__file__).parent.parent / "src" / "cycind"
 # every rule builder, the formula helpers only they use, and the strong
 # induction macro
 BUILDER_NAMES = {
-    "fold_imp", "peel_forall", "free_vars",
+    "fold_imp",
     "imp_intro", "imp_elim", "forall_intro", "forall_elim", "geq_refl", "trans", "geq_subsum",
     "gt_ind", "c_apply", "assumption", "inst", "forall_elims",
-    "ind_block", "ind_hypothesis", "ind_prime", "hyp_monotone",
+    "ind_hypothesis", "ind_prime", "hyp_monotone",
 }
 
 
