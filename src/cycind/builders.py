@@ -3,21 +3,24 @@
 Every function here only constructs a candidate :class:`~cycind.logic.Deriv`;
 :func:`cycind.logic.check_proof` alone decides whether it is valid.  The
 rule builders take premises and compute the conclusion their kernel rule
-demands.  The derived strong induction principle (inducting on an entire
-sequent rather than a single formula) is a macro of kernel rules only.
-:func:`ind_hypothesis` gives its hypothesis the exact shape of the one that
-``gt_ind`` introduces, ``all x'. x > x' -> all ys'. chain``, so
+demands; :func:`forall_intro` and :func:`forall_elim` close or open a whole
+block of binders in one node and one term-map walk.  The derived strong
+induction principle (inducting on an entire sequent rather than a single
+formula) is a macro of kernel rules only.  :func:`ind_hypothesis` gives its
+hypothesis the exact shape of the one that ``gt_ind`` introduces,
+``all x'. x > x' -> all ys'. chain`` (:func:`gt_ind_hypothesis`), so
 :func:`ind_prime` discharges it by one ``assumption`` of the hypothesis that
-its own ``gt_ind`` introduces.  The term maps that build instances
-(:func:`subst_free`, :func:`open_bound`, :func:`close_free`) live here too:
-the kernel compares an instance with its pattern without building it.
+its own ``gt_ind`` introduces.  The formulas that the kernel compares in
+place (:func:`gt_ind_hypothesis`, :func:`edge_facts`) and the term maps that
+build instances (:func:`subst_free`, :func:`open_bound`, :func:`close_free`)
+live here too: the kernel builds no formula.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterable, Mapping
 
-from .core import CyclicSystem
+from .core import GT, CyclicSystem, SizeChangeGraph
 from .logic import (
     Atom,
     BoundV,
@@ -31,7 +34,6 @@ from .logic import (
     Sequent,
     Term,
     fresh_name,
-    gt_ind_hypothesis,
 )
 
 
@@ -70,25 +72,29 @@ def subst_free(phi: Formula, sub: Mapping[str, str]) -> Formula:
     return _map_terms(phi, f)
 
 
-def open_bound(body: Formula, name: str) -> Formula:
-    """Instantiate the outermost binder of a quantifier body with a free variable."""
+def open_bound(body: Formula, names: tuple[str, ...]) -> Formula:
+    """Instantiate the body under ``len(names)`` binders at the free
+    variables ``names``, outermost binder first."""
+    k = len(names)
+
     def f(t: Term, d: int) -> Term:
-        if isinstance(t, BoundV):
-            if t.k == d:
-                return FreeV(name)
-            if t.k > d:
-                return BoundV(t.k - 1)
+        if isinstance(t, BoundV) and t.k >= d:
+            return FreeV(names[d - t.k - 1]) if t.k - d < k else BoundV(t.k - k)
         return t
     return _map_terms(body, f)
 
 
-def close_free(phi: Formula, name: str) -> Formula:
-    """Abstract a free variable into the outermost binder position."""
+def close_free(phi: Formula, names: tuple[str, ...]) -> Formula:
+    """Abstract the distinct free variables ``names`` into the positions of
+    ``len(names)`` binders, outermost binder first: the inverse of
+    :func:`open_bound`."""
+    k, index = len(names), {v: i for i, v in enumerate(names)}
+
     def f(t: Term, d: int) -> Term:
-        if isinstance(t, FreeV) and t.name == name:
-            return BoundV(d)
+        if isinstance(t, FreeV) and t.name in index:
+            return BoundV(d + k - 1 - index[t.name])
         if isinstance(t, BoundV) and t.k >= d:
-            return BoundV(t.k + 1)
+            return BoundV(t.k + k)
         return t
     return _map_terms(phi, f)
 
@@ -98,6 +104,26 @@ def fold_imp(hyps: Iterable[Formula], concl: Formula) -> Formula:
     for phi in reversed(tuple(hyps)):
         acc = Imp(phi, acc)
     return acc
+
+
+def ordered(sort: str, label: str, left: Term, right: Term) -> Formula:
+    return Gt(sort, left, right) if label == GT else Geq(sort, left, right)
+
+
+def gt_ind_hypothesis(sort: str, x: str, body: Formula) -> Formula:
+    """The hypothesis ``gt_ind`` adds when it inducts on ``x`` to conclude
+    ``all x. body``: ``all x'. x > x' -> body``."""
+    return Forall(sort, Imp(Gt(sort, FreeV(x), BoundV(0)), body), hint=f"{x}'")
+
+
+def edge_facts(
+    sorts: tuple[str, ...], graph: SizeChangeGraph, xs: tuple[str, ...], ys: tuple[str, ...]
+) -> tuple[Formula, ...]:
+    """The hypotheses ``c_rule`` adds to a premise: one order per edge of the
+    premise's size-change graph, from the conclusion's variables ``xs`` (of
+    ``sorts``) to the premise's fresh variables ``ys``."""
+    return tuple(ordered(sorts[a], lab, FreeV(xs[a]), FreeV(ys[b]))
+                 for a, b, lab in graph.sorted_edges())
 
 
 # ---------------------------------------------------------------------------
@@ -115,17 +141,24 @@ def imp_elim(major: Deriv, minor: Deriv) -> Deriv:
     return Deriv("imp_elim", Sequent(s.ctx, s.hyps, s.concl.rhs), (major, minor))
 
 
-def forall_intro(d: Deriv) -> Deriv:
-    s = d.seq
-    x, sort = s.ctx[-1]
-    body = close_free(s.concl, x)
-    return Deriv("forall_intro", Sequent(s.ctx[:-1], s.hyps, Forall(sort, body, hint=x)), (d,))
+def forall_intro(d: Deriv, k: int) -> Deriv:
+    """Close over the last ``k`` context variables in one node."""
+    assert k >= 1
+    s, block = d.seq, d.seq.ctx[-k:]
+    concl = close_free(s.concl, tuple(v for v, _s in block))
+    for v, sort in reversed(block):
+        concl = Forall(sort, concl, hint=v)
+    return Deriv("forall_intro", Sequent(s.ctx[:-k], s.hyps, concl), (d,))
 
 
-def forall_elim(d: Deriv, y: str) -> Deriv:
+def forall_elim(d: Deriv, ys: tuple[str, ...]) -> Deriv:
+    """Instantiate the outermost ``len(ys)`` binders at ``ys`` in one node."""
     s = d.seq
-    assert isinstance(s.concl, Forall)
-    return Deriv("forall_elim", Sequent(s.ctx, s.hyps, open_bound(s.concl.body, y)), (d,), (y,))
+    body = s.concl
+    for _y in ys:
+        assert isinstance(body, Forall)
+        body = body.body
+    return Deriv("forall_elim", Sequent(s.ctx, s.hyps, open_bound(body, ys)), (d,), ys)
 
 
 def geq_refl(ctx: tuple[tuple[str, str], ...], hyps: tuple[Formula, ...], sort: str, y: str) -> Deriv:
@@ -147,7 +180,7 @@ def geq_subsum(d: Deriv) -> Deriv:
 def gt_ind(d: Deriv) -> Deriv:
     s = d.seq
     x, sort = s.ctx[-1]
-    body = close_free(s.concl, x)
+    body = close_free(s.concl, (x,))
     ih = gt_ind_hypothesis(sort, x, body)
     assert s.hyps and s.hyps[-1] == ih, "gt_ind builder: last hypothesis is not the induction hypothesis"
     return Deriv("gt_ind", Sequent(s.ctx[:-1], s.hyps[:-1], Forall(sort, body, hint=x)), (d,))
@@ -182,12 +215,6 @@ def inst(
     return Deriv("inst", Sequent(s.ctx if ctx is None else ctx, hyps, concl), (d, *minors), targets)
 
 
-def forall_elims(d: Deriv, ys: Iterable[str]) -> Deriv:
-    for y in ys:
-        d = forall_elim(d, y)
-    return d
-
-
 # ---------------------------------------------------------------------------
 # Induction hypotheses and the strong induction macro
 # ---------------------------------------------------------------------------
@@ -202,8 +229,8 @@ def ind_hypothesis(target: Sequent, x: str) -> Formula:
     phi = fold_imp(target.hyps, target.concl)
     for v, s in reversed(target.ctx):
         if v != x:
-            phi = Forall(s, close_free(phi, v), hint=f"{v}'")
-    return gt_ind_hypothesis(dict(target.ctx)[x], x, close_free(phi, x))
+            phi = Forall(s, close_free(phi, (v,)), hint=f"{v}'")
+    return gt_ind_hypothesis(dict(target.ctx)[x], x, close_free(phi, (x,)))
 
 
 def ind_prime(dp: Deriv, x: str) -> Deriv:
@@ -212,13 +239,14 @@ def ind_prime(dp: Deriv, x: str) -> Deriv:
     ``dp``'s sequent.
 
     Uses one ``gt_ind`` plus implication/quantifier bookkeeping: the sequent
-    formula is universally closed over the context variables but ``x``, and
-    proved by well-founded induction on a fresh copy ``u`` of ``x``.  One
-    ``inst`` node renames ``dp`` onto the copies and discharges its
-    hypotheses: the copies of the others by ``assumption``, and the
-    induction hypothesis by the one ``gt_ind`` introduces for ``u``, which is
-    its renamed copy.  ``dp`` itself is shared, never rebuilt.  The closed
-    formula is then instantiated back at the original variables.
+    formula is universally closed over the context variables but ``x``, by
+    one ``forall_intro``, and proved by well-founded induction on a fresh
+    copy ``u`` of ``x``.  One ``inst`` node renames ``dp`` onto the copies and
+    discharges its hypotheses: the copies of the others by ``assumption``,
+    and the induction hypothesis by the one ``gt_ind`` introduces for ``u``,
+    which is its renamed copy.  ``dp`` itself is shared, never rebuilt.  One
+    ``forall_elim`` then instantiates the closed formula back at ``x`` and
+    the other original variables.
     """
     ctx, gamma, delta = dp.seq.ctx, dp.seq.hyps[:-1], dp.seq.concl
     sort = dict(ctx)[x]
@@ -237,8 +265,8 @@ def ind_prime(dp: Deriv, x: str) -> Deriv:
     # gt_ind introduces for u, which dp's own must be, renamed
     phi_u = subst_free(fold_imp(gamma, delta), sub)
     for v, s in reversed(others):
-        phi_u = Forall(s, close_free(phi_u, copies[v]), hint=f"{v}*")
-    ih_u = gt_ind_hypothesis(sort, u, close_free(phi_u, u))
+        phi_u = Forall(s, close_free(phi_u, (copies[v],)), hint=f"{v}*")
+    ih_u = gt_ind_hypothesis(sort, u, close_free(phi_u, (u,)))
     assert dp.seq.hyps and subst_free(dp.seq.hyps[-1], {x: u}) == ih_u, (
         "ind_prime: last hypothesis is not the induction hypothesis"
     )
@@ -251,13 +279,12 @@ def ind_prime(dp: Deriv, x: str) -> Deriv:
     # close over the copies and induct
     for _ in range(len(gamma)):
         d = imp_intro(d)
-    for _v, _s in reversed(others):
-        d = forall_intro(d)
+    if others:
+        d = forall_intro(d, len(others))
     d = gt_ind(d)
 
     # instantiate back at the original variables and discharge
-    d = forall_elim(d, x)
-    d = forall_elims(d, [v for v, _s in others])
+    d = forall_elim(d, (x, *(v for v, _s in others)))
     for i in range(len(gamma)):
         d = imp_elim(d, assumption(ctx, gamma, i))
     assert d.seq == Sequent(ctx, gamma, delta)
@@ -285,8 +312,8 @@ def hyp_monotone(
     t = fresh_name(f"{w}^", {v for v, _s in ctx})
     inner_ctx = ctx + ((t, sort),)
     inner_hyps = hyps + (Gt(sort, FreeV(y), FreeV(t)),)
-    a = forall_elim(assumption(inner_ctx, inner_hyps, hyp_index), t)
+    a = forall_elim(assumption(inner_ctx, inner_hyps, hyp_index), (t,))
     wt = trans(geq_fact(inner_ctx, inner_hyps), assumption(inner_ctx, inner_hyps, len(hyps)))
-    a = forall_intro(imp_intro(imp_elim(a, wt)))
+    a = forall_intro(imp_intro(imp_elim(a, wt)), 1)
     assert a.seq.concl == subst_free(hyp, {w: y})
     return a

@@ -4,7 +4,7 @@ Formulas are judgment atoms over variables, the two order relations ``>`` and
 ``>=`` at inductive sorts, implication, and sorted universal quantification
 (De Bruijn indices under the binders, named free variables elsewhere).  A
 sequent is ``ctx; hyps |- concl`` where ``ctx`` is an *ordered* list of sorted
-variables: quantifier rules bind the last context entry, so the context
+variables: quantifier rules bind the last context entries, so the context
 discipline is part of the proof structure.
 
 The trusted kernel is this module alone, 770 lines, with eleven rules:
@@ -14,7 +14,8 @@ The trusted kernel is this module alone, 770 lines, with eleven rules:
   sorts in the conclusion's context, and replace the premise's hypotheses by
   derivations of their renamed copies from other hypotheses;
 - ``imp_intro`` and ``imp_elim``;
-- ``forall_intro`` and ``forall_elim``;
+- ``forall_intro`` and ``forall_elim``: close over a block of k >= 1 new
+  context variables, or open k binders at context variables, in one step;
 - ``geq_refl``: ``x >= x``;
 - ``trans``: chain ``l R m`` and ``m R' r`` into ``l > r`` if either premise
   is strict, ``l >= r`` otherwise;
@@ -33,21 +34,18 @@ the sequent below are, and a hypothesis it adds is compared with one that
 the rule builds from checked parts.  A conclusion is checked at the
 root, at ``inst``'s premise 0, at ``imp_elim``'s minor and at ``trans``'s
 left premise.  Every other rule builds those parts of its premises from the
-sequent below, so its own check covers them.  The kernel matches an instance
-against its pattern without building it, and takes a part that the instance
-shares with its pattern at once where the part's scope shows that the map
-leaves it as it is; the term maps that build instances are the builders'.
-
-It imports nothing of this package but :mod:`cycind.core`.  The two formula
-shapes that a rule checks and a builder builds, :func:`gt_ind_hypothesis`
-and :func:`edge_facts`, are written here once.
+sequent below, so its own check covers them.  The kernel builds no formula:
+it compares the shape a rule demands with the proof's formulas in place,
+identity first, and matches an instance against its pattern, taking a part
+shared with the pattern at once where its scope shows that the map leaves
+it as it is.  It imports nothing of this package but :mod:`cycind.core`.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
-from .core import GT, CyclicSystem, Record, SizeChangeGraph
+from .core import GT, CyclicSystem, Record
 
 
 # ---------------------------------------------------------------------------
@@ -111,26 +109,6 @@ class Forall(Record):
 
 
 Formula = Atom | Geq | Gt | Imp | Forall
-
-
-def ordered(sort: str, label: str, left: Term, right: Term) -> Formula:
-    return Gt(sort, left, right) if label == GT else Geq(sort, left, right)
-
-
-def gt_ind_hypothesis(sort: str, x: str, body: Formula) -> Formula:
-    """The hypothesis ``gt_ind`` adds when it inducts on ``x`` to conclude
-    ``all x. body``: ``all x'. x > x' -> body``."""
-    return Forall(sort, Imp(Gt(sort, FreeV(x), BoundV(0)), body), hint=f"{x}'")
-
-
-def edge_facts(
-    sorts: tuple[str, ...], graph: SizeChangeGraph, xs: tuple[str, ...], ys: tuple[str, ...]
-) -> tuple[Formula, ...]:
-    """The hypotheses ``c_rule`` adds to a premise: one order per edge of the
-    premise's size-change graph, from the conclusion's variables ``xs`` (of
-    ``sorts``) to the premise's fresh variables ``ys``."""
-    return tuple(ordered(sorts[a], lab, FreeV(xs[a]), FreeV(ys[b]))
-                 for a, b, lab in graph.sorted_edges())
 
 
 def fresh_name(base: str, avoid: set[str]) -> str:
@@ -359,15 +337,16 @@ def _scope(phi: Formula, scopes: dict[int, _Scope]) -> _Scope:
     return out
 
 
-def _matches(pat: Formula, tgt: Formula, m: str | dict[str, str], scopes: dict[int, _Scope],
-             depth: int = 0) -> bool:
+def _matches(pat: Formula, tgt: Formula, m: tuple[str, ...] | dict[str, str],
+             scopes: dict[int, _Scope], depth: int = 0) -> bool:
     """Whether ``tgt`` is ``pat`` with its terms mapped by ``m``: the answer
     ``==`` gives on the mapped copy (hints aside), in one walk that builds
-    nothing.  A name ``m`` opens a quantifier body at that variable: its own
-    index becomes ``m``, and the indices of outer binders drop by one.  A
-    dict ``m`` renames free variables.  Where ``tgt`` holds ``pat``'s own
-    object and its scope shows that ``m`` leaves it as it is, it matches."""
-    opening = m.__class__ is str
+    nothing.  A tuple ``m`` of k names opens the body under k binders at
+    those variables, outermost first: loose index ``depth + i`` becomes
+    ``m[k-1-i]`` for i < k, and a higher index drops by k.  A dict ``m``
+    renames free variables.  Where ``tgt`` holds ``pat``'s own object and
+    its scope shows that ``m`` leaves it as it is, it matches."""
+    opening = m.__class__ is tuple
     while True:
         cls = pat.__class__
         if tgt.__class__ is not cls:
@@ -399,10 +378,10 @@ def _matches(pat: Formula, tgt: Formula, m: str | dict[str, str], scopes: dict[i
         for p, t in zip(ps, ts):
             c = p.__class__
             if opening and c is BoundV and p.k >= depth:  # the opening changes p
-                if p.k == depth:
-                    if t.__class__ is not FreeV or t.name != m:
+                if p.k - depth < len(m):
+                    if t.__class__ is not FreeV or t.name != m[depth - p.k - 1]:
                         return False
-                elif t.__class__ is not BoundV or t.k != p.k - 1:
+                elif t.__class__ is not BoundV or t.k != p.k - len(m):
                     return False
             elif not opening and c is FreeV and p.name in m:  # the renaming changes p
                 if t.__class__ is not FreeV or t.name != m[p.name]:
@@ -474,10 +453,11 @@ def _check_node(system: CyclicSystem, d: Deriv, ctx: dict[str, str],
                 return f"inst minor {i} must conclude renamed premise hypothesis {i}"
         return None
     if r == "imp_intro":
-        p = kids[0].seq
-        if not isinstance(seq.concl, Imp):
+        p, c, n = kids[0].seq, seq.concl, len(seq.hyps)
+        if not isinstance(c, Imp):
             return "imp_intro conclusion must be an implication"
-        if p.hyps != seq.hyps + (seq.concl.lhs,) or p.concl != seq.concl.rhs:
+        if (len(p.hyps) != n + 1 or p.hyps[n] is not c.lhs and p.hyps[n] != c.lhs
+                or p.hyps[:n] != seq.hyps or p.concl is not c.rhs and p.concl != c.rhs):
             return "imp_intro premise must move the antecedent into the hypotheses"
         if seq.ctx != p.ctx:
             return "imp_intro must preserve context"
@@ -486,36 +466,42 @@ def _check_node(system: CyclicSystem, d: Deriv, ctx: dict[str, str],
         maj, mnr = kids[0].seq, kids[1].seq
         if not (_same(seq, maj) and _same(seq, mnr)):
             return "imp_elim premises must share the sequent context and hypotheses"
-        if maj.concl != Imp(mnr.concl, seq.concl):
+        i = maj.concl
+        if (not isinstance(i, Imp) or i.lhs is not mnr.concl and i.lhs != mnr.concl
+                or i.rhs is not seq.concl and i.rhs != seq.concl):
             return "imp_elim major premise must be minor -> conclusion"
         return None
     if r == "forall_intro":
-        p = kids[0].seq
-        if len(p.ctx) != len(seq.ctx) + 1 or p.ctx[:-1] != seq.ctx:
-            return "forall_intro premise must extend the context by one variable"
-        x, s = p.ctx[-1]
-        if not isinstance(seq.concl, Forall) or seq.concl.sort != s:
-            return "forall_intro conclusion must quantify at the bound variable's sort"
+        p, n = kids[0].seq, len(seq.ctx)
+        if len(p.ctx) <= n or p.ctx[:n] != seq.ctx:
+            return "forall_intro premise must extend the context by one or more variables"
+        body = seq.concl
+        for _x, s in p.ctx[n:]:
+            if not isinstance(body, Forall) or body.sort != s:
+                return "forall_intro conclusion must quantify at the new variables' sorts, in order"
+            body = body.body
         if p.hyps != seq.hyps:
             return "forall_intro must preserve hypotheses"
-        if not _matches(seq.concl.body, p.concl, x, scopes):  # see check_proof
+        if not _matches(body, p.concl, tuple(x for x, _s in p.ctx[n:]), scopes):  # see check_proof
             return "forall_intro conclusion body does not match the premise"
         return None
     if r == "forall_elim":
-        if len(d.data) != 1 or not isinstance(d.data[0], str):
-            return "forall_elim needs one target variable"
-        (y,) = d.data
-        p = kids[0].seq
+        ys, p = d.data, kids[0].seq
+        if not ys or not all(isinstance(y, str) for y in ys):
+            return "forall_elim needs one or more target variables"
         if not _same(seq, p):
             return "forall_elim must preserve context and hypotheses"
-        if not isinstance(p.concl, Forall):
-            return "forall_elim premise must conclude a quantified formula"
-        s = ctx.get(y)
-        if s is None:
-            return f"forall_elim target {y!r} not in context"
-        if s != p.concl.sort:
-            return f"forall_elim target has sort {s!r}, expected {p.concl.sort!r}"
-        if not _matches(p.concl.body, seq.concl, y, scopes):
+        body = p.concl
+        for y in ys:
+            if not isinstance(body, Forall):
+                return "forall_elim premise must conclude a quantified formula per target"
+            s = ctx.get(y)
+            if s is None:
+                return f"forall_elim target {y!r} not in context"
+            if s != body.sort:
+                return f"forall_elim target has sort {s!r}, expected {body.sort!r}"
+            body = body.body
+        if not _matches(body, seq.concl, ys, scopes):
             return "forall_elim conclusion is not the instantiated body"
         return None
     if r == "geq_refl":
@@ -545,7 +531,9 @@ def _check_node(system: CyclicSystem, d: Deriv, ctx: dict[str, str],
         p = kids[0].seq
         if not _same(seq, p):
             return "geq_subsum must preserve context and hypotheses"
-        if not isinstance(p.concl, Gt) or seq.concl != Geq(p.concl.sort, p.concl.left, p.concl.right):
+        q, c = p.concl, seq.concl
+        if (not isinstance(q, Gt) or not isinstance(c, Geq) or c.sort != q.sort
+                or c.left is not q.left and c.left != q.left or c.right is not q.right and c.right != q.right):
             return "geq_subsum conclusion must weaken the premise"
         return None
     if r == "gt_ind":
@@ -560,11 +548,16 @@ def _check_node(system: CyclicSystem, d: Deriv, ctx: dict[str, str],
         x, s = p.ctx[-1]
         if s != sort:
             return "gt_ind variable sort mismatch"
+        # the new hypothesis is all x'. x > x' -> body
         body, n = seq.concl.body, len(seq.hyps)
-        if (len(p.hyps) != n + 1 or p.hyps[n] != gt_ind_hypothesis(sort, x, body)
-                or p.hyps[:n] != seq.hyps):
+        h = p.hyps[n] if len(p.hyps) == n + 1 else None
+        i = h.body if isinstance(h, Forall) and h.sort == sort else None
+        g = i.lhs if isinstance(i, Imp) else None
+        if (not isinstance(g, Gt) or g.sort != sort or g.left.__class__ is not FreeV or g.left.name != x
+                or g.right.__class__ is not BoundV or g.right.k != 0
+                or i.rhs is not body and i.rhs != body or p.hyps[:n] != seq.hyps):
             return "gt_ind premise must carry the induction hypothesis"
-        if not _matches(body, p.concl, x, scopes):
+        if not _matches(body, p.concl, (x,), scopes):
             return "gt_ind premise conclusion does not open the quantified body"
         return None
     # c_rule
@@ -599,10 +592,17 @@ def _check_node(system: CyclicSystem, d: Deriv, ctx: dict[str, str],
         for j, (yv, ysort) in enumerate(ys):
             if ysort != prem.sorts[j]:
                 return f"premise {i}: variable {j} has sort {ysort!r}, expected {prem.sorts[j]!r}"
-        names = tuple(y for y, _ in ys)
-        if p.hyps != seq.hyps + edge_facts(judg.sorts, scheme.graphs[i], xs, names):
+        # the edge facts: an order per edge, from an argument to a new variable
+        edges, hs, n = scheme.graphs[i].sorted_edges(), p.hyps, len(seq.hyps)
+        if len(hs) != n + len(edges) or hs[:n] != seq.hyps or not all(
+                h.__class__ is (Gt if lab == GT else Geq) and h.sort == judg.sorts[a]
+                and h.left.__class__ is FreeV and h.left.name == xs[a]
+                and h.right.__class__ is FreeV and h.right.name == ys[b][0]
+                for h, (a, b, lab) in zip(hs[n:], edges)):
             return f"premise {i} must extend the hypotheses by the edge facts"
-        if p.concl != Atom(prem.id, tuple(map(FreeV, names))):
+        q = p.concl
+        if not isinstance(q, Atom) or q.judg != prem.id or len(q.args) != len(ys) or not all(
+                t.__class__ is FreeV and t.name == y for t, (y, _s) in zip(q.args, ys)):
             return f"premise {i} must conclude {prem.id} at the fresh variables"
     return None
 
@@ -650,12 +650,12 @@ def check_proof(system: CyclicSystem, root: Deriv) -> None:
 
     - ``imp_intro``: the conclusion's consequent, with its antecedent as a
       new hypothesis;
-    - ``forall_intro``: the conclusion's body opened at the premise's new
-      context variable, of the binder's sort;
-    - ``gt_ind``: the same, with the new hypothesis ``all x'. x > x' ->
-      body`` at that variable ``x``, whose sort the rule checks is inductive;
-    - ``forall_elim``: the premise's body opened at a context variable of the
-      binder's sort is the conclusion;
+    - ``forall_intro``: the body under the conclusion's k binders, opened at
+      the premise's k new context variables, of the binders' sorts in order;
+    - ``gt_ind``: the same for one variable ``x``, with the new hypothesis
+      ``all x'. x > x' -> body``, at a sort the rule checks is inductive;
+    - ``forall_elim``: the premise's body under k binders, opened at k
+      context variables of the binders' sorts, is the conclusion;
     - ``geq_subsum``: the conclusion's terms and sort under ``>``;
     - ``c_rule``: an atom of the premise judgment at its new context
       variables, of the judgment's sorts, with the edge facts as new
@@ -669,10 +669,10 @@ def check_proof(system: CyclicSystem, root: Deriv) -> None:
 
     An instance is matched against its pattern (:func:`_matches`), never
     built.  ``forall_intro`` matches the premise's conclusion against the
-    conclusion's body opened at the premise's new variable.  That is exact,
-    the same as closing the premise's conclusion over the variable, because
-    the variable is fresh: the premise's check finds it outside the context
-    below, which holds every free variable of the body.  A part of the
+    body opened at the premise's k new variables.  That is exact, the same
+    as closing the premise's conclusion over them, because they are distinct
+    and fresh: the premise's check finds them so, outside the context below,
+    which holds every free variable of the body.  A part of the
     instance that is the pattern's own object matches at once where the map
     leaves it as it is: an opening, when its highest loose index is below
     the binders passed; a renaming, when none of its free names is renamed.

@@ -9,7 +9,8 @@ judgment at its own variables.
 
 Ordering facts are proved by lookup in the sequent that needs them: a
 hypothesis, ``x >= x``, the weakening of a strict hypothesis, or one
-``trans`` of two hypotheses (:class:`_Orders`).  Internal nodes become one
+``trans`` of two hypotheses (:class:`_Orders`), with one ``assumption`` node
+per hypothesis of that sequent, shared by every step.  Internal nodes become one
 case-rule application; each child sequent is reached by one ``inst`` whose
 minors prove every child fact from the parent's hypotheses plus the fresh
 edge facts.  A node that is the target of back-edges additionally introduces
@@ -18,10 +19,12 @@ induction macro of :mod:`cycind.builders` discharges.  The hypothesis has the
 shape of the one ``gt_ind`` introduces, ``all x'. x > x' -> all ys'. chain``,
 with ``x`` the progressing name's variable and ``ys`` every other context
 variable.  A bud node closes by instantiating it at the bud's values: ``x'``
-at the cover, whose guard ``x > cover`` is one of the bud's facts, then each
-of ``ys``: the sprout's own variables at the bud's, a variable that a name
-binds at the sprout at that name's binding at the bud, any other at itself.
-Each antecedent of the chain is then proved from the bud's own hypotheses.
+at the cover, whose guard ``x > cover`` is one of the bud's facts, then all
+of ``ys`` in one ``forall_elim``: the sprout's own variables at the bud's, a
+variable that a name binds at the sprout at that name's binding at the bud,
+any other at itself.  Each antecedent of the chain is then proved from the
+bud's own hypotheses; the older induction hypotheses among them are the
+sprout's entries before this one.
 
 Nodes in the same state (rule, annotation, context, hypotheses by value, and
 the states of their children) share one derivation object, so the proof is a
@@ -36,8 +39,8 @@ from typing import Callable
 from .builders import (
     assumption,
     c_apply,
+    edge_facts,
     forall_elim,
-    forall_elims,
     geq_refl,
     geq_subsum,
     hyp_monotone,
@@ -59,7 +62,6 @@ from .logic import (
     Imp,
     Sequent,
     check_proof,
-    edge_facts,
     render_formula,
 )
 from .unfold import RepNode, ResetRep, build_reset_rep, respect_induction_order, sprout_reach
@@ -72,16 +74,16 @@ class TranslationError(RuntimeError):
 class HypEntry(Record):
     """An induction hypothesis in scope: introduced at ``sprout`` for the buds
     progressing on ``prog``.  Carries what a closing bud needs to instantiate
-    it: the quantified variables, the induction variable first, and the
-    (sprout, name) keys of the older hypotheses in its body.  The sprout's annotation gives the rest: the
-    induction variable, the sprout's depth and its name bindings."""
+    it: the quantified variables, the induction variable first.  The sprout
+    gives the rest: its annotation the induction variable, its depth and its
+    name bindings, and its entries before this one the older hypotheses in
+    this one's body."""
 
-    __slots__ = ("sprout", "prog", "formula", "block", "old")
+    __slots__ = ("sprout", "prog", "formula", "block")
     sprout: str
     prog: str
     formula: Formula
     block: tuple[VarRef, ...]
-    old: tuple[tuple[str, str], ...]
 
 
 class _NodeData(Record):
@@ -104,11 +106,13 @@ class _Orders:
     A goal ``l R r`` is, in this order of preference: a hypothesis;
     ``x >= x``; the weakening of a strict hypothesis; or one ``trans`` of two
     hypotheses, with the fewest ``geq_subsum`` nodes.  Ties go to the earlier
-    hypothesis.
+    hypothesis.  Each hypothesis is concluded by one ``assumption`` node,
+    :meth:`leaf`, shared by every step that uses it.
     """
 
     def __init__(self, ctx: tuple[tuple[str, str], ...], hyps: tuple[Formula, ...]) -> None:
         self.ctx, self.hyps = ctx, hyps
+        self.leaves: dict[int, Deriv] = {}
         self.first: dict[Formula, int] = {}
         self.starts: dict[tuple, list[int]] = {}
         for k, h in enumerate(hyps):
@@ -116,20 +120,27 @@ class _Orders:
                 self.first.setdefault(h, k)
                 self.starts.setdefault((h.sort, h.left), []).append(k)
 
+    def leaf(self, k: int) -> Deriv:
+        """The ``assumption`` node of hypothesis ``k``."""
+        d = self.leaves.get(k)
+        if d is None:
+            d = self.leaves[k] = assumption(self.ctx, self.hyps, k)
+        return d
+
     def prove(self, goal: "Geq | Gt") -> Deriv:
-        ctx, hyps, first = self.ctx, self.hyps, self.first
+        first = self.first
         k = first.get(goal)
         if k is not None:
-            return assumption(ctx, hyps, k)
+            return self.leaf(k)
         weak = isinstance(goal, Geq)
         if weak and goal.left == goal.right:
-            return geq_refl(ctx, hyps, goal.sort, goal.left.name)
+            return geq_refl(self.ctx, self.hyps, goal.sort, goal.left.name)
         k = first.get(Gt(goal.sort, goal.left, goal.right)) if weak else None
         if k is not None:
-            return geq_subsum(assumption(ctx, hyps, k))
+            return geq_subsum(self.leaf(k))
         best = None
         for k1 in self.starts.get((goal.sort, goal.left), ()):
-            h1 = hyps[k1]
+            h1 = self.hyps[k1]
             for mid in (Geq, Gt):
                 k2 = first.get(mid(goal.sort, h1.right, goal.right))
                 strict = mid is Gt or isinstance(h1, Gt)
@@ -139,7 +150,7 @@ class _Orders:
         if best is None:
             raise TranslationError(f"no derivation of {render_formula(goal)} from the hypotheses")
         subsum, k1, k2 = best
-        d = trans(assumption(ctx, hyps, k1), assumption(ctx, hyps, k2))
+        d = trans(self.leaf(k1), self.leaf(k2))
         return geq_subsum(d) if subsum else d
 
 
@@ -202,8 +213,7 @@ def _node_data(
             older = entries + tuple(new)
             target = Sequent(ctx, ineq + tuple(e.formula for e in older), concl)
             formula, block = hypothesis(target, str(ann.var_of(p)), refs)
-            new.append(HypEntry(sprout=nid, prog=p, formula=formula, block=block,
-                                old=tuple((e.sprout, e.prog) for e in older)))
+            new.append(HypEntry(sprout=nid, prog=p, formula=formula, block=block))
         entries = entries + tuple(new)
         appended = len(new)
 
@@ -214,11 +224,12 @@ def _node_data(
 # Bud closure
 # ---------------------------------------------------------------------------
 
-def _close_bud(rep: ResetRep, node: RepNode, nd: _NodeData) -> Deriv:
+def _close_bud(rep: ResetRep, node: RepNode, nd: _NodeData, data: dict) -> Deriv:
     """Instantiate the bud's hypothesis at the bud's values: the cover, then
-    the guard by lookup, then the other variables.  Then prove each
-    antecedent of the chain in turn: order facts by lookup, older hypotheses
-    by ``assumption`` or, where their variable moved, by ``hyp_monotone``."""
+    the guard by lookup, then the other variables in one step.  Then prove
+    each antecedent of the chain in turn: order facts by lookup, older
+    hypotheses (the sprout's entries before this one, in ``data``) by
+    ``assumption`` or, where their variable moved, by ``hyp_monotone``."""
     judg = rep.system.judgment_of_rule(node.rule)
     ann = node.ann
     t = node.depth
@@ -248,25 +259,27 @@ def _close_bud(rep: ResetRep, node: RepNode, nd: _NodeData) -> Deriv:
         return v
 
     orders = _Orders(ctx, H)
-    older = iter(e.old)
+    sp_entries = data[e.sprout].entries
+    older = iter(sp_entries[:sp_entries.index(e)])
     # the cover, the guard (one of the bud's facts), then the other variables
-    d = forall_elim(assumption(ctx, H, len(nd.ineq) + k), str(sigma(e.block[0])))
+    d = forall_elim(orders.leaf(len(nd.ineq) + k), (str(sigma(e.block[0])),))
     d = imp_elim(d, orders.prove(d.seq.concl.lhs))
-    d = forall_elims(d, [str(sigma(v)) for v in e.block[1:]])
+    if len(e.block) > 1:
+        d = forall_elim(d, tuple(str(sigma(v)) for v in e.block[1:]))
     while isinstance(d.seq.concl, Imp):
         goal = d.seq.concl.lhs
         if isinstance(goal, (Geq, Gt)):
             d = imp_elim(d, orders.prove(goal))
             continue
-        key = next(older)
+        o = next(older)
+        key = (o.sprout, o.prog)
         k2 = entry_idx.get(key)
         if k2 is None:
             raise TranslationError(f"hypothesis for {key} not in scope at bud {node.id}")
-        o = nd.entries[k2]
         ow = rep.nodes[o.sprout].ann.var_of(o.prog)
         sw = sigma(ow)
         if sw == ow:
-            m = assumption(ctx, H, len(nd.ineq) + k2)
+            m = orders.leaf(len(nd.ineq) + k2)
         else:
             geq = Geq(dict(ctx)[str(ow)], FreeV(str(ow)), FreeV(str(sw)))
             m = hyp_monotone(o.formula, len(nd.ineq) + k2, str(sw), ctx, H,
@@ -313,7 +326,7 @@ def _internal(
         P = target_hyps + edge_facts(judg.sorts, rule.graphs[i], xs, ys)
         orders = _Orders(cd.ctx, P)
         minors = [orders.prove(f) for f in cd.ineq]
-        minors += [assumption(cd.ctx, P, nI + entry_pos[(e.sprout, e.prog)]) for e in inherited]
+        minors += [orders.leaf(nI + entry_pos[(e.sprout, e.prog)]) for e in inherited]
         premises.append(inst(d, P, minors))
     return c_apply(system, rule.id, nd.ctx, target_hyps, xs, tuple(premises))
 
@@ -389,7 +402,7 @@ def translate(rep: ResetRep) -> Deriv:
             key += (nd.appended, *(id(result[c]) for c in node.children))
         d = memo.get(key)
         if d is None:
-            d = _close_bud(rep, node, nd) if node.is_bud else _internal(rep, node, nd, data, result)
+            d = _close_bud(rep, node, nd, data) if node.is_bud else _internal(rep, node, nd, data, result)
             d = memo[key] = _peel_new_hyps(d, node, nd)
         result[nid] = d
 

@@ -8,7 +8,12 @@ with the original document, which is never changed.
 import random
 
 KINDS = ("data", "drop_premise", "swap_premises", "reorder_hyps", "truncate_hyps",
-         "conclusion", "ctx_sort")
+         "conclusion", "ctx_sort", "data_last", "drop_data")
+
+
+def _edited(item):
+    """A position moved on, or a name that nothing binds."""
+    return item + 1 if isinstance(item, int) else item + "~"
 
 
 def _mutated_row(kind: str, row: dict, doc: dict, rng: random.Random) -> dict | None:
@@ -21,7 +26,15 @@ def _mutated_row(kind: str, row: dict, doc: dict, rng: random.Random) -> dict | 
         if not data:
             data = [0]
         else:
-            data[0] = data[0] + 1 if isinstance(data[0], int) else data[0] + "~"
+            data[0] = _edited(data[0])
+    elif kind in ("data_last", "drop_data"):
+        # the last item, where a block of targets ends, changes or goes
+        if not data:
+            return None
+        if kind == "drop_data":
+            del data[-1]
+        else:
+            data[-1] = _edited(data[-1])
     elif kind == "drop_premise":
         if not kids:
             return None

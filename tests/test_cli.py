@@ -79,13 +79,13 @@ def test_unravel_writes_a_checkable_proof(capsys, tmp_path):
     out_path = tmp_path / "proof.json"
     code, out, err = run(capsys, "unravel", DATA / "plus.fun", "--out", out_path)
     assert code == 0
-    assert out == f"wrote proof: 46 nodes, 1 induction applications -> {out_path}\n"
+    assert out == f"wrote proof: 43 nodes, 1 induction applications -> {out_path}\n"
     kind, _ = formats.loads(out_path.read_text())
     assert kind == "proof"
     code, out, err = run(capsys, "verify", out_path)
     assert code == 0
     assert out == (
-        "ok: 46 nodes, conclusion [x0_0:Nat, x0_1:Nat]  |- plus(x0_0, x0_1)\n"
+        "ok: 43 nodes, conclusion [x0_0:Nat, x0_1:Nat]  |- plus(x0_0, x0_1)\n"
     )
 
 
@@ -241,7 +241,7 @@ def test_verify_against_a_derivation_source(capsys, tmp_path, pipelines):
     deriv.write_text(formats.dumps(formats.derivation_to_doc(p.deriv, p.system)))
     code, out, err = run(capsys, "verify", _proof_file(tmp_path, p), "--source", deriv)
     assert (code, err) == (0, "")
-    assert out.startswith("ok: 46 nodes")
+    assert out.startswith("ok: 43 nodes")
 
 
 def _forged_axiom(pipelines):
@@ -312,11 +312,11 @@ def test_show_proof_histogram(capsys, tmp_path, pipelines):
     code, out, err = run(capsys, "show", path)
     assert code == 0
     assert out == (
-        "proof: 46 nodes\n"
+        "proof: 43 nodes\n"
         "  conclusion: [x0_0:Nat, x0_1:Nat]  |- plus(x0_0, x0_1)\n"
-        "  assumption: 18\n"
+        "  assumption: 16\n"
         "  c_rule: 2\n"
-        "  forall_elim: 4\n"
+        "  forall_elim: 3\n"
         "  forall_intro: 1\n"
         "  geq_refl: 4\n"
         "  geq_subsum: 2\n"

@@ -1,12 +1,14 @@
 """JSON documents: every artifact kind round-trips, loaders reject junk."""
 
 import copy
+import hashlib
 import json
 import re
+from pathlib import Path
 
 import pytest
 
-from cycind import FormatError, check_proof, proof_size
+from cycind import FormatError, check_proof, count_rule, proof_size
 from cycind.builders import geq_refl, inst
 from cycind.formats import (
     CALLSYSTEM,
@@ -38,6 +40,20 @@ def test_derivation_round_trip(pipelines):
     sys2, deriv2 = derivation_from_doc(derivation_to_doc(p.deriv, p.system))
     assert sys2 == p.system
     assert deriv2 == p.deriv
+
+
+def test_worked_documents_keep_their_bytes(pipelines):
+    # each worked document's bytes, SHA-1 prefix, rows and inductions,
+    # frozen: a change that moves a document names it here
+    golden = json.loads((Path(__file__).parent / "golden" / "worked_documents.json").read_text())
+    moved = {}
+    for name, want in golden["pins"].items():
+        p = pipelines[name]
+        text = dumps(proof_to_doc(p.proof, p.system)).encode()
+        got = [len(text), hashlib.sha1(text).hexdigest()[:12], proof_size(p.proof), count_rule(p.proof, "gt_ind")]
+        if got != want:
+            moved[name] = {"golden": want, "now": got}
+    assert moved == {}
 
 
 def test_proof_round_trip_small(pipelines):

@@ -13,9 +13,12 @@ import proofcmp
 KERNEL_RULES = ("assumption", "inst", "imp_intro", "imp_elim", "forall_intro", "forall_elim",
                 "geq_refl", "trans", "geq_subsum", "gt_ind", "c_rule")
 ONE_PREMISE = ("imp_intro", "forall_intro", "forall_elim", "geq_subsum", "gt_ind")
-# the (rule, kind) pairs no row can have: no premise to drop or swap, or only one
+NO_DATA = ("imp_intro", "imp_elim", "forall_intro", "geq_refl", "trans", "geq_subsum", "gt_ind")
+# the (rule, kind) pairs no row can have: no premise to drop or swap, or only
+# one; no data item to edit or drop
 INAPPLICABLE = ({(r, k) for r in ("assumption", "geq_refl") for k in ("drop_premise", "swap_premises")}
-                | {(r, "swap_premises") for r in ONE_PREMISE})
+                | {(r, "swap_premises") for r in ONE_PREMISE}
+                | {(r, k) for r in NO_DATA for k in ("data_last", "drop_data")})
 # rows mutated per (rule, kind) pair; None mutates every row
 SAMPLE = {"plus": None, "fg": None, "ack": 3, "dist": 1}
 SEED = 15

@@ -26,7 +26,7 @@ import systems
 from oracles import extract_skeleton, rep_skeleton
 
 # node counts and induction counts of the finished proofs, frozen
-PROOF_SIZE = {"plus": 46, "ack": 162, "dist": 701, "treedist": 701, "fg": 42}
+PROOF_SIZE = {"plus": 43, "ack": 147, "dist": 553, "treedist": 553, "fg": 39}
 IND_COUNT = {"plus": 1, "ack": 3, "dist": 7, "treedist": 7, "fg": 1}
 
 
@@ -148,6 +148,17 @@ def test_one_hypothesis_per_distinct_target(name, calls_to):
     assert len(calls) == len(targets)
     # distinct targets conclude distinct inductions
     assert len(calls) <= count_rule(proof, "gt_ind")
+
+
+def test_quantifier_blocks_are_never_split(pipelines, fuzz_proofs):
+    # one node opens, and one node closes, each block of binders: no
+    # forall_elim sits directly on a forall_elim, nor a forall_intro on a
+    # forall_intro, in the fixture and fuzz proofs (the drawn crossing case
+    # among them)
+    proofs = [p.proof for p in pipelines.values()] + [proof for _case, proof in fuzz_proofs]
+    split = [(d.rule, d.data) for proof in proofs for d in distinct_nodes(proof)
+             if d.rule in ("forall_elim", "forall_intro") and d.children[0].rule == d.rule]
+    assert split == []
 
 
 def test_no_order_step_rederives_one_of_its_hypotheses(pipelines, fuzz_proofs):

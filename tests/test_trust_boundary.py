@@ -15,9 +15,9 @@ SRC = Path(__file__).parent.parent / "src" / "cycind"
 # every rule builder, the formula helpers only they use, and the strong
 # induction macro
 BUILDER_NAMES = {
-    "fold_imp",
+    "fold_imp", "ordered", "gt_ind_hypothesis", "edge_facts",
     "imp_intro", "imp_elim", "forall_intro", "forall_elim", "geq_refl", "trans", "geq_subsum",
-    "gt_ind", "c_apply", "assumption", "inst", "forall_elims",
+    "gt_ind", "c_apply", "assumption", "inst",
     "ind_hypothesis", "ind_prime", "hyp_monotone",
 }
 
