@@ -7,7 +7,7 @@ sequent is ``ctx; hyps |- concl`` where ``ctx`` is an *ordered* list of sorted
 variables: quantifier rules bind the last context entries, so the context
 discipline is part of the proof structure.
 
-The trusted kernel is this module alone, 770 lines, with eleven rules:
+The trusted kernel is this module alone, 749 lines, with eleven rules:
 
 - ``assumption``: conclude any hypothesis;
 - ``inst``: rename the premise's context variables to variables of the same
@@ -29,16 +29,18 @@ The trusted kernel is this module alone, 770 lines, with eleven rules:
 validity; the builders of :mod:`cycind.builders` merely construct candidate
 derivations.  It checks each part of a sequent where that part enters the
 proof.  A context and hypothesis list are checked in full at the root and at
-``inst``'s premise 0; at any other premise, only the variables it adds to
-the sequent below are, and a hypothesis it adds is compared with one that
-the rule builds from checked parts.  A conclusion is checked at the
-root, at ``inst``'s premise 0, at ``imp_elim``'s minor and at ``trans``'s
-left premise.  Every other rule builds those parts of its premises from the
-sequent below, so its own check covers them.  The kernel builds no formula:
-it compares the shape a rule demands with the proof's formulas in place,
-identity first, and matches an instance against its pattern, taking a part
-shared with the pattern at once where its scope shows that the map leaves
-it as it is.  It imports nothing of this package but :mod:`cycind.core`.
+``inst``'s premise 0.  Any other premise keeps or extends them, as the rule
+table says; only the variables it adds are checked, and a hypothesis it adds
+is compared with one that the rule builds from checked parts.  A conclusion
+is checked at the root, at ``inst``'s premise 0, at ``imp_elim``'s minor and
+at ``trans``'s left premise; every other rule builds those parts of its
+premises from the sequent below, so its own check covers them.  A formula is
+checked through one summary per object, so sharing never multiplies the
+work.  The kernel builds no formula: it compares the shape a rule demands
+with the proof's formulas in place, identity first, and matches an instance
+against its pattern, taking a part shared with the pattern at once where its
+summary shows that the map leaves it as it is.  It imports nothing of this
+package but :mod:`cycind.core`.
 """
 
 from __future__ import annotations
@@ -192,80 +194,99 @@ class LogicError(Exception):
 # Checking
 # ---------------------------------------------------------------------------
 
-# Formula objects are shared structurally between the sequents of a
-# derivation, so their context-independent wellformedness (arities, sort
-# agreement, known binder sorts, bound indices in scope) plus the sorts they
-# demand of their free variables are computed once per object.  The cache
-# lives for one ``check_proof`` call and is keyed by ``id``: the proof keeps
-# every formula alive for that long.
-_Summary = dict[str, str] | str
+# What is wrong with a formula, or the sorts it demands of its free names and
+# of its loose indices (counted at its top; a dict, so a large index costs no
+# room).  It depends on the object alone, never on where the object sits.
+_Summary = tuple[dict[str, str], dict[int, str]] | str
 
 
-def _formula_summary(
-    system: CyclicSystem, known: frozenset[str], phi: Formula, cache: dict[int, _Summary]
-) -> _Summary:
-    hit = cache.get(id(phi))
-    if hit is not None:
-        return hit
-    req: dict[str, str] = {}
+class _Summaries(dict):
+    """The summary of each formula object met in one ``check_proof`` call, by
+    ``id`` (the proof keeps them alive), and the system they are read against."""
 
-    def walk(f: Formula, binders: list[str]) -> str | None:
-        if isinstance(f, Atom):
-            judg = system.judgments.get(f.judg)
-            if judg is None:
-                return f"unknown judgment {f.judg!r}"
-            if len(f.args) != judg.ob:
-                return f"{f.judg} expects {judg.ob} arguments, got {len(f.args)}"
-            for i, t in enumerate(f.args):
-                if err := use(t, judg.sorts[i], binders):
-                    return f"argument {i} of {f.judg}: {err}"
-            return None
-        if isinstance(f, (Geq, Gt)):
-            if f.sort not in system.ind_sorts:
-                return f"order at non-inductive sort {f.sort!r}"
-            for t in (f.left, f.right):
-                if err := use(t, f.sort, binders):
-                    return f"order operand: {err}"
-            return None
-        if isinstance(f, Imp):
-            return walk(f.lhs, binders) or walk(f.rhs, binders)
-        if isinstance(f, Forall):
-            if f.sort not in known:
-                return f"quantifier over unknown sort {f.sort!r}"
-            binders.append(f.sort)
-            try:
-                return walk(f.body, binders)
-            finally:
-                binders.pop()
-        return f"not a formula: {f!r}"
+    __slots__ = ("system", "known")
 
-    def use(t: Term, want: str, binders: list[str]) -> str | None:
-        if isinstance(t, FreeV):
-            have = req.setdefault(t.name, want)
-            if have != want:
-                return f"{t.name} used at sorts {have!r} and {want!r}"
-            return None
-        if isinstance(t, BoundV):
-            if t.k >= len(binders):
-                return f"unbound index {t.k}"
-            if binders[-1 - t.k] != want:
-                return f"bound variable has sort {binders[-1 - t.k]!r}, expected {want!r}"
-            return None
-        return f"not a term: {t!r}"
-
-    res: _Summary = walk(phi, []) or req
-    cache[id(phi)] = res
-    return res
+    def __init__(self, system: CyclicSystem) -> None:
+        super().__init__()
+        self.system = system
+        # the sorts a context or quantifier may use: a judgment's, or an inductive one
+        self.known = system.ind_sorts.union(*(j.sorts for j in system.judgments.values()))
 
 
-def _check_formula(
-    system: CyclicSystem, known: frozenset[str], phi: Formula, ctx: dict[str, str],
-    cache: dict[int, _Summary],
-) -> str | None:
-    summary = cache.get(id(phi)) or _formula_summary(system, known, phi, cache)
-    if isinstance(summary, str):
+def _summary(phi: Formula, sums: _Summaries) -> _Summary:
+    """``phi``'s summary, from its parts' summaries, kept in ``sums``;
+    callers look there first, so each object's is computed once."""
+    cls = phi.__class__
+    if cls is Atom:
+        judg = sums.system.judgments.get(phi.judg)
+        if judg is None:
+            out = f"unknown judgment {phi.judg!r}"
+        elif len(phi.args) != judg.ob:
+            out = f"{phi.judg} expects {judg.ob} arguments, got {len(phi.args)}"
+        else:
+            out = _uses(phi.args, judg.sorts, phi.judg)
+    elif cls is Geq or cls is Gt:
+        if phi.sort not in sums.system.ind_sorts:
+            out = f"order at non-inductive sort {phi.sort!r}"
+        else:
+            out = _uses((phi.left, phi.right), (phi.sort, phi.sort), None)
+    elif cls is Imp:
+        out = sums.get(id(phi.lhs)) or _summary(phi.lhs, sums)
+        if out.__class__ is not str:
+            b = sums.get(id(phi.rhs)) or _summary(phi.rhs, sums)
+            out = b if b.__class__ is str or out is b else _merge(out, b)
+    elif cls is Forall:
+        if phi.sort not in sums.known:
+            out = f"quantifier over unknown sort {phi.sort!r}"
+        else:
+            out = sums.get(id(phi.body)) or _summary(phi.body, sums)
+            if out.__class__ is not str and out[1]:
+                free, loose = out
+                if loose.get(0, phi.sort) != phi.sort:
+                    out = f"bound variable has sort {phi.sort!r}, expected {loose[0]!r}"
+                else:
+                    out = free, {k - 1: s for k, s in loose.items() if k}
+    else:
+        out = f"not a formula: {phi!r}"
+    sums[id(phi)] = out
+    return out
+
+
+def _uses(terms: tuple, sorts: tuple[str, ...], judg: str | None) -> _Summary:
+    """The summary of an atom of ``judg``, or of an order (``judg`` None),
+    whose terms sit at ``sorts``."""
+    free: dict[str, str] = {}
+    loose: dict[int, str] = {}
+    for i, (t, want) in enumerate(zip(terms, sorts)):
+        c = t.__class__
+        have = (free.setdefault(t.name, want) if c is FreeV else loose.setdefault(t.k, want)
+                if c is BoundV and t.k.__class__ is int and t.k >= 0 else None)
+        if have != want:  # None for what is not a term
+            err = f"not a term: {t!r}" if have is None else f"{t} used at sorts {have!r} and {want!r}"
+            return f"argument {i} of {judg}: {err}" if judg is not None else f"order operand: {err}"
+    return free, loose
+
+
+def _merge(a: _Summary, b: _Summary) -> _Summary:
+    """The summary of an implication whose sides' summaries are ``a`` and ``b``."""
+    (fa, la), (fb, lb) = a, b
+    for name, s in fb.items():
+        if fa.get(name, s) != s:
+            return f"{name} used at sorts {fa[name]!r} and {s!r}"
+    for k, s in lb.items():
+        if la.get(k, s) != s:
+            return f"index {k} used at sorts {la[k]!r} and {s!r}"
+    return ({**fa, **fb} if fa and fb else fa or fb), ({**la, **lb} if la and lb else la or lb)
+
+
+def _check_formula(phi: Formula, ctx: dict[str, str], sums: _Summaries) -> str | None:
+    summary = sums.get(id(phi)) or _summary(phi, sums)
+    if summary.__class__ is str:
         return summary
-    for name, want in summary.items():
+    free, loose = summary
+    if loose:
+        return f"unbound index, {min(loose) + 1} past its binders"
+    for name, want in free.items():
         have = ctx.get(name)
         if have is None:
             return f"variable {name!r} not in context"
@@ -291,72 +312,38 @@ def _check_past(seq: Sequent, n_ctx: int, below: dict[str, str],
     return ctx
 
 
-def _check_pair(system: CyclicSystem, known: frozenset[str], seq: Sequent,
-                cache: dict[int, _Summary], ctxs: dict[int, dict[str, str]]) -> dict[str, str] | str:
+def _check_pair(sums: _Summaries, ctxs: dict[int, dict[str, str]], seq: Sequent) -> dict[str, str] | str:
     """Check the context and hypotheses of ``seq`` in full."""
     ctx = _check_past(seq, 0, {}, ctxs)
     if ctx.__class__ is str:
         return ctx
     for i, h in enumerate(seq.hyps):
-        if err := _check_formula(system, known, h, ctx, cache):
+        if err := _check_formula(h, ctx, sums):
             return f"hypothesis {i}: {err}"
     return ctx
 
 
-def _same(a: Sequent, b: Sequent) -> bool:
-    return (a.ctx is b.ctx or a.ctx == b.ctx) and (a.hyps is b.hyps or a.hyps == b.hyps)
-
-
-# A formula's scope: its highest loose bound index (-1 if none) and its free
-# names, or None for what is not a formula.  ``scopes`` holds it once per
-# object for one ``check_proof`` call, keyed by ``id`` as ``cache`` is.
-_Scope = tuple[int, frozenset[str]] | None
-
-
-def _scope(phi: Formula, scopes: dict[int, _Scope]) -> _Scope:
-    if id(phi) in scopes:
-        return scopes[id(phi)]
-    cls = phi.__class__
-    if cls is Imp:
-        a, b = _scope(phi.lhs, scopes), _scope(phi.rhs, scopes)
-        out = a and b and (a[0] if a[0] > b[0] else b[0], a[1] | b[1])
-    elif cls is Forall:
-        b = _scope(phi.body, scopes)
-        out = b and (b[0] - 1, b[1])
-    elif cls is Atom or cls is Geq or cls is Gt:
-        k, names = -1, []
-        for t in phi.args if cls is Atom else (phi.left, phi.right):
-            if t.__class__ is FreeV:
-                names.append(t.name)
-            elif t.__class__ is BoundV and t.k > k:
-                k = t.k
-        out = (k, frozenset(names))
-    else:
-        out = None
-    scopes[id(phi)] = out
-    return out
-
-
 def _matches(pat: Formula, tgt: Formula, m: tuple[str, ...] | dict[str, str],
-             scopes: dict[int, _Scope], depth: int = 0) -> bool:
+             sums: _Summaries, depth: int = 0) -> bool:
     """Whether ``tgt`` is ``pat`` with its terms mapped by ``m``: the answer
     ``==`` gives on the mapped copy (hints aside), in one walk that builds
     nothing.  A tuple ``m`` of k names opens the body under k binders at
     those variables, outermost first: loose index ``depth + i`` becomes
     ``m[k-1-i]`` for i < k, and a higher index drops by k.  A dict ``m``
     renames free variables.  Where ``tgt`` holds ``pat``'s own object and
-    its scope shows that ``m`` leaves it as it is, it matches."""
+    its summary shows that ``m`` leaves it as it is, it matches."""
     opening = m.__class__ is tuple
     while True:
         cls = pat.__class__
         if tgt.__class__ is not cls:
             return False
         if pat is tgt:
-            scope = _scope(pat, scopes)
-            if scope is not None and (scope[0] < depth if opening else m.keys().isdisjoint(scope[1])):
+            s = sums.get(id(pat)) or _summary(pat, sums)
+            if s.__class__ is not str and (
+                    not s[1] or max(s[1]) < depth if opening else m.keys().isdisjoint(s[0])):
                 return True
         if cls is Imp:
-            if not _matches(pat.lhs, tgt.lhs, m, scopes, depth):
+            if not _matches(pat.lhs, tgt.lhs, m, sums, depth):
                 return False
             pat, tgt = pat.rhs, tgt.rhs
             continue
@@ -393,33 +380,42 @@ def _matches(pat: Formula, tgt: Formula, m: tuple[str, ...] | dict[str, str],
 
 # Each rule's shape: its premise count (None where the rule counts its own
 # premises from its data), whether it reads rule data, the premise whose
-# conclusion enters and the premise whose pair enters (see ``check_proof``).
-_RULES: dict[str, tuple[int | None, bool, int | None, int | None]] = {
-    "assumption": (0, True, None, None),
-    "inst": (None, True, 0, 0),
-    "imp_intro": (1, False, None, None),
-    "imp_elim": (2, False, 1, None),
-    "forall_intro": (1, False, None, None),
-    "forall_elim": (1, True, None, None),
-    "geq_refl": (0, False, None, None),
-    "trans": (2, False, 0, None),
-    "geq_subsum": (1, False, None, None),
-    "gt_ind": (1, False, None, None),
-    "c_rule": (None, True, None, None),
+# conclusion enters and the premise whose pair enters (see ``check_proof``),
+# and whether each other premise extends (True) or keeps (False) the
+# sequent's context, and its hypotheses.
+_RULES: dict[str, tuple[int | None, bool, int | None, int | None, bool, bool]] = {
+    "assumption": (0, True, None, None, False, False),
+    "inst": (None, True, 0, 0, False, False),
+    "imp_intro": (1, False, None, None, False, True),
+    "imp_elim": (2, False, 1, None, False, False),
+    "forall_intro": (1, False, None, None, True, False),
+    "forall_elim": (1, True, None, None, False, False),
+    "geq_refl": (0, False, None, None, False, False),
+    "trans": (2, False, 0, None, False, False),
+    "geq_subsum": (1, False, None, None, False, False),
+    "gt_ind": (1, False, None, None, True, True),
+    "c_rule": (None, True, None, None, True, True),
 }
 
 
-def _check_node(system: CyclicSystem, d: Deriv, ctx: dict[str, str],
-                scopes: dict[int, _Scope]) -> str | None:
+def _check_node(system: CyclicSystem, d: Deriv, ctx: dict[str, str], sums: _Summaries) -> str | None:
     """What is wrong with the rule at ``d``, whose context is ``ctx``."""
     seq, kids, r = d.seq, d.children, d.rule
     if r not in _RULES:
         return f"unknown rule {r!r}"
-    n, reads_data, _concl, _pair = _RULES[r]
+    n, reads_data, _concl, pair, wide_ctx, wide_hyps = _RULES[r]
     if d.data and not reads_data:
         return f"{r} takes no rule data, got {list(d.data)!r}"
     if n is not None and len(kids) != n:
         return f"{r} expects {n} premises, got {len(kids)}"
+    for i, kid in enumerate(kids):
+        p = kid.seq
+        if i == pair:
+            continue
+        if p.ctx is not seq.ctx and (p.ctx[:len(seq.ctx)] if wide_ctx else p.ctx) != seq.ctx:
+            return f"{r} premise {i} must {'extend' if wide_ctx else 'keep'} the context"
+        if p.hyps is not seq.hyps and (p.hyps[:len(seq.hyps)] if wide_hyps else p.hyps) != seq.hyps:
+            return f"{r} premise {i} must {'extend' if wide_hyps else 'keep'} the hypotheses"
     if r == "assumption":
         if len(d.data) != 1 or type(d.data[0]) is not int:
             return "assumption needs one integer hypothesis position"
@@ -444,12 +440,10 @@ def _check_node(system: CyclicSystem, d: Deriv, ctx: dict[str, str],
         if len(kids) != 1 + len(p.hyps):
             return f"inst expects {len(p.hyps)} minor premises, got {len(kids) - 1}"
         sub = {v: y for (v, _s), y in zip(p.ctx, d.data) if v != y}
-        if not (_matches(p.concl, seq.concl, sub, scopes) if sub else seq.concl == p.concl):
+        if not (_matches(p.concl, seq.concl, sub, sums) if sub else seq.concl == p.concl):
             return "inst conclusion is not the renamed premise conclusion"
         for i, kid in enumerate(kids[1:]):
-            if not _same(seq, kid.seq):
-                return f"inst minor {i} must share the sequent context and hypotheses"
-            if not (_matches(p.hyps[i], kid.seq.concl, sub, scopes) if sub else kid.seq.concl == p.hyps[i]):
+            if not (_matches(p.hyps[i], kid.seq.concl, sub, sums) if sub else kid.seq.concl == p.hyps[i]):
                 return f"inst minor {i} must conclude renamed premise hypothesis {i}"
         return None
     if r == "imp_intro":
@@ -457,41 +451,31 @@ def _check_node(system: CyclicSystem, d: Deriv, ctx: dict[str, str],
         if not isinstance(c, Imp):
             return "imp_intro conclusion must be an implication"
         if (len(p.hyps) != n + 1 or p.hyps[n] is not c.lhs and p.hyps[n] != c.lhs
-                or p.hyps[:n] != seq.hyps or p.concl is not c.rhs and p.concl != c.rhs):
+                or p.concl is not c.rhs and p.concl != c.rhs):
             return "imp_intro premise must move the antecedent into the hypotheses"
-        if seq.ctx != p.ctx:
-            return "imp_intro must preserve context"
         return None
     if r == "imp_elim":
-        maj, mnr = kids[0].seq, kids[1].seq
-        if not (_same(seq, maj) and _same(seq, mnr)):
-            return "imp_elim premises must share the sequent context and hypotheses"
-        i = maj.concl
-        if (not isinstance(i, Imp) or i.lhs is not mnr.concl and i.lhs != mnr.concl
+        i, m = kids[0].seq.concl, kids[1].seq.concl
+        if (not isinstance(i, Imp) or i.lhs is not m and i.lhs != m
                 or i.rhs is not seq.concl and i.rhs != seq.concl):
             return "imp_elim major premise must be minor -> conclusion"
         return None
     if r == "forall_intro":
         p, n = kids[0].seq, len(seq.ctx)
-        if len(p.ctx) <= n or p.ctx[:n] != seq.ctx:
+        if len(p.ctx) <= n:
             return "forall_intro premise must extend the context by one or more variables"
         body = seq.concl
         for _x, s in p.ctx[n:]:
             if not isinstance(body, Forall) or body.sort != s:
                 return "forall_intro conclusion must quantify at the new variables' sorts, in order"
             body = body.body
-        if p.hyps != seq.hyps:
-            return "forall_intro must preserve hypotheses"
-        if not _matches(body, p.concl, tuple(x for x, _s in p.ctx[n:]), scopes):  # see check_proof
+        if not _matches(body, p.concl, tuple(x for x, _s in p.ctx[n:]), sums):  # see check_proof
             return "forall_intro conclusion body does not match the premise"
         return None
     if r == "forall_elim":
-        ys, p = d.data, kids[0].seq
+        ys, body = d.data, kids[0].seq.concl
         if not ys or not all(isinstance(y, str) for y in ys):
             return "forall_elim needs one or more target variables"
-        if not _same(seq, p):
-            return "forall_elim must preserve context and hypotheses"
-        body = p.concl
         for y in ys:
             if not isinstance(body, Forall):
                 return "forall_elim premise must conclude a quantified formula per target"
@@ -501,7 +485,7 @@ def _check_node(system: CyclicSystem, d: Deriv, ctx: dict[str, str],
             if s != body.sort:
                 return f"forall_elim target has sort {s!r}, expected {body.sort!r}"
             body = body.body
-        if not _matches(body, seq.concl, ys, scopes):
+        if not _matches(body, seq.concl, ys, sums):
             return "forall_elim conclusion is not the instantiated body"
         return None
     if r == "geq_refl":
@@ -516,8 +500,6 @@ def _check_node(system: CyclicSystem, d: Deriv, ctx: dict[str, str],
         return None
     if r == "trans":
         a, b = kids[0].seq.concl, kids[1].seq.concl
-        if not (_same(seq, kids[0].seq) and _same(seq, kids[1].seq)):
-            return "trans premises must share the sequent context and hypotheses"
         if not (isinstance(a, (Geq, Gt)) and isinstance(b, (Geq, Gt))):
             return "trans premises must conclude orders"
         if not isinstance(seq.concl, Gt if isinstance(a, Gt) or isinstance(b, Gt) else Geq):
@@ -528,10 +510,7 @@ def _check_node(system: CyclicSystem, d: Deriv, ctx: dict[str, str],
             return "trans endpoints do not chain"
         return None
     if r == "geq_subsum":
-        p = kids[0].seq
-        if not _same(seq, p):
-            return "geq_subsum must preserve context and hypotheses"
-        q, c = p.concl, seq.concl
+        q, c = kids[0].seq.concl, seq.concl
         if (not isinstance(q, Gt) or not isinstance(c, Geq) or c.sort != q.sort
                 or c.left is not q.left and c.left != q.left or c.right is not q.right and c.right != q.right):
             return "geq_subsum conclusion must weaken the premise"
@@ -543,7 +522,7 @@ def _check_node(system: CyclicSystem, d: Deriv, ctx: dict[str, str],
         sort = seq.concl.sort
         if sort not in system.ind_sorts:
             return f"gt_ind at non-inductive sort {sort!r}"
-        if len(p.ctx) != len(seq.ctx) + 1 or p.ctx[:-1] != seq.ctx:
+        if len(p.ctx) != len(seq.ctx) + 1:
             return "gt_ind premise must extend the context by the induction variable"
         x, s = p.ctx[-1]
         if s != sort:
@@ -554,10 +533,9 @@ def _check_node(system: CyclicSystem, d: Deriv, ctx: dict[str, str],
         i = h.body if isinstance(h, Forall) and h.sort == sort else None
         g = i.lhs if isinstance(i, Imp) else None
         if (not isinstance(g, Gt) or g.sort != sort or g.left.__class__ is not FreeV or g.left.name != x
-                or g.right.__class__ is not BoundV or g.right.k != 0
-                or i.rhs is not body and i.rhs != body or p.hyps[:n] != seq.hyps):
+                or g.right.__class__ is not BoundV or g.right.k != 0 or i.rhs is not body and i.rhs != body):
             return "gt_ind premise must carry the induction hypothesis"
-        if not _matches(body, p.concl, (x,), scopes):
+        if not _matches(body, p.concl, (x,), sums):
             return "gt_ind premise conclusion does not open the quantified body"
         return None
     # c_rule
@@ -586,7 +564,7 @@ def _check_node(system: CyclicSystem, d: Deriv, ctx: dict[str, str],
     xs = tuple(t.name for t in c.args)
     for i, (kid, prem) in enumerate(zip(kids, prems)):
         p = kid.seq
-        if len(p.ctx) != len(seq.ctx) + prem.ob or p.ctx[: len(seq.ctx)] != seq.ctx:
+        if len(p.ctx) != len(seq.ctx) + prem.ob:
             return f"premise {i} must extend the context by {prem.ob} fresh variables"
         ys = p.ctx[len(seq.ctx):]
         for j, (yv, ysort) in enumerate(ys):
@@ -594,7 +572,7 @@ def _check_node(system: CyclicSystem, d: Deriv, ctx: dict[str, str],
                 return f"premise {i}: variable {j} has sort {ysort!r}, expected {prem.sorts[j]!r}"
         # the edge facts: an order per edge, from an argument to a new variable
         edges, hs, n = scheme.graphs[i].sorted_edges(), p.hyps, len(seq.hyps)
-        if len(hs) != n + len(edges) or hs[:n] != seq.hyps or not all(
+        if len(hs) != n + len(edges) or not all(
                 h.__class__ is (Gt if lab == GT else Geq) and h.sort == judg.sorts[a]
                 and h.left.__class__ is FreeV and h.left.name == xs[a]
                 and h.right.__class__ is FreeV and h.right.name == ys[b][0]
@@ -646,7 +624,9 @@ def check_proof(system: CyclicSystem, root: Deriv) -> None:
     Every other part of a premise is compared, by value, with one that its
     rule builds from well-formed parts, so it is well formed once the rule's
     check passes below it.  Contexts and hypotheses are the sequent's own,
-    extended as follows, and the premise conclusions are:
+    kept or extended as ``_RULES`` says for each rule; one loop checks that
+    for every premise but ``inst``'s premise 0, before the rule's own check
+    of what a premise adds.  The premise conclusions, and what they add, are:
 
     - ``imp_intro``: the conclusion's consequent, with its antecedent as a
       new hypothesis;
@@ -676,7 +656,9 @@ def check_proof(system: CyclicSystem, root: Deriv) -> None:
     instance that is the pattern's own object matches at once where the map
     leaves it as it is: an opening, when its highest loose index is below
     the binders passed; a renaming, when none of its free names is renamed.
-    The kernel computes these scopes itself, once per object.
+    That shortcut and the well-formedness checks read one summary per formula
+    object (:func:`_summary`), built from its parts' and blind to where the
+    object sits, so it is computed once per call however often it is shared.
 
     A node shared by several parents is checked once, at the first path that
     reaches it, with its pair and conclusion checked as that path enters
@@ -688,12 +670,9 @@ def check_proof(system: CyclicSystem, root: Deriv) -> None:
     reuses the context map below.  The walk keeps no parent links: when a
     check fails, the same walk runs again from the root to find the path.
     """
-    cache: dict[int, _Summary] = {}
-    scopes: dict[int, _Scope] = {}
+    sums = _Summaries(system)
     ctxs: dict[int, dict[str, str]] = {}
     pairs: dict[tuple[int, int], dict[str, str] | str] = {}
-    # the sorts a context or quantifier may use: a judgment's, or an inductive one
-    known = system.ind_sorts.union(*(j.sorts for j in system.judgments.values()))
     seen: set[int] = set()
     # each entry: a node, whether its conclusion enters, and, when its pair
     # does not enter, the context length of the sequent below and its map
@@ -708,28 +687,28 @@ def check_proof(system: CyclicSystem, root: Deriv) -> None:
             pair = (id(seq.ctx), id(seq.hyps))
             ctx = pairs.get(pair)
             if ctx is None:
-                ctx = pairs[pair] = _check_pair(system, known, seq, cache, ctxs)
+                ctx = pairs[pair] = _check_pair(sums, ctxs, seq)
         elif len(seq.ctx) == n_below:
             ctx = below_ctx
         else:
             ctx = _check_past(seq, n_below, below_ctx, ctxs)
         if ctx.__class__ is str:
             err = ctx
-        elif enters and (err := _check_formula(system, known, seq.concl, ctx, cache)):
+        elif enters and (err := _check_formula(seq.concl, ctx, sums)):
             err = f"conclusion: {err}"
         else:
-            err = _check_node(system, node, ctx, scopes)
+            err = _check_node(system, node, ctx, sums)
         # a context met for the first time (not the map below): its new sorts
         if err is None and ctx is not below_ctx and id(seq.ctx) not in ctxs:
             ctxs[id(seq.ctx)] = ctx
             err = next((f"variable {v!r} has unknown sort {s!r}"
-                        for v, s in seq.ctx[n_below or 0:] if s not in known), None)
+                        for v, s in seq.ctx[n_below or 0:] if s not in sums.known), None)
         if err is not None:
             raise LogicError(err, _path_to(root, node))
         kids = node.children
         if not kids:
             continue
-        _n, _data, concl_entry, pair_entry = _RULES[node.rule]
+        _n, _data, concl_entry, pair_entry, _ctx, _hyps = _RULES[node.rule]
         for i in reversed(range(len(kids))):
             stack.append((kids[i], i == concl_entry, None if i == pair_entry else len(seq.ctx), ctx))
 

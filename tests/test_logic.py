@@ -1,6 +1,7 @@
 """Direct exercises of the proof kernel: constructors build, check_proof judges."""
 
 import sys
+import time
 from collections import Counter
 from itertools import islice
 
@@ -50,6 +51,7 @@ from cycind.logic import (
     Imp,
     Sequent,
     distinct_nodes,
+    fresh_name,
     render_formula,
 )
 
@@ -623,23 +625,24 @@ def test_the_matcher_agrees_with_building(pipelines, fuzz_proofs):
     # the pattern itself, where every part is shared; and on targets that
     # share a part holding the opened index or a renamed name, where the
     # shortcut for shared parts must not answer
-    proofs = [p.proof for p in pipelines.values()] + [proof for _case, proof in fuzz_proofs]
+    proofs = [(p.system, p.proof) for p in pipelines.values()]
+    proofs += [(case.system, proof) for case, proof in fuzz_proofs]
     compared = differ = shared = 0
     blocks = Counter()
-    for proof in proofs:
-        scopes = {}  # one cache per proof, as in check_proof
+    for system, proof in proofs:
+        sums = logic._Summaries(system)  # one memo per proof, as in check_proof
         for node in distinct_nodes(proof):
             for pat, tgt, m, build in _instances(node):
                 blocks[len(m)] += isinstance(m, tuple)
-                assert logic._matches(pat, tgt, m, scopes) and build(pat, tgt), node.rule
+                assert logic._matches(pat, tgt, m, sums) and build(pat, tgt), node.rule
                 other = _with_term(tgt, compared % 7, _index_for_variable if compared % 2 else _renamed_term)
                 built = build(pat, other)
-                assert logic._matches(pat, other, m, scopes) == built, (node.rule, other)
-                assert logic._matches(pat, pat, m, scopes) == build(pat, pat), (node.rule, pat)
+                assert logic._matches(pat, other, m, sums) == built, (node.rule, other)
+                assert logic._matches(pat, pat, m, sums) == build(pat, pat), (node.rule, pat)
                 spliced = next(islice(_with_changed_parts_shared(pat, tgt), compared % 5, None), None)
                 if spliced is not None:
                     spliced_built = build(pat, spliced)
-                    assert logic._matches(pat, spliced, m, scopes) == spliced_built, (node.rule, spliced)
+                    assert logic._matches(pat, spliced, m, sums) == spliced_built, (node.rule, spliced)
                     shared += not spliced_built
                 compared += 1
                 differ += not built
@@ -650,8 +653,9 @@ def test_the_matcher_agrees_with_building(pipelines, fuzz_proofs):
 def test_the_matcher_makes_no_call_per_term(pipelines):
     # a timing-free guard on the matcher's work: on dist, the kernel enters
     # _matches 311 times for its 85 instances (once more per implication's
-    # left-hand side), and from there calls only itself, _scope and, for a
-    # term left as it is that the target holds as another object, ==
+    # left-hand side), and from there calls only itself, _summary for a
+    # shared part that no check has summarised yet and, for a term left as
+    # it is that the target holds as another object, ==
     p = pipelines["dist"]
     code = logic._matches.__code__
     entries, callees = 0, Counter()
@@ -668,7 +672,108 @@ def test_the_matcher_makes_no_call_per_term(pipelines):
         check_proof(p.system, p.proof)
     finally:
         sys.setprofile(None)
-    assert entries == 311 and callees == {"_matches": 226, "_scope": 56, "__eq__": 83}
+    assert entries == 311 and callees == {"_matches": 226, "_summary": 27, "__eq__": 83}
+
+
+def test_each_formula_object_is_summarised_once(pipelines, calls_to):
+    # a timing-free guard on the formula checks: on dist, the kernel computes
+    # the summary of each formula object at most once, however many sequents
+    # and larger formulas share it
+    p = pipelines["dist"]
+    calls, _ = calls_to(logic._summary, lambda: check_proof(p.system, p.proof))
+    per_object = Counter(id(c["phi"]) for c in calls)
+    assert calls and max(per_object.values()) == 1
+
+
+def test_a_deep_shared_formula_checks_in_linear_time(plus_system):
+    # level i + 1 is phi_i -> phi_i, one object on both sides: 61 objects,
+    # but 2^60 leaves as a tree, so a walk that does not keep its parts'
+    # summaries never ends
+    phi = Geq(NAT, x("x"), x("x"))
+    for _ in range(60):
+        phi = Imp(phi, phi)
+    d = Deriv("assumption", Sequent((("x", NAT),), (phi,), phi), (), (0,))
+    start = time.perf_counter()
+    check_proof(plus_system, d)
+    assert time.perf_counter() - start < 1.0
+
+
+def _misplaced():
+    """Ill-formed formulas over [x:Nat], by case, with the kernel's message:
+    each shares a part that is well formed in one place and not in another,
+    or reaches past its binders."""
+    psi = Geq(NAT, BoundV(0), x("x"))  # index 0 must be a Nat
+    reach = Forall(NAT, Geq(NAT, BoundV(1), x("x")))  # index 1 reaches past its binder
+    return {
+        "right_then_wrong_sort": (Imp(Forall(NAT, psi), Forall("P", psi)),
+                                  "bound variable has sort 'P', expected 'Nat'"),
+        "wrong_then_right_sort": (Imp(Forall("P", psi), Forall(NAT, psi)),
+                                  "bound variable has sort 'P', expected 'Nat'"),
+        "index_at_two_sorts": (Forall(NAT, Imp(psi, Atom("f", (x("x"), BoundV(0))))),
+                               "index 0 used at sorts 'Nat' and 'P'"),
+        "nested_reach": (Imp(Forall(NAT, reach), reach), "unbound index, 1 past its binders"),
+        "nested_reach_past_two": (Forall(NAT, Forall("P", Geq(NAT, BoundV(3), x("x")))),
+                                  "unbound index, 2 past its binders"),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_misplaced()))
+def test_a_summary_does_not_depend_on_where_its_formula_sits(case):
+    # the summary of a shared object is computed once, wherever the check
+    # meets it first, so it must not take in its binders above: each part
+    # here is well formed in one place and not in the other
+    system = _edge_system((0, 0, GEQ), (NAT, "P"))  # Nat and P are known sorts
+    ctx = (("x", NAT),)
+    phi, message = _misplaced()[case]
+    assert oracles.formula_defect(system, phi, dict(ctx))
+    with pytest.raises(LogicError, match=f"^at root: hypothesis 0: {message}$"):
+        check_proof(system, assumption(ctx, (phi,), 0))
+    psi = Geq(NAT, BoundV(0), x("x"))
+    check_proof(system, assumption(ctx, (Imp(Forall(NAT, psi), Forall(NAT, psi)),), 0))
+
+
+@pytest.mark.parametrize("k", ["a", -1, True], ids=["name", "negative", "bool"])
+def test_a_bound_index_must_be_a_natural_number(plus_system, k):
+    # an index that no binder can bind, from a library caller, is a located
+    # error: -1 must not read as the outermost binder, nor a name crash
+    phi = Forall(NAT, Geq(NAT, BoundV(k), BoundV(k)))
+    with pytest.raises(LogicError, match=r"^at root: hypothesis 0: order operand: not a term: BoundV\(k="):
+        check_proof(plus_system, assumption((), (phi,), 0))
+
+
+def _term_changes(ctx):
+    """One-term changes over ``ctx`` (a name -> sort dict): a name outside
+    it, a variable of a sort that no position has, and loose indices 0 to 2;
+    and ``ctx`` with that variable added."""
+    other = fresh_name("o", set(ctx))
+    out = FreeV(fresh_name("out", set(ctx) | {other}))
+    changes = [lambda t: out, lambda t: FreeV(other)] + [lambda t, k=k: BoundV(k) for k in range(3)]
+    return changes, {**ctx, other: "Other"}
+
+
+@pytest.mark.parametrize("name", ["plus", "fg", "ack"])
+def test_the_formula_check_agrees_with_the_reference(pipelines, name):
+    # every formula of the proof, and each of its one-term changes, under the
+    # context of a node that holds it: the kernel's check and the reference
+    # walk accept or reject alike (binders stay as they are, at known sorts)
+    p = pipelines[name]
+    seen, outcomes = set(), Counter()
+    for node in distinct_nodes(p.proof):
+        changes, ctx = _term_changes(dict(node.seq.ctx))
+        for phi in (*node.seq.hyps, node.seq.concl):
+            if (id(phi), id(node.seq.ctx)) in seen:
+                continue
+            seen.add((id(phi), id(node.seq.ctx)))
+            terms = []
+            _map_terms(phi, lambda t, _d: terms.append(t) or t)
+            mutants = [_with_term(phi, k, change) for k in range(len(terms)) for change in changes]
+            for f in (phi, *mutants):
+                # a memo per check: the id of a freed mutant may come back
+                kernel = logic._check_formula(f, ctx, logic._Summaries(p.system))
+                reference = oracles.formula_defect(p.system, f, ctx)
+                assert (kernel is None) == (reference is None), (render_formula(f), kernel, reference)
+                outcomes[kernel is None] += 1
+    assert outcomes[True] > 100 and outcomes[False] > 500, outcomes
 
 
 def test_a_non_formula_in_an_instance_is_rejected(plus_system):
@@ -801,11 +906,12 @@ def _other_ctx(d):
     (lambda p, m: inst(p, (), m + m[:1]), "inst expects 2 minor premises, got 3"),
     (lambda p, m: inst(p, (), m[::-1]), "inst minor 0 must conclude renamed premise hypothesis 0"),
     (lambda p, m: inst(p, (), [m[0], geq_refl(INST_CTX, INST_HYPS, NAT, "y")]),
-     "inst minor 1 must share the sequent context and hypotheses"),
+     "inst premise 2 must keep the hypotheses"),
     (lambda p, m: inst(p, (), [_other_ctx(m[0]), m[1]]),
-     "inst minor 0 must share the sequent context and hypotheses"),
+     "inst premise 1 must keep the context"),
+    # the minors keep the premise's context, which the conclusion lost
     (lambda p, m: inst(p, (), m).replace(seq=Sequent(INST_CTX[:1], (), INST_HYPS[0])),
-     "inst target 'y' for 'y' not in context"),
+     "inst premise 1 must keep the context"),
     (lambda p, m: inst(p, (), m).replace(seq=Sequent(INST_CTX, (), INST_HYPS[1])),
      "inst conclusion is not the renamed premise conclusion"),
     (lambda p, m: inst(p, (), m).replace(data=("x", "y", 0)),
@@ -867,7 +973,7 @@ def _bad_rename(**change):
     ({"data": ("b", "a", "a")}, "inst needs one target variable per premise context entry"),
     ({"data": ("b", 1)}, "inst needs one target variable per premise context entry"),
     ({"seq": {"hyps": (Atom("plus", (x("b"), x("a"))), Gt(NAT, x("x"), x("y")))}},
-     "inst minor 0 must share the sequent context and hypotheses"),
+     "inst premise 1 must keep the hypotheses"),
     ({"seq": {"concl": Atom("plus", (x("a"), x("b")))}},
      "inst conclusion is not the renamed premise conclusion"),
     ({"data": ("x", "y")}, "inst conclusion is not the renamed premise conclusion"),
@@ -934,7 +1040,7 @@ def _other_sort():
     (lambda: trans(*_trans_parts(Geq, Geq)).replace(children=_trans_parts(Geq, Geq)[:1]),
      "trans expects 2 premises, got 1"),
     (lambda: trans(_trans_parts(Geq, Geq)[0], geq_refl(TRANS_CTX, (), NAT, "z")),
-     "trans premises must share the sequent context and hypotheses"),
+     "trans premise 1 must keep the hypotheses"),
 ], ids=["gt_from_geqs", "geq_from_gt", "sort_mismatch", "bad_endpoint", "swapped_premises",
         "one_premise", "other_hyps"])
 def test_trans_rejects_a_bad_node(plus_system, build, message):
