@@ -8,12 +8,13 @@ block of binders in one node and one term-map walk.  The derived strong
 induction principle (inducting on an entire sequent rather than a single
 formula) is a macro of kernel rules only.  :func:`ind_hypothesis` gives its
 hypothesis the exact shape of the one that ``gt_ind`` introduces,
-``all x'. x > x' -> all ys'. chain`` (:func:`gt_ind_hypothesis`), so
-:func:`ind_prime` discharges it by one ``assumption`` of the hypothesis that
-its own ``gt_ind`` introduces.  The formulas that the kernel compares in
-place (:func:`gt_ind_hypothesis`, :func:`edge_facts`) and the term maps that
-build instances (:func:`subst_free`, :func:`open_bound`, :func:`close_free`)
-live here too: the kernel builds no formula.
+``all x'. x > x' -> all ys'. chain`` (:func:`gt_ind_hypothesis`), closing
+``x`` and all of ``ys`` in one term walk, so :func:`ind_prime` discharges it
+by one ``assumption`` of the hypothesis that its own ``gt_ind`` introduces,
+which it takes from its premise by one renaming walk.  The formulas that the
+kernel compares in place (:func:`gt_ind_hypothesis`, :func:`edge_facts`) and
+the term maps that build instances (:func:`subst_free`, :func:`open_bound`,
+:func:`close_free`) live here too: the kernel builds no formula.
 """
 
 from __future__ import annotations
@@ -224,13 +225,14 @@ def ind_hypothesis(target: Sequent, x: str) -> Formula:
     in the shape that ``gt_ind`` introduces (:func:`gt_ind_hypothesis`):
     ``all x'. x > x' -> all ys'. chain``, where ``chain`` is the sequent
     formula and ``ys`` are the other context variables, in context order.
-    Only ``x`` is free in it.
+    Only ``x`` is free in it.  One :func:`close_free` walk abstracts ``x``
+    and all of ``ys`` at once; the binders are wrapped around the result.
     """
-    phi = fold_imp(target.hyps, target.concl)
-    for v, s in reversed(target.ctx):
-        if v != x:
-            phi = Forall(s, close_free(phi, (v,)), hint=f"{v}'")
-    return gt_ind_hypothesis(dict(target.ctx)[x], x, close_free(phi, (x,)))
+    ys = tuple((v, s) for v, s in target.ctx if v != x)
+    body = close_free(fold_imp(target.hyps, target.concl), (x, *(v for v, _s in ys)))
+    for v, s in reversed(ys):
+        body = Forall(s, body, hint=f"{v}'")
+    return gt_ind_hypothesis(dict(target.ctx)[x], x, body)
 
 
 def ind_prime(dp: Deriv, x: str) -> Deriv:
@@ -244,9 +246,13 @@ def ind_prime(dp: Deriv, x: str) -> Deriv:
     copy ``u`` of ``x``.  One ``inst`` node renames ``dp`` onto the copies and
     discharges its hypotheses: the copies of the others by ``assumption``,
     and the induction hypothesis by the one ``gt_ind`` introduces for ``u``,
-    which is its renamed copy.  ``dp`` itself is shared, never rebuilt.  One
-    ``forall_elim`` then instantiates the closed formula back at ``x`` and
-    the other original variables.
+    which is its renamed copy.  The copy is ``dp``'s last hypothesis with
+    ``x`` renamed to ``u``, one walk that shares every part without ``x``
+    and keeps the binder hints; the :func:`gt_ind` builder compares it by
+    value with the hypothesis the rule introduces, and so rejects a last
+    hypothesis that is not the induction hypothesis.  ``dp`` itself is
+    shared, never rebuilt.  One ``forall_elim`` then instantiates the closed
+    formula back at ``x`` and the other original variables.
     """
     ctx, gamma, delta = dp.seq.ctx, dp.seq.hyps[:-1], dp.seq.concl
     sort = dict(ctx)[x]
@@ -261,15 +267,7 @@ def ind_prime(dp: Deriv, x: str) -> Deriv:
     sub = {x: u, **copies}
     wide = ctx + ((u, sort),) + tuple((copies[v], s) for v, s in others)
 
-    # the closed sequent formula as a function of u, and the hypothesis that
-    # gt_ind introduces for u, which dp's own must be, renamed
-    phi_u = subst_free(fold_imp(gamma, delta), sub)
-    for v, s in reversed(others):
-        phi_u = Forall(s, close_free(phi_u, (copies[v],)), hint=f"{v}*")
-    ih_u = gt_ind_hypothesis(sort, u, close_free(phi_u, (u,)))
-    assert dp.seq.hyps and subst_free(dp.seq.hyps[-1], {x: u}) == ih_u, (
-        "ind_prime: last hypothesis is not the induction hypothesis"
-    )
+    ih_u = subst_free(dp.seq.hyps[-1], {x: u})
     core_hyps = gamma + (ih_u,) + tuple(subst_free(g, sub) for g in gamma)
 
     # dp renamed onto the copies, its hypotheses discharged by assumption

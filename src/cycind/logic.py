@@ -7,7 +7,7 @@ sequent is ``ctx; hyps |- concl`` where ``ctx`` is an *ordered* list of sorted
 variables: quantifier rules bind the last context entries, so the context
 discipline is part of the proof structure.
 
-The trusted kernel is this module alone, 749 lines, with eleven rules:
+The trusted kernel is this module alone, 777 lines, with eleven rules:
 
 - ``assumption``: conclude any hypothesis;
 - ``inst``: rename the premise's context variables to variables of the same
@@ -36,11 +36,13 @@ is checked at the root, at ``inst``'s premise 0, at ``imp_elim``'s minor and
 at ``trans``'s left premise; every other rule builds those parts of its
 premises from the sequent below, so its own check covers them.  A formula is
 checked through one summary per object, so sharing never multiplies the
-work.  The kernel builds no formula: it compares the shape a rule demands
-with the proof's formulas in place, identity first, and matches an instance
-against its pattern, taking a part shared with the pattern at once where its
-summary shows that the map leaves it as it is.  It imports nothing of this
-package but :mod:`cycind.core`.
+work.  Summaries and matches walk a formula on explicit stacks, so its depth
+of nesting cannot exhaust the interpreter's stack there (``==`` between two
+distinct objects still recurses).  The kernel builds no formula: it compares
+the shape a rule demands with the proof's formulas in place, identity first,
+and matches an instance against its pattern, taking a part shared with the
+pattern at once where its summary shows that the map leaves it as it is.  It
+imports nothing of this package but :mod:`cycind.core`.
 """
 
 from __future__ import annotations
@@ -214,42 +216,60 @@ class _Summaries(dict):
 
 
 def _summary(phi: Formula, sums: _Summaries) -> _Summary:
-    """``phi``'s summary, from its parts' summaries, kept in ``sums``;
-    callers look there first, so each object's is computed once."""
-    cls = phi.__class__
-    if cls is Atom:
-        judg = sums.system.judgments.get(phi.judg)
-        if judg is None:
-            out = f"unknown judgment {phi.judg!r}"
-        elif len(phi.args) != judg.ob:
-            out = f"{phi.judg} expects {judg.ob} arguments, got {len(phi.args)}"
+    """``phi``'s summary, from its parts' summaries, kept in ``sums`` with
+    those of the parts it had to summarise; callers look there first, so each
+    object's is computed once.  The walk keeps the path from ``phi`` down to
+    the part it summarises on an explicit stack, where recursion would keep
+    it on the interpreter's, so no depth of nesting exhausts that.  The stack
+    is a chain of pairs, which costs less here than a list's method calls."""
+    path: tuple = ()  # (formula, rest of the path), or () at phi
+    f = phi
+    while True:
+        cls = f.__class__
+        if cls is Geq or cls is Gt:
+            if f.sort not in sums.system.ind_sorts:
+                out = f"order at non-inductive sort {f.sort!r}"
+            else:
+                out = _uses((f.left, f.right), (f.sort, f.sort), None)
+        elif cls is Atom:
+            judg = sums.system.judgments.get(f.judg)
+            if judg is None:
+                out = f"unknown judgment {f.judg!r}"
+            elif len(f.args) != judg.ob:
+                out = f"{f.judg} expects {judg.ob} arguments, got {len(f.args)}"
+            else:
+                out = _uses(f.args, judg.sorts, f.judg)
+        elif cls is Imp:
+            out = sums.get(id(f.lhs))
+            if out is None:
+                path, f = (f, path), f.lhs
+                continue
+            if out.__class__ is not str:
+                b = sums.get(id(f.rhs))
+                if b is None:
+                    path, f = (f, path), f.rhs
+                    continue
+                out = b if b.__class__ is str or out is b else _merge(out, b)
+        elif cls is Forall:
+            if f.sort not in sums.known:
+                out = f"quantifier over unknown sort {f.sort!r}"
+            else:
+                out = sums.get(id(f.body))
+                if out is None:
+                    path, f = (f, path), f.body
+                    continue
+                if out.__class__ is not str and out[1]:
+                    free, loose = out
+                    if loose.get(0, f.sort) != f.sort:
+                        out = f"bound variable has sort {f.sort!r}, expected {loose[0]!r}"
+                    else:
+                        out = free, {k - 1: s for k, s in loose.items() if k}
         else:
-            out = _uses(phi.args, judg.sorts, phi.judg)
-    elif cls is Geq or cls is Gt:
-        if phi.sort not in sums.system.ind_sorts:
-            out = f"order at non-inductive sort {phi.sort!r}"
-        else:
-            out = _uses((phi.left, phi.right), (phi.sort, phi.sort), None)
-    elif cls is Imp:
-        out = sums.get(id(phi.lhs)) or _summary(phi.lhs, sums)
-        if out.__class__ is not str:
-            b = sums.get(id(phi.rhs)) or _summary(phi.rhs, sums)
-            out = b if b.__class__ is str or out is b else _merge(out, b)
-    elif cls is Forall:
-        if phi.sort not in sums.known:
-            out = f"quantifier over unknown sort {phi.sort!r}"
-        else:
-            out = sums.get(id(phi.body)) or _summary(phi.body, sums)
-            if out.__class__ is not str and out[1]:
-                free, loose = out
-                if loose.get(0, phi.sort) != phi.sort:
-                    out = f"bound variable has sort {phi.sort!r}, expected {loose[0]!r}"
-                else:
-                    out = free, {k - 1: s for k, s in loose.items() if k}
-    else:
-        out = f"not a formula: {phi!r}"
-    sums[id(phi)] = out
-    return out
+            out = f"not a formula: {f!r}"
+        sums[id(f)] = out
+        if not path:
+            return out
+        f, path = path
 
 
 def _uses(terms: tuple, sorts: tuple[str, ...], judg: str | None) -> _Summary:
@@ -331,8 +351,12 @@ def _matches(pat: Formula, tgt: Formula, m: tuple[str, ...] | dict[str, str],
     those variables, outermost first: loose index ``depth + i`` becomes
     ``m[k-1-i]`` for i < k, and a higher index drops by k.  A dict ``m``
     renames free variables.  Where ``tgt`` holds ``pat``'s own object and
-    its summary shows that ``m`` leaves it as it is, it matches."""
+    its summary shows that ``m`` leaves it as it is, it matches.  The walk
+    goes down the left of each implication and keeps the pair on its right
+    on an explicit stack, chained as in :func:`_summary`, so no depth of
+    nesting exhausts the interpreter's."""
     opening = m.__class__ is tuple
+    todo: tuple = ()  # (pat, tgt, depth, rest of the stack), or ()
     while True:
         cls = pat.__class__
         if tgt.__class__ is not cls:
@@ -341,11 +365,13 @@ def _matches(pat: Formula, tgt: Formula, m: tuple[str, ...] | dict[str, str],
             s = sums.get(id(pat)) or _summary(pat, sums)
             if s.__class__ is not str and (
                     not s[1] or max(s[1]) < depth if opening else m.keys().isdisjoint(s[0])):
-                return True
+                if not todo:
+                    return True
+                pat, tgt, depth, todo = todo
+                continue
         if cls is Imp:
-            if not _matches(pat.lhs, tgt.lhs, m, sums, depth):
-                return False
-            pat, tgt = pat.rhs, tgt.rhs
+            todo = (pat.rhs, tgt.rhs, depth, todo)
+            pat, tgt = pat.lhs, tgt.lhs
             continue
         if cls is Forall:
             if pat.sort != tgt.sort:
@@ -375,7 +401,9 @@ def _matches(pat: Formula, tgt: Formula, m: tuple[str, ...] | dict[str, str],
                     return False
             elif p is not t and p != t:  # p is left as it is
                 return False
-        return True
+        if not todo:
+            return True
+        pat, tgt, depth, todo = todo
 
 
 # Each rule's shape: its premise count (None where the rule counts its own

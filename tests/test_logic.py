@@ -652,10 +652,11 @@ def test_the_matcher_agrees_with_building(pipelines, fuzz_proofs):
 
 def test_the_matcher_makes_no_call_per_term(pipelines):
     # a timing-free guard on the matcher's work: on dist, the kernel enters
-    # _matches 311 times for its 85 instances (once more per implication's
-    # left-hand side), and from there calls only itself, _summary for a
-    # shared part that no check has summarised yet and, for a term left as
-    # it is that the target holds as another object, ==
+    # _matches once for each of its 85 instances (the walk keeps an
+    # implication's right-hand side on its own stack, never re-entering
+    # itself), and from there calls only _summary, for a shared part that no
+    # check has summarised yet; every term left as it is is the target's own
+    # object, so no == runs
     p = pipelines["dist"]
     code = logic._matches.__code__
     entries, callees = 0, Counter()
@@ -672,17 +673,27 @@ def test_the_matcher_makes_no_call_per_term(pipelines):
         check_proof(p.system, p.proof)
     finally:
         sys.setprofile(None)
-    assert entries == 311 and callees == {"_matches": 226, "_summary": 27, "__eq__": 83}
+    assert entries == 85 and callees == {"_summary": 34}
 
 
-def test_each_formula_object_is_summarised_once(pipelines, calls_to):
-    # a timing-free guard on the formula checks: on dist, the kernel computes
+def test_each_formula_object_is_summarised_once(pipelines, monkeypatch):
+    # a timing-free guard on the formula checks: on dist, the kernel stores
     # the summary of each formula object at most once, however many sequents
-    # and larger formulas share it
+    # and larger formulas share it, and whether a caller or the summary walk
+    # itself reaches it
+    stored = Counter()
+
+    class Counting(logic._Summaries):
+        __slots__ = ()
+
+        def __setitem__(self, key, value):
+            stored[key] += 1
+            super().__setitem__(key, value)
+
+    monkeypatch.setattr(logic, "_Summaries", Counting)
     p = pipelines["dist"]
-    calls, _ = calls_to(logic._summary, lambda: check_proof(p.system, p.proof))
-    per_object = Counter(id(c["phi"]) for c in calls)
-    assert calls and max(per_object.values()) == 1
+    check_proof(p.system, p.proof)
+    assert len(stored) > 200 and max(stored.values()) == 1
 
 
 def test_a_deep_shared_formula_checks_in_linear_time(plus_system):
@@ -696,6 +707,37 @@ def test_a_deep_shared_formula_checks_in_linear_time(plus_system):
     start = time.perf_counter()
     check_proof(plus_system, d)
     assert time.perf_counter() - start < 1.0
+
+
+def _chain(depth, inner, leaf, left):
+    """``depth`` implications nested on the left or on the right, with
+    ``inner`` innermost and ``leaf`` on every other side."""
+    phi = inner
+    for _ in range(depth):
+        phi = Imp(phi, leaf) if left else Imp(leaf, phi)
+    return phi
+
+
+@pytest.mark.parametrize("left", [False, True], ids=["right", "left"])
+def test_a_deeply_nested_formula_never_exhausts_the_stack(plus_system, left):
+    # a 5,000-level chain, far past the interpreter's recursion limit: the
+    # kernel summarises and matches it on explicit stacks, so it checks or
+    # fails with a located error, never with RecursionError
+    ctx = (("x", NAT), ("y", NAT))
+    xx, xy, bb = Geq(NAT, x("x"), x("x")), Geq(NAT, x("x"), x("y")), Geq(NAT, BoundV(0), BoundV(0))
+    phi = _chain(5_000, xx, xx, left)
+    check_proof(plus_system, Deriv("assumption", Sequent(ctx, (phi,), phi), (), (0,)))
+    bad = _chain(5_000, Geq(NAT, x("x"), x("z")), xx, left)
+    with pytest.raises(LogicError, match="^at root: hypothesis 0: variable 'z' not in context$"):
+        check_proof(plus_system, Deriv("assumption", Sequent(ctx, (bad,), bad), (), (0,)))
+    # an instance built apart from its pattern, so the matcher walks all of it
+    quantified = Forall(NAT, _chain(5_000, bb, bb, left))
+    prem = Deriv("assumption", Sequent(ctx, (quantified,), quantified), (), (0,))
+    check_proof(plus_system, Deriv("forall_elim", Sequent(ctx, (quantified,), phi), (prem,), ("x",)))
+    # the same, with the innermost part of the instance wrong
+    other = _chain(5_000, xy, xx, left)
+    with pytest.raises(LogicError, match="^at root: forall_elim conclusion is not the instantiated body$"):
+        check_proof(plus_system, Deriv("forall_elim", Sequent(ctx, (quantified,), other), (prem,), ("x",)))
 
 
 def _misplaced():

@@ -1,6 +1,8 @@
 """Translation of ordered reset representations into checkable proofs."""
 
 import json
+import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -15,9 +17,10 @@ from cycind import (
     prove_by_induction,
     respect_induction_order,
 )
-from cycind.builders import ind_hypothesis
+from cycind import builders
+from cycind.builders import close_free, fold_imp, gt_ind_hypothesis, ind_hypothesis
 from cycind.formats import FormulaNumbering
-from cycind.logic import FreeV, Geq, Gt, distinct_nodes
+from cycind.logic import Forall, FreeV, Geq, Gt, distinct_nodes, render_formula
 from cycind.sct import closure
 from cycind.translate import TranslationError, _Orders, translate
 
@@ -167,6 +170,59 @@ def test_no_order_step_rederives_one_of_its_hypotheses(pipelines, fuzz_proofs):
     redone = [d.seq.concl for proof in proofs for d in distinct_nodes(proof)
               if d.rule in ("trans", "geq_refl", "geq_subsum") and d.seq.concl in d.seq.hyps]
     assert redone == []
+
+
+def test_one_term_walk_per_hypothesis_block(pipelines):
+    # a timing-free guard on translation's term walks: translating dist calls
+    # close_free 21 times and enters _map_terms 890 times, recursion included.
+    # ind_hypothesis closes the induction variable and all the others in one
+    # walk, and ind_prime renames its hypothesis in one walk instead of
+    # rebuilding it from the sequent (90 and 2,300 with a walk per variable)
+    names = {builders.close_free.__code__: "close_free", builders._map_terms.__code__: "_map_terms"}
+    counts = Counter()
+
+    def profile(frame, event, _arg):
+        if event == "call" and frame.f_code in names:
+            counts[names[frame.f_code]] += 1
+
+    sys.setprofile(profile)
+    try:
+        translate(pipelines["dist"].rep)
+    finally:
+        sys.setprofile(None)
+    assert counts == {"close_free": 21, "_map_terms": 890}
+
+
+def _ind_hypothesis_per_variable(target, x):
+    """The reference for :func:`ind_hypothesis`: one ``close_free`` walk per
+    context variable, each binder wrapped as its variable is closed."""
+    phi = fold_imp(target.hyps, target.concl)
+    for v, s in reversed(target.ctx):
+        if v != x:
+            phi = Forall(s, close_free(phi, (v,)), hint=f"{v}'")
+    return gt_ind_hypothesis(dict(target.ctx)[x], x, close_free(phi, (x,)))
+
+
+def test_one_walk_hypothesis_equals_the_per_variable_one(pipelines, fuzz_population, monkeypatch):
+    # every induction target of the fixtures and the plain fuzz draws (the
+    # drawn crossing case aside): the one-walk hypothesis is the reference's
+    # by value and, hints included, by rendering
+    targets = []
+
+    def recording(target, x):
+        targets.append((target, x))
+        return ind_hypothesis(target, x)
+
+    monkeypatch.setattr("cycind.translate.ind_hypothesis", recording)
+    _, cases = fuzz_population
+    plain = [case.rep2 for case in cases if case.rep2 is case.rep1]
+    assert len(plain) == 199
+    for rep in [p.rep for p in pipelines.values()] + plain:
+        translate(rep)
+    assert len({len(t.ctx) for t, _x in targets}) > 3
+    for target, x in targets:
+        got, want = ind_hypothesis(target, x), _ind_hypothesis_per_variable(target, x)
+        assert got == want and render_formula(got) == render_formula(want), target.render()
 
 
 A, B, C, D = (FreeV(v) for v in "abcd")
