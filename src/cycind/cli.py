@@ -92,10 +92,23 @@ def render_trace(rep: ResetRep) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _print_lasso(header: str, lasso, file=None) -> None:
+def _print_lasso(header: str, lasso, file=None, names: dict[str, str] | None = None) -> None:
+    """Print ``lasso``, with each call renamed by ``names`` where it has an entry."""
+    names = names or {}
     print(header, file=file)
-    print(f"  prefix: {' '.join(lasso.prefix) if lasso.prefix else '(empty)'}", file=file)
-    print(f"  cycle:  {' '.join(lasso.cycle)}", file=file)
+    print(f"  prefix: {' '.join(names.get(c, c) for c in lasso.prefix) or '(empty)'}", file=file)
+    print(f"  cycle:  {' '.join(names.get(c, c) for c in lasso.cycle)}", file=file)
+
+
+def _call_ids(cs) -> dict[str, str]:
+    """The source's id of each call of the derivation that
+    :func:`~cycind.core.induced_proof_system` induces: call ``i`` of ``f``,
+    ``f.i``, is the ``i``-th call out of ``f`` in the source's order."""
+    out, count = {}, Counter()
+    for c in cs.calls:
+        out[f"{c.dom}.{count[c.dom]}"] = c.id
+        count[c.dom] += 1
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +173,8 @@ def cmd_unravel(args) -> int:
         rep, proof = prove_by_induction(deriv, sys_)
     except UnsoundDerivationError as e:
         _print_lasso("input is not sound: cycle with no progressing trace",
-                     e.verdict.counterexample, file=sys.stderr)
+                     e.verdict.counterexample, file=sys.stderr,
+                     names=_call_ids(obj) if kind == "callsystem" else None)
         return 1
     except UnfoldCapError as e:
         raise _CliError(str(e)) from None

@@ -16,9 +16,11 @@ row per distinct context entry, and sequents are lists of indices into them.
 The reader also accepts an inline formula array or ``[name, sort]`` pair
 wherever it expects an index, for hand-written and mutated documents.  The
 reader refuses formulas nested deeper than :data:`MAX_FORMULA_DEPTH`, so the
-kernel's recursive walks stay within the interpreter's recursion limit, and
-formulas larger than :data:`MAX_FORMULA_SIZE` as a tree, which a few bytes a
-row describe when each row names the row before twice.
+walks that still recurse (``==`` between distinct equal formulas, the
+builders' term maps and :func:`~cycind.logic.render_formula`) stay within the
+interpreter's recursion limit, and formulas larger than
+:data:`MAX_FORMULA_SIZE` as a tree, which a few bytes a row describe when
+each row names the row before twice.
 """
 
 from __future__ import annotations
@@ -45,11 +47,12 @@ CALLSYSTEM = "cycind/callsystem@1"
 DERIVATION = "cycind/derivation@1"
 PROOF = "cycind/proof@1"
 
-# Formula nesting and tree size accepted by the proof reader.  The kernel
-# compares and walks formulas recursively, as trees, and a formula table
+# Formula nesting and tree size accepted by the proof reader.  A formula table
 # describes any depth, or a tree that doubles with each row, in a few bytes a
-# row; the worked systems' proofs stay below 32 levels, and the largest real
-# formula has 689 nodes.
+# row.  The kernel's summary and match walks keep explicit stacks, but
+# ``Record.__eq__`` between distinct equal objects, ``builders._map_terms``
+# and ``render_formula`` still recurse, as trees; the worked systems' proofs
+# stay below 32 levels, and the largest real formula has 689 nodes.
 MAX_FORMULA_DEPTH = 128
 MAX_FORMULA_SIZE = 100_000
 

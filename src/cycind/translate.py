@@ -26,15 +26,15 @@ any other at itself.  Each antecedent of the chain is then proved from the
 bud's own hypotheses; the older induction hypotheses among them are the
 sprout's entries before this one.
 
-Nodes in the same state (rule, annotation, context, hypotheses by value, and
-the states of their children) share one derivation object, so the proof is a
-DAG with one subproof per distinct annotated state; equal induction targets
-share one hypothesis.  :func:`prove_by_induction` runs the whole pipeline.
+Equal induction targets share one hypothesis object, so within one call a
+hypothesis's identity stands for its value.  Nodes in the same state (rule,
+annotation, context, induction hypotheses by object, and the states of their
+children) share one derivation object, so the proof is a DAG with one
+subproof per distinct annotated state.  :func:`prove_by_induction` runs the
+whole pipeline.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 from .builders import (
     assumption,
@@ -51,7 +51,6 @@ from .builders import (
     trans,
 )
 from .core import Record, VarRef
-from .formats import FormulaNumbering
 from .logic import (
     Atom,
     Deriv,
@@ -73,17 +72,15 @@ class TranslationError(RuntimeError):
 
 class HypEntry(Record):
     """An induction hypothesis in scope: introduced at ``sprout`` for the buds
-    progressing on ``prog``.  Carries what a closing bud needs to instantiate
-    it: the quantified variables, the induction variable first.  The sprout
-    gives the rest: its annotation the induction variable, its depth and its
-    name bindings, and its entries before this one the older hypotheses in
-    this one's body."""
+    progressing on ``prog``.  The sprout gives what a closing bud needs to
+    instantiate it: its annotation the induction variable, its context the
+    other quantified variables, its depth and its name bindings, and its
+    entries before this one the older hypotheses in this one's body."""
 
-    __slots__ = ("sprout", "prog", "formula", "block")
+    __slots__ = ("sprout", "prog", "formula")
     sprout: str
     prog: str
     formula: Formula
-    block: tuple[VarRef, ...]
 
 
 class _NodeData(Record):
@@ -161,7 +158,7 @@ def _node_data(
     reach: dict,
     budsby: dict,
     group_order: dict,
-    hypothesis: Callable[[Sequent, str, tuple[VarRef, ...]], tuple[Formula, tuple[VarRef, ...]]],
+    hyp_memo: dict[tuple, Formula],
 ) -> _NodeData:
     node = rep.nodes[nid]
     ann = node.ann
@@ -176,15 +173,17 @@ def _node_data(
     def at(name: str) -> FreeV:
         return FreeV(str(ann.var_of(name)))
 
-    # The facts, in order and without repeats: every stack name bounds its
-    # position's value from above; a name strictly exceeds every name above
-    # it on a stack; at a bud, the progressing name exceeds its cover, and
-    # the cover still bounds every position the progressing name occupies.
+    # The facts, in order and without repeats, at inductive positions only:
+    # every stack name bounds its position's value from above; a name
+    # strictly exceeds every name above it on a stack; at a bud, the
+    # progressing name exceeds its cover, and the cover still bounds every
+    # position the progressing name occupies.
+    ind = [j for j in range(judg.ob) if sorts[j] in rep.system.ind_sorts]
     facts: dict[Formula, None] = {}
-    for j in range(judg.ob):
+    for j in ind:
         for a in ann.stacks[j]:
             facts[Geq(sorts[j], at(a), FreeV(xs[j]))] = None
-    for j in range(judg.ob):
+    for j in ind:
         st = ann.stacks[j]
         for i1 in range(len(st)):
             for i2 in range(i1 + 1, len(st)):
@@ -192,7 +191,7 @@ def _node_data(
     if node.is_bud:
         p = node.prog
         cov = FreeV(str(ann.cover_of(p).cover_var))
-        pj = [j for j in range(judg.ob) if p in ann.stacks[j]]
+        pj = [j for j in ind if p in ann.stacks[j]]
         if not pj:
             raise TranslationError(f"progressing name {p!r} on no stack at {nid}")
         facts[Gt(sorts[pj[0]], at(p), cov)] = None
@@ -210,10 +209,12 @@ def _node_data(
         concl = Atom(judg.id, tuple(FreeV(x) for x in xs))
         new: list[HypEntry] = []
         for p in group_order[nid]:
-            older = entries + tuple(new)
-            target = Sequent(ctx, ineq + tuple(e.formula for e in older), concl)
-            formula, block = hypothesis(target, str(ann.var_of(p)), refs)
-            new.append(HypEntry(sprout=nid, prog=p, formula=formula, block=block))
+            older = tuple(e.formula for e in entries + tuple(new))
+            x = str(ann.var_of(p))
+            key = (ctx, ineq, tuple(map(id, older)), concl, x)
+            if key not in hyp_memo:
+                hyp_memo[key] = ind_hypothesis(Sequent(ctx, ineq + older, concl), x)
+            new.append(HypEntry(sprout=nid, prog=p, formula=hyp_memo[key]))
         entries = entries + tuple(new)
         appended = len(new)
 
@@ -262,10 +263,12 @@ def _close_bud(rep: ResetRep, node: RepNode, nd: _NodeData, data: dict) -> Deriv
     sp_entries = data[e.sprout].entries
     older = iter(sp_entries[:sp_entries.index(e)])
     # the cover, the guard (one of the bud's facts), then the other variables
-    d = forall_elim(orders.leaf(len(nd.ineq) + k), (str(sigma(e.block[0])),))
+    # in the sprout's context order
+    d = forall_elim(orders.leaf(len(nd.ineq) + k), (str(sigma(ind_var)),))
     d = imp_elim(d, orders.prove(d.seq.concl.lhs))
-    if len(e.block) > 1:
-        d = forall_elim(d, tuple(str(sigma(v)) for v in e.block[1:]))
+    ys = tuple(str(sigma(v)) for v in data[e.sprout].refs if v != ind_var)
+    if ys:
+        d = forall_elim(d, ys)
     while isinstance(d.seq.concl, Imp):
         goal = d.seq.concl.lhs
         if isinstance(goal, (Geq, Gt)):
@@ -359,19 +362,10 @@ def translate(rep: ResetRep) -> Deriv:
         for s, bids in sprout_buds.items()
     }
 
-    # Formulas are numbered by value; ``data`` keeps every numbered one alive.
-    number = FormulaNumbering()
-    hyp_memo: dict[tuple, tuple[Formula, tuple[VarRef, ...]]] = {}
-
-    def hypothesis(target: Sequent, x: str, refs: tuple[VarRef, ...]) -> tuple[Formula, tuple[VarRef, ...]]:
-        # ``refs`` name the context's variables, so the key's ``target.ctx`` fixes them
-        key = (target.ctx, tuple(map(number, target.hyps)), target.concl, x)
-        if key not in hyp_memo:
-            # the induction variable first, then the others in context order
-            block = [r for r, (v, _s) in zip(refs, target.ctx) if v == x]
-            block += [r for r, (v, _s) in zip(refs, target.ctx) if v != x]
-            hyp_memo[key] = (ind_hypothesis(target, x), tuple(block))
-        return hyp_memo[key]
+    # One hypothesis object per target.  A key holds the order facts, small
+    # leaves, by value, and the older hypotheses, which come from this memo,
+    # by ``id``: the memo keeps them alive, so an ``id`` stands for a value.
+    hyp_memo: dict[tuple, Formula] = {}
 
     data: dict[str, _NodeData] = {}
     order: list[str] = []
@@ -379,22 +373,24 @@ def translate(rep: ResetRep) -> Deriv:
     while todo:
         nid, parent = todo.pop()
         pdata = data[parent] if parent is not None else None
-        data[nid] = _node_data(rep, nid, pdata, reach, budsby, group_order, hypothesis)
+        data[nid] = _node_data(rep, nid, pdata, reach, budsby, group_order, hyp_memo)
         order.append(nid)
         for c in reversed(rep.nodes[nid].children):
             todo.append((c, nid))
 
-    # One peeled derivation per state.  The rule, context and hypotheses (by
-    # value) fix the end sequent, so a shared derivation always proves what
-    # the node needs; the annotations and the children's derivations (by
-    # identity, which fixes their sequents) fix the subtree's shape.
+    # One peeled derivation per state.  The rule, context and hypotheses fix
+    # the end sequent, so a shared derivation always proves what the node
+    # needs.  The annotation and context (with the resets and the
+    # progressing name at a bud) fix the order facts, and the induction
+    # hypotheses go by object.  The children's derivations (by identity,
+    # which fixes their sequents) fix the subtree's shape.
     memo: dict[tuple, Deriv] = {}
     result: dict[str, Deriv] = {}
     for nid in reversed(order):
         node, nd = rep.nodes[nid], data[nid]
         ann = node.ann
         key: tuple = (node.rule, ann.names, ann.binding, ann.stacks, nd.ctx,
-                      tuple(map(number, nd.hyps())))
+                      tuple(id(e.formula) for e in nd.entries))
         if node.is_bud:
             sp = rep.nodes[node.sprout]
             key += (ann.resets, sp.ann.names, sp.ann.binding, sp.ann.stacks, node.prog)

@@ -143,6 +143,45 @@ def test_unravel_lasso_starts_at_the_chosen_function(capsys, tmp_path):
     assert code == 1 and "  prefix: (empty)\n  cycle:  f.0\n" in out
 
 
+@pytest.mark.parametrize("calls, cycle", [
+    # the two functions of the lasso each make one call
+    ([("c", "f", "g", []), ("d", "g", "f", [])], "c d"),
+    # "over" is f's second call in the source's order, f.1 in the derivation
+    ([("down", "f", "f", [[0, 0, ">"]]), ("back", "g", "f", []), ("over", "f", "g", [])],
+     "over back"),
+])
+def test_unravel_lasso_names_the_source_calls(capsys, tmp_path, calls, cycle):
+    src = tmp_path / "lasso.json"
+    src.write_text(json.dumps({
+        "format": "cycind/callsystem@1", "functions": {"f": ["*"], "g": ["*"]},
+        "ind_sorts": ["*"],
+        "calls": [{"id": i, "dom": f, "codom": g, "edges": e} for i, f, g, e in calls]}))
+    code, out, err = run(capsys, "unravel", src)
+    assert (code, out) == (1, "")
+    assert err == (
+        "input is not sound: cycle with no progressing trace\n"
+        "  prefix: (empty)\n"
+        f"  cycle:  {cycle}\n"
+    )
+    # sct names the same calls, though it may start the cycle elsewhere
+    code, out, _err = run(capsys, "sct", src, "--json")
+    assert code == 1 and sorted(json.loads(out)["counterexample"]["cycle"]) == sorted(cycle.split())
+
+
+def test_unravel_an_argument_of_a_non_inductive_sort(capsys, tmp_path):
+    # no size-change edge touches B, so no order fact may speak of it
+    src, proof = tmp_path / "fb.json", tmp_path / "fb.proof.json"
+    src.write_text(json.dumps({
+        "format": "cycind/callsystem@1", "functions": {"f": ["Nat", "B"]},
+        "ind_sorts": ["Nat"],
+        "calls": [{"id": "c", "dom": "f", "codom": "f", "edges": [[0, 0, ">"]]}]}))
+    assert run(capsys, "sct", src) == (0, "terminating (closure size 1)\n", "")
+    assert run(capsys, "unravel", src, "--out", proof) == (
+        0, f"wrote proof: 32 nodes, 1 induction applications -> {proof}\n", "")
+    assert run(capsys, "verify", proof, "--source", src) == (
+        0, "ok: 32 nodes, conclusion [x0_0:Nat, x0_1:B]  |- f(x0_0, x0_1)\n", "")
+
+
 def test_unravel_a_call_system_without_functions(capsys, tmp_path):
     src = tmp_path / "empty.fun"
     src.write_text("sort Nat = 0\n")

@@ -17,7 +17,7 @@ from cycind import (
     prove_by_induction,
     respect_induction_order,
 )
-from cycind import builders
+from cycind import builders, formats
 from cycind.builders import close_free, fold_imp, gt_ind_hypothesis, ind_hypothesis
 from cycind.formats import FormulaNumbering
 from cycind.logic import Forall, FreeV, Geq, Gt, distinct_nodes, render_formula
@@ -138,6 +138,20 @@ def test_unfolding_and_replay_decide_soundness_once(calls_to):
     system, derivs = induced_proof_system(systems.load("drawn_crossing"))
     calls, _ = calls_to(closure, lambda: respect_induction_order(build_reset_rep(derivs["f0"], system)))
     assert len(calls) == 1
+
+
+def test_argument_of_a_non_inductive_sort():
+    # no size-change edge touches B, and the kernel refuses orders at B: the
+    # translation states order facts at inductive positions only
+    _kind, cs = formats.loads(json.dumps({
+        "format": "cycind/callsystem@1", "functions": {"f": ["Nat", "B"]},
+        "ind_sorts": ["Nat"],
+        "calls": [{"id": "c", "dom": "f", "codom": "f", "edges": [[0, 0, ">"]]}]}))
+    system, derivs = induced_proof_system(cs)
+    _rep, proof = prove_by_induction(derivs["f"], system)
+    assert (proof_size(proof), count_rule(proof, "gt_ind")) == (32, 1)
+    assert {h.sort for d in distinct_nodes(proof) for h in d.seq.hyps
+            if isinstance(h, (Geq, Gt))} == {"Nat"}
 
 
 @pytest.mark.parametrize("name", ["plus", "fg", "ack", "dist"])

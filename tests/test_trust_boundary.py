@@ -1,7 +1,7 @@
 """The trust boundary of ``src/cycind``, read from the source: the kernel
-(``logic``) stands alone, only ``translate`` uses the untrusted builders, and
-the command line imports nothing of the package up front but the reader and
-the kernel.
+(``logic``) stands alone, only ``translate`` uses the untrusted builders, only
+the command line uses the document formats, and it imports nothing of the
+package up front but the reader and the kernel.
 Every record but ``SizeChangeGraph`` is built by the ``__init__`` that
 ``core.Record`` generates."""
 
@@ -101,6 +101,14 @@ def test_kernel_builds_no_instances():
     term_maps = {"_map_terms", "open_bound", "close_free", "subst_free"}
     assert term_maps <= _top_level_names("builders")
     assert not _top_level_names("logic") & term_maps
+
+
+def test_only_the_command_line_imports_the_formats():
+    # the pipeline's stages build and check proofs; reading and writing
+    # documents is the command line's
+    modules = sorted(p.stem for p in SRC.glob("*.py"))
+    importers = [m for m in modules if ".formats" in _imports(m)]
+    assert importers == ["cli"]
 
 
 def test_only_translate_imports_the_builders():
