@@ -12,7 +12,7 @@ _HOMES = {
     "annotate": "Annotation Reset init_annotation render_annotation step",
     "core": "GEQ GT Call CallSystem CyclicSystem DerivNode Judgment RegularDerivation RuleScheme"
             " SizeChangeGraph VarRef compose induced_call_graph induced_proof_system"
-            " validate_call_system validate_derivation validate_system",
+            " validate_call_system validate_derivation",
     "formats": "FormatError",
     "logic": "Deriv LogicError Sequent check_proof count_rule proof_size states_judgment",
     "minilang": "MiniLangError parse_call_system",

@@ -78,17 +78,13 @@ def render_trace(rep: ResetRep) -> str:
     from .annotate import render_annotation
 
     lines = []
-    stack = [rep.root]
-    while stack:
-        nid = stack.pop()
-        n = rep.nodes[nid]
+    for nid, n in rep.nodes.items():
         line = f"{'  ' * n.depth}{nid} {n.rule}: {render_annotation(n.ann)}"
         for r in n.ann.resets:
             line += f" [reset {r.name} covered by {r.cover}]"
         if n.is_bud:
             line += f" => {n.sprout} on {n.prog}"
         lines.append(line)
-        stack.extend(reversed(n.children))
     return "\n".join(lines) + "\n"
 
 
@@ -303,10 +299,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except _CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except LogicError as e:
+    except (_CliError, LogicError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

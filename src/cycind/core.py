@@ -10,7 +10,6 @@ here as a finite rooted graph (one node per distinct subtree).
 """
 from __future__ import annotations
 
-from functools import total_ordering
 from operator import attrgetter
 from typing import Iterable, Mapping
 
@@ -64,7 +63,7 @@ class Record:
         cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
 
     def _validate(self) -> None:
-        pass
+        """Checks of the fields, which ``__init__`` runs where a class defines them."""
 
     def replace(self, **changes) -> Record:
         """A copy with ``changes`` applied, built (and validated) by ``__init__``."""
@@ -95,14 +94,11 @@ def best_label(a: str, b: str) -> str:
     return GT if GT in (a, b) else GEQ
 
 
-@total_ordering
 class SizeChangeGraph(Record):
     """Bipartite labelled graph between src_arity and dst_arity positions.
 
     ``edges`` holds (src, dst, label) triples with at most one edge per
     (src, dst) pair; construction normalizes duplicates, preferring ``>``.
-    Graphs are totally ordered by ``(src_arity, dst_arity, sorted_edges())``,
-    which agrees with equality because of that normalization.
     """
 
     __slots__ = ("src_arity", "dst_arity", "edges")
@@ -130,12 +126,6 @@ class SizeChangeGraph(Record):
     def sorted_edges(self) -> list[tuple[int, int, str]]:
         """Edges in the canonical (src, dst) lexicographic order."""
         return sorted(self.edges, key=lambda e: (e[0], e[1]))
-
-    def __lt__(self, other: object) -> bool:
-        if not isinstance(other, SizeChangeGraph):
-            return NotImplemented
-        return (self.src_arity, self.dst_arity, self.sorted_edges()) < (
-            other.src_arity, other.dst_arity, other.sorted_edges())
 
     def __str__(self) -> str:
         inner = ", ".join(f"{i}{lab}{j}" for i, j, lab in self.sorted_edges())
@@ -227,21 +217,12 @@ class RegularDerivation(Record):
     root: str
 
 
-@total_ordering
 class VarRef(Record):
-    """The variable introduced at branch depth ``depth`` for position ``pos``.
-
-    The order (depth, pos) is the age order on variables of a branch.
-    """
+    """The variable introduced at branch depth ``depth`` for position ``pos``."""
 
     __slots__ = ("depth", "pos")
     depth: int
     pos: int
-
-    def __lt__(self, other: object) -> bool:
-        if other.__class__ is not VarRef:
-            return NotImplemented
-        return (self.depth, self.pos) < (other.depth, other.pos)
 
     def __str__(self) -> str:
         return f"x{self.depth}_{self.pos}"
@@ -251,8 +232,8 @@ class VarRef(Record):
 # Validation
 # ---------------------------------------------------------------------------
 
-def _graph_problems(where: str, g: SizeChangeGraph, src: tuple[str, ...], dst: tuple[str, ...],
-                    ind_sorts: frozenset[str]) -> list[str]:
+def graph_problems(where: str, g: SizeChangeGraph, src: tuple[str, ...], dst: tuple[str, ...],
+                   ind_sorts: frozenset[str]) -> list[str]:
     """Diagnostics of ``g`` as a graph from positions of the sorts ``src`` to
     positions of the sorts ``dst``, each prefixed by ``where``: its arities,
     then each edge joining two sorts, which must be one inductive sort."""
@@ -264,29 +245,6 @@ def _graph_problems(where: str, g: SizeChangeGraph, src: tuple[str, ...], dst: t
             out.append(f"{where}: edge {a}->{b} joins sorts {src[a]!r} and {dst[b]!r}")
         elif src[a] not in ind_sorts:
             out.append(f"{where}: edge {a}->{b} touches non-inductive sort {src[a]!r}")
-    return out
-
-
-def validate_system(sys: CyclicSystem) -> list[str]:
-    """Structural diagnostics for a cyclic system; empty list means valid."""
-    out: list[str] = []
-    for jid, judg in sys.judgments.items():
-        if jid != judg.id:
-            out.append(f"judgment key {jid!r} does not match id {judg.id!r}")
-    for rid, rule in sys.rules.items():
-        if rid != rule.id:
-            out.append(f"rule key {rid!r} does not match id {rule.id!r}")
-        concl = sys.judgments.get(rule.conclusion)
-        if concl is None:
-            out.append(f"rule {rid}: unknown conclusion judgment {rule.conclusion!r}")
-            continue
-        for i, pid in enumerate(rule.premises):
-            prem = sys.judgments.get(pid)
-            if prem is None:
-                out.append(f"rule {rid}: unknown premise judgment {pid!r}")
-                continue
-            out += _graph_problems(f"rule {rid} premise {i}", rule.graphs[i], concl.sorts, prem.sorts,
-                                   sys.ind_sorts)
     return out
 
 
@@ -303,8 +261,8 @@ def validate_call_system(cs: CallSystem) -> list[str]:
         if c.codom not in cs.functions:
             out.append(f"call {c.id}: unknown function {c.codom!r}")
             continue
-        out += _graph_problems(f"call {c.id}", c.graph, cs.functions[c.dom], cs.functions[c.codom],
-                               cs.ind_sorts)
+        out += graph_problems(f"call {c.id}", c.graph, cs.functions[c.dom], cs.functions[c.codom],
+                              cs.ind_sorts)
     return out
 
 
@@ -319,10 +277,7 @@ def validate_derivation(d: RegularDerivation, sys: CyclicSystem) -> list[str]:
         if nid in reached:
             continue
         reached.add(nid)
-        node = d.nodes.get(nid)
-        if node is None:
-            out.append(f"node {nid!r} missing")
-            continue
+        node = d.nodes[nid]
         rule = sys.rules.get(node.rule)
         if rule is None:
             out.append(f"node {nid}: unknown rule {node.rule!r}")

@@ -38,9 +38,9 @@ from .core import (
     RegularDerivation,
     RuleScheme,
     SizeChangeGraph,
+    graph_problems,
     validate_call_system,
     validate_derivation,
-    validate_system,
 )
 
 CALLSYSTEM = "cycind/callsystem@1"
@@ -210,12 +210,14 @@ def system_from_doc(doc: Any) -> CyclicSystem:
             except ValueError as e:
                 raise FormatError(f"{where} graph {k}: {e}") from None
         rules[rid] = RuleScheme(id=rid, conclusion=conclusion, premises=premises, graphs=tuple(graphs))
-    sys = CyclicSystem(
-        judgments=judgments, rules=rules, ind_sorts=frozenset(_strings(doc, "ind_sorts", "system"))
-    )
-    if problems := validate_system(sys):
+    ind_sorts = frozenset(_strings(doc, "ind_sorts", "system"))
+    # each graph has its judgments' arities; its edges must join one inductive sort
+    problems = [p for r in rules.values() for i, (prem, g) in enumerate(zip(r.premises, r.graphs))
+                for p in graph_problems(f"rule {r.id} premise {i}", g, judgments[r.conclusion].sorts,
+                                        judgments[prem].sorts, ind_sorts)]
+    if problems:
         raise FormatError("system: " + "; ".join(problems))
-    return sys
+    return CyclicSystem(judgments=judgments, rules=rules, ind_sorts=ind_sorts)
 
 
 # ---------------------------------------------------------------------------

@@ -573,8 +573,8 @@ def _check_node(system: CyclicSystem, d: Deriv, ctx: dict[str, str], sums: _Summ
     scheme = system.rules.get(rid)
     if scheme is None:
         return f"unknown rule scheme {rid!r}"
-    # the kernel does not rely on validate_system: the scheme must fit, each
-    # edge joining two positions of one inductive sort
+    # the kernel does not rely on the document reader: the scheme must fit,
+    # each edge joining two positions of one inductive sort
     judg = system.judgments.get(scheme.conclusion)
     prems = [system.judgments.get(j) for j in scheme.premises]
     if judg is None or any(q is None or (g.src_arity, g.dst_arity) != (judg.ob, q.ob)

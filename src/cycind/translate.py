@@ -367,16 +367,11 @@ def translate(rep: ResetRep) -> Deriv:
     # by ``id``: the memo keeps them alive, so an ``id`` stands for a value.
     hyp_memo: dict[tuple, Formula] = {}
 
+    # ``rep.nodes`` is in preorder: parents before children going forward,
+    # children before parents going back
     data: dict[str, _NodeData] = {}
-    order: list[str] = []
-    todo: list[tuple[str, "str | None"]] = [(rep.root, None)]
-    while todo:
-        nid, parent = todo.pop()
-        pdata = data[parent] if parent is not None else None
-        data[nid] = _node_data(rep, nid, pdata, reach, budsby, group_order, hyp_memo)
-        order.append(nid)
-        for c in reversed(rep.nodes[nid].children):
-            todo.append((c, nid))
+    for nid, node in rep.nodes.items():
+        data[nid] = _node_data(rep, nid, data.get(node.parent), reach, budsby, group_order, hyp_memo)
 
     # One peeled derivation per state.  The rule, context and hypotheses fix
     # the end sequent, so a shared derivation always proves what the node
@@ -386,7 +381,7 @@ def translate(rep: ResetRep) -> Deriv:
     # which fixes their sequents) fix the subtree's shape.
     memo: dict[tuple, Deriv] = {}
     result: dict[str, Deriv] = {}
-    for nid in reversed(order):
+    for nid in reversed(rep.nodes):
         node, nd = rep.nodes[nid], data[nid]
         ann = node.ann
         key: tuple = (node.rule, ann.names, ann.binding, ann.stacks, nd.ctx,

@@ -63,7 +63,9 @@ class RepNode(Record):
 
 class ResetRep(Record):
     """An annotated unfolding of ``system``, with the node cap it was built
-    under; phase one sets the cap once and the replay reuses it."""
+    under; phase one sets the cap once and the replay reuses it.  ``nodes``
+    lists the tree in preorder: each node after its parent, children left to
+    right."""
 
     __slots__ = ("system", "cap", "nodes", "root")
     system: CyclicSystem
@@ -93,8 +95,9 @@ def _unfold_cap(deriv: RegularDerivation, system: CyclicSystem, closure_size: in
 
 def _unfold(system: CyclicSystem, cap: int, verb: str, tree: dict, root: str, close) -> ResetRep:
     """The unfolding walker of both phases, numbering nodes ``n0, n1, ...`` as
-    their parent is expanded.  ``tree`` maps each item the walk unravels to
-    its derivation node, rule and child items.  The phase's closing rule
+    their parent is expanded and storing each node as it is popped, so in
+    preorder.  ``tree`` maps each item the walk unravels to its derivation
+    node, rule and child items.  The phase's closing rule
     ``close(nid, item, parent, ann, state, nodes)`` returns a bud's sprout and
     progressing name, or ``None, None`` to expand the node, and the state its
     children inherit (an empty dict at the root)."""
@@ -249,27 +252,6 @@ def _older_checker(rep: ResetRep, b1: str, data):
     return older
 
 
-def _tree_intervals(rep: ResetRep) -> tuple[dict[str, int], dict[str, int]]:
-    """Entry/exit numbers of a child-edge traversal; a is a proper ancestor of
-    b iff tin[a] < tin[b] and tout[b] < tout[a]."""
-    tin: dict[str, int] = {}
-    tout: dict[str, int] = {}
-    t = 0
-    stack: list[tuple[str, bool]] = [(rep.root, False)]
-    while stack:
-        nid, done = stack.pop()
-        if done:
-            tout[nid] = t
-            t += 1
-            continue
-        tin[nid] = t
-        t += 1
-        stack.append((nid, True))
-        for c in reversed(rep.nodes[nid].children):
-            stack.append((c, False))
-    return tin, tout
-
-
 def induction_order_violations(rep: ResetRep) -> list[tuple[str, str]]:
     """Pairs (b, b2) of mutually reachable buds where b2's sprout is a proper
     ancestor of b's sprout but b2 is not at least as old as b.
@@ -279,7 +261,11 @@ def induction_order_violations(rep: ResetRep) -> list[tuple[str, str]]:
     buds = rep.buds()
     nodes = rep.nodes
     reach = sprout_reach(rep)
-    tin, tout = _tree_intervals(rep)
+    # a is a proper ancestor of b iff b's preorder index falls in a's subtree
+    pre = {nid: i for i, nid in enumerate(nodes)}
+    size: dict[str, int] = {}
+    for nid in reversed(nodes):
+        size[nid] = 1 + sum(map(size.__getitem__, nodes[nid].children))
     data = _bud_order_data(rep)
     checkers: dict = {}
     found = []
@@ -289,7 +275,7 @@ def induction_order_violations(rep: ResetRep) -> list[tuple[str, str]]:
             s2 = nodes[b2].sprout
             if b2 == b or b2 not in reach[s] or b not in reach[s2]:
                 continue
-            if not (tin[s2] < tin[s] and tout[s] < tout[s2]):
+            if not pre[s2] < pre[s] < pre[s2] + size[s2]:
                 continue
             if b2 not in checkers:
                 checkers[b2] = _older_checker(rep, b2, data)

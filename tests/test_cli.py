@@ -242,6 +242,26 @@ def test_verify_flags_a_broken_proof(capsys, tmp_path, pipelines):
     assert (code, err) == (1, "invalid proof: at root: unknown rule 'bogus'\n")
 
 
+def test_unravel_reports_a_rejected_translation(capsys, monkeypatch, tmp_path):
+    # the kernel's verdict on a translated proof exits 2 like any other error
+    import cycind.translate
+
+    real = cycind.translate.translate
+    monkeypatch.setattr(cycind.translate, "translate", lambda rep: real(rep).replace(rule="bogus"))
+    out_path = tmp_path / "P"
+    code, out, err = run(capsys, "unravel", DATA / "plus.fun", "--out", out_path)
+    assert (code, out, err) == (2, "", "error: at root: unknown rule 'bogus'\n")
+    assert not out_path.exists()
+
+
+def test_unravel_refuses_a_proof_document(capsys, tmp_path, pipelines):
+    p = pipelines["plus"]
+    path = tmp_path / "proof.json"
+    path.write_text(formats.dumps(formats.proof_to_doc(p.proof, p.system)))
+    code, out, err = run(capsys, "unravel", path)
+    assert (code, out, err) == (2, "", "error: cannot unravel a proof document\n")
+
+
 def test_verify_wants_proofs(capsys):
     code, out, err = run(capsys, "verify", DATA / "plus.fun")
     assert (code, err) == (2, "error: verify expects a proof document, found callsystem\n")
@@ -342,6 +362,22 @@ def test_show_derivation(capsys, tmp_path, pipelines):
     path.write_text(formats.dumps(formats.derivation_to_doc(p.deriv, p.system)))
     code, out, err = run(capsys, "show", path)
     assert (code, out) == (0, "derivation: 1 nodes, root plus\n  plus: plus [plus]\n")
+
+
+def test_show_dot_of_a_derivation(capsys, tmp_path, pipelines):
+    p = pipelines["plus"]
+    path = tmp_path / "deriv.json"
+    path.write_text(formats.dumps(formats.derivation_to_doc(p.deriv, p.system)))
+    code, out, err = run(capsys, "show", path, "--dot")
+    assert (code, err) == (0, "")
+    assert out == (
+        "digraph derivation {\n"
+        "  node [shape=box];\n"
+        '  "plus" [label="plus: plus : plus"];\n'
+        '  "plus" -> "plus" [label="0"];\n'
+        '  "plus" [penwidth=2];\n'
+        "}\n"
+    )
 
 
 def test_show_proof_histogram(capsys, tmp_path, pipelines):

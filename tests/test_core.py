@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -15,7 +16,7 @@ from cycind import (
     validate_call_system,
     validate_derivation,
 )
-from cycind.core import DerivNode
+from cycind.core import DerivNode, RuleScheme
 
 import oracles
 import systems
@@ -99,6 +100,40 @@ def test_validate_call_system_diagnostics():
     assert validate_call_system(unknown) == ["call c: unknown function 'g'"]
 
 
+def _one_call(dom, codom, graph):
+    return CallSystem({"f": ("*",)}, (Call("c", dom, codom, graph),))
+
+
+@pytest.mark.parametrize("cs, message", [
+    (_one_call("g", "f", SizeChangeGraph(1, 1, frozenset())), "call c: unknown function 'g'"),
+    (_one_call("f", "f", SizeChangeGraph(2, 1, frozenset())), "call c: graph is 2->1, expected 1->1"),
+], ids=["unknown_caller", "graph_arity"])
+def test_validate_call_system_rejects(cs, message):
+    assert validate_call_system(cs) == [message]
+
+
+@pytest.mark.parametrize("name, nodes, message", [
+    ("plus", {"u": DerivNode("nosuch", ())}, "node u: unknown rule 'nosuch'"),
+    ("fg", {"u": DerivNode("f", ("u",))}, "node u child 0: rule f concludes 'f', expected 'g'"),
+], ids=["unknown_rule", "child_judgment"])
+def test_validate_derivation_rejects(name, nodes, message):
+    sysm, _ = induced_proof_system(systems.load(name))
+    d = RegularDerivation(nodes, "u")
+    assert validate_derivation(d, sysm) == [message]
+    with pytest.raises(ValueError, match=f"^invalid derivation: {message}$"):
+        induced_call_graph(d, sysm)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: RuleScheme("r", "j", ("j",), ()), "rule r: 0 graphs for 1 premises"),
+    (lambda: compose(SizeChangeGraph(1, 2, frozenset()), SizeChangeGraph(1, 1, frozenset())),
+     "arity mismatch: 2 vs 1"),
+], ids=["rule_graphs", "compose_arity"])
+def test_records_and_composition_reject(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
+
+
 def test_induced_system_shape():
     cs = systems.load("ack")
     sysm, derivs = induced_proof_system(cs)
@@ -123,8 +158,8 @@ def test_induced_call_graph_round_trip():
         cs = systems.load(name)
         sysm, derivs = induced_proof_system(cs)
         back = induced_call_graph(derivs[systems.ROOT_FUN[name]], sysm)
-        got = sorted((c.dom, c.codom, c.graph) for c in back.calls)
-        want = sorted((c.dom, c.codom, c.graph) for c in cs.calls)
+        got = Counter((c.dom, c.codom, c.graph) for c in back.calls)
+        want = Counter((c.dom, c.codom, c.graph) for c in cs.calls)
         assert got == want
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from cycind import FormatError, check_proof, count_rule, proof_size
-from cycind.builders import geq_refl, inst
+from cycind.builders import geq_refl, inst, trans
 from cycind.formats import (
     CALLSYSTEM,
     MAX_FORMULA_DEPTH,
@@ -133,6 +133,66 @@ def test_loader_checks_its_own_tag(pipelines):
     ):
         call_system_from_doc(doc)
     assert doc["format"] == PROOF and CALLSYSTEM != PROOF
+
+
+@pytest.mark.parametrize("loader", [call_system_from_doc, derivation_from_doc, proof_from_doc])
+def test_a_loader_refuses_a_non_object(loader):
+    with pytest.raises(FormatError, match="^document is not a JSON object$"):
+        loader([])
+
+
+def _plus_docs(pipelines):
+    p = pipelines["plus"]
+    return {"callsystem": call_system_to_doc(p.cs), "derivation": derivation_to_doc(p.deriv, p.system),
+            "proof": proof_to_doc(p.proof, p.system)}
+
+
+def _set(*path_and_value):
+    """A change of the value at ``path`` (keys and indices) of a document."""
+    *path, key, value = path_and_value
+
+    def change(doc):
+        for k in path:
+            doc = doc[k]
+        doc[key] = value
+    return change
+
+
+@pytest.mark.parametrize("kind, damage, message", [
+    ("callsystem", _set("calls", 0, 5), "call 0 must be an object, found a number"),
+    ("derivation", _set("system", "rules", 0, "graphs", [5]),
+     "system rule 'plus' graph 0 must be an array of edges, found a number"),
+    ("derivation", _set("system", "rules", 0, "conclusion", "nosuch"),
+     "system rule 'plus' concludes an unknown judgment"),
+    ("derivation", _set("system", "rules", 0, "premises", ["nosuch"]),
+     "system rule 'plus' has an unknown premise 'nosuch'"),
+    ("proof", _set("formulas", 0, ["atom", "plus", [["v", 5], ["v", "x"]]]),
+     "formula row 0: malformed term ['v', 5]"),
+    ("proof", _set("formulas", 0, ["atom", 5, []]), "formula row 0: malformed 'atom' formula"),
+    ("proof", _set("formulas", 0, ["zzz"]), "formula row 0: unknown formula tag 'zzz'"),
+    ("proof", _set("formulas", 0, 5), "formula row 0 must be an array, found a number"),
+    ("proof", _set("nodes", 0, 5), "node 0: row must be an object, found a number"),
+    ("proof", _set("nodes", 0, "rule", 5), "node 0: rule must be a string, found a number"),
+    ("proof", _set("root", 99), "root not present in the node table"),
+], ids=["call_row", "graph_row", "unknown_conclusion", "unknown_premise", "term", "leaf",
+        "formula_tag", "formula_row", "node_row", "rule", "root"])
+def test_readers_refuse_a_malformed_part(pipelines, kind, damage, message):
+    doc = copy.deepcopy(_plus_docs(pipelines)[kind])
+    damage(doc)
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+        loads(dumps(doc))
+
+
+def test_a_child_named_twice_is_written_once(pipelines):
+    system = pipelines["plus"].system
+    r = geq_refl((("x", "Nat"),), (), "Nat", "x")
+    d = trans(r, r)
+    check_proof(system, d)
+    doc = proof_to_doc(d, system)
+    assert [(row["rule"], row["children"]) for row in doc["nodes"]] == [("geq_refl", []), ("trans", [0, 0])]
+    _, (system2, back) = loads(dumps(doc))
+    assert back.children[0] is back.children[1]
+    assert proof_to_doc(back, system2) == doc
 
 
 def test_call_doc_with_undeclared_function():

@@ -1,5 +1,6 @@
 """Direct exercises of the proof kernel: constructors build, check_proof judges."""
 
+import re
 import sys
 import time
 from collections import Counter
@@ -250,7 +251,7 @@ def test_c_apply_needs_the_edge_facts():
     {"premises": ("nosuch",)},
 ], ids=["graph_arity", "conclusion", "premise"])
 def test_c_rule_rejects_a_scheme_that_does_not_fit_the_judgments(plus_system, pipelines, change):
-    # the kernel does not rely on validate_system having run
+    # the kernel does not rely on the document reader having checked the system
     bad = plus_system.replace(rules={"plus": plus_system.rules["plus"].replace(**change)})
     proof = pipelines["plus"].proof
     path, node = (), proof
@@ -1100,6 +1101,63 @@ def test_forall_elim_rejects_a_target_of_another_sort(plus_system):
     check_proof(system, forall_elim(assumption(ctx, hyps, 0), ("x",)))
     with pytest.raises(LogicError, match="forall_elim target has sort 'Tree', expected 'Nat'") as exc:
         check_proof(system, forall_elim(assumption(ctx, hyps, 0), ("t",)))
+    assert exc.value.path == ()
+
+
+def _guarded(case, plus_system):
+    """A system and a proof that one soundness guard of the kernel alone
+    rejects, by ``case``: c_rule's conclusion (judgment and atom) and its
+    premise's variable sorts, and the matcher's atom judgments, quantifier
+    sorts and order sorts.  Without its guard, the kernel accepts each proof
+    but ``c_rule_atom``, on which it crashes."""
+    ctx = (("x", NAT),)
+    if case.startswith("c_rule"):
+        system = _edge_system((0, 0, GEQ), (NAT,))
+        if case == "c_rule_judgment":
+            # the premise-less scheme of f concludes g(x)
+            return system, Deriv("c_rule", Sequent(ctx, (), Atom("g", (x("x"),))), (), ("f",))
+        if case == "c_rule_atom":
+            return system, Deriv("c_rule", Sequent(ctx, (), Geq(NAT, x("x"), x("x"))), (), ("f",))
+        # g(x) from f(t) with t of the sort Tree, where f takes a Nat
+        system = system.replace(
+            rules={**system.rules, "g": RuleScheme("g", "g", ("f",), (SizeChangeGraph(1, 1, frozenset()),))},
+            ind_sorts=frozenset({NAT, "Tree"}))
+        inner = Deriv("c_rule", Sequent(ctx + (("t", "Tree"),), (), Atom("f", (x("t"),))), (), ("f",))
+        return system, Deriv("c_rule", Sequent(ctx, (), Atom("g", (x("x"),))), (inner,), ("g",))
+    if case == "atom_judgment":
+        # all a. f(a) opened at x, concluding g(x)
+        system = _edge_system((0, 0, GEQ), (NAT,))
+        hyps = (Forall(NAT, Atom("f", (BoundV(0),)), hint="a"),)
+        return system, _with_concl(forall_elim(assumption(ctx, hyps, 0), ("x",)), Atom("g", (x("x"),)))
+    # the remaining cases add the inductive sort Tree to plus's system
+    system = plus_system.replace(ind_sorts=plus_system.ind_sorts | {"Tree"})
+    if case == "quantifier_sort":
+        # all a:Nat. all b:Nat. a >= a opened at x, concluding all b:Tree. x >= x
+        hyps = (Forall(NAT, Forall(NAT, Geq(NAT, BoundV(1), BoundV(1)), hint="b"), hint="a"),)
+        return system, _with_concl(forall_elim(assumption(ctx, hyps, 0), ("x",)),
+                                   Forall("Tree", Geq(NAT, x("x"), x("x")), hint="b"))
+    # order_sort: the premise's hypothesis a >= a renamed to x is met by a
+    # minor that opens all b:Nat. b >= b at x, concluding x >= x at Tree; the
+    # kernel checks no minor's conclusion, but inst and forall_elim each
+    # compare it with the formula they build
+    hyps = (Forall(NAT, Geq(NAT, BoundV(0), BoundV(0)), hint="b"),)
+    minor = _with_concl(forall_elim(assumption(ctx, hyps, 0), ("x",)), Geq("Tree", x("x"), x("x")))
+    refl = Geq(NAT, x("a"), x("a"))
+    return system, inst(assumption((("a", NAT),), (refl,), 0), hyps, [minor], {"a": "x"}, ctx)
+
+
+@pytest.mark.parametrize("case, message", [
+    ("c_rule_judgment", "c_rule f must conclude a f atom"),
+    ("c_rule_atom", "c_rule f must conclude a f atom"),
+    ("c_rule_premise_sort", "premise 0: variable 0 has sort 'Tree', expected 'Nat'"),
+    ("atom_judgment", "forall_elim conclusion is not the instantiated body"),
+    ("quantifier_sort", "forall_elim conclusion is not the instantiated body"),
+    ("order_sort", "inst minor 0 must conclude renamed premise hypothesis 0"),
+])
+def test_each_soundness_guard_rejects_its_proof(plus_system, case, message):
+    system, d = _guarded(case, plus_system)
+    with pytest.raises(LogicError, match=f"^at root: {re.escape(message)}$") as exc:
+        check_proof(system, d)
     assert exc.value.path == ()
 
 

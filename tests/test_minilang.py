@@ -37,6 +37,13 @@ def test_comments_and_numerals():
     assert graphs(cs) == {"f.0": ("f", "f", {(0, 0, GT)})}
 
 
+def test_a_parenthesised_term_is_its_inside():
+    src = "sort Nat = 0 | suc(Nat)\nfun f(Nat)\nf(suc(x)) := f({})\n"
+    (clause,) = parse(src.format("(x)")).clauses
+    assert clause.body == Term("f", (Term("x"),))
+    assert graphs(parse_call_system(src.format("(x)"))) == graphs(parse_call_system(src.format("x")))
+
+
 def test_plus_extraction():
     cs = systems.load("plus")
     assert graphs(cs) == {"plus.0": ("plus", "plus", {(0, 1, GT), (1, 0, GEQ)})}

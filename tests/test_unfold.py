@@ -192,6 +192,29 @@ def test_forced_replay_on_ackermann(pipelines, monkeypatch):
     assert oracles.reset_rep_violations(rep2) == []
 
 
+def _preorder(rep):
+    """The reference order: each node, then its children's subtrees from
+    left to right, walked from the root."""
+    out, todo = [], [rep.root]
+    while todo:
+        nid = todo.pop()
+        out.append(nid)
+        todo.extend(reversed(rep.nodes[nid].children))
+    return out
+
+
+@pytest.mark.parametrize("name", ["plus", "ack", "dist", "treedist", "fg", "drawn_crossing"])
+def test_nodes_are_stored_in_preorder(monkeypatch, name):
+    # translate, render_trace and induction_order_violations read the tree
+    # in this order off rep.nodes instead of walking it again
+    system, derivs = induced_proof_system(systems.load(name))
+    rep1 = build_reset_rep(derivs[systems.ROOT_FUN[name]], system)
+    rep2 = force_replay(rep1, monkeypatch)
+    assert rep2 is not rep1
+    for rep in (rep1, rep2):
+        assert list(rep.nodes) == _preorder(rep)
+
+
 def test_crossing_fixture_reordered():
     # with the paper's tokens nothing crosses, so the replay leaves the fixture as it is
     cs = systems.load("crossing")
