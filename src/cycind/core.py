@@ -311,7 +311,8 @@ def induced_proof_system(cs: CallSystem) -> tuple[CyclicSystem, dict[str, Regula
     """One judgment and one rule per function; one premise per outgoing call.
 
     The accompanying derivation for function f is the call graph itself rooted
-    at f (nodes are functions, the child list follows the call list order).
+    at f (nodes are the functions reachable from f, in the source's order; the
+    child list follows the call list order).
     """
     problems = validate_call_system(cs)
     if problems:
@@ -342,7 +343,7 @@ def induced_proof_system(cs: CallSystem) -> tuple[CyclicSystem, dict[str, Regula
                 continue
             reach.add(g)
             todo.extend(nodes[g].children)
-        derivations[f] = RegularDerivation({g: nodes[g] for g in reach}, f)
+        derivations[f] = RegularDerivation({g: nodes[g] for g in cs.functions if g in reach}, f)
     return sys, derivations
 
 

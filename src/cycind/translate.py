@@ -7,13 +7,17 @@ of its position; names lower on a stack strictly exceed those above) plus the
 *induction hypotheses* currently in scope, and the conclusion is the node's
 judgment at its own variables.
 
-Ordering facts are proved by lookup in the sequent that needs them: a
-hypothesis, ``x >= x``, the weakening of a strict hypothesis, or one
-``trans`` of two hypotheses (:class:`_Orders`), with one ``assumption`` node
-per hypothesis of that sequent, shared by every step.  Internal nodes become one
-case-rule application; each child sequent is reached by one ``inst`` whose
-minors prove every child fact from the parent's hypotheses plus the fresh
-edge facts.  A node that is the target of back-edges additionally introduces
+Each ordering fact has a key, ``(strict, sort, left name, right name)``, and
+one object per key within one call: the node facts and the edge facts go
+through one table, so the facts that the translation states are one object
+per value throughout the proof.  They are proved by lookup of keys in the
+sequent that needs them, which builds no formula: a hypothesis, ``x >= x``,
+the weakening of a strict hypothesis, or one ``trans`` of two hypotheses
+(:class:`_Orders`), with one ``assumption`` node per hypothesis of that
+sequent, shared by every step.  Internal nodes become one case-rule
+application; each child sequent is reached by one ``inst`` whose minors
+prove every child fact from the parent's hypotheses plus the fresh edge
+facts.  A node that is the target of back-edges additionally introduces
 one induction hypothesis per progressing name of its buds, which the strong
 induction macro of :mod:`cycind.builders` discharges.  The hypothesis has the
 shape of the one ``gt_ind`` introduces, ``all x'. x > x' -> all ys'. chain``,
@@ -97,6 +101,24 @@ class _NodeData(Record):
         return self.ineq + tuple(e.formula for e in self.entries)
 
 
+_Key = tuple[bool, str, str, str]
+
+
+def _key(f: "Geq | Gt") -> _Key:
+    """The key of an order fact between free variables: ``(strict, sort,
+    left name, right name)``."""
+    return (f.__class__ is Gt, f.sort, f.left.name, f.right.name)
+
+
+def _fact(facts: dict[_Key, Formula], key: _Key) -> Formula:
+    """The one object of the order fact ``key`` in the table ``facts``."""
+    f = facts.get(key)
+    if f is None:
+        strict, sort, left, right = key
+        f = facts[key] = (Gt if strict else Geq)(sort, FreeV(left), FreeV(right))
+    return f
+
+
 class _Orders:
     """Proves ordering facts from the hypotheses of one sequent.
 
@@ -105,17 +127,23 @@ class _Orders:
     hypotheses, with the fewest ``geq_subsum`` nodes.  Ties go to the earlier
     hypothesis.  Each hypothesis is concluded by one ``assumption`` node,
     :meth:`leaf`, shared by every step that uses it.
+
+    A top-level order of a translated sequent relates free variables only, so
+    the hypotheses are indexed by key (:func:`_key`), each key at its first
+    hypothesis in ``first``, and each ``(sort, left name)`` at its hypotheses
+    in ``starts``.  A lookup reads the goal's names and builds no formula.
     """
 
     def __init__(self, ctx: tuple[tuple[str, str], ...], hyps: tuple[Formula, ...]) -> None:
         self.ctx, self.hyps = ctx, hyps
         self.leaves: dict[int, Deriv] = {}
-        self.first: dict[Formula, int] = {}
-        self.starts: dict[tuple, list[int]] = {}
+        self.first: dict[_Key, int] = {}
+        self.starts: dict[tuple[str, str], list[int]] = {}
         for k, h in enumerate(hyps):
-            if isinstance(h, (Geq, Gt)):
-                self.first.setdefault(h, k)
-                self.starts.setdefault((h.sort, h.left), []).append(k)
+            if h.__class__ is Geq or h.__class__ is Gt:
+                key = _key(h)
+                self.first.setdefault(key, k)
+                self.starts.setdefault(key[1:3], []).append(k)
 
     def leaf(self, k: int) -> Deriv:
         """The ``assumption`` node of hypothesis ``k``."""
@@ -126,21 +154,23 @@ class _Orders:
 
     def prove(self, goal: "Geq | Gt") -> Deriv:
         first = self.first
-        k = first.get(goal)
+        key = _key(goal)
+        k = first.get(key)
         if k is not None:
             return self.leaf(k)
-        weak = isinstance(goal, Geq)
-        if weak and goal.left == goal.right:
-            return geq_refl(self.ctx, self.hyps, goal.sort, goal.left.name)
-        k = first.get(Gt(goal.sort, goal.left, goal.right)) if weak else None
+        goal_strict, sort, left, right = key
+        weak = not goal_strict
+        if weak and left == right:
+            return geq_refl(self.ctx, self.hyps, sort, left)
+        k = first.get((True, sort, left, right)) if weak else None
         if k is not None:
             return geq_subsum(self.leaf(k))
         best = None
-        for k1 in self.starts.get((goal.sort, goal.left), ()):
+        for k1 in self.starts.get((sort, left), ()):
             h1 = self.hyps[k1]
-            for mid in (Geq, Gt):
-                k2 = first.get(mid(goal.sort, h1.right, goal.right))
-                strict = mid is Gt or isinstance(h1, Gt)
+            for mid in (False, True):
+                k2 = first.get((mid, sort, h1.right.name, right))
+                strict = mid or h1.__class__ is Gt
                 if k2 is not None and (weak or strict):
                     cand = (weak and strict, k1, k2)
                     best = cand if best is None else min(best, cand)
@@ -159,6 +189,7 @@ def _node_data(
     budsby: dict,
     group_order: dict,
     hyp_memo: dict[tuple, Formula],
+    facts: dict,
 ) -> _NodeData:
     node = rep.nodes[nid]
     ann = node.ann
@@ -169,35 +200,33 @@ def _node_data(
     xs = tuple(map(str, own))
     refs = (pdata.refs if pdata is not None else ()) + own
     ctx = (pdata.ctx if pdata is not None else ()) + tuple(zip(xs, sorts))
+    var = dict(zip(ann.names, map(str, ann.binding)))
 
-    def at(name: str) -> FreeV:
-        return FreeV(str(ann.var_of(name)))
-
-    # The facts, in order and without repeats, at inductive positions only:
-    # every stack name bounds its position's value from above; a name
+    # The facts' keys, in order and without repeats, at inductive positions
+    # only: every stack name bounds its position's value from above; a name
     # strictly exceeds every name above it on a stack; at a bud, the
     # progressing name exceeds its cover, and the cover still bounds every
     # position the progressing name occupies.
     ind = [j for j in range(judg.ob) if sorts[j] in rep.system.ind_sorts]
-    facts: dict[Formula, None] = {}
+    keys: dict[_Key, None] = {}
     for j in ind:
         for a in ann.stacks[j]:
-            facts[Geq(sorts[j], at(a), FreeV(xs[j]))] = None
+            keys[(False, sorts[j], var[a], xs[j])] = None
     for j in ind:
-        st = ann.stacks[j]
+        st = [var[a] for a in ann.stacks[j]]
         for i1 in range(len(st)):
             for i2 in range(i1 + 1, len(st)):
-                facts[Gt(sorts[j], at(st[i1]), at(st[i2]))] = None
+                keys[(True, sorts[j], st[i1], st[i2])] = None
     if node.is_bud:
         p = node.prog
-        cov = FreeV(str(ann.cover_of(p).cover_var))
+        cov = str(ann.cover_of(p).cover_var)
         pj = [j for j in ind if p in ann.stacks[j]]
         if not pj:
             raise TranslationError(f"progressing name {p!r} on no stack at {nid}")
-        facts[Gt(sorts[pj[0]], at(p), cov)] = None
+        keys[(True, sorts[pj[0]], var[p], cov)] = None
         for j in pj:
-            facts[Geq(sorts[j], cov, FreeV(xs[j]))] = None
-    ineq = tuple(facts)
+            keys[(False, sorts[j], cov, xs[j])] = None
+    ineq = tuple(_fact(facts, k) for k in keys)
 
     # induction hypotheses in scope
     entries: tuple[HypEntry, ...] = pdata.entries if pdata is not None else ()
@@ -210,8 +239,8 @@ def _node_data(
         new: list[HypEntry] = []
         for p in group_order[nid]:
             older = tuple(e.formula for e in entries + tuple(new))
-            x = str(ann.var_of(p))
-            key = (ctx, ineq, tuple(map(id, older)), concl, x)
+            x = var[p]
+            key = (ctx, tuple(map(id, ineq + older)), judg.id, x)
             if key not in hyp_memo:
                 hyp_memo[key] = ind_hypothesis(Sequent(ctx, ineq + older, concl), x)
             new.append(HypEntry(sprout=nid, prog=p, formula=hyp_memo[key]))
@@ -225,7 +254,7 @@ def _node_data(
 # Bud closure
 # ---------------------------------------------------------------------------
 
-def _close_bud(rep: ResetRep, node: RepNode, nd: _NodeData, data: dict) -> Deriv:
+def _close_bud(rep: ResetRep, node: RepNode, nd: _NodeData, data: dict, facts: dict) -> Deriv:
     """Instantiate the bud's hypothesis at the bud's values: the cover, then
     the guard by lookup, then the other variables in one step.  Then prove
     each antecedent of the chain in turn: order facts by lookup, older
@@ -284,7 +313,7 @@ def _close_bud(rep: ResetRep, node: RepNode, nd: _NodeData, data: dict) -> Deriv
         if sw == ow:
             m = orders.leaf(len(nd.ineq) + k2)
         else:
-            geq = Geq(dict(ctx)[str(ow)], FreeV(str(ow)), FreeV(str(sw)))
+            geq = _fact(facts, (False, dict(ctx)[str(ow)], str(ow), str(sw)))
             m = hyp_monotone(o.formula, len(nd.ineq) + k2, str(sw), ctx, H,
                              lambda c, h: _Orders(c, h).prove(geq))
         if m.seq.concl != goal:
@@ -306,10 +335,12 @@ def _internal(
     nd: _NodeData,
     data: dict,
     result: dict,
+    facts: dict,
 ) -> Deriv:
     """The case-rule step of an internal node; ``result`` holds each child's
     derivation with the child's own hypotheses already peeled.  Each child
-    fact is proved from the node's hypotheses plus the edge facts."""
+    fact is proved from the node's hypotheses plus the edge facts, which go
+    through the table ``facts``."""
     system = rep.system
     judg = system.judgment_of_rule(node.rule)
     rule = system.rules[node.rule]
@@ -326,7 +357,8 @@ def _internal(
             e.formula for e in inherited
         ), "child sequent out of shape after peeling"
         ys = tuple(v for v, _s in cd.ctx[len(nd.ctx):])
-        P = target_hyps + edge_facts(judg.sorts, rule.graphs[i], xs, ys)
+        edges = edge_facts(judg.sorts, rule.graphs[i], xs, ys)
+        P = target_hyps + tuple(facts.setdefault(_key(f), f) for f in edges)
         orders = _Orders(cd.ctx, P)
         minors = [orders.prove(f) for f in cd.ineq]
         minors += [orders.leaf(nI + entry_pos[(e.sprout, e.prog)]) for e in inherited]
@@ -362,16 +394,20 @@ def translate(rep: ResetRep) -> Deriv:
         for s, bids in sprout_buds.items()
     }
 
-    # One hypothesis object per target.  A key holds the order facts, small
-    # leaves, by value, and the older hypotheses, which come from this memo,
-    # by ``id``: the memo keeps them alive, so an ``id`` stands for a value.
+    # One object per order fact, by key
+    facts: dict[_Key, Formula] = {}
+    # One hypothesis object per target.  A key holds the order facts, which
+    # come from ``facts``, and the older hypotheses, which come from this
+    # memo, by ``id``: the tables keep them alive, so an ``id`` stands for a
+    # value.  The context and the judgment fix the conclusion.
     hyp_memo: dict[tuple, Formula] = {}
 
     # ``rep.nodes`` is in preorder: parents before children going forward,
     # children before parents going back
     data: dict[str, _NodeData] = {}
     for nid, node in rep.nodes.items():
-        data[nid] = _node_data(rep, nid, data.get(node.parent), reach, budsby, group_order, hyp_memo)
+        data[nid] = _node_data(rep, nid, data.get(node.parent), reach, budsby, group_order,
+                               hyp_memo, facts)
 
     # One peeled derivation per state.  The rule, context and hypotheses fix
     # the end sequent, so a shared derivation always proves what the node
@@ -393,7 +429,8 @@ def translate(rep: ResetRep) -> Deriv:
             key += (nd.appended, *(id(result[c]) for c in node.children))
         d = memo.get(key)
         if d is None:
-            d = _close_bud(rep, node, nd, data) if node.is_bud else _internal(rep, node, nd, data, result)
+            d = (_close_bud(rep, node, nd, data, facts) if node.is_bud
+                 else _internal(rep, node, nd, data, result, facts))
             d = memo[key] = _peel_new_hyps(d, node, nd)
         result[nid] = d
 

@@ -51,9 +51,9 @@ class FuzzCase:
     rep2: object
 
 
-@pytest.fixture(scope="session")
-def fuzz_population():
-    """200 random sound systems whose plain unfolding stays small."""
+def draw_fuzz_population():
+    """200 random sound systems whose plain unfolding stays small, with the
+    number of draws it took."""
     rng = random.Random(7)
     kept, attempts = [], 0
     while len(kept) < 200:
@@ -69,6 +69,11 @@ def fuzz_population():
             continue
         kept.append(FuzzCase(cs, system, deriv, rep1, respect_induction_order(rep1)))
     return attempts, kept
+
+
+@pytest.fixture(scope="session")
+def fuzz_population():
+    return draw_fuzz_population()
 
 
 @pytest.fixture(scope="session")

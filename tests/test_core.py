@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -150,6 +154,20 @@ def test_induced_system_shape():
     ]
     d = derivs["ack"]
     assert set(d.nodes) == {"ack"} and d.nodes["ack"].children == ("ack",) * 3
+
+
+@pytest.mark.parametrize("seed", ["0", "1"])
+def test_derivation_nodes_keep_the_source_order(seed):
+    # fg's derivation for f reaches g; its nodes follow the source's order
+    # whatever the hash seed of the interpreter
+    tests = Path(__file__).resolve().parent
+    env = {**os.environ, "PYTHONHASHSEED": seed,
+           "PYTHONPATH": os.pathsep.join((str(tests.parent / "src"), str(tests)))}
+    code = ("import systems\nfrom cycind import induced_proof_system\n"
+            "print(list(induced_proof_system(systems.load('fg'))[1]['f'].nodes))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True).stdout
+    assert out == "['f', 'g']\n"
 
 
 def test_induced_call_graph_round_trip():

@@ -1161,6 +1161,40 @@ def test_each_soundness_guard_rejects_its_proof(plus_system, case, message):
     assert exc.value.path == ()
 
 
+def _unlocated(case):
+    """A proof that one check of the kernel rejects, by ``case``, where
+    without that check the kernel would crash on it instead: imp_intro's and
+    gt_ind's conclusion shapes, an unknown judgment in a hypothesis, and a
+    bad context with a hypothesis to check.  ``c_rule_argument`` concludes a
+    c_rule at an atom with a bound argument, which the conclusion's own
+    check rejects first."""
+    ctx, refl = (("x", NAT),), Geq(NAT, x("x"), x("x"))
+    if case == "imp_intro_shape":
+        return Deriv("imp_intro", Sequent(ctx, (), refl), (geq_refl(ctx, (refl,), NAT, "x"),))
+    if case == "gt_ind_shape":
+        premise = geq_refl(ctx + (("y", NAT),), (refl,), NAT, "x")
+        return Deriv("gt_ind", Sequent(ctx, (), refl), (premise,))
+    if case == "c_rule_argument":
+        return Deriv("c_rule", Sequent(ctx, (), Atom("plus", (BoundV(0), x("x")))), (), ("plus",))
+    if case == "unknown_judgment":
+        return assumption(ctx, (Atom("bogus", (x("x"),)),), 0)
+    # repeated_variable: with a hypothesis, so that the pair check goes on
+    return assumption((("x", NAT), ("x", NAT)), (refl,), 0)
+
+
+@pytest.mark.parametrize("case, message", [
+    ("imp_intro_shape", "imp_intro conclusion must be an implication"),
+    ("gt_ind_shape", "gt_ind conclusion must be quantified"),
+    ("c_rule_argument", "conclusion: unbound index, 1 past its binders"),
+    ("unknown_judgment", "hypothesis 0: unknown judgment 'bogus'"),
+    ("repeated_variable", "repeated context variable"),
+])
+def test_a_malformed_proof_gets_a_located_error(plus_system, case, message):
+    with pytest.raises(LogicError, match=f"^at root: {re.escape(message)}$") as exc:
+        check_proof(plus_system, _unlocated(case))
+    assert exc.value.path == ()
+
+
 def _bad_block(case):
     """A node of a quantifier block, with its premise, that the kernel must
     reject, by ``case``."""

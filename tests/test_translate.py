@@ -1,6 +1,7 @@
 """Translation of ordered reset representations into checkable proofs."""
 
 import json
+import re
 import sys
 from collections import Counter
 from pathlib import Path
@@ -205,6 +206,43 @@ def test_one_term_walk_per_hypothesis_block(pipelines):
     finally:
         sys.setprofile(None)
     assert counts == {"close_free": 21, "_map_terms": 890}
+
+
+def test_order_facts_are_looked_up_by_key_and_stated_once(pipelines, fuzz_population):
+    # dist and every fuzz draw, the drawn crossing case among them: the order
+    # prover reads a goal's key and builds no probe formula, and the facts
+    # the translation states are one object per value in each proof.  The
+    # facts compared are those between the translation's own variables; the
+    # strong induction macro's renamed copies (u, x*) and hyp_monotone's x^
+    # are built by the builders.
+    inits = {Geq.__init__.__code__, Gt.__init__.__code__}
+    prove_code = _Orders.prove.__code__
+    built = 0
+
+    def profile(frame, event, _arg):
+        nonlocal built
+        if event == "call" and frame.f_code in inits and frame.f_back.f_code is prove_code:
+            built += 1
+
+    _, cases = fuzz_population
+    reps = [pipelines["dist"].rep] + [case.rep2 for case in cases]
+    sys.setprofile(profile)
+    try:
+        proofs = [translate(rep) for rep in reps]
+    finally:
+        sys.setprofile(None)
+    assert built == 0
+
+    own = re.compile(r"x\d+_\d+")
+    split = []
+    for i, proof in enumerate(proofs):
+        objects = {}
+        for d in distinct_nodes(proof):
+            for h in d.seq.hyps:
+                if isinstance(h, (Geq, Gt)) and own.fullmatch(h.left.name) and own.fullmatch(h.right.name):
+                    objects.setdefault(h, set()).add(id(h))
+        split += [(i, render_formula(h)) for h, ids in objects.items() if len(ids) > 1]
+    assert split == [], "(proof, fact held by two objects)"
 
 
 def _ind_hypothesis_per_variable(target, x):
