@@ -10,15 +10,20 @@ formula) is a macro of kernel rules only.  :func:`ind_hypothesis` gives its
 hypothesis the exact shape of the one that ``gt_ind`` introduces,
 ``all x'. x > x' -> all ys'. chain`` (:func:`gt_ind_hypothesis`), closing
 ``x`` and all of ``ys`` in one term walk, so :func:`ind_prime` discharges it
-by one ``assumption`` of the hypothesis that its own ``gt_ind`` introduces,
-which it takes from its premise by one renaming walk.  The formulas that the
-kernel compares in place (:func:`gt_ind_hypothesis`, :func:`edge_facts`) and
-the term maps that build instances (:func:`subst_free`, :func:`open_bound`,
-:func:`close_free`) live here too: the kernel builds no formula.
+by one ``assumption`` of the hypothesis that its own ``gt_ind`` introduces.
+No walk renames or reopens what the macro holds: it builds that hypothesis
+around its premise's own closed body, the :func:`gt_ind` builder takes its
+conclusion's body from it, and the instance that closes the macro is the
+premise's own formulas.  The formulas that the kernel compares in place
+(:func:`gt_ind_hypothesis`, :func:`edge_facts`) and the term maps that build
+instances (:func:`subst_free`, :func:`open_bound`, :func:`close_free`) live
+here too: the kernel builds no formula.  The builders make one bound-term
+object per index, so equal bound terms are one object.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Callable, Iterable, Mapping
 
 from .core import GT, CyclicSystem, SizeChangeGraph
@@ -41,6 +46,11 @@ from .logic import (
 # ---------------------------------------------------------------------------
 # Formula helpers
 # ---------------------------------------------------------------------------
+
+# One bound-term object per index, so the kernel's matcher finds two equal
+# bound terms identical and compares neither by value.
+_bound = cache(BoundV)
+
 
 def _map_terms(phi: Formula, f: Callable[[Term, int], Term], depth: int = 0) -> Formula:
     # Returns ``phi`` itself when nothing changes, so untouched subtrees stay
@@ -80,7 +90,7 @@ def open_bound(body: Formula, names: tuple[str, ...]) -> Formula:
 
     def f(t: Term, d: int) -> Term:
         if isinstance(t, BoundV) and t.k >= d:
-            return FreeV(names[d - t.k - 1]) if t.k - d < k else BoundV(t.k - k)
+            return FreeV(names[d - t.k - 1]) if t.k - d < k else _bound(t.k - k)
         return t
     return _map_terms(body, f)
 
@@ -93,9 +103,9 @@ def close_free(phi: Formula, names: tuple[str, ...]) -> Formula:
 
     def f(t: Term, d: int) -> Term:
         if isinstance(t, FreeV) and t.name in index:
-            return BoundV(d + k - 1 - index[t.name])
+            return _bound(d + k - 1 - index[t.name])
         if isinstance(t, BoundV) and t.k >= d:
-            return BoundV(t.k + k)
+            return _bound(t.k + k)
         return t
     return _map_terms(phi, f)
 
@@ -114,7 +124,29 @@ def ordered(sort: str, label: str, left: Term, right: Term) -> Formula:
 def gt_ind_hypothesis(sort: str, x: str, body: Formula) -> Formula:
     """The hypothesis ``gt_ind`` adds when it inducts on ``x`` to conclude
     ``all x. body``: ``all x'. x > x' -> body``."""
-    return Forall(sort, Imp(Gt(sort, FreeV(x), BoundV(0)), body), hint=f"{x}'")
+    return Forall(sort, Imp(Gt(sort, FreeV(x), _bound(0)), body), hint=f"{x}'")
+
+
+def _gt_ind_body(h: Formula, x: str) -> Formula:
+    """The body ``B`` of ``h``, which must have the shape of the hypothesis
+    ``gt_ind`` adds when it inducts on ``x``, ``all x'. x > x' -> B``
+    (:func:`gt_ind_hypothesis`).  Only the shape is checked, not ``B``."""
+    i = h.body if isinstance(h, Forall) else None
+    g = i.lhs if isinstance(i, Imp) else None
+    assert (isinstance(g, Gt) and isinstance(g.left, FreeV) and g.left.name == x
+            and isinstance(g.right, BoundV) and g.right.k == 0), \
+        "last hypothesis is not the induction hypothesis"
+    return i.rhs
+
+
+def _with_hints(phi: Formula, like: Formula) -> Formula:
+    """``phi`` with the binder hints of ``like``'s leading quantifiers, as
+    deep as both have them; a part whose hints already agree stays shared."""
+    if isinstance(phi, Forall) and isinstance(like, Forall):
+        body = _with_hints(phi.body, like.body)
+        if body is not phi.body or phi.hint != like.hint:
+            return Forall(phi.sort, body, hint=like.hint)
+    return phi
 
 
 def edge_facts(
@@ -179,11 +211,16 @@ def geq_subsum(d: Deriv) -> Deriv:
 
 
 def gt_ind(d: Deriv) -> Deriv:
+    """Induct on ``d``'s last context variable ``x``, discharging its last
+    hypothesis ``all x'. x > x' -> B``, to conclude ``all x. B``.  ``B`` is
+    the hypothesis's own object, no walk closes ``d``'s conclusion over
+    ``x``, and nothing here compares the two: :func:`cycind.logic.check_proof`
+    alone judges whether that conclusion opens ``B``.  ``B``'s leading
+    binders take the hints of the conclusion's, so renderings and documents
+    name them as the conclusion does."""
     s = d.seq
     x, sort = s.ctx[-1]
-    body = close_free(s.concl, (x,))
-    ih = gt_ind_hypothesis(sort, x, body)
-    assert s.hyps and s.hyps[-1] == ih, "gt_ind builder: last hypothesis is not the induction hypothesis"
+    body = _with_hints(_gt_ind_body(s.hyps[-1] if s.hyps else None, x), s.concl)
     return Deriv("gt_ind", Sequent(s.ctx[:-1], s.hyps[:-1], Forall(sort, body, hint=x)), (d,))
 
 
@@ -246,14 +283,19 @@ def ind_prime(dp: Deriv, x: str) -> Deriv:
     copy ``u`` of ``x``.  One ``inst`` node renames ``dp`` onto the copies and
     discharges its hypotheses: the copies of the others by ``assumption``,
     and the induction hypothesis by the one ``gt_ind`` introduces for ``u``,
-    which is its renamed copy.  The copy is ``dp``'s last hypothesis with
-    ``x`` renamed to ``u``, one walk that shares every part without ``x``
-    and keeps the binder hints; the :func:`gt_ind` builder compares it by
-    value with the hypothesis the rule introduces, and so rejects a last
-    hypothesis that is not the induction hypothesis.  ``dp`` itself is
-    shared, never rebuilt.  One ``forall_elim`` then instantiates the closed
-    formula back at ``x`` and the other original variables.
+    which is its renamed copy.  Only ``x`` is free in the hypothesis
+    ``all x'. x > x' -> B``, so the copy is built around the hypothesis's
+    own bound term and closed body ``B``, with no renaming walk; its shape
+    is checked first, so a last hypothesis of another shape fails here.
+    ``dp`` itself is shared, never rebuilt.  One ``forall_elim`` then
+    instantiates the closed formula back at ``x`` and the other original
+    variables, concluding the chain of ``dp``'s other hypotheses and its
+    conclusion, built from those objects; ``check_proof`` judges that it is
+    the instance.  The leaves that discharge the chain share the context
+    and hypotheses of that node.
     """
+    ih = dp.seq.hyps[-1]
+    body, guard = _gt_ind_body(ih, x), ih.body.lhs
     ctx, gamma, delta = dp.seq.ctx, dp.seq.hyps[:-1], dp.seq.concl
     sort = dict(ctx)[x]
     avoid = {v for v, _s in ctx}
@@ -267,7 +309,8 @@ def ind_prime(dp: Deriv, x: str) -> Deriv:
     sub = {x: u, **copies}
     wide = ctx + ((u, sort),) + tuple((copies[v], s) for v, s in others)
 
-    ih_u = subst_free(dp.seq.hyps[-1], {x: u})
+    # the induction hypothesis at u, around its own bound term and closed body
+    ih_u = Forall(ih.sort, Imp(Gt(guard.sort, FreeV(u), guard.right), body), hint=ih.hint)
     core_hyps = gamma + (ih_u,) + tuple(subst_free(g, sub) for g in gamma)
 
     # dp renamed onto the copies, its hypotheses discharged by assumption
@@ -281,10 +324,11 @@ def ind_prime(dp: Deriv, x: str) -> Deriv:
         d = forall_intro(d, len(others))
     d = gt_ind(d)
 
-    # instantiate back at the original variables and discharge
-    d = forall_elim(d, (x, *(v for v, _s in others)))
+    # instantiate back at the original variables, whose instance dp holds, and discharge
+    below = Sequent(d.seq.ctx, d.seq.hyps, fold_imp(gamma, delta))
+    d = Deriv("forall_elim", below, (d,), (x, *(v for v, _s in others)))
     for i in range(len(gamma)):
-        d = imp_elim(d, assumption(ctx, gamma, i))
+        d = imp_elim(d, assumption(below.ctx, below.hyps, i))
     assert d.seq == Sequent(ctx, gamma, delta)
     return d
 

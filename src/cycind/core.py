@@ -25,7 +25,7 @@ DEFAULT_SORT = "*"
 # Records
 # ---------------------------------------------------------------------------
 
-# Constructors set the fields of a record with this.
+# A hand-written constructor sets the fields of its record with this.
 set_field = object.__setattr__
 
 
@@ -38,7 +38,10 @@ class Record:
     equality and hashing; both still show in the ``repr``.  Each class gets an
     ``__init__`` compiled when it is created: the fields by position or
     keyword, ``_defaults`` filled in, then ``_validate`` if the class defines
-    one.  ``SizeChangeGraph`` normalises its edges in its own ``__init__``.
+    one.  It sets each field by calling its slot descriptor's ``__set__``,
+    bound once per class, where ``object.__setattr__`` would look the name
+    up on every call; a class without slots of its own sets its base's.
+    ``SizeChangeGraph`` normalises its edges in its own ``__init__``.
     """
 
     __slots__ = ()
@@ -54,10 +57,13 @@ class Record:
         if "__init__" in cls.__dict__:
             return
         params = ", ".join(f"{f}=_defaults[{f!r}]" if f in cls._defaults else f for f in cls._fields)
-        body = [f"    set_field(self, {f!r}, {f})" for f in cls._fields]
+        body = [f"    _set_{f}(self, {f})" for f in cls._fields]
         if cls._validate is not Record._validate:
             body.append("    self._validate()")
-        namespace = {"set_field": set_field, "_defaults": cls._defaults}
+        # each field's slot descriptor, looked up on the class so that a slot
+        # a base class declares is found too
+        namespace = {f"_set_{f}": getattr(cls, f).__set__ for f in cls._fields}
+        namespace["_defaults"] = cls._defaults
         exec(f"def __init__(self, {params}):\n" + "\n".join(body), namespace)
         cls.__init__ = namespace["__init__"]
         cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"

@@ -7,7 +7,7 @@ sequent is ``ctx; hyps |- concl`` where ``ctx`` is an *ordered* list of sorted
 variables: quantifier rules bind the last context entries, so the context
 discipline is part of the proof structure.
 
-The trusted kernel is this module alone, 777 lines, with eleven rules:
+The trusted kernel is this module alone, 779 lines, with eleven rules:
 
 - ``assumption``: conclude any hypothesis;
 - ``inst``: rename the premise's context variables to variables of the same
@@ -587,9 +587,7 @@ def _check_node(system: CyclicSystem, d: Deriv, ctx: dict[str, str], sums: _Summ
     c = seq.concl
     if not isinstance(c, Atom) or c.judg != judg.id:
         return f"c_rule {rid} must conclude a {judg.id} atom"
-    if not all(isinstance(t, FreeV) for t in c.args):
-        return "c_rule arguments must be context variables"
-    xs = tuple(t.name for t in c.args)
+    xs = tuple(t.name for t in c.args)  # free variables only: see check_proof
     for i, (kid, prem) in enumerate(zip(kids, prems)):
         p = kid.seq
         if len(p.ctx) != len(seq.ctx) + prem.ob:
@@ -651,7 +649,11 @@ def check_proof(system: CyclicSystem, root: Deriv) -> None:
 
     Every other part of a premise is compared, by value, with one that its
     rule builds from well-formed parts, so it is well formed once the rule's
-    check passes below it.  Contexts and hypotheses are the sequent's own,
+    check passes below it.  So every node's conclusion is well formed by the
+    time the node's own rule is checked, and ``c_rule`` reads its
+    conclusion's arguments as names unchecked: each argument of a well-formed
+    atom is a term, and one that stands alone has no loose index, so each is
+    a free variable.  Contexts and hypotheses are the sequent's own,
     kept or extended as ``_RULES`` says for each rule; one loop checks that
     for every premise but ``inst``'s premise 0, before the rule's own check
     of what a premise adds.  The premise conclusions, and what they add, are:

@@ -33,6 +33,7 @@ from cycind.builders import (
     fold_imp,
     geq_refl,
     gt_ind,
+    gt_ind_hypothesis,
     imp_intro,
     ind_hypothesis,
     ind_prime,
@@ -674,7 +675,7 @@ def test_the_matcher_makes_no_call_per_term(pipelines):
         check_proof(p.system, p.proof)
     finally:
         sys.setprofile(None)
-    assert entries == 85 and callees == {"_summary": 34}
+    assert entries == 85 and callees == {"_summary": 17}
 
 
 def test_each_formula_object_is_summarised_once(pipelines, monkeypatch):
@@ -920,7 +921,7 @@ def test_full_pair_checks_run_once_per_entering_pair(pipelines, monkeypatch):
     # a timing-free guard on the kernel's cost: on dist, the context and
     # hypotheses are checked in full once per distinct (ctx, hyps) pair, by
     # object, among the root and inst's premises 0, and not at the other
-    # 87 pairs
+    # 80 pairs
     p = pipelines["dist"]
     calls = []
     real = logic._check_pair
@@ -930,7 +931,7 @@ def test_full_pair_checks_run_once_per_entering_pair(pipelines, monkeypatch):
     entering = [p.proof] + [d.children[0] for d in distinct_nodes(p.proof) if d.rule == "inst"]
     pairs = {(id(d.seq.ctx), id(d.seq.hyps)) for d in entering}
     assert sorted(calls) == sorted(pairs) and len(calls) == 24
-    assert len({(id(d.seq.ctx), id(d.seq.hyps)) for d in distinct_nodes(p.proof)}) == 111
+    assert len({(id(d.seq.ctx), id(d.seq.hyps)) for d in distinct_nodes(p.proof)}) == 104
 
 
 def test_invalid_shared_node_is_reported_at_its_first_path(plus_system):
@@ -1290,3 +1291,17 @@ def test_ind_prime_needs_the_induction_hypothesis_last():
     phi = Atom("plus", (x("x"), x("y")))
     with pytest.raises(AssertionError, match="not the induction hypothesis"):
         ind_prime(assumption(ctx, (phi, phi), 0), "x")
+
+
+def test_gt_ind_leaves_the_body_to_the_kernel(plus_system):
+    # the builder takes its conclusion's body from the induction hypothesis
+    # and compares nothing, so a premise whose conclusion does not open that
+    # body gets a node, and the kernel rejects it: plus(^0, y) opened at x is
+    # plus(x, y), and the premise concludes plus(y, y)
+    ctx = (("y", NAT), ("x", NAT))
+    body = Atom("plus", (BoundV(0), x("y")))
+    hyps = (Atom("plus", (x("y"), x("y"))), gt_ind_hypothesis(NAT, "x", body))
+    d = gt_ind(assumption(ctx, hyps, 0))
+    assert d.seq.concl.body is body
+    with pytest.raises(LogicError, match="at root: gt_ind premise conclusion does not open the quantified body"):
+        check_proof(plus_system, d)

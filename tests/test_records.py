@@ -54,6 +54,19 @@ def test_fields_cannot_be_assigned_or_deleted(record, field):
         record.extra = 1
 
 
+def test_a_subclass_without_slots_keeps_its_bases_fields():
+    # the compiled constructor finds the base's slot, and the subclass stays
+    # an immutable value record of its own class
+    class Named(FreeV):
+        pass
+
+    a = Named("a")
+    assert a.name == "a" and a == Named(name="a") and hash(a) == hash(Named("a"))
+    assert a != FreeV("a")
+    with pytest.raises(AttributeError, match="cannot assign to field 'name'"):
+        a.name = "b"
+
+
 def test_size_change_graphs_normalise():
     g = SizeChangeGraph(2, 1, frozenset({(0, 0, GEQ), (0, 0, GT), (1, 0, GEQ)}))
     assert g == SizeChangeGraph.of(2, 1, [(0, 0, GT), (1, 0, GEQ)])

@@ -189,10 +189,13 @@ def test_no_order_step_rederives_one_of_its_hypotheses(pipelines, fuzz_proofs):
 
 def test_one_term_walk_per_hypothesis_block(pipelines):
     # a timing-free guard on translation's term walks: translating dist calls
-    # close_free 21 times and enters _map_terms 890 times, recursion included.
+    # close_free 14 times and enters _map_terms 522 times, recursion included.
     # ind_hypothesis closes the induction variable and all the others in one
-    # walk, and ind_prime renames its hypothesis in one walk instead of
-    # rebuilding it from the sequent (90 and 2,300 with a walk per variable)
+    # walk (90 and 2,300 with a walk per variable), and ind_prime walks none
+    # of the formulas it holds: it builds its renamed hypothesis around the
+    # hypothesis's own body, gt_ind takes its body from that hypothesis, and
+    # forall_elim concludes the premise's own formulas (21 and 890 with one
+    # walk each)
     names = {builders.close_free.__code__: "close_free", builders._map_terms.__code__: "_map_terms"}
     counts = Counter()
 
@@ -205,7 +208,7 @@ def test_one_term_walk_per_hypothesis_block(pipelines):
         translate(pipelines["dist"].rep)
     finally:
         sys.setprofile(None)
-    assert counts == {"close_free": 21, "_map_terms": 890}
+    assert counts == {"close_free": 14, "_map_terms": 522}
 
 
 def test_order_facts_are_looked_up_by_key_and_stated_once(pipelines, fuzz_population):
