@@ -3,7 +3,8 @@
 Every function here only constructs a candidate :class:`~cycind.logic.Deriv`;
 :func:`cycind.logic.check_proof` alone decides whether it is valid.  The
 rule builders take premises and compute the conclusion their kernel rule
-demands; :func:`forall_intro` and :func:`forall_elim` close or open a whole
+demands, or, for the order rules, take its object from a caller that holds
+it; :func:`forall_intro` and :func:`forall_elim` close or open a whole
 block of binders in one node and one term-map walk.  The derived strong
 induction principle (inducting on an entire sequent rather than a single
 formula) is a macro of kernel rules only.  :func:`ind_hypothesis` gives its
@@ -139,16 +140,6 @@ def _gt_ind_body(h: Formula, x: str) -> Formula:
     return i.rhs
 
 
-def _with_hints(phi: Formula, like: Formula) -> Formula:
-    """``phi`` with the binder hints of ``like``'s leading quantifiers, as
-    deep as both have them; a part whose hints already agree stays shared."""
-    if isinstance(phi, Forall) and isinstance(like, Forall):
-        body = _with_hints(phi.body, like.body)
-        if body is not phi.body or phi.hint != like.hint:
-            return Forall(phi.sort, body, hint=like.hint)
-    return phi
-
-
 def edge_facts(
     sorts: tuple[str, ...], graph: SizeChangeGraph, xs: tuple[str, ...], ys: tuple[str, ...]
 ) -> tuple[Formula, ...]:
@@ -194,20 +185,25 @@ def forall_elim(d: Deriv, ys: tuple[str, ...]) -> Deriv:
     return Deriv("forall_elim", Sequent(s.ctx, s.hyps, open_bound(body, ys)), (d,), ys)
 
 
-def geq_refl(ctx: tuple[tuple[str, str], ...], hyps: tuple[Formula, ...], sort: str, y: str) -> Deriv:
-    return Deriv("geq_refl", Sequent(ctx, hyps, Geq(sort, FreeV(y), FreeV(y))))
+# The order builders take their conclusion's object as ``concl`` from a
+# caller that holds it, so that the kernel finds it identical to the fact it
+# proves; by default they build it.
+
+def geq_refl(ctx: tuple[tuple[str, str], ...], hyps: tuple[Formula, ...], sort: str, y: str,
+             concl: Formula | None = None) -> Deriv:
+    return Deriv("geq_refl", Sequent(ctx, hyps, concl or Geq(sort, FreeV(y), FreeV(y))))
 
 
-def trans(a: Deriv, b: Deriv) -> Deriv:
+def trans(a: Deriv, b: Deriv, concl: Formula | None = None) -> Deriv:
     """Chain ``l R m`` and ``m R' r``: ``l > r`` if either premise is ``>``."""
     s, left, right = a.seq, a.seq.concl, b.seq.concl
     kind = Gt if isinstance(left, Gt) or isinstance(right, Gt) else Geq
-    return Deriv("trans", Sequent(s.ctx, s.hyps, kind(left.sort, left.left, right.right)), (a, b))
+    return Deriv("trans", Sequent(s.ctx, s.hyps, concl or kind(left.sort, left.left, right.right)), (a, b))
 
 
-def geq_subsum(d: Deriv) -> Deriv:
+def geq_subsum(d: Deriv, concl: Formula | None = None) -> Deriv:
     s = d.seq
-    return Deriv("geq_subsum", Sequent(s.ctx, s.hyps, Geq(s.concl.sort, s.concl.left, s.concl.right)), (d,))
+    return Deriv("geq_subsum", Sequent(s.ctx, s.hyps, concl or Geq(s.concl.sort, s.concl.left, s.concl.right)), (d,))
 
 
 def gt_ind(d: Deriv) -> Deriv:
@@ -215,12 +211,10 @@ def gt_ind(d: Deriv) -> Deriv:
     hypothesis ``all x'. x > x' -> B``, to conclude ``all x. B``.  ``B`` is
     the hypothesis's own object, no walk closes ``d``'s conclusion over
     ``x``, and nothing here compares the two: :func:`cycind.logic.check_proof`
-    alone judges whether that conclusion opens ``B``.  ``B``'s leading
-    binders take the hints of the conclusion's, so renderings and documents
-    name them as the conclusion does."""
+    alone judges whether that conclusion opens ``B``."""
     s = d.seq
     x, sort = s.ctx[-1]
-    body = _with_hints(_gt_ind_body(s.hyps[-1] if s.hyps else None, x), s.concl)
+    body = _gt_ind_body(s.hyps[-1] if s.hyps else None, x)
     return Deriv("gt_ind", Sequent(s.ctx[:-1], s.hyps[:-1], Forall(sort, body, hint=x)), (d,))
 
 
@@ -280,10 +274,12 @@ def ind_prime(dp: Deriv, x: str) -> Deriv:
     Uses one ``gt_ind`` plus implication/quantifier bookkeeping: the sequent
     formula is universally closed over the context variables but ``x``, by
     one ``forall_intro``, and proved by well-founded induction on a fresh
-    copy ``u`` of ``x``.  One ``inst`` node renames ``dp`` onto the copies and
-    discharges its hypotheses: the copies of the others by ``assumption``,
-    and the induction hypothesis by the one ``gt_ind`` introduces for ``u``,
-    which is its renamed copy.  Only ``x`` is free in the hypothesis
+    copy ``u`` of ``x``.  The copy of each other variable ``v`` is named
+    ``v'``, as the hypothesis names its binder, so the ``gt_ind`` builder
+    takes the hypothesis's body as it is.  One ``inst`` node renames ``dp``
+    onto the copies and discharges its hypotheses: the copies of the others
+    by ``assumption``, and the induction hypothesis by the one ``gt_ind``
+    introduces for ``u``, which is its renamed copy.  Only ``x`` is free in the hypothesis
     ``all x'. x > x' -> B``, so the copy is built around the hypothesis's
     own bound term and closed body ``B``, with no renaming walk; its shape
     is checked first, so a last hypothesis of another shape fails here.
@@ -304,7 +300,7 @@ def ind_prime(dp: Deriv, x: str) -> Deriv:
     others = [(v, s) for v, s in ctx if v != x]
     copies = {}
     for v, _s in others:
-        copies[v] = fresh_name(f"{v}*", avoid)
+        copies[v] = fresh_name(f"{v}'", avoid)
         avoid.add(copies[v])
     sub = {x: u, **copies}
     wide = ctx + ((u, sort),) + tuple((copies[v], s) for v, s in others)

@@ -5,7 +5,10 @@ variables introduced on the path from the root, the hypotheses are *ordering
 facts* read off the node's stacks (each stack name is at least the current value
 of its position; names lower on a stack strictly exceed those above) plus the
 *induction hypotheses* currently in scope, and the conclusion is the node's
-judgment at its own variables.
+judgment at its own variables.  A fact that says nothing is not stated: not
+``x >= x``, where a name is bound to its own position's variable, nor
+``l >= r`` beside ``l > r``.  The root's facts are all ``x >= x``, so the
+root states none and its derivation is the proof.
 
 Each ordering fact has a key, ``(strict, sort, left name, right name)``, and
 one object per key within one call: the node facts and the edge facts go
@@ -14,10 +17,10 @@ per value throughout the proof.  They are proved by lookup of keys in the
 sequent that needs them, which builds no formula: a hypothesis, ``x >= x``,
 the weakening of a strict hypothesis, or one ``trans`` of two hypotheses
 (:class:`_Orders`), with one ``assumption`` node per hypothesis of that
-sequent, shared by every step.  Internal nodes become one case-rule
-application; each child sequent is reached by one ``inst`` whose minors
-prove every child fact from the parent's hypotheses plus the fresh edge
-facts.  A node that is the target of back-edges additionally introduces
+sequent, shared by every step; each step concludes the fact's own object.
+Internal nodes become one case-rule application; each child sequent is
+reached by one ``inst`` whose minors prove every child fact from the
+parent's hypotheses plus the fresh edge facts.  A node that is the target of back-edges additionally introduces
 one induction hypothesis per progressing name of its buds, which the strong
 induction macro of :mod:`cycind.builders` discharges.  The hypothesis has the
 shape of the one ``gt_ind`` introduces, ``all x'. x > x' -> all ys'. chain``,
@@ -126,7 +129,9 @@ class _Orders:
     ``x >= x``; the weakening of a strict hypothesis; or one ``trans`` of two
     hypotheses, with the fewest ``geq_subsum`` nodes.  Ties go to the earlier
     hypothesis.  Each hypothesis is concluded by one ``assumption`` node,
-    :meth:`leaf`, shared by every step that uses it.
+    :meth:`leaf`, shared by every step that uses it, and every other step
+    concludes the goal's own object, so the kernel finds it identical to the
+    fact it proves.
 
     A top-level order of a translated sequent relates free variables only, so
     the hypotheses are indexed by key (:func:`_key`), each key at its first
@@ -161,10 +166,10 @@ class _Orders:
         goal_strict, sort, left, right = key
         weak = not goal_strict
         if weak and left == right:
-            return geq_refl(self.ctx, self.hyps, sort, left)
+            return geq_refl(self.ctx, self.hyps, sort, left, goal)
         k = first.get((True, sort, left, right)) if weak else None
         if k is not None:
-            return geq_subsum(self.leaf(k))
+            return geq_subsum(self.leaf(k), goal)
         best = None
         for k1 in self.starts.get((sort, left), ()):
             h1 = self.hyps[k1]
@@ -177,8 +182,9 @@ class _Orders:
         if best is None:
             raise TranslationError(f"no derivation of {render_formula(goal)} from the hypotheses")
         subsum, k1, k2 = best
-        d = trans(self.leaf(k1), self.leaf(k2))
-        return geq_subsum(d) if subsum else d
+        if subsum:
+            return geq_subsum(trans(self.leaf(k1), self.leaf(k2)), goal)
+        return trans(self.leaf(k1), self.leaf(k2), goal)
 
 
 def _node_data(
@@ -226,7 +232,10 @@ def _node_data(
         keys[(True, sorts[pj[0]], var[p], cov)] = None
         for j in pj:
             keys[(False, sorts[j], cov, xs[j])] = None
-    ineq = tuple(_fact(facts, k) for k in keys)
+    # State no fact that says nothing: not ``x >= x``, nor ``l >= r`` beside
+    # ``l > r``; the sequent's lookup proves both (:class:`_Orders`).
+    ineq = tuple(_fact(facts, k) for k in keys
+                 if k[0] or k[2] != k[3] and (True, *k[1:]) not in keys)
 
     # induction hypotheses in scope
     entries: tuple[HypEntry, ...] = pdata.entries if pdata is not None else ()
@@ -434,11 +443,11 @@ def translate(rep: ResetRep) -> Deriv:
             d = memo[key] = _peel_new_hyps(d, node, nd)
         result[nid] = d
 
-    # root assembly: the root's own hypotheses are peeled; discharge the
-    # root facts, which are all reflexive
-    rdata = data[rep.root]
-    orders = _Orders(rdata.ctx, ())
-    return inst(result[rep.root], (), [orders.prove(f) for f in rdata.ineq])
+    # the root's own hypotheses are peeled, and its facts, all ``x >= x``, are
+    # not stated, so its derivation is the proof
+    d = result[rep.root]
+    assert not d.seq.hyps, "a root fact is not reflexive"
+    return d
 
 
 def prove_by_induction(deriv, system) -> tuple[ResetRep, Deriv]:

@@ -79,13 +79,13 @@ def test_unravel_writes_a_checkable_proof(capsys, tmp_path):
     out_path = tmp_path / "proof.json"
     code, out, err = run(capsys, "unravel", DATA / "plus.fun", "--out", out_path)
     assert code == 0
-    assert out == f"wrote proof: 43 nodes, 1 induction applications -> {out_path}\n"
+    assert out == f"wrote proof: 25 nodes, 1 induction applications -> {out_path}\n"
     kind, _ = formats.loads(out_path.read_text())
     assert kind == "proof"
     code, out, err = run(capsys, "verify", out_path)
     assert code == 0
     assert out == (
-        "ok: 43 nodes, conclusion [x0_0:Nat, x0_1:Nat]  |- plus(x0_0, x0_1)\n"
+        "ok: 25 nodes, conclusion [x0_0:Nat, x0_1:Nat]  |- plus(x0_0, x0_1)\n"
     )
 
 
@@ -177,9 +177,9 @@ def test_unravel_an_argument_of_a_non_inductive_sort(capsys, tmp_path):
         "calls": [{"id": "c", "dom": "f", "codom": "f", "edges": [[0, 0, ">"]]}]}))
     assert run(capsys, "sct", src) == (0, "terminating (closure size 1)\n", "")
     assert run(capsys, "unravel", src, "--out", proof) == (
-        0, f"wrote proof: 32 nodes, 1 induction applications -> {proof}\n", "")
+        0, f"wrote proof: 21 nodes, 1 induction applications -> {proof}\n", "")
     assert run(capsys, "verify", proof, "--source", src) == (
-        0, "ok: 32 nodes, conclusion [x0_0:Nat, x0_1:B]  |- f(x0_0, x0_1)\n", "")
+        0, "ok: 21 nodes, conclusion [x0_0:Nat, x0_1:B]  |- f(x0_0, x0_1)\n", "")
 
 
 def test_unravel_a_call_system_without_functions(capsys, tmp_path):
@@ -300,7 +300,7 @@ def test_verify_against_a_derivation_source(capsys, tmp_path, pipelines):
     deriv.write_text(formats.dumps(formats.derivation_to_doc(p.deriv, p.system)))
     code, out, err = run(capsys, "verify", _proof_file(tmp_path, p), "--source", deriv)
     assert (code, err) == (0, "")
-    assert out.startswith("ok: 43 nodes")
+    assert out.startswith("ok: 25 nodes")
 
 
 def _forged_axiom(pipelines):
@@ -387,19 +387,17 @@ def test_show_proof_histogram(capsys, tmp_path, pipelines):
     code, out, err = run(capsys, "show", path)
     assert code == 0
     assert out == (
-        "proof: 43 nodes\n"
+        "proof: 25 nodes\n"
         "  conclusion: [x0_0:Nat, x0_1:Nat]  |- plus(x0_0, x0_1)\n"
-        "  assumption: 16\n"
+        "  assumption: 11\n"
         "  c_rule: 2\n"
         "  forall_elim: 3\n"
         "  forall_intro: 1\n"
-        "  geq_refl: 4\n"
-        "  geq_subsum: 2\n"
+        "  geq_subsum: 1\n"
         "  gt_ind: 1\n"
-        "  imp_elim: 5\n"
-        "  imp_intro: 2\n"
-        "  inst: 4\n"
-        "  trans: 3\n"
+        "  imp_elim: 1\n"
+        "  inst: 3\n"
+        "  trans: 2\n"
     )
 
 

@@ -19,8 +19,9 @@ from cycind import (
     count_rule,
     induced_proof_system,
     proof_size,
+    prove_by_induction,
 )
-from cycind import logic
+from cycind import logic, unfold
 from cycind.core import CyclicSystem, Judgment, RuleScheme
 from cycind.builders import (
     assumption,
@@ -42,6 +43,7 @@ from cycind.builders import (
     subst_free,
     trans,
 )
+from cycind.translate import translate
 from cycind.logic import (
     Atom,
     BoundV,
@@ -626,9 +628,12 @@ def test_the_matcher_agrees_with_building(pipelines, fuzz_proofs):
     # changed: to a variable of another name, or a variable to an index; on
     # the pattern itself, where every part is shared; and on targets that
     # share a part holding the opened index or a renamed name, where the
-    # shortcut for shared parts must not answer
+    # shortcut for shared parts must not answer.  The crossing fixture's
+    # proof joins them.
     proofs = [(p.system, p.proof) for p in pipelines.values()]
     proofs += [(case.system, proof) for case, proof in fuzz_proofs]
+    system, derivs = induced_proof_system(systems.load("crossing"))
+    proofs.append((system, prove_by_induction(derivs["f0"], system)[1]))
     compared = differ = shared = 0
     blocks = Counter()
     for system, proof in proofs:
@@ -654,7 +659,7 @@ def test_the_matcher_agrees_with_building(pipelines, fuzz_proofs):
 
 def test_the_matcher_makes_no_call_per_term(pipelines):
     # a timing-free guard on the matcher's work: on dist, the kernel enters
-    # _matches once for each of its 85 instances (the walk keeps an
+    # _matches once for each of its 67 instances (the walk keeps an
     # implication's right-hand side on its own stack, never re-entering
     # itself), and from there calls only _summary, for a shared part that no
     # check has summarised yet; every term left as it is is the target's own
@@ -675,14 +680,14 @@ def test_the_matcher_makes_no_call_per_term(pipelines):
         check_proof(p.system, p.proof)
     finally:
         sys.setprofile(None)
-    assert entries == 85 and callees == {"_summary": 17}
+    assert entries == 67 and callees == {"_summary": 7}
 
 
 def test_each_formula_object_is_summarised_once(pipelines, monkeypatch):
-    # a timing-free guard on the formula checks: on dist, the kernel stores
-    # the summary of each formula object at most once, however many sequents
-    # and larger formulas share it, and whether a caller or the summary walk
-    # itself reaches it
+    # a timing-free guard on the formula checks: on each worked proof, the
+    # kernel stores the summary of each formula object at most once, however
+    # many sequents and larger formulas share it, and whether a caller or the
+    # summary walk itself reaches it
     stored = Counter()
 
     class Counting(logic._Summaries):
@@ -693,9 +698,13 @@ def test_each_formula_object_is_summarised_once(pipelines, monkeypatch):
             super().__setitem__(key, value)
 
     monkeypatch.setattr(logic, "_Summaries", Counting)
-    p = pipelines["dist"]
-    check_proof(p.system, p.proof)
-    assert len(stored) > 200 and max(stored.values()) == 1
+    summarised = 0
+    for p in pipelines.values():
+        stored.clear()
+        check_proof(p.system, p.proof)
+        assert max(stored.values()) == 1
+        summarised += len(stored)
+    assert summarised > 200
 
 
 def test_a_deep_shared_formula_checks_in_linear_time(plus_system):
@@ -796,13 +805,20 @@ def _term_changes(ctx):
 
 
 @pytest.mark.parametrize("name", ["plus", "fg", "ack"])
-def test_the_formula_check_agrees_with_the_reference(pipelines, name):
+def test_the_formula_check_agrees_with_the_reference(pipelines, name, monkeypatch):
     # every formula of the proof, and each of its one-term changes, under the
     # context of a node that holds it: the kernel's check and the reference
-    # walk accept or reject alike (binders stay as they are, at known sorts)
+    # walk accept or reject alike (binders stay as they are, at known sorts).
+    # plus and fg are small, so their cases add the proof of their forced
+    # replay, which unfolds each loop once more
     p = pipelines[name]
+    proofs = [p.proof]
+    if name != "ack":
+        monkeypatch.setattr(unfold, "crossing_violations", lambda _rep: [("forced", "forced")])
+        proofs.append(translate(unfold.respect_induction_order(p.rep)))
+        monkeypatch.undo()
     seen, outcomes = set(), Counter()
-    for node in distinct_nodes(p.proof):
+    for node in (n for proof in proofs for n in distinct_nodes(proof)):
         changes, ctx = _term_changes(dict(node.seq.ctx))
         for phi in (*node.seq.hyps, node.seq.concl):
             if (id(phi), id(node.seq.ctx)) in seen:
@@ -921,7 +937,7 @@ def test_full_pair_checks_run_once_per_entering_pair(pipelines, monkeypatch):
     # a timing-free guard on the kernel's cost: on dist, the context and
     # hypotheses are checked in full once per distinct (ctx, hyps) pair, by
     # object, among the root and inst's premises 0, and not at the other
-    # 80 pairs
+    # 61 pairs
     p = pipelines["dist"]
     calls = []
     real = logic._check_pair
@@ -930,8 +946,8 @@ def test_full_pair_checks_run_once_per_entering_pair(pipelines, monkeypatch):
     check_proof(p.system, p.proof)
     entering = [p.proof] + [d.children[0] for d in distinct_nodes(p.proof) if d.rule == "inst"]
     pairs = {(id(d.seq.ctx), id(d.seq.hyps)) for d in entering}
-    assert sorted(calls) == sorted(pairs) and len(calls) == 24
-    assert len({(id(d.seq.ctx), id(d.seq.hyps)) for d in distinct_nodes(p.proof)}) == 104
+    assert sorted(calls) == sorted(pairs) and len(calls) == 23
+    assert len({(id(d.seq.ctx), id(d.seq.hyps)) for d in distinct_nodes(p.proof)}) == 84
 
 
 def test_invalid_shared_node_is_reported_at_its_first_path(plus_system):

@@ -1,6 +1,7 @@
-"""A seeded corpus of single-row mutations of fixture proof documents: the
-reader or the kernel rejects each mutant at the row it edited (or at a
-parent of that row), unless the mutant equals the original by value."""
+"""A seeded corpus of single-row mutations of fixture proof documents, and of
+one fuzz draw's: the reader or the kernel rejects each mutant at the row it
+edited (or at a parent of that row), unless the mutant equals the original
+by value."""
 
 import pytest
 
@@ -19,8 +20,11 @@ NO_DATA = ("imp_intro", "imp_elim", "forall_intro", "geq_refl", "trans", "geq_su
 INAPPLICABLE = ({(r, k) for r in ("assumption", "geq_refl") for k in ("drop_premise", "swap_premises")}
                 | {(r, "swap_premises") for r in ONE_PREMISE}
                 | {(r, k) for r in NO_DATA for k in ("data_last", "drop_data")})
+# no worked proof has a geq_refl row, since the translation states no x >= x;
+# this fuzz draw's proof has one (25 nodes)
+FUZZ_DRAW = 82
 # rows mutated per (rule, kind) pair; None mutates every row
-SAMPLE = {"plus": None, "fg": None, "ack": 3, "dist": 1}
+SAMPLE = {"plus": None, "fg": None, "ack": 3, "dist": 1, f"fuzz[{FUZZ_DRAW}]": None}
 SEED = 15
 
 
@@ -53,11 +57,14 @@ def _outcome(doc: dict, original: Deriv, i: int, mutant: dict) -> str:
 
 
 @pytest.fixture(scope="module")
-def corpus(pipelines):
+def corpus(pipelines, fuzz_proofs):
+    inputs = {name: (p.system, p.proof) for name, p in pipelines.items()}
+    case, proof = fuzz_proofs[FUZZ_DRAW]
+    inputs[f"fuzz[{FUZZ_DRAW}]"] = (case.system, proof)
     results = []
     for name, per_pair in SAMPLE.items():
-        p = pipelines[name]
-        doc = formats.proof_to_doc(p.proof, p.system)
+        system, proof = inputs[name]
+        doc = formats.proof_to_doc(proof, system)
         _, original = formats.proof_from_doc(doc)
         for rule, kind, i, mutant in mutants.mutants(doc, SEED, per_pair):
             results.append((name, rule, kind, i, _outcome(doc, original, i, mutant)))

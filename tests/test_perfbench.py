@@ -35,7 +35,7 @@ def test_runner_fuzz_op_on_a_sound_system(tmp_path):
     ops.fuzz({"system": formats.call_system_to_doc(cs), "root": "plus"}, res)
     assert res["verdict"] is True and res["conclusion_ok"] is True
     assert res["counts"] == {"closure_size": 3, "unfold_nodes": 3, "replay_nodes": 3,
-                             "proof_nodes": 43, "inductions": 1, "doc_rows": 43}
+                             "proof_nodes": 25, "inductions": 1, "doc_rows": 25}
     assert {"unravel", "prove", "verify", "op"} <= set(res["times"])
 
 
@@ -48,8 +48,8 @@ def test_runner_cli_op_on_plus(tmp_path):
     ops.cli({"id": "plus", "path": str(src), "root": "plus", "sorts": ["Nat", "Nat"]}, res)
     assert res["verdict"] is True and res["conclusion_ok"] is True
     assert res["counts"] == {"closure_size": 3, "unfold_nodes": 3, "replay_nodes": 3,
-                             "proof_nodes": 43, "inductions": 1, "doc_rows": 43,
-                             "doc_bytes": 6255}
+                             "proof_nodes": 25, "inductions": 1, "doc_rows": 25,
+                             "doc_bytes": 3785}
     assert not (tmp_path / "plus.proof.json").exists()
 
 

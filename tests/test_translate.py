@@ -30,7 +30,7 @@ import systems
 from oracles import extract_skeleton, rep_skeleton
 
 # node counts and induction counts of the finished proofs, frozen
-PROOF_SIZE = {"plus": 43, "ack": 147, "dist": 553, "treedist": 553, "fg": 39}
+PROOF_SIZE = {"plus": 25, "ack": 100, "dist": 372, "treedist": 372, "fg": 20}
 IND_COUNT = {"plus": 1, "ack": 3, "dist": 7, "treedist": 7, "fg": 1}
 
 
@@ -150,7 +150,7 @@ def test_argument_of_a_non_inductive_sort():
         "calls": [{"id": "c", "dom": "f", "codom": "f", "edges": [[0, 0, ">"]]}]}))
     system, derivs = induced_proof_system(cs)
     _rep, proof = prove_by_induction(derivs["f"], system)
-    assert (proof_size(proof), count_rule(proof, "gt_ind")) == (32, 1)
+    assert (proof_size(proof), count_rule(proof, "gt_ind")) == (21, 1)
     assert {h.sort for d in distinct_nodes(proof) for h in d.seq.hyps
             if isinstance(h, (Geq, Gt))} == {"Nat"}
 
@@ -187,15 +187,54 @@ def test_no_order_step_rederives_one_of_its_hypotheses(pipelines, fuzz_proofs):
     assert redone == []
 
 
+def test_no_sequent_states_a_fact_that_says_nothing(pipelines, fuzz_proofs):
+    # the translation states no x >= x, which geq_refl proves, and no l >= r
+    # beside l > r, which geq_subsum proves from it: in no sequent of the dist,
+    # ack, crossing-fixture and fuzz proofs (the drawn crossing case among
+    # them).  The root's own facts are all x >= x, so each proof is the root's
+    # derivation itself, not an inst that discharges them
+    system, derivs = induced_proof_system(systems.load("crossing"))
+    proofs = [pipelines["dist"].proof, pipelines["ack"].proof,
+              prove_by_induction(derivs["f0"], system)[1]]
+    proofs += [proof for _case, proof in fuzz_proofs]
+    roots, useless = [], []
+    for i, proof in enumerate(proofs):
+        if proof.rule == "inst":
+            roots.append(i)
+        for hyps in {id(d.seq.hyps): d.seq.hyps for d in distinct_nodes(proof)}.values():
+            strict = {(h.sort, h.left, h.right) for h in hyps if isinstance(h, Gt)}
+            useless += [(i, render_formula(h)) for h in hyps if isinstance(h, Geq)
+                        and (h.left == h.right or (h.sort, h.left, h.right) in strict)]
+    assert roots == [], "(proof)"
+    assert useless == [], "(proof, fact)"
+
+
+def test_minors_and_inductions_conclude_the_objects_they_prove(pipelines, fuzz_proofs):
+    # the kernel compares these by identity, not by value: each minor of an
+    # inst that renames nothing concludes its premise's hypothesis object,
+    # and each gt_ind concludes around its induction hypothesis's own body
+    proofs = [p.proof for p in pipelines.values()] + [proof for _case, proof in fuzz_proofs]
+    minors = inductions = 0
+    for proof in proofs:
+        for d in distinct_nodes(proof):
+            p = d.children[0].seq if d.children else None
+            if d.rule == "inst" and d.data == tuple(v for v, _s in p.ctx):
+                assert all(m.seq.concl is h for h, m in zip(p.hyps, d.children[1:]))
+                minors += len(p.hyps)
+            elif d.rule == "gt_ind":
+                assert d.seq.concl.body is p.hyps[-1].body.rhs
+                inductions += 1
+    assert minors > 1_000 and inductions > 300
+
+
 def test_one_term_walk_per_hypothesis_block(pipelines):
     # a timing-free guard on translation's term walks: translating dist calls
-    # close_free 14 times and enters _map_terms 522 times, recursion included.
+    # close_free 14 times and enters _map_terms 360 times, recursion included.
     # ind_hypothesis closes the induction variable and all the others in one
-    # walk (90 and 2,300 with a walk per variable), and ind_prime walks none
-    # of the formulas it holds: it builds its renamed hypothesis around the
-    # hypothesis's own body, gt_ind takes its body from that hypothesis, and
-    # forall_elim concludes the premise's own formulas (21 and 890 with one
-    # walk each)
+    # walk (45 and 806 with a walk per variable, _ind_hypothesis_per_variable),
+    # and ind_prime walks none of the formulas it holds: it builds its renamed
+    # hypothesis around the hypothesis's own body, gt_ind takes that body as
+    # it is, and forall_elim concludes the premise's own formulas
     names = {builders.close_free.__code__: "close_free", builders._map_terms.__code__: "_map_terms"}
     counts = Counter()
 
@@ -208,7 +247,7 @@ def test_one_term_walk_per_hypothesis_block(pipelines):
         translate(pipelines["dist"].rep)
     finally:
         sys.setprofile(None)
-    assert counts == {"close_free": 14, "_map_terms": 522}
+    assert counts == {"close_free": 14, "_map_terms": 360}
 
 
 def test_order_facts_are_looked_up_by_key_and_stated_once(pipelines, fuzz_population):
@@ -216,7 +255,7 @@ def test_order_facts_are_looked_up_by_key_and_stated_once(pipelines, fuzz_popula
     # prover reads a goal's key and builds no probe formula, and the facts
     # the translation states are one object per value in each proof.  The
     # facts compared are those between the translation's own variables; the
-    # strong induction macro's renamed copies (u, x*) and hyp_monotone's x^
+    # strong induction macro's renamed copies (u, x') and hyp_monotone's x^
     # are built by the builders.
     inits = {Geq.__init__.__code__, Gt.__init__.__code__}
     prove_code = _Orders.prove.__code__

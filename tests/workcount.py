@@ -10,10 +10,11 @@ as they are, so the drawn crossing case is out) and runs ``translate`` and
 then ``check_proof`` on each under a ``sys.settrace`` tracer.  It counts the
 opcode events and the Python-level calls (generator resumptions included) in
 each of the two stages and prints their totals over the draws, with the
-proof nodes (distinct nodes per proof, summed).  Of each stage's opcodes it
-also prints those run inside the ``__init__`` that ``core.Record`` compiles
-for each record class (frames of ``<string>``), the cost of the records the
-stage builds.
+proof nodes (distinct nodes per proof, summed), in all and per kernel rule,
+so that a change in the proofs' shape shows rule by rule next to the
+counts.  Of each stage's opcodes it also prints those run inside the
+``__init__`` that ``core.Record`` compiles for each record class (frames of
+``<string>``), the cost of the records the stage builds.
 
 A count is exact where a time is not, but set iteration order can change
 it, so the script refuses to run unless ``PYTHONHASHSEED`` is 0.  Two runs on
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
@@ -77,16 +79,19 @@ def main() -> int:
     _, cases = draw_fuzz_population()
     plain = [case for case in cases if case.rep2 is case.rep1]
     totals = {"translate": [0, 0, 0], "check_proof": [0, 0, 0]}
-    nodes = 0
+    rules = Counter()
     for case in plain:
         proof, *counts = counted(translate, case.rep2)
         totals["translate"] = [a + b for a, b in zip(totals["translate"], counts)]
         _, *counts = counted(check_proof, case.system, proof)
         totals["check_proof"] = [a + b for a, b in zip(totals["check_proof"], counts)]
-        nodes += sum(1 for _d in distinct_nodes(proof))
-    print(f"{len(plain)} plain fuzz draws, {nodes:,} proof nodes")
+        rules.update(d.rule for d in distinct_nodes(proof))
+    print(f"{len(plain)} plain fuzz draws, {sum(rules.values()):,} proof nodes")
     for stage, (ops, calls, init_ops) in totals.items():
         print(f"{stage:12} {ops:>12,} bytecodes {calls:>10,} calls {init_ops:>12,} in record constructors")
+    print("proof nodes per rule:")
+    for rule, n in sorted(rules.items()):
+        print(f"  {rule:12} {n:>8,}")
     return 0
 
 
