@@ -3,9 +3,9 @@
 Every function here only constructs a candidate :class:`~cycind.logic.Deriv`;
 :func:`cycind.logic.check_proof` alone decides whether it is valid.  The
 rule builders take premises and compute the conclusion their kernel rule
-demands, or, for the order rules, take its object from a caller that holds
-it; :func:`forall_intro` and :func:`forall_elim` close or open a whole
-block of binders in one node and one term-map walk.  The derived strong
+demands, or, for ``trans``, take its object from a caller that holds it;
+:func:`forall_intro` and :func:`forall_elim` close or open a whole block of
+binders in one node and one term-map walk.  The derived strong
 induction principle (inducting on an entire sequent rather than a single
 formula) is a macro of kernel rules only.  :func:`ind_hypothesis` gives its
 hypothesis the exact shape of the one that ``gt_ind`` introduces,
@@ -185,25 +185,12 @@ def forall_elim(d: Deriv, ys: tuple[str, ...]) -> Deriv:
     return Deriv("forall_elim", Sequent(s.ctx, s.hyps, open_bound(body, ys)), (d,), ys)
 
 
-# The order builders take their conclusion's object as ``concl`` from a
-# caller that holds it, so that the kernel finds it identical to the fact it
-# proves; by default they build it.
-
-def geq_refl(ctx: tuple[tuple[str, str], ...], hyps: tuple[Formula, ...], sort: str, y: str,
-             concl: Formula | None = None) -> Deriv:
-    return Deriv("geq_refl", Sequent(ctx, hyps, concl or Geq(sort, FreeV(y), FreeV(y))))
-
-
-def trans(a: Deriv, b: Deriv, concl: Formula | None = None) -> Deriv:
-    """Chain ``l R m`` and ``m R' r``: ``l > r`` if either premise is ``>``."""
-    s, left, right = a.seq, a.seq.concl, b.seq.concl
-    kind = Gt if isinstance(left, Gt) or isinstance(right, Gt) else Geq
-    return Deriv("trans", Sequent(s.ctx, s.hyps, concl or kind(left.sort, left.left, right.right)), (a, b))
-
-
-def geq_subsum(d: Deriv, concl: Formula | None = None) -> Deriv:
-    s = d.seq
-    return Deriv("geq_subsum", Sequent(s.ctx, s.hyps, concl or Geq(s.concl.sort, s.concl.left, s.concl.right)), (d,))
+def trans(ctx: tuple[tuple[str, str], ...], hyps: tuple[Formula, ...], concl: Formula,
+          *premises: Deriv) -> Deriv:
+    """Conclude the order ``concl`` on ``ctx; hyps`` from a chain of 0 to 2
+    order ``premises``.  The caller passes the object it holds, so the
+    kernel finds it identical to the fact it proves."""
+    return Deriv("trans", Sequent(ctx, hyps, concl), premises)
 
 
 def gt_ind(d: Deriv) -> Deriv:
@@ -351,7 +338,8 @@ def hyp_monotone(
     inner_ctx = ctx + ((t, sort),)
     inner_hyps = hyps + (Gt(sort, FreeV(y), FreeV(t)),)
     a = forall_elim(assumption(inner_ctx, inner_hyps, hyp_index), (t,))
-    wt = trans(geq_fact(inner_ctx, inner_hyps), assumption(inner_ctx, inner_hyps, len(hyps)))
+    wt = trans(inner_ctx, inner_hyps, Gt(sort, FreeV(w), FreeV(t)),
+               geq_fact(inner_ctx, inner_hyps), assumption(inner_ctx, inner_hyps, len(hyps)))
     a = forall_intro(imp_intro(imp_elim(a, wt)), 1)
     assert a.seq.concl == subst_free(hyp, {w: y})
     return a

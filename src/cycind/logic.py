@@ -7,7 +7,7 @@ sequent is ``ctx; hyps |- concl`` where ``ctx`` is an *ordered* list of sorted
 variables: quantifier rules bind the last context entries, so the context
 discipline is part of the proof structure.
 
-The trusted kernel is this module alone, 779 lines, with eleven rules:
+The trusted kernel is this module alone, 773 lines, with nine rules:
 
 - ``assumption``: conclude any hypothesis;
 - ``inst``: rename the premise's context variables to variables of the same
@@ -16,10 +16,9 @@ The trusted kernel is this module alone, 779 lines, with eleven rules:
 - ``imp_intro`` and ``imp_elim``;
 - ``forall_intro`` and ``forall_elim``: close over a block of k >= 1 new
   context variables, or open k binders at context variables, in one step;
-- ``geq_refl``: ``x >= x``;
-- ``trans``: chain ``l R m`` and ``m R' r`` into ``l > r`` if either premise
-  is strict, ``l >= r`` otherwise;
-- ``geq_subsum``: ``>`` implies ``>=``;
+- ``trans``: from a chain of 0, 1 or 2 orders from ``l`` to ``r``, conclude
+  ``l >= r``, or ``l > r`` if a premise is strict: ``x >= x`` from none,
+  ``l >= r`` from ``l > r``, and ``l R'' r`` from ``l R m`` and ``m R' r``;
 - ``gt_ind``: well-founded induction on ``>``;
 - ``c_rule``: one case analysis per rule scheme of the ambient cyclic system;
   the scheme must fit the system's judgments, each edge joining two
@@ -33,7 +32,7 @@ proof.  A context and hypothesis list are checked in full at the root and at
 table says; only the variables it adds are checked, and a hypothesis it adds
 is compared with one that the rule builds from checked parts.  A conclusion
 is checked at the root, at ``inst``'s premise 0, at ``imp_elim``'s minor and
-at ``trans``'s left premise; every other rule builds those parts of its
+at ``trans``'s first premise; every other rule builds those parts of its
 premises from the sequent below, so its own check covers them.  A formula is
 checked through one summary per object, so sharing never multiplies the
 work.  Summaries and matches walk a formula on explicit stacks, so its depth
@@ -407,10 +406,10 @@ def _matches(pat: Formula, tgt: Formula, m: tuple[str, ...] | dict[str, str],
 
 
 # Each rule's shape: its premise count (None where the rule counts its own
-# premises from its data), whether it reads rule data, the premise whose
-# conclusion enters and the premise whose pair enters (see ``check_proof``),
-# and whether each other premise extends (True) or keeps (False) the
-# sequent's context, and its hypotheses.
+# premises), whether it reads rule data, the premise whose conclusion enters
+# and the premise whose pair enters (see ``check_proof``), and whether each
+# other premise extends (True) or keeps (False) the sequent's context, and
+# its hypotheses.
 _RULES: dict[str, tuple[int | None, bool, int | None, int | None, bool, bool]] = {
     "assumption": (0, True, None, None, False, False),
     "inst": (None, True, 0, 0, False, False),
@@ -418,9 +417,7 @@ _RULES: dict[str, tuple[int | None, bool, int | None, int | None, bool, bool]] =
     "imp_elim": (2, False, 1, None, False, False),
     "forall_intro": (1, False, None, None, True, False),
     "forall_elim": (1, True, None, None, False, False),
-    "geq_refl": (0, False, None, None, False, False),
-    "trans": (2, False, 0, None, False, False),
-    "geq_subsum": (1, False, None, None, False, False),
+    "trans": (None, False, 0, None, False, False),
     "gt_ind": (1, False, None, None, True, True),
     "c_rule": (None, True, None, None, True, True),
 }
@@ -516,32 +513,26 @@ def _check_node(system: CyclicSystem, d: Deriv, ctx: dict[str, str], sums: _Summ
         if not _matches(body, seq.concl, ys, sums):
             return "forall_elim conclusion is not the instantiated body"
         return None
-    if r == "geq_refl":
-        c = seq.concl
-        if not isinstance(c, Geq) or c.left != c.right or not isinstance(c.left, FreeV):
-            return "geq_refl concludes x >= x for a context variable"
-        s = ctx.get(c.left.name)
-        if s is None:
-            return "geq_refl variable not in context"
-        if s != c.sort:
-            return "geq_refl sort mismatch"
-        return None
     if r == "trans":
-        a, b = kids[0].seq.concl, kids[1].seq.concl
-        if not (isinstance(a, (Geq, Gt)) and isinstance(b, (Geq, Gt))):
-            return "trans premises must conclude orders"
-        if not isinstance(seq.concl, Gt if isinstance(a, Gt) or isinstance(b, Gt) else Geq):
-            return "trans must conclude > exactly when a premise is >"
-        if not (a.sort == b.sort == seq.concl.sort):
-            return "trans sort mismatch"
-        if a.right != b.left or seq.concl.left != a.left or seq.concl.right != b.right:
+        c = seq.concl
+        if len(kids) > 2:
+            return f"trans expects at most 2 premises, got {len(kids)}"
+        if c.__class__ is not Geq and c.__class__ is not Gt:
+            return "trans must conclude an order"
+        end, strict = c.left, False
+        for kid in kids:  # the chain, from c's left end to its right end
+            q = kid.seq.concl
+            if q.__class__ is not Geq and q.__class__ is not Gt:
+                return "trans premises must conclude orders"
+            if q.sort != c.sort:
+                return "trans sort mismatch"
+            if q.left is not end and q.left != end:
+                return "trans endpoints do not chain"
+            end, strict = q.right, strict or q.__class__ is Gt
+        if c.right is not end and c.right != end:
             return "trans endpoints do not chain"
-        return None
-    if r == "geq_subsum":
-        q, c = kids[0].seq.concl, seq.concl
-        if (not isinstance(q, Gt) or not isinstance(c, Geq) or c.sort != q.sort
-                or c.left is not q.left and c.left != q.left or c.right is not q.right and c.right != q.right):
-            return "geq_subsum conclusion must weaken the premise"
+        if c.__class__ is Gt and not strict:
+            return "trans may conclude > only from a > premise"
         return None
     if r == "gt_ind":
         p = kids[0].seq
@@ -645,7 +636,8 @@ def check_proof(system: CyclicSystem, root: Deriv) -> None:
       distinct, outside the context below, of known sorts;
     - a conclusion, at the root, at ``inst``'s premise 0, at ``imp_elim``'s
       minor (its conclusion ``A`` is the new antecedent) and at ``trans``'s
-      left premise (its right end is the new middle term).
+      first premise (its right end is a new middle term, or its two ends
+      are the conclusion's with a relation of its own).
 
     Every other part of a premise is compared, by value, with one that its
     rule builds from well-formed parts, so it is well formed once the rule's
@@ -653,10 +645,13 @@ def check_proof(system: CyclicSystem, root: Deriv) -> None:
     time the node's own rule is checked, and ``c_rule`` reads its
     conclusion's arguments as names unchecked: each argument of a well-formed
     atom is a term, and one that stands alone has no loose index, so each is
-    a free variable.  Contexts and hypotheses are the sequent's own,
-    kept or extended as ``_RULES`` says for each rule; one loop checks that
-    for every premise but ``inst``'s premise 0, before the rule's own check
-    of what a premise adds.  The premise conclusions, and what they add, are:
+    a free variable.  For the same reason ``trans`` with no premise needs no
+    context lookup: its conclusion ``x >= x`` is well formed, so ``x`` is a
+    context variable at the order's sort, and that sort is inductive.
+    Contexts and hypotheses are the sequent's own, kept or extended as
+    ``_RULES`` says for each rule; one loop checks that for every premise but
+    ``inst``'s premise 0, before the rule's own check of what a premise adds.
+    The premise conclusions, and what they add, are:
 
     - ``imp_intro``: the conclusion's consequent, with its antecedent as a
       new hypothesis;
@@ -666,7 +661,6 @@ def check_proof(system: CyclicSystem, root: Deriv) -> None:
       ``all x'. x > x' -> body``, at a sort the rule checks is inductive;
     - ``forall_elim``: the premise's body under k binders, opened at k
       context variables of the binders' sorts, is the conclusion;
-    - ``geq_subsum``: the conclusion's terms and sort under ``>``;
     - ``c_rule``: an atom of the premise judgment at its new context
       variables, of the judgment's sorts, with the edge facts as new
       hypotheses: orders from the conclusion's arguments to those variables,
@@ -674,8 +668,8 @@ def check_proof(system: CyclicSystem, root: Deriv) -> None:
     - ``inst`` minors: premise 0's hypotheses (checked at premise 0) renamed
       to context variables of the same sorts;
     - ``imp_elim`` major: the minor's conclusion implies the conclusion;
-    - ``trans`` right premise: the left premise's right end, related to the
-      conclusion's right end at the conclusion's sort.
+    - ``trans`` second premise: the first premise's right end, related to
+      the conclusion's right end at the conclusion's sort.
 
     An instance is matched against its pattern (:func:`_matches`), never
     built.  ``forall_intro`` matches the premise's conclusion against the

@@ -14,10 +14,10 @@ Each ordering fact has a key, ``(strict, sort, left name, right name)``, and
 one object per key within one call: the node facts and the edge facts go
 through one table, so the facts that the translation states are one object
 per value throughout the proof.  They are proved by lookup of keys in the
-sequent that needs them, which builds no formula: a hypothesis, ``x >= x``,
-the weakening of a strict hypothesis, or one ``trans`` of two hypotheses
-(:class:`_Orders`), with one ``assumption`` node per hypothesis of that
-sequent, shared by every step; each step concludes the fact's own object.
+sequent that needs them, which builds no formula: a hypothesis, or one
+``trans`` over none, one or two hypotheses (:class:`_Orders`), with one
+``assumption`` node per hypothesis of that sequent, shared by every step;
+each step concludes the fact's own object.
 Internal nodes become one case-rule application; each child sequent is
 reached by one ``inst`` whose minors prove every child fact from the
 parent's hypotheses plus the fresh edge facts.  A node that is the target of back-edges additionally introduces
@@ -48,8 +48,6 @@ from .builders import (
     c_apply,
     edge_facts,
     forall_elim,
-    geq_refl,
-    geq_subsum,
     hyp_monotone,
     imp_elim,
     ind_hypothesis,
@@ -125,13 +123,14 @@ def _fact(facts: dict[_Key, Formula], key: _Key) -> Formula:
 class _Orders:
     """Proves ordering facts from the hypotheses of one sequent.
 
-    A goal ``l R r`` is, in this order of preference: a hypothesis;
-    ``x >= x``; the weakening of a strict hypothesis; or one ``trans`` of two
-    hypotheses, with the fewest ``geq_subsum`` nodes.  Ties go to the earlier
-    hypothesis.  Each hypothesis is concluded by one ``assumption`` node,
-    :meth:`leaf`, shared by every step that uses it, and every other step
-    concludes the goal's own object, so the kernel finds it identical to the
-    fact it proves.
+    A goal ``l R r`` is one node: a hypothesis, or else one ``trans`` over
+    no hypothesis (``x >= x``), over one (the weakening of a strict
+    hypothesis), or over the first chain of two that fits, in hypothesis
+    order: the earliest first link, and a weak middle before a strict one.
+    Each hypothesis is concluded by one ``assumption`` node, :meth:`leaf`,
+    shared by every step that uses it, and each ``trans`` concludes the
+    goal's own object, so the kernel finds it identical to the fact it
+    proves.
 
     A top-level order of a translated sequent relates free variables only, so
     the hypotheses are indexed by key (:func:`_key`), each key at its first
@@ -163,28 +162,20 @@ class _Orders:
         k = first.get(key)
         if k is not None:
             return self.leaf(k)
-        goal_strict, sort, left, right = key
-        weak = not goal_strict
-        if weak and left == right:
-            return geq_refl(self.ctx, self.hyps, sort, left, goal)
-        k = first.get((True, sort, left, right)) if weak else None
-        if k is not None:
-            return geq_subsum(self.leaf(k), goal)
-        best = None
+        strict, sort, left, right = key
+        if not strict:
+            if left == right:
+                return trans(self.ctx, self.hyps, goal)
+            k = first.get((True, sort, left, right))
+            if k is not None:
+                return trans(self.ctx, self.hyps, goal, self.leaf(k))
         for k1 in self.starts.get((sort, left), ()):
             h1 = self.hyps[k1]
             for mid in (False, True):
                 k2 = first.get((mid, sort, h1.right.name, right))
-                strict = mid or h1.__class__ is Gt
-                if k2 is not None and (weak or strict):
-                    cand = (weak and strict, k1, k2)
-                    best = cand if best is None else min(best, cand)
-        if best is None:
-            raise TranslationError(f"no derivation of {render_formula(goal)} from the hypotheses")
-        subsum, k1, k2 = best
-        if subsum:
-            return geq_subsum(trans(self.leaf(k1), self.leaf(k2)), goal)
-        return trans(self.leaf(k1), self.leaf(k2), goal)
+                if k2 is not None and (not strict or mid or h1.__class__ is Gt):
+                    return trans(self.ctx, self.hyps, goal, self.leaf(k1), self.leaf(k2))
+        raise TranslationError(f"no derivation of {render_formula(goal)} from the hypotheses")
 
 
 def _node_data(

@@ -393,11 +393,10 @@ def test_show_proof_histogram(capsys, tmp_path, pipelines):
         "  c_rule: 2\n"
         "  forall_elim: 3\n"
         "  forall_intro: 1\n"
-        "  geq_subsum: 1\n"
         "  gt_ind: 1\n"
         "  imp_elim: 1\n"
         "  inst: 3\n"
-        "  trans: 2\n"
+        "  trans: 3\n"
     )
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from cycind import FormatError, check_proof, count_rule, proof_size
-from cycind.builders import geq_refl, inst, trans
+from cycind.builders import inst, trans
 from cycind.formats import (
     CALLSYSTEM,
     MAX_FORMULA_DEPTH,
@@ -24,7 +24,7 @@ from cycind.formats import (
     proof_from_doc,
     proof_to_doc,
 )
-from cycind.logic import distinct_nodes
+from cycind.logic import FreeV, Geq, distinct_nodes
 
 import systems
 
@@ -80,7 +80,7 @@ def test_proofs_compare_by_identity_and_by_documents(pipelines):
     # two equal chains of 2,000 nodes: by value, == and hash would recurse
     # down the whole chain (a RecursionError); their documents are equal
     def chain():
-        d = geq_refl((("x", "Nat"),), (), "Nat", "x")
+        d = trans((("x", "Nat"),), (), Geq("Nat", FreeV("x"), FreeV("x")))
         for _ in range(2000):
             d = inst(d, (), [])
         return d
@@ -185,11 +185,12 @@ def test_readers_refuse_a_malformed_part(pipelines, kind, damage, message):
 
 def test_a_child_named_twice_is_written_once(pipelines):
     system = pipelines["plus"].system
-    r = geq_refl((("x", "Nat"),), (), "Nat", "x")
-    d = trans(r, r)
+    refl = Geq("Nat", FreeV("x"), FreeV("x"))
+    r = trans((("x", "Nat"),), (), refl)
+    d = trans((("x", "Nat"),), (), refl, r, r)
     check_proof(system, d)
     doc = proof_to_doc(d, system)
-    assert [(row["rule"], row["children"]) for row in doc["nodes"]] == [("geq_refl", []), ("trans", [0, 0])]
+    assert [(row["rule"], row["children"]) for row in doc["nodes"]] == [("trans", []), ("trans", [0, 0])]
     _, (system2, back) = loads(dumps(doc))
     assert back.children[0] is back.children[1]
     assert proof_to_doc(back, system2) == doc

@@ -32,7 +32,6 @@ from cycind.builders import (
     forall_elim,
     forall_intro,
     fold_imp,
-    geq_refl,
     gt_ind,
     gt_ind_hypothesis,
     imp_intro,
@@ -73,6 +72,11 @@ def plus_system():
 
 def x(name):
     return FreeV(name)
+
+
+def reflexive(ctx, hyps, v):
+    """``v >= v`` at ``Nat`` on ``ctx; hyps``: a ``trans`` with no premise."""
+    return trans(ctx, hyps, Geq(NAT, x(v), x(v)))
 
 
 def test_render_names_bound_variables_by_hint():
@@ -152,12 +156,13 @@ def test_identity_rows_no_longer_check(pipelines):
 
 
 KERNEL_RULES = ("assumption", "inst", "imp_intro", "imp_elim", "forall_intro", "forall_elim",
-                "geq_refl", "trans", "geq_subsum", "gt_ind", "c_rule")
+                "trans", "gt_ind", "c_rule")
 # the premise whose conclusion brings in a formula the conclusion below does not fix
 ENTERING_PREMISE = {"inst": 0, "imp_elim": 1, "trans": 0}
-# the premise count of each rule but inst and c_rule, which count theirs from their data
+# the premise count of each rule but inst and c_rule, which count theirs from
+# their data; trans takes at most its count
 PREMISE_COUNT = {"assumption": 0, "imp_intro": 1, "imp_elim": 2, "forall_intro": 1,
-                 "forall_elim": 1, "geq_refl": 0, "trans": 2, "geq_subsum": 1, "gt_ind": 1}
+                 "forall_elim": 1, "trans": 2, "gt_ind": 1}
 
 
 @pytest.mark.parametrize("data", [(), ("x",)])
@@ -169,7 +174,8 @@ def test_kernel_knows_exactly_its_rules(plus_system, data):
     for rule in KERNEL_RULES:
         err = logic._check_node(plus_system, Deriv(rule, seq, (), data), dict(ASSUMPTION_CTX), {})
         assert err != f"unknown rule {rule!r}", rule
-    for rule in ("cut", "subst", "geq_trans", "gt_extend0", "gt_extend1", "weakening"):
+    for rule in ("cut", "subst", "geq_trans", "gt_extend0", "gt_extend1", "weakening",
+                 "geq_refl", "geq_subsum"):
         err = logic._check_node(plus_system, Deriv(rule, seq, (), data), dict(ASSUMPTION_CTX), {})
         assert err == f"unknown rule {rule!r}"
 
@@ -178,10 +184,11 @@ def test_kernel_knows_exactly_its_rules(plus_system, data):
 def test_fixed_arity_rules_count_their_premises(plus_system, rule):
     assert set(PREMISE_COUNT) | {"inst", "c_rule"} == set(KERNEL_RULES)
     n = PREMISE_COUNT[rule]
+    wrong, expects = ((n + 1,), f"at most {n}") if rule == "trans" else ((n - 1, n + 1), n)
     seq = Sequent(ASSUMPTION_CTX, ASSUMPTION_HYPS, ASSUMPTION_HYPS[0])
     kid = assumption(ASSUMPTION_CTX, ASSUMPTION_HYPS, 0)
-    for k in [k for k in (n - 1, n + 1) if k >= 0]:
-        with pytest.raises(LogicError, match=f"^at root: {rule} expects {n} premises, got {k}$"):
+    for k in [k for k in wrong if k >= 0]:
+        with pytest.raises(LogicError, match=f"^at root: {rule} expects {expects} premises, got {k}$"):
             check_proof(plus_system, Deriv(rule, seq, (kid,) * k))
 
 
@@ -206,18 +213,16 @@ def test_quantifier_round_trip(plus_system):
 
 def test_inequality_rules(plus_system):
     ctx = (("x", NAT), ("y", NAT))
-    r = geq_refl(ctx, (), NAT, "x")
+    r = reflexive(ctx, (), "x")
     check_proof(plus_system, r)
-    t = trans(r, r)
-    assert t.seq.concl == Geq(NAT, x("x"), x("x"))
-    check_proof(plus_system, t)
+    check_proof(plus_system, trans(ctx, (), Geq(NAT, x("x"), x("x")), r, r))
 
 
 def test_minimal_induction(plus_system):
     target = Sequent((("x", NAT),), (), Geq(NAT, x("x"), x("x")))
     ih = ind_hypothesis(target, "x")
     assert render_formula(ih) == "all x':Nat. x > x' -> x' >= x'"
-    prem = geq_refl((("x", NAT),), (ih,), NAT, "x")
+    prem = reflexive((("x", NAT),), (ih,), "x")
     d = gt_ind(prem)
     assert d.seq.render() == "[]  |- all x:Nat. x >= x"
     check_proof(plus_system, d)
@@ -291,16 +296,16 @@ def test_deep_error_path_names_every_step(plus_system):
     # a valid chain of inst nodes over a leaf with stray data: the path of the
     # failure is rebuilt from the chain, one step per level
     depth = 5000
-    d = geq_refl((("x", NAT),), (), NAT, "x").replace(data=(0,))
+    d = reflexive((("x", NAT),), (), "x").replace(data=(0,))
     for _ in range(depth):
         d = inst(d, (), [])
-    with pytest.raises(LogicError, match="geq_refl takes no rule data") as exc:
+    with pytest.raises(LogicError, match="trans takes no rule data") as exc:
         check_proof(plus_system, d)
     assert exc.value.path == (0,) * depth
     assert str(exc.value).startswith("at 0/0/")
 
 
-@pytest.mark.parametrize("rule", [r for r in KERNEL_RULES if r not in ("assumption", "geq_refl")])
+@pytest.mark.parametrize("rule", [r for r in KERNEL_RULES if r != "assumption"])
 def test_conclusions_are_checked_where_they_enter(plus_system, monkeypatch, rule):
     # With every rule check passing, a bad conclusion is caught at the root
     # and at the premise where it enters (inst 0, imp_elim 1, trans 0) and
@@ -312,10 +317,10 @@ def test_conclusions_are_checked_where_they_enter(plus_system, monkeypatch, rule
     monkeypatch.setattr(logic, "_check_node", lambda s, d, *a: None)
     ctx = (("x", NAT),)
     refl = Geq(NAT, x("x"), x("x"))
-    good = Deriv("geq_refl", Sequent(ctx, (), refl))
+    good = Deriv("trans", Sequent(ctx, (), refl))
     escaped = Geq(NAT, x("x"), x("z"))
-    bad_concl = Deriv("geq_refl", Sequent(ctx, (), escaped))
-    bad_hyp = Deriv("geq_refl", Sequent(ctx, (escaped,), refl))
+    bad_concl = Deriv("trans", Sequent(ctx, (), escaped))
+    bad_hyp = Deriv("trans", Sequent(ctx, (escaped,), refl))
     with pytest.raises(LogicError, match="^at root: conclusion: variable 'z' not in context"):
         check_proof(plus_system, Deriv(rule, bad_concl.seq, (good,) * 3))
     with pytest.raises(LogicError, match="^at root: hypothesis 0: variable 'z'"):
@@ -360,13 +365,13 @@ def _premise_adding(rule):
     if rule == "imp_intro":
         ctx = (("x", NAT),)
         return None, Deriv(rule, Sequent(ctx, (), Imp(refl, refl)),
-                           (Deriv("geq_refl", Sequent(ctx, (escaped,), refl)),)), ctx
+                           (Deriv("trans", Sequent(ctx, (escaped,), refl)),)), ctx
     if rule == "gt_ind":
         # the body is x >= x; the hypothesis all x'. x > x' -> x' >= x' would fit
         ctx = (("x", NAT),)
         ih = Forall(NAT, Imp(escaped, Geq(NAT, BoundV(0), BoundV(0))), hint="x'")
         return None, Deriv(rule, Sequent((), (), Forall(NAT, Geq(NAT, BoundV(0), BoundV(0)))),
-                           (Deriv("geq_refl", Sequent(ctx, (ih,), refl)),)), ctx
+                           (Deriv("trans", Sequent(ctx, (ih,), refl)),)), ctx
     # c_rule: g(x) calls f(y) with x > y; the premise has x > z for that fact
     system = _edge_system((0, 0, GT), (NAT,))
     ctx = (("x", NAT), ("y", NAT))
@@ -535,11 +540,11 @@ def test_a_new_variable_must_be_fresh(plus_system):
     # passes whatever the variable is called, and the premise's check of its
     # new context variable finds the repeat
     refl = Geq(NAT, x("x"), x("x"))
-    premise = geq_refl((("x", NAT), ("x", NAT)), (), NAT, "x")
+    premise = reflexive((("x", NAT), ("x", NAT)), (), "x")
     d = Deriv("forall_intro", Sequent((("x", NAT),), (), Forall(NAT, refl)), (premise,))
     with pytest.raises(LogicError, match="^at 0: repeated context variable"):
         check_proof(plus_system, d)
-    check_proof(plus_system, forall_intro(geq_refl((("x", NAT), ("y", NAT)), (), NAT, "x"), 1))
+    check_proof(plus_system, forall_intro(reflexive((("x", NAT), ("y", NAT)), (), "x"), 1))
 
 
 def test_every_sequent_of_a_checked_proof_is_well_formed(pipelines, fuzz_proofs):
@@ -840,7 +845,7 @@ def test_a_non_formula_in_an_instance_is_rejected(plus_system):
     # the premise's body is matched before the premise's own check reaches
     # it; a library caller's stray object is a located error, not a crash
     ctx = (("x", NAT),)
-    premise = Deriv("geq_refl", Sequent(ctx, (), Forall(NAT, "junk")))
+    premise = Deriv("trans", Sequent(ctx, (), Forall(NAT, "junk")))
     d = Deriv("forall_elim", Sequent(ctx, (), Geq(NAT, x("x"), x("x"))), (premise,), ("x",))
     with pytest.raises(LogicError, match="^at root: forall_elim conclusion is not the instantiated body"):
         check_proof(plus_system, d)
@@ -862,23 +867,24 @@ def test_states_judgment(plus_system, pipelines):
 
 def test_proof_size_and_count_shared_nodes(plus_system):
     ctx = (("x", NAT),)
-    r = geq_refl(ctx, (), NAT, "x")
-    t = trans(r, r)  # both children are literally the same object
+    refl = Geq(NAT, x("x"), x("x"))
+    r = assumption(ctx, (refl,), 0)
+    t = trans(ctx, (refl,), refl, r, r)  # both children are literally the same object
     assert proof_size(t) == 2
-    assert count_rule(t, "geq_refl") == 1
+    assert count_rule(t, "assumption") == 1
     assert count_rule(t, "trans") == 1
 
 
 def test_stray_rule_data_is_rejected(plus_system):
     ctx = (("x", NAT),)
     phi = Atom("plus", (x("x"), x("x")))
-    r = geq_refl(ctx, (phi,), NAT, "x")
-    bad = trans(r, r).replace(data=("x",))
+    r = reflexive(ctx, (phi,), "x")
+    bad = trans(ctx, (phi,), r.seq.concl, r, r).replace(data=("x",))
     with pytest.raises(LogicError, match="trans takes no rule data") as exc:
         check_proof(plus_system, bad)
     assert exc.value.path == ()
-    bad = inst(geq_refl(ctx, (), NAT, "x").replace(data=(0,)), (phi,), [])
-    with pytest.raises(LogicError, match="geq_refl takes no rule data") as exc:
+    bad = inst(reflexive(ctx, (), "x").replace(data=(0,)), (phi,), [])
+    with pytest.raises(LogicError, match="trans takes no rule data") as exc:
         check_proof(plus_system, bad)
     assert exc.value.path == (0,)
 
@@ -891,7 +897,7 @@ INST_HYPS = (Geq(NAT, x("x"), x("x")), Geq(NAT, x("y"), x("y")))
 
 
 def _inst_parts():
-    return assumption(INST_CTX, INST_HYPS, 0), [geq_refl(INST_CTX, (), NAT, v) for v in ("x", "y")]
+    return assumption(INST_CTX, INST_HYPS, 0), [reflexive(INST_CTX, (), v) for v in ("x", "y")]
 
 
 def test_cut_discharges_every_hypothesis(plus_system):
@@ -904,13 +910,13 @@ def test_cut_discharges_every_hypothesis(plus_system):
 
 def test_cut_with_no_minors_adds_hypotheses(plus_system):
     hyps = (Atom("plus", (x("x"), x("y"))), INST_HYPS[1])
-    d = inst(geq_refl(INST_CTX, (), NAT, "x"), hyps, [])
+    d = inst(reflexive(INST_CTX, (), "x"), hyps, [])
     assert d.seq == Sequent(INST_CTX, hyps, INST_HYPS[0]) and len(d.children) == 1
     check_proof(plus_system, d)
 
 
 def test_cut_shares_one_minor_between_hypotheses(plus_system):
-    refl = geq_refl(INST_CTX, (), NAT, "x")
+    refl = reflexive(INST_CTX, (), "x")
     d = inst(assumption(INST_CTX, (INST_HYPS[0], INST_HYPS[0]), 1), (), [refl, refl])
     check_proof(plus_system, d)
     assert proof_size(d) == 3
@@ -918,8 +924,8 @@ def test_cut_shares_one_minor_between_hypotheses(plus_system):
 
 def _shared_minors(r):
     # r is used under two parents: m1 and m2 (and m1 under the inst and m2)
-    m1 = trans(r, r)
-    m2 = trans(m1, r)
+    m1 = trans(INST_CTX, (), INST_HYPS[0], r, r)
+    m2 = trans(INST_CTX, (), INST_HYPS[0], m1, r)
     return inst(assumption(INST_CTX, (INST_HYPS[0], INST_HYPS[0]), 1), (), [m1, m2])
 
 
@@ -927,7 +933,7 @@ def test_shared_subproof_is_checked_once(plus_system, monkeypatch):
     checked = []
     real = logic._check_node
     monkeypatch.setattr(logic, "_check_node", lambda s, d, *a: checked.append(id(d)) or real(s, d, *a))
-    d = _shared_minors(geq_refl(INST_CTX, (), NAT, "x"))
+    d = _shared_minors(reflexive(INST_CTX, (), "x"))
     check_proof(plus_system, d)
     assert sorted(checked) == sorted(id(n) for n in distinct_nodes(d))
     assert len(checked) == proof_size(d) == 5
@@ -951,8 +957,8 @@ def test_full_pair_checks_run_once_per_entering_pair(pipelines, monkeypatch):
 
 
 def test_invalid_shared_node_is_reported_at_its_first_path(plus_system):
-    bad = geq_refl(INST_CTX, (), NAT, "x").replace(data=(0,))
-    with pytest.raises(LogicError, match="geq_refl takes no rule data") as exc:
+    bad = reflexive(INST_CTX, (), "x").replace(data=(0,))
+    with pytest.raises(LogicError, match="trans takes no rule data") as exc:
         check_proof(plus_system, _shared_minors(bad))
     assert exc.value.path == (1, 0)
 
@@ -965,7 +971,7 @@ def _other_ctx(d):
     (lambda p, m: inst(p, (), m[:1]), "inst expects 2 minor premises, got 1"),
     (lambda p, m: inst(p, (), m + m[:1]), "inst expects 2 minor premises, got 3"),
     (lambda p, m: inst(p, (), m[::-1]), "inst minor 0 must conclude renamed premise hypothesis 0"),
-    (lambda p, m: inst(p, (), [m[0], geq_refl(INST_CTX, INST_HYPS, NAT, "y")]),
+    (lambda p, m: inst(p, (), [m[0], reflexive(INST_CTX, INST_HYPS, "y")]),
      "inst premise 2 must keep the hypotheses"),
     (lambda p, m: inst(p, (), [_other_ctx(m[0]), m[1]]),
      "inst premise 1 must keep the context"),
@@ -1066,14 +1072,35 @@ def _trans_parts(k1, k2, ctx=TRANS_CTX):
     return assumption(ctx, hyps, 0), assumption(ctx, hyps, 1)
 
 
+def _trans_node(concl, *premises):
+    """A ``trans`` node concluding ``concl`` on the first premise's sequent,
+    or on ``TRANS_CTX`` with the hypotheses of ``_trans_parts`` when there
+    is none."""
+    seq = premises[0].seq if premises else _trans_parts(Geq, Geq)[0].seq
+    return trans(seq.ctx, seq.hyps, concl, *premises)
+
+
 @pytest.mark.parametrize("k1, k2, out", [
     (Geq, Geq, Geq), (Geq, Gt, Gt), (Gt, Geq, Gt), (Gt, Gt, Gt),
 ])
 def test_trans_concludes_strict_when_a_premise_is(plus_system, k1, k2, out):
-    d = trans(*_trans_parts(k1, k2))
+    d = _trans_node(out(NAT, x("x"), x("z")), *_trans_parts(k1, k2))
     assert d.rule == "trans" and d.data == ()
-    assert d.seq.concl == out(NAT, x("x"), x("z"))
     check_proof(plus_system, d)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: _trans_node(Geq(NAT, x("y"), x("y"))),
+    lambda: _trans_node(Geq(NAT, x("x"), x("y")), _trans_parts(Geq, Geq)[0]),
+    lambda: _trans_node(Gt(NAT, x("x"), x("y")), _trans_parts(Gt, Geq)[0]),
+    lambda: _trans_node(Geq(NAT, x("x"), x("y")), _trans_parts(Gt, Geq)[0]),
+    lambda: _trans_node(Geq(NAT, x("x"), x("z")), *_trans_parts(Geq, Gt)),
+    lambda: _trans_node(Geq(NAT, x("x"), x("z")), *_trans_parts(Gt, Gt)),
+], ids=["no_premise", "weak_identity", "strict_identity", "weakening", "geq_from_gt", "geq_from_gts"])
+def test_trans_accepts_a_good_node(plus_system, build):
+    # x >= x from no premise, l R r or l >= r from l R r, and l >= r from
+    # any chain of two: a weak conclusion never needs a strict one's proof
+    check_proof(plus_system, build())
 
 
 def _with_concl(d, concl):
@@ -1085,27 +1112,41 @@ def _other_sort():
     ctx = (("x", NAT), ("y", "Tree"), ("z", NAT))
     hyps = (Geq(NAT, x("x"), x("z")), Geq("Tree", x("y"), x("y")))
     a, b = assumption(ctx, hyps, 0), assumption(ctx, hyps, 1)
-    return trans(a, b).replace(seq=a.seq)
+    return _trans_node(a.seq.concl, a, b)
+
+
+def _not_an_order():
+    # a premise that concludes an atom
+    hyps = (Geq(NAT, x("x"), x("y")), Atom("plus", (x("y"), x("z"))))
+    return _trans_node(Geq(NAT, x("x"), x("z")), assumption(TRANS_CTX, hyps, 0), assumption(TRANS_CTX, hyps, 1))
 
 
 @pytest.mark.parametrize("build, message", [
-    (lambda: _with_concl(trans(*_trans_parts(Geq, Geq)), Gt(NAT, x("x"), x("z"))),
-     "trans must conclude > exactly when a premise is >"),
-    (lambda: _with_concl(trans(*_trans_parts(Geq, Gt)), Geq(NAT, x("x"), x("z"))),
-     "trans must conclude > exactly when a premise is >"),
+    (lambda: _trans_node(Gt(NAT, x("x"), x("z")), *_trans_parts(Geq, Geq)),
+     "trans may conclude > only from a > premise"),
     (_other_sort, "trans sort mismatch"),
-    (lambda: _with_concl(trans(*_trans_parts(Geq, Geq)), Geq(NAT, x("y"), x("z"))),
+    (lambda: _trans_node(Geq(NAT, x("y"), x("z")), *_trans_parts(Geq, Geq)),
      "trans endpoints do not chain"),
-    (lambda: trans(*_trans_parts(Geq, Geq)[::-1]), "trans endpoints do not chain"),
-    (lambda: trans(*_trans_parts(Geq, Geq)).replace(children=_trans_parts(Geq, Geq)[:1]),
-     "trans expects 2 premises, got 1"),
-    (lambda: trans(_trans_parts(Geq, Geq)[0], geq_refl(TRANS_CTX, (), NAT, "z")),
+    (lambda: _trans_node(Geq(NAT, x("x"), x("z")), *_trans_parts(Geq, Geq)[::-1]),
+     "trans endpoints do not chain"),
+    (lambda: _trans_node(Gt(NAT, x("x"), x("y")), _trans_parts(Geq, Geq)[0]),
+     "trans may conclude > only from a > premise"),
+    (lambda: _trans_node(Geq(NAT, x("x"), x("z")), _trans_parts(Geq, Geq)[0], reflexive(TRANS_CTX, (), "z")),
      "trans premise 1 must keep the hypotheses"),
-], ids=["gt_from_geqs", "geq_from_gt", "sort_mismatch", "bad_endpoint", "swapped_premises",
-        "one_premise", "other_hyps"])
+    (lambda: _trans_node(Geq(NAT, x("x"), x("z")), *_trans_parts(Geq, Geq), _trans_parts(Geq, Geq)[1]),
+     "trans expects at most 2 premises, got 3"),
+    (_not_an_order, "trans premises must conclude orders"),
+    (lambda: _trans_node(Atom("plus", (x("x"), x("y")))), "trans must conclude an order"),
+    (lambda: _trans_node(Gt(NAT, x("x"), x("x"))), "trans may conclude > only from a > premise"),
+    (lambda: _trans_node(Geq(NAT, x("x"), x("y"))), "trans endpoints do not chain"),
+    (lambda: _trans_node(Geq(NAT, x("x"), x("z")), _trans_parts(Geq, Geq)[0], _trans_node(Geq(NAT, x("z"), x("z")))),
+     "trans endpoints do not chain"),
+], ids=["gt_from_geqs", "sort_mismatch", "bad_endpoint", "swapped_premises", "one_premise",
+        "other_hyps", "three_premises", "premise_not_an_order", "conclusion_not_an_order",
+        "gt_with_no_premise", "geq_with_no_premise", "broken_middle"])
 def test_trans_rejects_a_bad_node(plus_system, build, message):
     system = plus_system.replace(ind_sorts=plus_system.ind_sorts | {"Tree"})
-    with pytest.raises(LogicError, match=message) as exc:
+    with pytest.raises(LogicError, match=f"^at root: {message}$") as exc:
         check_proof(system, build())
     assert exc.value.path == ()
 
@@ -1187,9 +1228,9 @@ def _unlocated(case):
     check rejects first."""
     ctx, refl = (("x", NAT),), Geq(NAT, x("x"), x("x"))
     if case == "imp_intro_shape":
-        return Deriv("imp_intro", Sequent(ctx, (), refl), (geq_refl(ctx, (refl,), NAT, "x"),))
+        return Deriv("imp_intro", Sequent(ctx, (), refl), (reflexive(ctx, (refl,), "x"),))
     if case == "gt_ind_shape":
-        premise = geq_refl(ctx + (("y", NAT),), (refl,), NAT, "x")
+        premise = reflexive(ctx + (("y", NAT),), (refl,), "x")
         return Deriv("gt_ind", Sequent(ctx, (), refl), (premise,))
     if case == "c_rule_argument":
         return Deriv("c_rule", Sequent(ctx, (), Atom("plus", (BoundV(0), x("x")))), (), ("plus",))
@@ -1227,12 +1268,12 @@ def _bad_block(case):
     if case in ("too_few_binders", "binders_out_of_order"):
         # [x:Nat, t:Tree] |- t >= t closed into all x:Nat. all t:Tree. t >= t
         ctx = (("x", NAT), ("t", "Tree"))
-        d = forall_intro(Deriv("geq_refl", Sequent(ctx, (), Geq("Tree", x("t"), x("t")))), 2)
+        d = forall_intro(Deriv("trans", Sequent(ctx, (), Geq("Tree", x("t"), x("t")))), 2)
         concl = (Forall("Tree", Geq("Tree", BoundV(0), BoundV(0))) if case == "too_few_binders"
                  else Forall("Tree", Forall(NAT, Geq("Tree", BoundV(1), BoundV(1)))))
         return d.replace(seq=d.seq.replace(concl=concl))
     # repeated_new_variable: [x:Nat, y:Nat, y:Nat] |- x >= x
-    premise = geq_refl((("x", NAT), ("y", NAT), ("y", NAT)), (), NAT, "x")
+    premise = reflexive((("x", NAT), ("y", NAT), ("y", NAT)), (), "x")
     refl = Geq(NAT, x("x"), x("x"))
     return Deriv("forall_intro", Sequent((("x", NAT),), (), Forall(NAT, Forall(NAT, refl))), (premise,))
 
@@ -1276,8 +1317,8 @@ def test_the_kernel_builds_no_formula(pipelines):
 def test_context_sorts_are_sorts_of_the_system(plus_system):
     seq = Sequent((("x", NAT), ("y", "Bogus")), (), Geq(NAT, x("x"), x("x")))
     with pytest.raises(LogicError, match="at root: variable 'y' has unknown sort 'Bogus'"):
-        check_proof(plus_system, Deriv("geq_refl", seq))
-    check_proof(plus_system.replace(ind_sorts=plus_system.ind_sorts | {"Bogus"}), Deriv("geq_refl", seq))
+        check_proof(plus_system, Deriv("trans", seq))
+    check_proof(plus_system.replace(ind_sorts=plus_system.ind_sorts | {"Bogus"}), Deriv("trans", seq))
 
 
 @pytest.mark.parametrize("body", [Geq(NAT, x("x"), x("x")), Atom("plus", (x("x"), x("x")))])

@@ -12,16 +12,16 @@ import mutants
 import proofcmp
 
 KERNEL_RULES = ("assumption", "inst", "imp_intro", "imp_elim", "forall_intro", "forall_elim",
-                "geq_refl", "trans", "geq_subsum", "gt_ind", "c_rule")
-ONE_PREMISE = ("imp_intro", "forall_intro", "forall_elim", "geq_subsum", "gt_ind")
-NO_DATA = ("imp_intro", "imp_elim", "forall_intro", "geq_refl", "trans", "geq_subsum", "gt_ind")
+                "trans", "gt_ind", "c_rule")
+ONE_PREMISE = ("imp_intro", "forall_intro", "forall_elim", "gt_ind")
+NO_DATA = ("imp_intro", "imp_elim", "forall_intro", "trans", "gt_ind")
 # the (rule, kind) pairs no row can have: no premise to drop or swap, or only
 # one; no data item to edit or drop
-INAPPLICABLE = ({(r, k) for r in ("assumption", "geq_refl") for k in ("drop_premise", "swap_premises")}
+INAPPLICABLE = ({("assumption", k) for k in ("drop_premise", "swap_premises")}
                 | {(r, "swap_premises") for r in ONE_PREMISE}
                 | {(r, k) for r in NO_DATA for k in ("data_last", "drop_data")})
-# no worked proof has a geq_refl row, since the translation states no x >= x;
-# this fuzz draw's proof has one (25 nodes)
+# no worked proof has a trans row without premises (x >= x), since the
+# translation states no x >= x; this fuzz draw's proof has one (25 nodes)
 FUZZ_DRAW = 82
 # rows mutated per (rule, kind) pair; None mutates every row
 SAMPLE = {"plus": None, "fg": None, "ack": 3, "dist": 1, f"fuzz[{FUZZ_DRAW}]": None}
@@ -67,7 +67,8 @@ def corpus(pipelines, fuzz_proofs):
         doc = formats.proof_to_doc(proof, system)
         _, original = formats.proof_from_doc(doc)
         for rule, kind, i, mutant in mutants.mutants(doc, SEED, per_pair):
-            results.append((name, rule, kind, i, _outcome(doc, original, i, mutant)))
+            premises = len(doc["nodes"][i]["children"])
+            results.append((name, rule, premises, kind, i, _outcome(doc, original, i, mutant)))
     return results
 
 
@@ -78,6 +79,15 @@ def test_every_mutant_is_rejected_where_it_was_made_or_equal(corpus):
 
 
 def test_every_rule_meets_every_mutation_that_applies(corpus):
-    hit = {(rule, kind) for _name, rule, kind, _i, _outcome in corpus}
+    hit = {(rule, kind) for _name, rule, _n, kind, _i, _outcome in corpus}
     want = {(r, k) for r in KERNEL_RULES for k in mutants.KINDS} - INAPPLICABLE
     assert hit == want
+
+
+def test_trans_rows_of_every_premise_count_are_mutated(corpus):
+    # trans takes 0, 1 or 2 premises; each count is one shape of the rule
+    for n in (0, 1, 2):
+        kinds = {kind for _name, rule, premises, kind, _i, _outcome in corpus
+                 if rule == "trans" and premises == n}
+        assert kinds >= {"data", "conclusion", "reorder_hyps", "truncate_hyps", "ctx_sort"}, n
+        assert ("drop_premise" in kinds) == (n > 0) and ("swap_premises" in kinds) == (n > 1), n

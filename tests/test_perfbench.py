@@ -49,7 +49,7 @@ def test_runner_cli_op_on_plus(tmp_path):
     assert res["verdict"] is True and res["conclusion_ok"] is True
     assert res["counts"] == {"closure_size": 3, "unfold_nodes": 3, "replay_nodes": 3,
                              "proof_nodes": 25, "inductions": 1, "doc_rows": 25,
-                             "doc_bytes": 3785}
+                             "doc_bytes": 3780}
     assert not (tmp_path / "plus.proof.json").exists()
 
 

@@ -78,9 +78,9 @@ def test_size_change_graphs_normalise():
 
 def test_keyword_construction_and_defaults():
     seq = Sequent(ctx=(("x", "Nat"),), hyps=(), concl=Geq("Nat", X, X))
-    d = Deriv(rule="geq_refl", seq=seq)
-    assert (d.rule, d.seq, d.children, d.data) == ("geq_refl", seq, (), ())
-    assert d != Deriv("geq_refl", seq, (), ())  # derivations compare by identity
+    d = Deriv(rule="trans", seq=seq)
+    assert (d.rule, d.seq, d.children, d.data) == ("trans", seq, (), ())
+    assert d != Deriv("trans", seq, (), ())  # derivations compare by identity
     ann = init_annotation(1)
     node = RepNode(id="n0", deriv_node="f", rule="f", parent=None, children=(), ann=ann)
     assert (node.sprout, node.prog, node.is_bud) == (None, None, False)

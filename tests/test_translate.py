@@ -30,7 +30,7 @@ import systems
 from oracles import extract_skeleton, rep_skeleton
 
 # node counts and induction counts of the finished proofs, frozen
-PROOF_SIZE = {"plus": 25, "ack": 100, "dist": 372, "treedist": 372, "fg": 20}
+PROOF_SIZE = {"plus": 25, "ack": 100, "dist": 348, "treedist": 348, "fg": 20}
 IND_COUNT = {"plus": 1, "ack": 3, "dist": 7, "treedist": 7, "fg": 1}
 
 
@@ -183,15 +183,15 @@ def test_no_order_step_rederives_one_of_its_hypotheses(pipelines, fuzz_proofs):
     # the order prover looks a fact up before it builds one
     proofs = [p.proof for p in pipelines.values()] + [proof for _case, proof in fuzz_proofs]
     redone = [d.seq.concl for proof in proofs for d in distinct_nodes(proof)
-              if d.rule in ("trans", "geq_refl", "geq_subsum") and d.seq.concl in d.seq.hyps]
+              if d.rule == "trans" and d.seq.concl in d.seq.hyps]
     assert redone == []
 
 
 def test_no_sequent_states_a_fact_that_says_nothing(pipelines, fuzz_proofs):
-    # the translation states no x >= x, which geq_refl proves, and no l >= r
-    # beside l > r, which geq_subsum proves from it: in no sequent of the dist,
-    # ack, crossing-fixture and fuzz proofs (the drawn crossing case among
-    # them).  The root's own facts are all x >= x, so each proof is the root's
+    # the translation states no x >= x, which trans proves from no premise,
+    # and no l >= r beside l > r, which trans proves from it: in no sequent
+    # of the dist, ack, crossing-fixture and fuzz proofs (the drawn crossing
+    # case among them).  The root's own facts are all x >= x, so each proof is the root's
     # derivation itself, not an inst that discharges them
     system, derivs = induced_proof_system(systems.load("crossing"))
     proofs = [pipelines["dist"].proof, pipelines["ack"].proof,
@@ -340,23 +340,25 @@ def test_orders_prefer_a_hypothesis():
 
 
 def test_orders_prove_reflexivity():
-    assert prove((), Geq("Nat", A, A)) == ("geq_refl",)
+    assert prove((), Geq("Nat", A, A)) == ("trans",)
 
 
 def test_orders_weaken_a_strict_hypothesis():
     hyps = (Geq("Nat", A, C), Geq("Nat", C, B), Gt("Nat", A, B))
-    assert prove(hyps, Geq("Nat", A, B)) == ("geq_subsum", ("assumption", 2))
+    assert prove(hyps, Geq("Nat", A, B)) == ("trans", ("assumption", 2))
 
 
-def test_orders_chain_two_hypotheses_with_the_fewest_weakenings():
+def test_orders_chain_the_first_two_hypotheses_that_fit():
     hyps = (Gt("Nat", A, B), Geq("Nat", B, C), Geq("Nat", A, D), Geq("Nat", D, C))
-    # a weak goal: the all-weak chain needs no geq_subsum
-    assert prove(hyps, Geq("Nat", A, C)) == ("trans", ("assumption", 2), ("assumption", 3))
-    # a strict goal: only the chain through the strict fact fits
-    assert prove(hyps, Gt("Nat", A, C)) == ("trans", ("assumption", 0), ("assumption", 1))
-    # only strict chains: one weakening of the chained fact
-    assert prove(hyps[:2], Geq("Nat", A, C)) == (
-        "geq_subsum", ("trans", ("assumption", 0), ("assumption", 1)))
+    # a weak goal: the first chain, through the strict fact, in one node
+    assert prove(hyps, Geq("Nat", A, C)) == ("trans", ("assumption", 0), ("assumption", 1))
+    assert prove(hyps[2:], Geq("Nat", A, C)) == ("trans", ("assumption", 0), ("assumption", 1))
+    # a strict goal: only the chain through the strict fact fits, wherever it is
+    assert prove(hyps[2:] + hyps[:2], Gt("Nat", A, C)) == ("trans", ("assumption", 2), ("assumption", 3))
+    # the earliest first link, and a weak middle before a strict one
+    hyps = (Geq("Nat", A, B), Gt("Nat", A, D), Gt("Nat", D, C), Geq("Nat", D, C), Gt("Nat", B, C))
+    assert prove(hyps, Gt("Nat", A, C)) == ("trans", ("assumption", 0), ("assumption", 4))
+    assert prove(hyps[1:], Gt("Nat", A, C)) == ("trans", ("assumption", 0), ("assumption", 2))
 
 
 def test_orders_break_ties_towards_earlier_hypotheses():

@@ -172,7 +172,7 @@ def test_forced_replay_on_plus(pipelines, monkeypatch):
     assert oracles.reset_rep_violations(rep2) == []
     proof = translate(rep2)
     check_proof(p.system, proof)
-    assert proof_size(proof) == 55 and count_rule(proof, "gt_ind") == 1
+    assert proof_size(proof) == 53 and count_rule(proof, "gt_ind") == 1
 
 
 def test_forced_replay_on_fg(pipelines, monkeypatch):
@@ -182,7 +182,7 @@ def test_forced_replay_on_fg(pipelines, monkeypatch):
     assert oracles.reset_rep_violations(rep2) == []
     proof = translate(rep2)
     check_proof(p.system, proof)
-    assert proof_size(proof) == 37 and count_rule(proof, "gt_ind") == 1
+    assert proof_size(proof) == 36 and count_rule(proof, "gt_ind") == 1
 
 
 def test_forced_replay_on_ackermann(pipelines, monkeypatch):

@@ -14,7 +14,10 @@ proof nodes (distinct nodes per proof, summed), in all and per kernel rule,
 so that a change in the proofs' shape shows rule by rule next to the
 counts.  Of each stage's opcodes it also prints those run inside the
 ``__init__`` that ``core.Record`` compiles for each record class (frames of
-``<string>``), the cost of the records the stage builds.
+``<string>``), the cost of the records the stage builds.  It counts each
+stage's value comparisons too: the calls of ``core.Record.__eq__`` (``!=``
+and container lookups included), and how many of them compare an object
+with itself, which the identity test at its top answers at once.
 
 A count is exact where a time is not, but set iteration order can change
 it, so the script refuses to run unless ``PYTHONHASHSEED`` is 0.  Two runs on
@@ -33,11 +36,15 @@ TESTS = Path(__file__).resolve().parent
 sys.path[:0] = [str(TESTS.parent / "src"), str(TESTS)]
 
 
-def counted(fn, *args) -> tuple[object, int, int, int]:
+def counted(fn, *args) -> tuple[object, int, int, int, int, int]:
     """``fn(*args)`` under the tracer: its result, then the opcode events and
-    the calls of every frame it ran, and the opcode events of the record
-    constructors among those frames."""
-    ops = calls = init_ops = 0
+    the calls of every frame it ran, the opcode events of the record
+    constructors among those frames, and the calls of ``Record.__eq__`` and
+    those of them whose two operands are one object."""
+    from cycind.core import Record
+
+    eq_code = Record.__eq__.__code__
+    ops = calls = init_ops = eqs = self_eqs = 0
 
     def local(frame, event, _arg):
         nonlocal ops
@@ -53,10 +60,13 @@ def counted(fn, *args) -> tuple[object, int, int, int]:
         return local_init
 
     def glob(frame, event, _arg):
-        nonlocal calls
+        nonlocal calls, eqs, self_eqs
         calls += 1
         frame.f_trace_opcodes = True
         code = frame.f_code
+        if code is eq_code:
+            eqs += 1
+            self_eqs += frame.f_locals["other"] is frame.f_locals["self"]
         return local_init if code.co_filename == "<string>" and code.co_name == "__init__" else local
 
     sys.settrace(glob)
@@ -64,7 +74,7 @@ def counted(fn, *args) -> tuple[object, int, int, int]:
         result = fn(*args)
     finally:
         sys.settrace(None)
-    return result, ops, calls, init_ops
+    return result, ops, calls, init_ops, eqs, self_eqs
 
 
 def main() -> int:
@@ -78,7 +88,7 @@ def main() -> int:
 
     _, cases = draw_fuzz_population()
     plain = [case for case in cases if case.rep2 is case.rep1]
-    totals = {"translate": [0, 0, 0], "check_proof": [0, 0, 0]}
+    totals = {"translate": [0] * 5, "check_proof": [0] * 5}
     rules = Counter()
     for case in plain:
         proof, *counts = counted(translate, case.rep2)
@@ -87,8 +97,9 @@ def main() -> int:
         totals["check_proof"] = [a + b for a, b in zip(totals["check_proof"], counts)]
         rules.update(d.rule for d in distinct_nodes(proof))
     print(f"{len(plain)} plain fuzz draws, {sum(rules.values()):,} proof nodes")
-    for stage, (ops, calls, init_ops) in totals.items():
+    for stage, (ops, calls, init_ops, eqs, self_eqs) in totals.items():
         print(f"{stage:12} {ops:>12,} bytecodes {calls:>10,} calls {init_ops:>12,} in record constructors")
+        print(f"{'':12} {eqs:>12,} Record.__eq__ calls, {self_eqs:,} of an object with itself")
     print("proof nodes per rule:")
     for rule, n in sorted(rules.items()):
         print(f"  {rule:12} {n:>8,}")
